@@ -7,6 +7,10 @@ silently measure the fallback.  ``build_pointer_table`` and ``pack_strided``
 are the two layout transformations needed to feed per-cell tensor data into
 batched calls; :class:`ScratchBuffer` provides the grow-only temporary
 storage whose size depends on the runtime batch size.
+
+Validating an Indexed operand costs one C-level scan of its pointer table per
+checked property; the table is walked entry by entry only to name the first
+bad entry in the error.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from .core import (
     operand_dims,
 )
 from .reference import GemmScalars, batched_ref
+from .vectorize import flat_float64_buffers
 
 __all__ = [
     "BatchedOperand",
@@ -98,13 +103,14 @@ class BatchedOperand:
                 raise ValueError(
                     f"operand {which}: pointer table has {len(self.table)} entries, need E={E}"
                 )
-            for e, entry in enumerate(self.table):
-                _check_buffer(which, entry, f"table entry {e}")
-                if len(entry) < min_span:
-                    raise ValueError(
-                        f"operand {which}: table entry {e} holds {len(entry)} elements, "
-                        f"need {min_span} for a full matrix at ld={self.ld}"
-                    )
+            if not flat_float64_buffers(self.table, min_span):
+                for e, entry in enumerate(self.table):
+                    _check_buffer(which, entry, f"table entry {e}")
+                    if len(entry) < min_span:
+                        raise ValueError(
+                            f"operand {which}: table entry {e} holds {len(entry)} elements, "
+                            f"need {min_span} for a full matrix at ld={self.ld}"
+                        )
         else:
             if self.data is None:
                 raise ValueError(f"operand {which}: missing flat buffer")

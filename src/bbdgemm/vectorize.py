@@ -7,7 +7,8 @@ one of two ways:
 
 * when the optional JIT backend (numba) is installed and enabled, the loop
   is compiled so the backend's auto-vectorizer can turn the batch dimension
-  into vector lanes;
+  into vector lanes; each Indexed operand is staged as an ``(E, span)``
+  copy whose row e is batch element e;
 * otherwise every Strided or Indexed operand is staged as a ``(span, E)``
   array whose row ``off`` holds element ``off`` of every matrix, and the
   generated function runs once with E == 1 on those arrays.  Each unrolled
@@ -19,8 +20,16 @@ the call, while the loop lets element e see what elements before it wrote.
 So the plain interpreted loop still runs when the two could differ: when C
 is Constant, when two of C's matrices overlap, when C overlaps A or B, or
 when a C buffer is read-only.  It also runs when an operand is not a flat
-float64 ndarray of the expected size.  There is no architecture-specific
-code on any path.
+float64 ndarray of the expected size.  The compiled path's staged tables are
+copies too, so it applies the same rule before staging, except that it keeps
+a Constant C, which its loop accumulates in order.  There is no
+architecture-specific code on any path.
+
+Per call, outside the kernel's arithmetic, each pointer table costs one
+C-level scan per checked property (:func:`flat_float64_buffers`, C's
+writability, the allocations that hold it) and one ``np.concatenate`` copy;
+an Indexed C adds one write-back loop over its entries.  Only when buffers
+share an allocation does the overlap test read byte ranges, in O(E log E).
 
 Calling the decorated kernel never changes numerics: every path executes
 the same statements in the same order on IEEE doubles, and numpy's
@@ -34,6 +43,8 @@ import inspect
 import os
 import threading
 from contextlib import contextmanager
+from itertools import chain, repeat
+from operator import attrgetter
 
 import numpy as np
 
@@ -51,6 +62,7 @@ __all__ = [
     "enable_jit",
     "use_jit",
     "jit_compile",
+    "flat_float64_buffers",
     "vectorize_batch_loop",
 ]
 
@@ -136,13 +148,38 @@ def _interp_arg(payload, kind: AccessKind):
     return _as_scalar_view(payload)
 
 
+def flat_float64_buffers(buffers, size: int) -> bool:
+    """True when every buffer is a 1-D float64 ndarray of at least *size* elements.
+
+    Each property is read by one C-level scan of the sequence, so no Python
+    frame runs per buffer; a caller that must name the first bad buffer walks
+    the sequence again only after this returns False.  True when empty.
+    """
+    return (
+        all(map(isinstance, buffers, repeat(np.ndarray)))
+        and set(map(attrgetter("dtype"), buffers)) <= {np.dtype(np.float64)}
+        and set(map(attrgetter("ndim"), buffers)) <= {1}
+        and min(map(len, buffers), default=size) >= size
+    )
+
+
+def _matrices(table, E: int, span: int):
+    """``table[e][:span]`` for each of the first E entries; views, not copies."""
+    entries = table[:E]
+    if max(map(len, entries)) > span:
+        entries = [entry[:span] for entry in entries]
+    return entries
+
+
 def _gather(table, E: int, span: int) -> np.ndarray:
-    return np.stack([np.asarray(table[e], dtype=np.float64)[:span] for e in range(E)])
+    """``(E, span)`` copy whose row e is ``table[e][:span]``."""
+    return np.concatenate(_matrices(table, E, span)).reshape(E, span)
 
 
-def _scatter(table, rows, E: int, span: int) -> None:
-    for e in range(E):
-        table[e][:span] = rows[e]
+def _scatter(table, rows, span: int) -> None:
+    """Write row e of the ``(E, span)`` *rows* into ``table[e][:span]``."""
+    for matrix, row in zip(_matrices(table, len(rows), span), rows):
+        matrix[...] = row
 
 
 def _stage_lanes(payload, kind: AccessKind, E: int, span: int) -> np.ndarray:
@@ -154,16 +191,12 @@ def _stage_lanes(payload, kind: AccessKind, E: int, span: int) -> np.ndarray:
     return np.ascontiguousarray(rows.T)
 
 
-def _flat_float64(buffer) -> bool:
-    return isinstance(buffer, np.ndarray) and buffer.dtype == np.float64 and buffer.ndim == 1
-
-
-def _owner_id(buffer) -> int | None:
-    """id of the ndarray whose own allocation holds *buffer*; None if unknown."""
-    owner = buffer if buffer.base is None else buffer.base
-    if isinstance(owner, np.ndarray) and owner.flags.owndata:
-        return id(owner)
-    return None
+def _owner_ids(buffers) -> list | None:
+    """ids of the ndarrays whose own allocations hold *buffers*; None if one is unknown."""
+    owners = [buffer if buffer.base is None else buffer.base for buffer in buffers]
+    if not all(map(isinstance, owners, repeat(np.ndarray))):
+        return None
+    return list(map(id, owners)) if all(map(attrgetter("flags.owndata"), owners)) else None
 
 
 def _byte_ranges(buffers, span: int):
@@ -176,41 +209,37 @@ def _byte_ranges(buffers, span: int):
     return np.minimum(first, last), np.maximum(first, last) + 8
 
 
-def _lanes_safe(payloads, kinds, spans, E: int) -> bool:
-    """True when running the batch as lanes gives the sequential loop's answer.
+def _elements_independent(payloads, kinds, spans, E: int) -> bool:
+    """True when no batch element reads or writes what another one writes.
 
-    That holds when C is not Constant, every buffer is a flat float64
-    ndarray, C's buffers are writable, C's E matrices are pairwise disjoint
-    and none of them overlaps A or B: then no batch element reads what
-    another one writes.  Buffers held by different numpy allocations cannot
-    overlap, so when every C buffer has an allocation to itself that A and B
-    do not use, that settles it.  Otherwise the test is on byte ranges, in
-    O(E log E): sorted C ranges must not overlap each other, and each A or B
-    range must miss the highest C range that starts below its end (lower C
-    ranges end earlier).
+    That holds when every buffer is a flat float64 ndarray holding what the
+    call addresses, C's buffers are writable, C's matrices are pairwise
+    disjoint and none of them overlaps A or B.  Buffers held by different
+    numpy allocations cannot overlap, so when every C buffer has an
+    allocation to itself that A and B do not use, that settles it.
+    Otherwise the test is on byte ranges, in O(E log E): sorted C ranges must
+    not overlap each other, and each A or B range must miss the highest C
+    range that starts below its end (lower C ranges end earlier).
     """
-    if kinds[2] is AccessKind.Constant:
-        return False
     groups = []
     for payload, kind, span in zip(payloads, kinds, spans):
         if kind is AccessKind.Indexed:
-            if not isinstance(payload, (list, tuple)):
+            if not isinstance(payload, (list, tuple)) or len(payload) < E:
                 return False
             group, extent = payload[:E], span
         else:
             group, extent = [payload], span * (E if kind is AccessKind.Strided else 1)
-        if not all(map(_flat_float64, group)):
+        if not flat_float64_buffers(group, extent):
             return False
         groups.append((group, extent))
-    if not all(buffer.flags.writeable for buffer in groups[2][0]):
+    if not all(map(attrgetter("flags.writeable"), groups[2][0])):
         return False
-    c_owners = [_owner_id(buffer) for buffer in groups[2][0]]
-    ab_owners = {_owner_id(buffer) for group, _ in groups[:2] for buffer in group}
-    distinct = set(c_owners)
-    if len(distinct) == len(c_owners) and distinct.isdisjoint(ab_owners) and None not in (
-        distinct | ab_owners
-    ):
-        return True
+    c_owners = _owner_ids(groups[2][0])
+    ab_owners = [_owner_ids(group) for group, _ in groups[:2]]
+    if c_owners is not None and None not in ab_owners:
+        distinct = set(c_owners)
+        if len(distinct) == len(c_owners) and distinct.isdisjoint(chain(*ab_owners)):
+            return True
     c_lo, c_hi = _byte_ranges(*groups[2])
     order = np.argsort(c_lo)
     c_lo, c_hi = c_lo[order], c_hi[order]
@@ -224,10 +253,6 @@ def _lanes_safe(payloads, kinds, spans, E: int) -> bool:
     return True
 
 
-def _jit_ready(payload) -> bool:
-    return _flat_float64(payload) and payload.flags.c_contiguous
-
-
 def vectorize_batch_loop(name: str):
     """Decorator marking a generated kernel's batch loop for acceleration.
 
@@ -235,7 +260,7 @@ def vectorize_batch_loop(name: str):
     to stage pointer-table arguments for the JIT backend are recovered from
     it.  Without the backend the decorated function gives exactly the
     undecorated one's results: it runs the batch as lanes where that cannot
-    change them, and the undecorated loop otherwise.  E == 0 returns early
+    change them, and the undecorated loop otherwise.  E <= 0 returns early
     and touches no memory on any path.
     """
     spec = parse_kernel_name(name)
@@ -253,7 +278,7 @@ def vectorize_batch_loop(name: str):
 
         @functools.wraps(py_fn)
         def wrapper(E, alpha, A, lda, B, ldb, beta, C, ldc):
-            if E == 0:
+            if E <= 0:
                 return
             if jit_enabled() and _try_jit(E, alpha, A, lda, B, ldb, beta, C, ldc):
                 return
@@ -272,54 +297,56 @@ def vectorize_batch_loop(name: str):
             )
 
         def _try_jit(E, alpha, A, lda, B, ldb, beta, C, ldc) -> bool:
-            payloads = []
-            scatter = []
-            for which, payload, ld, kind in zip("ABC", (A, B, C), (lda, ldb, ldc), kinds):
-                span = matrix_span(spec, which, ld)
+            payloads = (A, B, C)
+            spans = [matrix_span(spec, which, ld) for which, ld in zip("ABC", (lda, ldb, ldc))]
+            # Staged pointer tables are copies, so the compiled loop gives the
+            # sequential answer only when no element reads what another writes.
+            if AccessKind.Indexed in kinds and not _elements_independent(payloads, kinds, spans, E):
+                return False
+            args = []
+            for payload, kind, span in zip(payloads, kinds, spans):
                 if kind is AccessKind.Indexed:
-                    # Pointer tables become a dense (E, span) staging array;
-                    # row e is batch element e, so table[e][idx] still holds.
-                    try:
-                        staged = _gather(payload, E, span)
-                    except (TypeError, ValueError, IndexError):
-                        return False
-                    payloads.append(staged)
-                    if which == "C":
-                        scatter.append((payload, staged, span))
+                    # Row e of the staged array is batch element e, so the
+                    # kernel's table[e][idx] still holds.
+                    args.append(_gather(payload, E, span))
+                elif flat_float64_buffers(
+                    [payload], span * (E if kind is AccessKind.Strided else 1)
+                ) and payload.flags.c_contiguous:
+                    args.append(payload)
                 else:
-                    if not _jit_ready(payload):
-                        return False
-                    payloads.append(payload)
+                    return False
             jit_fn = jitted()
             if jit_fn is py_fn:  # backend unavailable after all
                 return False
             jit_fn(
                 int(E),
                 float(alpha),
-                payloads[0],
+                args[0],
                 int(lda),
-                payloads[1],
+                args[1],
                 int(ldb),
                 float(beta),
-                payloads[2],
+                args[2],
                 int(ldc),
             )
-            for table, staged, span in scatter:
-                _scatter(table, staged, E, span)
+            if kinds[2] is AccessKind.Indexed:
+                _scatter(C, args[2], spans[2])
             return True
 
         def _try_lanes(E, alpha, A, lda, B, ldb, beta, C, ldc) -> bool:
             payloads = (A, B, C)
             try:
                 spans = [matrix_span(spec, which, ld) for which, ld in zip("ABC", (lda, ldb, ldc))]
-                if not _lanes_safe(payloads, kinds, spans, E):
-                    return False
-                lanes = [
-                    None if kind is AccessKind.Constant else _stage_lanes(payload, kind, E, span)
-                    for payload, kind, span in zip(payloads, kinds, spans)
-                ]
-            except (TypeError, ValueError, IndexError):
+            except ValueError:
                 return False
+            if kinds[2] is AccessKind.Constant or not _elements_independent(
+                payloads, kinds, spans, E
+            ):
+                return False
+            lanes = [
+                None if kind is AccessKind.Constant else _stage_lanes(payload, kind, E, span)
+                for payload, kind, span in zip(payloads, kinds, spans)
+            ]
             # With E == 1 the kernel's A[e*sizeA+off] and B[e][off] address
             # row off of the staged arrays, so each statement runs on E lanes.
             args = [
@@ -330,7 +357,7 @@ def vectorize_batch_loop(name: str):
             ]
             py_fn(1, alpha, args[0], lda, args[1], ldb, beta, args[2], ldc)
             if kinds[2] is AccessKind.Indexed:
-                _scatter(C, lanes[2].T, E, spans[2])
+                _scatter(C, lanes[2].T, spans[2])
             else:
                 C[: E * spans[2]].reshape(E, spans[2])[...] = lanes[2].T
             return True

@@ -1,7 +1,10 @@
+import functools
+
 import numpy as np
 import pytest
 
-from bbdgemm.core import AccessKind, KernelShape, KernelSpec, Layout, operand_dims
+from bbdgemm import vectorize
+from bbdgemm.core import AccessKind, KernelShape, KernelSpec, Layout, matrix_span, operand_dims
 from bbdgemm.reference import GemmScalars, batched_ref
 from bbdgemm.runtime import (
     BatchedOperand,
@@ -13,7 +16,7 @@ from bbdgemm.runtime import (
     run_batched,
     unpack_strided,
 )
-from bbdgemm.vectorize import jit_available, use_jit
+from bbdgemm.vectorize import enable_jit, jit_available, use_jit
 
 from conftest import build_registry, copy_operand, make_operands, output_elements
 
@@ -162,6 +165,72 @@ class TestRunBatched:
         with pytest.raises(ValueError, match="float64"):
             run_batched(S_CIS, 2, 1.0, a, b, 0.0, c, registry=registry)
 
+    @pytest.mark.parametrize("which", ["B", "C"])
+    @pytest.mark.parametrize(
+        "spoil, message",
+        [
+            (lambda m: m.astype(np.float32), "must be a flat float64 ndarray, got ndarray"),
+            (lambda m: m.reshape(2, -1), "must be a flat float64 ndarray, got ndarray"),
+            (lambda m: m.tolist(), "must be a flat float64 ndarray, got list"),
+            (lambda m: m[:-1].copy(), "holds {short} elements, need {span}"),
+        ],
+        ids=["float32", "2d", "list", "one_short"],
+    )
+    def test_bad_table_entry_rejected(self, which, spoil, message):
+        # entries 2 and 3 are both bad: the error names the first, and no
+        # output is written before the check
+        s = spec(Layout.ColMajor, 2, 3, 4, "cii")
+        registry = build_registry(s)
+        a, b, c = make_operands(s, 5, np.random.default_rng(18))
+        table = {"B": b, "C": c}[which].table
+        span = len(table[2])
+        table[2], table[3] = spoil(table[2]), spoil(table[3])
+        c_before = [np.array(m).tobytes() for m in c.table]
+        message = message.format(short=span - 1, span=span)
+        with pytest.raises(ValueError, match=rf"operand {which}: table entry 2 {message}"):
+            run_batched(s, 5, 1.0, a, b, 1.0, c, registry=registry)
+        assert [np.array(m).tobytes() for m in c.table] == c_before
+
+    @pytest.mark.parametrize("entries", ["longer_than_span", "strided_views"])
+    def test_lanes_stage_irregular_table_entries(self, entries, monkeypatch):
+        # Indexed A and C whose entries hold more than one matrix, or are
+        # non-contiguous views of a pool, still run as lanes and give the
+        # oracle's bytes; elements past a matrix stay as they were.
+        s = spec(Layout.ColMajor, 2, 3, 4, "ici")
+        E = 7
+        gathered = []
+        gather = vectorize._gather
+        monkeypatch.setattr(
+            vectorize, "_gather", lambda *args: gathered.append(args) or gather(*args)
+        )
+
+        def build():
+            rng = np.random.default_rng(19)
+            operands, memory = [], []
+            for which in "ABC":
+                ld = operand_dims(s, which).min_ld
+                span = matrix_span(s, which, ld)
+                if s.access(which) is AccessKind.Constant:
+                    operands.append(BatchedOperand.constant(rng.uniform(-1.0, 1.0, span), ld))
+                    continue
+                if entries == "longer_than_span":
+                    table = [rng.uniform(-1.0, 1.0, span + 3) for _ in range(E)]
+                    memory += table
+                else:
+                    pool = rng.uniform(-1.0, 1.0, 2 * E * span)
+                    table = [pool[2 * e * span : 2 * (e + 1) * span : 2] for e in range(E)]
+                    memory.append(pool)
+                operands.append(BatchedOperand.indexed(table, ld))
+            return operands, memory
+
+        (a, b, c), got = build()
+        (a_ref, b_ref, c_ref), want = build()
+        with use_jit(False):
+            run_batched(s, E, 1.5, a, b, 0.5, c, registry=build_registry(s))
+        assert len(gathered) == 2  # A and C were staged as lanes
+        batched_ref(s, E, GemmScalars(1.5, 0.5), a_ref, b_ref, c_ref)
+        assert [m.tobytes() for m in got] == [m.tobytes() for m in want]
+
     def test_default_registry_covers_default_manifest(self):
         from pathlib import Path
 
@@ -244,13 +313,16 @@ class TestSequentialWhenLanesWouldDiffer:
     the oracle's.
     """
 
+    @pytest.fixture(autouse=True)
+    def path(self):
+        enable_jit(False)
+
     @staticmethod
     def run_both(s, E, alpha, beta, build):
         # build() returns fresh (a, b, c, memory) with any aliasing intact;
         # memory is the array holding every element C can reach.
         got, want = build(), build()
-        with use_jit(False):
-            run_batched(s, E, alpha, *got[:2], beta, got[2], registry=build_registry(s))
+        run_batched(s, E, alpha, *got[:2], beta, got[2], registry=build_registry(s))
         batched_ref(s, E, GemmScalars(alpha, beta), *want[:3])
         assert got[3].tobytes() == want[3].tobytes()
         return got[3]
@@ -301,6 +373,20 @@ class TestSequentialWhenLanesWouldDiffer:
             return a, b, c, c.data
 
         self.run_both(s, E, 1.0, 1.0, build)
+
+
+class TestCompiledStagingWhenLanesWouldDiffer(TestSequentialWhenLanesWouldDiffer):
+    """The same batches through the compiled path, which stages pointer tables.
+
+    The stand-in for the compiled kernel is the generated loop itself, so the
+    staging is exercised without the JIT backend; each test registry
+    decorates its kernel afresh, so no earlier compilation is reused.
+    """
+
+    @pytest.fixture(autouse=True)
+    def path(self, monkeypatch):
+        monkeypatch.setattr(vectorize, "jit_enabled", lambda: True)
+        monkeypatch.setattr(vectorize, "jit_compile", functools.partial)
 
 
 class TestPointerTable:
