@@ -15,7 +15,6 @@ from .core import (
     KernelSpec,
     Layout,
     OperandDims,
-    element_offset,
     kernel_name,
     matrix_span,
     operand_dims,
@@ -40,7 +39,6 @@ from .runtime import (
     ScratchBuffer,
     build_pointer_table,
     default_registry,
-    ensure_scratch,
     load_kernel_dir,
     pack_strided,
     run_batched,
@@ -70,9 +68,7 @@ __all__ = [
     "build_pointer_table",
     "default_registry",
     "dgemm_ref",
-    "element_offset",
     "enable_jit",
-    "ensure_scratch",
     "estimate_pressure",
     "generate_dispatch_source",
     "generate_kernel_source",

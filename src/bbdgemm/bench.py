@@ -15,7 +15,7 @@ import statistics
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -38,6 +38,7 @@ __all__ = [
     "FallbackDisallowed",
     "random_operands",
     "clone_operand",
+    "output_elements",
     "run_correctness",
     "run_benchmark",
     "emit_csv",
@@ -129,22 +130,25 @@ def clone_operand(operand: BatchedOperand) -> BatchedOperand:
     """Deep copy so two code paths can run on identical inputs."""
     if operand.kind is AccessKind.Indexed:
         return BatchedOperand.indexed([np.array(m) for m in operand.table], operand.ld)
-    clone = BatchedOperand(
+    return BatchedOperand(
         kind=operand.kind, ld=operand.ld, data=np.array(operand.data), span=operand.span
     )
-    return clone
 
 
-def _output_matrices(spec: KernelSpec, E: int, c: BatchedOperand) -> Iterable[np.ndarray]:
+def output_elements(spec: KernelSpec, E: int, c: BatchedOperand) -> np.ndarray:
+    """Copy of every output element across the batch, as one flat array.
+
+    A Constant C gives its one matrix; an empty batch of Strided or Indexed
+    matrices gives an empty array.
+    """
     span = matrix_span(spec, "C", c.ld)
     if c.kind is AccessKind.Constant:
-        yield np.asarray(c.data[:span])
-    elif c.kind is AccessKind.Strided:
-        for e in range(E):
-            yield np.asarray(c.data[e * c.span : e * c.span + span])
+        return np.array(c.data[:span])
+    if c.kind is AccessKind.Strided:
+        matrices = [c.data[e * c.span : e * c.span + span] for e in range(E)]
     else:
-        for e in range(E):
-            yield np.asarray(c.table[e][:span])
+        matrices = [np.asarray(c.table[e][:span]) for e in range(E)]
+    return np.concatenate(matrices) if matrices else np.empty(0)
 
 
 def run_correctness(
@@ -160,8 +164,9 @@ def run_correctness(
 
     Fills seeded random operands, runs the generated kernel and
     ``batched_ref`` on identical copies, and compares every output element
-    over the whole batch.  Raises :class:`FallbackDisallowed` when the
-    kernel is missing and *allow_fallback* is false.
+    over the whole batch; a NaN in the kernel's output makes the result NaN.
+    Raises :class:`FallbackDisallowed` when the kernel is missing and
+    *allow_fallback* is false.
     """
     registry = registry if registry is not None else default_registry()
     a, b, c_kernel = random_operands(spec, E, seed)
@@ -174,13 +179,9 @@ def run_correctness(
             f"build it or pass allow_fallback"
         )
     batched_ref(spec, E, GemmScalars(alpha, beta), a, b, c_oracle)
-    diff = 0.0
-    for got, want in zip(
-        _output_matrices(spec, E, c_kernel), _output_matrices(spec, E, c_oracle)
-    ):
-        if got.size:
-            diff = max(diff, float(np.max(np.abs(got - want))))
-    return diff
+    got = output_elements(spec, E, c_kernel)
+    want = output_elements(spec, E, c_oracle)
+    return float(np.max(np.abs(got - want))) if got.size else 0.0
 
 
 def _measure(unit: Callable[[], None], reps: int) -> tuple[list[float], int]:
@@ -272,7 +273,7 @@ def run_benchmark(
     max_abs_diff = run_correctness(
         spec, E, seed, registry=registry, allow_fallback=allow_fallback
     )
-    if max_abs_diff > CORRECTNESS_TOL:
+    if not max_abs_diff <= CORRECTNESS_TOL:  # NaN fails too
         raise ValueError(
             f"{kernel_name(spec)}: correctness diff {max_abs_diff:.3e} exceeds "
             f"{CORRECTNESS_TOL:.0e}; refusing to benchmark"

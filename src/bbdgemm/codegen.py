@@ -19,6 +19,7 @@ import re
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator, Sequence
 
 from .core import (
     AccessKind,
@@ -35,6 +36,9 @@ __all__ = [
     "ManifestError",
     "MachineModel",
     "PressureReport",
+    "SPEC_FIELDS",
+    "spec_lines",
+    "parse_spec_tokens",
     "parse_manifest",
     "generate_kernel_source",
     "generate_dispatch_source",
@@ -79,6 +83,65 @@ class KernelManifest:
 
 
 _TOKEN = re.compile(r"\S+")
+_DECIMAL = re.compile(r"[0-9]+")
+
+#: Fields of one manifest line; a chain file line starts with the same five.
+SPEC_FIELDS = "Layout N M K abc"
+
+
+def spec_lines(text: str, fields: str) -> Iterator[tuple[int, list[re.Match]]]:
+    """Yield ``(line number, tokens)`` for each non-blank line of *text*.
+
+    ``#`` starts a comment; skipped lines still count in line numbers.  Each
+    line must hold one token per whitespace-separated name in *fields*.
+    Tokens are ``re.Match`` objects so callers can report columns.
+    """
+    count = len(fields.split())
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0]
+        tokens = list(_TOKEN.finditer(line))
+        if not tokens:
+            continue
+        if len(tokens) != count:
+            column = tokens[count].start() + 1 if len(tokens) > count else len(line.rstrip()) + 1
+            raise ManifestError(
+                f"expected {count} fields ({fields}), got {len(tokens)}", lineno, column
+            )
+        yield lineno, tokens
+
+
+def parse_spec_tokens(tokens: Sequence[re.Match], lineno: int) -> KernelSpec:
+    """The :class:`KernelSpec` named by a line's ``<Layout> <N> <M> <K> <abc>`` tokens.
+
+    Dimensions are ASCII decimal integers >= 1.  Raises :class:`ManifestError`
+    at the offending token's line and column.
+    """
+    layout_tok, n_tok, m_tok, k_tok, access_tok = tokens
+    try:
+        layout = Layout(layout_tok.group())
+    except ValueError:
+        raise ManifestError(
+            f"unknown layout {layout_tok.group()!r}", lineno, layout_tok.start() + 1
+        ) from None
+    dims = []
+    for label, tok in (("N", n_tok), ("M", m_tok), ("K", k_tok)):
+        value_text = tok.group()
+        if not _DECIMAL.fullmatch(value_text):
+            raise ManifestError(
+                f"{label} is not a decimal integer: {value_text!r}", lineno, tok.start() + 1
+            )
+        value = int(value_text)
+        if value < 1:
+            raise ManifestError(f"{label} must be >= 1", lineno, tok.start() + 1)
+        dims.append(value)
+    access_text = access_tok.group()
+    if len(access_text) != 3 or any(ch not in "csi" for ch in access_text):
+        raise ManifestError(
+            f"access string must be three of c/s/i, got {access_text!r}",
+            lineno,
+            access_tok.start() + 1,
+        )
+    return KernelSpec(layout, KernelShape(*dims), *(AccessKind(ch) for ch in access_text))
 
 
 def parse_manifest(text: str, source: str = "<memory>") -> KernelManifest:
@@ -89,46 +152,8 @@ def parse_manifest(text: str, source: str = "<memory>") -> KernelManifest:
     """
     entries: list[KernelSpec] = []
     seen: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        tokens = list(_TOKEN.finditer(line))
-        if not tokens:
-            continue
-        if len(tokens) != 5:
-            column = tokens[5].start() + 1 if len(tokens) > 5 else len(line.rstrip()) + 1
-            raise ManifestError(
-                f"expected 5 fields (Layout N M K abc), got {len(tokens)}", lineno, column
-            )
-        layout_tok, n_tok, m_tok, k_tok, access_tok = tokens
-        try:
-            layout = Layout(layout_tok.group())
-        except ValueError:
-            raise ManifestError(
-                f"unknown layout {layout_tok.group()!r}", lineno, layout_tok.start() + 1
-            ) from None
-        dims = []
-        for label, tok in (("N", n_tok), ("M", m_tok), ("K", k_tok)):
-            value_text = tok.group()
-            if not value_text.isdigit():
-                raise ManifestError(
-                    f"{label} is not a decimal integer: {value_text!r}", lineno, tok.start() + 1
-                )
-            value = int(value_text)
-            if value < 1:
-                raise ManifestError(f"{label} must be >= 1", lineno, tok.start() + 1)
-            dims.append(value)
-        access_text = access_tok.group()
-        if len(access_text) != 3 or any(ch not in "csi" for ch in access_text):
-            raise ManifestError(
-                f"access string must be three of c/s/i, got {access_text!r}",
-                lineno,
-                access_tok.start() + 1,
-            )
-        spec = KernelSpec(
-            layout,
-            KernelShape(*dims),
-            *(AccessKind(ch) for ch in access_text),
-        )
+    for lineno, tokens in spec_lines(text, SPEC_FIELDS):
+        spec = parse_spec_tokens(tokens, lineno)
         name = kernel_name(spec)
         if name in seen:
             raise ManifestError(
@@ -222,8 +247,6 @@ def generate_kernel_source(spec: KernelSpec, max_dim: int = DEFAULT_MAX_DIM) -> 
 def generate_dispatch_source(manifest: KernelManifest) -> str:
     """Emit the dispatch module mapping kernel names to generated functions."""
     names = manifest.names()
-    if len(set(names)) != len(names):  # KernelManifest already forbids this
-        raise ValueError("manifest contains duplicate specs")
     out: list[str] = []
     out.append(_GENERATED_HEADER.rstrip("\n"))
     out.append('"""Dispatch table over the generated batched DGEMM kernels."""')
@@ -237,11 +260,6 @@ def generate_dispatch_source(manifest: KernelManifest) -> str:
     for name in names:
         out.append(f'    "{name}": {name},')
     out.append("}")
-    out.append("")
-    out.append("REGISTERED_NAMES = (")
-    for name in names:
-        out.append(f'    "{name}",')
-    out.append(")")
     out.append("")
     return "\n".join(out)
 
@@ -289,10 +307,6 @@ class MachineModel:
     def __post_init__(self) -> None:
         if self.vector_regs < 1 or self.scalar_fp_regs < 1:
             raise ValueError("register counts must be positive")
-
-    @classmethod
-    def riscv_like(cls) -> "MachineModel":
-        return cls(vector_regs=32, scalar_fp_regs=32)
 
     @classmethod
     def x86_64_like(cls) -> "MachineModel":

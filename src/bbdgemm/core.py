@@ -22,7 +22,6 @@ __all__ = [
     "parse_kernel_name",
     "operand_dims",
     "matrix_span",
-    "element_offset",
     "OPERANDS",
 ]
 
@@ -208,10 +207,3 @@ def matrix_span(spec: KernelSpec, which: str, ld: int) -> int:
     if spec.layout is Layout.ColMajor:
         return dims.cols * ld
     return dims.rows * ld
-
-
-def element_offset(layout: Layout, r: int, c: int, ld: int) -> int:
-    """Flat-buffer offset of element (r, c) under *layout*."""
-    if layout is Layout.ColMajor:
-        return c * ld + r
-    return r * ld + c

@@ -15,11 +15,3 @@ KERNELS = {
     "bbdgemm_ColMajor_20_9_10_cis": bbdgemm_ColMajor_20_9_10_cis,
     "bbdgemm_ColMajor_10_9_9_sci": bbdgemm_ColMajor_10_9_9_sci,
 }
-
-REGISTERED_NAMES = (
-    "bbdgemm_ColMajor_2_2_2_cis",
-    "bbdgemm_ColMajor_10_9_9_csi",
-    "bbdgemm_ColMajor_20_9_10_csi",
-    "bbdgemm_ColMajor_20_9_10_cis",
-    "bbdgemm_ColMajor_10_9_9_sci",
-)

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .codegen import SPEC_FIELDS, ManifestError, parse_spec_tokens, spec_lines
 from .core import (
     AccessKind,
     KernelShape,
@@ -37,7 +38,6 @@ from .runtime import (
     KernelRegistry,
     ScratchBuffer,
     build_pointer_table,
-    ensure_scratch,
     run_batched,
 )
 
@@ -263,7 +263,6 @@ class ProxyState:
     qout: list[TensorBatch]
     constants: dict[str, np.ndarray]
     constant_lds: dict[str, int]
-    phase_log: list[str] = field(default_factory=list)
 
 
 def build_state(config: ProxyConfig) -> ProxyState:
@@ -367,15 +366,15 @@ def compute_local_integration_batched(
 ) -> None:
     """Loop-interchanged variant: one batched call per chain step per component.
 
-    *scratch* must have been sized via :func:`bbdgemm.runtime.ensure_scratch`
-    for E == cells; an undersized buffer is a checked programming error.
+    *scratch* must have been sized via :meth:`ScratchBuffer.ensure` for
+    E == cells; an undersized buffer is a checked programming error.
     """
     per_element = config.scratch_per_element
     needed = config.cells * per_element
     if scratch.capacity < needed:
         raise ValueError(
             f"scratch undersized: capacity {scratch.capacity} < required {needed}; "
-            f"call ensure_scratch(buffer, cells, per_element) first"
+            f"call scratch.ensure(cells, per_element) first"
         )
     scratch_ld = _scratch_ld(config)
     scratch_flat = scratch.array[:needed] if needed else scratch.array[:0]
@@ -420,21 +419,17 @@ def run_proxy_state(
 ) -> None:
     """Advance *state* by the configured number of timesteps.
 
-    Each timestep runs the local-integration phase in the configured mode,
-    then records the neighboring-integration phase marker (modelled as a
-    no-op: it exists so the per-timestep structure is complete).
+    Each timestep runs the local-integration phase in the configured mode.
     """
     steps = config.timesteps if timesteps is None else timesteps
     scratch = ScratchBuffer()
     for _ in range(steps):
         if config.mode == "vector":
             # Allocation step before each timestep; a no-op once grown.
-            ensure_scratch(scratch, config.cells, config.scratch_per_element)
+            scratch.ensure(config.cells, config.scratch_per_element)
             compute_local_integration_batched(config, state, scratch, registry=registry)
         else:
             compute_local_integration_ref(config, state)
-        state.phase_log.append("local_integration")
-        state.phase_log.append("neighboring_integration")
 
 
 def run_proxy(config: ProxyConfig, registry: KernelRegistry | None = None) -> ProxyState:
@@ -531,52 +526,23 @@ def infer_tensor_dims(chain: tuple[ChainStep, ...]) -> tuple[int, int] | None:
 def parse_chain(text: str) -> tuple[ChainStep, ...]:
     """Parse a chain file: one step per line.
 
-    Grammar: ``<Layout> <N> <M> <K> <abc> <a-binding> <b-binding>
-    <c-binding> <alpha> <beta>``; ``#`` comments and blank lines ignored.
+    Grammar: a manifest spec ``<Layout> <N> <M> <K> <abc>`` followed by
+    ``<a-binding> <b-binding> <c-binding> <alpha> <beta>``; ``#`` comments
+    and blank lines ignored.  Errors are :class:`ManifestError` carrying the
+    line and column, as in a manifest.
     """
     steps: list[ChainStep] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if len(tokens) != 10:
-            raise ValueError(
-                f"chain line {lineno}: expected 10 fields "
-                f"(Layout N M K abc a b c alpha beta), got {len(tokens)}"
-            )
-        layout_tok, n_tok, m_tok, k_tok, access_tok = tokens[:5]
-        a_bind, b_bind, c_bind, alpha_tok, beta_tok = tokens[5:]
-        try:
-            layout = Layout(layout_tok)
-        except ValueError:
-            raise ValueError(f"chain line {lineno}: unknown layout {layout_tok!r}") from None
-        try:
-            dims = [int(tok) for tok in (n_tok, m_tok, k_tok)]
-        except ValueError:
-            raise ValueError(f"chain line {lineno}: dimensions must be integers") from None
-        if len(access_tok) != 3 or any(ch not in "csi" for ch in access_tok):
-            raise ValueError(
-                f"chain line {lineno}: access string must be three of c/s/i"
-            )
-        try:
-            alpha, beta = float(alpha_tok), float(beta_tok)
-        except ValueError:
-            raise ValueError(f"chain line {lineno}: alpha/beta must be numbers") from None
-        steps.append(
-            ChainStep(
-                spec=KernelSpec(
-                    layout,
-                    KernelShape(*dims),
-                    *(AccessKind(ch) for ch in access_tok),
-                ),
-                a_binding=a_bind,
-                b_binding=b_bind,
-                c_binding=c_bind,
-                alpha=alpha,
-                beta=beta,
-            )
-        )
+    for lineno, tokens in spec_lines(text, SPEC_FIELDS + " a b c alpha beta"):
+        scalars = []
+        for tok in tokens[8:]:
+            try:
+                scalars.append(float(tok.group()))
+            except ValueError:
+                raise ManifestError(
+                    f"alpha/beta must be numbers, got {tok.group()!r}", lineno, tok.start() + 1
+                ) from None
+        bindings = (tok.group() for tok in tokens[5:8])
+        steps.append(ChainStep(parse_spec_tokens(tokens[:5], lineno), *bindings, *scalars))
     if not steps:
         raise ValueError("chain file declares no steps")
     return tuple(steps)

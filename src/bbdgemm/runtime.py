@@ -46,7 +46,6 @@ __all__ = [
     "build_pointer_table",
     "pack_strided",
     "unpack_strided",
-    "ensure_scratch",
     "load_kernel_dir",
     "default_registry",
 ]
@@ -368,8 +367,3 @@ def _aligned_empty(count: int, alignment: int) -> np.ndarray:
     raw = np.empty(count * 8 + alignment, dtype=np.uint8)
     offset = (-raw.ctypes.data) % alignment
     return raw[offset : offset + count * 8].view(np.float64)
-
-
-def ensure_scratch(buffer: ScratchBuffer, E: int, per_element: int) -> None:
-    """Module-level alias for :meth:`ScratchBuffer.ensure`."""
-    buffer.ensure(E, per_element)

@@ -80,10 +80,10 @@ def jit_env_allowed() -> bool:
     This is the master switch: when false, neither generated kernels nor the
     reference oracle's compiled twin are used.
     """
-    value = os.environ.get("BBDGEMM_JIT", "").strip().lower()
-    if value in ("0", "off", "false", "no"):
+    if numba is None:
         return False
-    return numba is not None
+    value = os.environ.get("BBDGEMM_JIT", "").strip().lower()
+    return value not in ("0", "off", "false", "no")
 
 
 def jit_enabled() -> bool:

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from bbdgemm import generate_kernel_source, kernel_name
@@ -46,23 +45,3 @@ def make_operands(spec, E, rng):
             table = [pool[o * span : (o + 1) * span] for o in order]
             operands.append(BatchedOperand.indexed(table, ld))
     return tuple(operands)
-
-
-def copy_operand(operand):
-    if operand.kind is AccessKind.Indexed:
-        return BatchedOperand.indexed([np.array(m) for m in operand.table], operand.ld)
-    return BatchedOperand(
-        kind=operand.kind, ld=operand.ld, data=np.array(operand.data), span=operand.span
-    )
-
-
-def output_elements(spec, E, c):
-    """Flat array of every output element across the batch."""
-    span = matrix_span(spec, "C", c.ld)
-    if c.kind is AccessKind.Constant:
-        return np.array(c.data[:span])
-    if c.kind is AccessKind.Strided:
-        return np.concatenate(
-            [c.data[e * c.span : e * c.span + span] for e in range(E)]
-        ) if E else np.empty(0)
-    return np.concatenate([np.asarray(c.table[e][:span]) for e in range(E)]) if E else np.empty(0)

@@ -15,12 +15,20 @@ import pytest
 
 from bbdgemm.bench import (
     amdahl_max_speedup,
+    clone_operand,
     emit_csv,
     format_report,
+    output_elements,
     read_csv,
     run_benchmark,
 )
-from bbdgemm.codegen import MachineModel, estimate_pressure, generate_kernel_source
+from bbdgemm.codegen import (
+    MachineModel,
+    estimate_pressure,
+    generate_dispatch_source,
+    generate_kernel_source,
+    parse_manifest,
+)
 from bbdgemm.core import (
     AccessKind,
     KernelShape,
@@ -34,7 +42,7 @@ from bbdgemm.reference import GemmScalars, batched_ref
 from bbdgemm.runtime import KernelRegistry, default_registry, run_batched
 from bbdgemm.vectorize import use_jit
 
-from conftest import build_kernel, copy_operand, make_operands, output_elements
+from conftest import build_kernel, make_operands
 
 
 def spec(layout, n, m, k, access):
@@ -66,7 +74,7 @@ def test_criterion_1_oracle_equivalence_lattice():
                     combos += 1
                     for E, (alpha, beta) in zip(BATCH_SIZES, SCALAR_PAIRS):
                         a, b, c = make_operands(s, E, rng)
-                        c_ref = copy_operand(c)
+                        c_ref = clone_operand(c)
                         run_batched(s, E, alpha, a, b, beta, c, registry=registry)
                         batched_ref(s, E, GemmScalars(alpha, beta), a, b, c_ref)
                         got = output_elements(s, E, c)
@@ -160,22 +168,17 @@ def test_criterion_4_naming_and_formats(tmp_path):
     assert read_csv(csv_path) == records
 
     # generated source is byte-identical across runs; the shipped kernels
-    # are exactly what regeneration produces today
+    # and their dispatch module are exactly what regeneration produces today
     from pathlib import Path
 
-    regen = {}
-    for line in Path("manifests/default.manifest").read_text().splitlines():
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        layout, n, m, k, access = stripped.split()
-        s = spec(Layout(layout), int(n), int(m), int(k), access)
+    manifest = parse_manifest(Path("manifests/default.manifest").read_text())
+    kernels_dir = Path(__file__).resolve().parents[1] / "src" / "bbdgemm" / "kernels"
+    for s in manifest.entries:
         source = generate_kernel_source(s)
         assert source == generate_kernel_source(s)
-        regen[kernel_name(s)] = source
-    kernels_dir = Path(__file__).resolve().parents[1] / "src" / "bbdgemm" / "kernels"
-    for name, source in regen.items():
-        assert (kernels_dir / f"{name}.py").read_text(encoding="utf-8") == source
+        assert (kernels_dir / f"{kernel_name(s)}.py").read_text(encoding="utf-8") == source
+    dispatch = generate_dispatch_source(manifest)
+    assert (kernels_dir / "__init__.py").read_text(encoding="utf-8") == dispatch
     report(
         "ACCEPTANCE 4 naming-and-formats: PASS - 100-case name round-trip, "
         "bit-exact dump round-trip, CSV round-trip, byte-identical regeneration"

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from bbdgemm.bench import (
@@ -35,6 +36,16 @@ def record(name="bbdgemm_ColMajor_2_2_2_cis", speedup=2.0, fallback=False):
         max_abs_diff=1e-15,
         fallback_used=fallback,
     )
+
+
+def wrong_value(E, alpha, A, lda, B, ldb, beta, C, ldc):
+    size = 2 * ldc
+    for e in range(E):
+        C[e * size] = 1e9
+
+
+def nan_everywhere(E, alpha, A, lda, B, ldb, beta, C, ldc):
+    C[: E * 2 * ldc] = np.nan
 
 
 class TestCorrectness:
@@ -88,13 +99,11 @@ class TestBenchmark:
         assert detail.batched_inner_iters >= 1
         assert detail.stddev_ns_batched >= 0.0
 
-    def test_broken_kernel_refused(self):
-        def wrong(E, alpha, A, lda, B, ldb, beta, C, ldc):
-            size = 2 * ldc
-            for e in range(E):
-                C[e * size] = 1e9
-
-        registry = KernelRegistry({kernel_name(S222): wrong})
+    @pytest.mark.parametrize(
+        "broken", [wrong_value, nan_everywhere], ids=["wrong_value", "nan_everywhere"]
+    )
+    def test_broken_kernel_refused(self, broken):
+        registry = KernelRegistry({kernel_name(S222): broken})
         with pytest.raises(ValueError, match="refusing to benchmark"):
             run_benchmark(S222, 16, reps=2, registry=registry)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bbdgemm.bench import clone_operand, output_elements
 from bbdgemm.codegen import (
     DEFAULT_MAX_DIM,
     KernelManifest,
@@ -21,7 +22,7 @@ from bbdgemm.reference import GemmScalars, batched_ref
 from bbdgemm.runtime import load_kernel_dir
 from bbdgemm.vectorize import use_jit
 
-from conftest import build_kernel, copy_operand, make_operands, output_elements
+from conftest import build_kernel, make_operands
 
 
 def spec(layout, n, m, k, access):
@@ -117,7 +118,7 @@ class TestGeneratedSource:
         rng = np.random.default_rng(77)
         E = 33
         a, b, c = make_operands(s, E, rng)
-        c_ref = copy_operand(c)
+        c_ref = clone_operand(c)
         with use_jit(False):
             kernel(E, 1.5, a.payload(), a.ld, b.payload(), b.ld, 0.5, c.payload(), c.ld)
         batched_ref(s, E, GemmScalars(1.5, 0.5), a, b, c_ref)
@@ -188,7 +189,6 @@ class TestDispatch:
         first = source.index("bbdgemm_ColMajor_2_3_4_cis")
         second = source.index("bbdgemm_RowMajor_1_1_1_sss")
         assert first < second
-        assert "REGISTERED_NAMES" in source
 
     def test_empty_manifest_is_valid_source(self, tmp_path):
         write_kernel_package(KernelManifest(()), tmp_path / "kernels")
@@ -254,7 +254,7 @@ class TestPressure:
     def test_x86_preset_spills_at_least_as_much(self):
         s = spec(Layout.ColMajor, 10, 9, 9, "cis")
         narrow = estimate_pressure(s, MachineModel.x86_64_like())
-        wide = estimate_pressure(s, MachineModel.riscv_like())
+        wide = estimate_pressure(s, MachineModel())
         assert narrow.predicted_spills >= wide.predicted_spills
 
     @given(

@@ -1,15 +1,17 @@
+import importlib
+import pkgutil
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bbdgemm
 from bbdgemm.core import (
     AccessKind,
     KernelNameError,
     KernelShape,
     KernelSpec,
     Layout,
-    element_offset,
     kernel_name,
     matrix_span,
     operand_dims,
@@ -163,6 +165,13 @@ class TestShapes:
         with pytest.raises(ValueError):
             KernelShape(2.0, 1, 1)
 
-    def test_element_offset(self):
-        assert element_offset(Layout.ColMajor, 1, 2, 10) == 21
-        assert element_offset(Layout.RowMajor, 1, 2, 10) == 12
+
+class TestPublicSurface:
+    @pytest.mark.parametrize(
+        "module_name",
+        ["bbdgemm"] + [f"bbdgemm.{info.name}" for info in pkgutil.iter_modules(bbdgemm.__path__)],
+    )
+    def test_every_exported_name_resolves(self, module_name):
+        module = importlib.import_module(module_name)
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert missing == []

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bbdgemm.codegen import ManifestError
 from bbdgemm.core import AccessKind, KernelShape, KernelSpec, Layout
 from bbdgemm.proxy import (
     ChainStep,
@@ -17,7 +18,7 @@ from bbdgemm.proxy import (
     run_proxy_state,
 )
 from bbdgemm.reference import dgemm_ref
-from bbdgemm.runtime import KernelRegistry, ScratchBuffer, ensure_scratch
+from bbdgemm.runtime import KernelRegistry, ScratchBuffer
 from bbdgemm.vectorize import use_jit
 
 from conftest import build_registry
@@ -203,16 +204,10 @@ class TestBatchedVariant:
         registry = small_registry()
         with use_jit(False):
             for _ in range(config.timesteps):
-                ensure_scratch(scratch, config.cells, config.scratch_per_element)
+                scratch.ensure(config.cells, config.scratch_per_element)
                 backing = scratch.array
                 compute_local_integration_batched(config, state, scratch, registry=registry)
                 assert scratch.array is backing
-
-    def test_phase_log_records_both_phases(self):
-        state = run_proxy(small_config(timesteps=2))
-        assert state.phase_log == [
-            "local_integration", "neighboring_integration",
-        ] * 2
 
 
 class TestState:
@@ -313,3 +308,19 @@ class TestChainFile:
     def test_bad_scalar_error(self):
         with pytest.raises(ValueError, match="alpha/beta"):
             parse_chain("ColMajor 4 2 3 cis op1 qin scratch one 0.0\n")
+
+    @pytest.mark.parametrize(
+        "text, line, column, message",
+        [
+            ("ColMajor 1_0 2 3 cis op1 qin scratch 1.0 0.0", 1, 10, "decimal integer"),
+            ("ColMajor \uff14 2 3 cis op1 qin scratch 1.0 0.0", 1, 10, "decimal integer"),
+            ("ColMajor 0 2 3 cis op1 qin scratch 1.0 0.0", 1, 10, "N must be >= 1"),
+            ("ColMajor -4 2 3 cis op1 qin scratch 1.0 0.0", 1, 10, "decimal integer"),
+            ("# head\n\nColMajor 4 2 3 cxs op1 qin scratch 1.0 0.0", 3, 16, "three of c/s/i"),
+        ],
+        ids=["underscore", "full-width", "zero", "negative", "line-3"],
+    )
+    def test_spec_errors_use_the_manifest_grammar(self, text, line, column, message):
+        with pytest.raises(ManifestError, match=message) as caught:
+            parse_chain(text)
+        assert (caught.value.line, caught.value.column) == (line, column)

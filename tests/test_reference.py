@@ -3,12 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
+from bbdgemm.bench import clone_operand, output_elements
 from bbdgemm.core import AccessKind, KernelShape, KernelSpec, Layout
 from bbdgemm.reference import GemmScalars, _dgemm_flat, _dgemm_rank1, batched_ref, dgemm_ref
 from bbdgemm.runtime import BatchedOperand
 from bbdgemm.vectorize import jit_available, jit_compile
 
-from conftest import copy_operand, make_operands, output_elements
+from conftest import make_operands
 
 
 def spec(layout, n, m, k, access):
@@ -203,7 +204,7 @@ class TestBatchedRef:
         s = spec(Layout.ColMajor, 2, 2, 2, "cis")
         rng = np.random.default_rng(42)
         a, b, c = make_operands(s, 1000, rng)
-        c_loop = copy_operand(c)
+        c_loop = clone_operand(c)
         batched_ref(s, 1000, GemmScalars(1.0, 1.0), a, b, c)
         for e in range(1000):
             dgemm_ref(
@@ -218,7 +219,7 @@ class TestBatchedRef:
         s = spec(Layout.ColMajor, 3, 4, 5, "iii")
         rng = np.random.default_rng(9)
         a, b, c = make_operands(s, 1, rng)
-        c_direct = copy_operand(c)
+        c_direct = clone_operand(c)
         batched_ref(s, 1, GemmScalars(1.2, 0.4), a, b, c)
         dgemm_ref(
             s.layout, 3, 4, 5, 1.2, a.table[0], a.ld, b.table[0], b.ld, 0.4,
@@ -231,7 +232,7 @@ class TestBatchedRef:
         rng = np.random.default_rng(13)
         E = 16
         a, b, c = make_operands(s, E, rng)
-        c2 = copy_operand(c)
+        c2 = clone_operand(c)
         batched_ref(s, E, GemmScalars(1.0, 0.0), a, b, c)
         perm = rng.permutation(E)
         b_perm = BatchedOperand.indexed([b.table[p] for p in perm], b.ld)

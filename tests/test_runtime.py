@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bbdgemm import vectorize
+from bbdgemm.bench import clone_operand, output_elements
 from bbdgemm.core import AccessKind, KernelShape, KernelSpec, Layout, matrix_span, operand_dims
 from bbdgemm.reference import GemmScalars, batched_ref
 from bbdgemm.runtime import (
@@ -11,14 +12,13 @@ from bbdgemm.runtime import (
     KernelRegistry,
     ScratchBuffer,
     build_pointer_table,
-    ensure_scratch,
     pack_strided,
     run_batched,
     unpack_strided,
 )
 from bbdgemm.vectorize import enable_jit, jit_available, use_jit
 
-from conftest import build_registry, copy_operand, make_operands, output_elements
+from conftest import build_registry, make_operands
 
 
 def spec(layout, n, m, k, access):
@@ -49,7 +49,7 @@ class TestRunBatched:
         rng = np.random.default_rng(1)
         E = 19
         a, b, c = make_operands(S_CIS, E, rng)
-        c_ref = copy_operand(c)
+        c_ref = clone_operand(c)
         run_batched(S_CIS, E, 2.0, a, b, 1.0, c, registry=registry)
         assert registry.fallback_count == 0
         batched_ref(S_CIS, E, GemmScalars(2.0, 1.0), a, b, c_ref)
@@ -62,7 +62,7 @@ class TestRunBatched:
         rng = np.random.default_rng(2)
         E = 5
         a, b, c = make_operands(S_CIS, E, rng)
-        c_ref = copy_operand(c)
+        c_ref = clone_operand(c)
         run_batched(S_CIS, E, 1.0, a, b, 0.0, c, registry=registry)
         assert registry.fallback_count == 1
         batched_ref(S_CIS, E, GemmScalars(1.0, 0.0), a, b, c_ref)
@@ -127,7 +127,7 @@ class TestRunBatched:
                 e * c.span : (e + 1) * c.span
             ]
         c_padded = BatchedOperand.strided(padded, c.ld, padded_span)
-        c_ref = copy_operand(c)
+        c_ref = clone_operand(c)
         run_batched(S_CIS, E, 1.0, a, b, 1.0, c_padded, registry=registry)
         assert registry.fallback_count == 1  # generated kernels assume minimal spans
         batched_ref(S_CIS, E, GemmScalars(1.0, 1.0), a, b, c_ref)
@@ -150,7 +150,7 @@ class TestRunBatched:
             span = matrix_span(s, which, ld)
             operands.append(BatchedOperand.strided(rng.uniform(-1, 1, E * span), ld, span))
         a, b, c = operands
-        c_ref = copy_operand(c)
+        c_ref = clone_operand(c)
         with use_jit(False):
             run_batched(s, E, 1.0, a, b, 1.0, c, registry=registry)
         assert registry.fallback_count == 0
@@ -248,7 +248,7 @@ class TestRunBatched:
         rng = np.random.default_rng(8)
         E = 41
         a, b, c = make_operands(S_CIS, E, rng)
-        c_jit = copy_operand(c)
+        c_jit = clone_operand(c)
         with use_jit(False):
             run_batched(S_CIS, E, 1.25, a, b, 0.75, c, registry=registry)
         with use_jit(True):
@@ -268,7 +268,7 @@ class TestRunBatched:
                 rng = np.random.default_rng(seed)
                 for _ in range(5):
                     a, b, c = make_operands(S_CIS, 32, rng)
-                    c_ref = copy_operand(c)
+                    c_ref = clone_operand(c)
                     run_batched(S_CIS, 32, 1.0, a, b, 1.0, c, registry=registry)
                     batched_ref(S_CIS, 32, GemmScalars(1.0, 1.0), a, b, c_ref)
                     got = output_elements(S_CIS, 32, c)
@@ -296,7 +296,7 @@ class TestRunBatched:
         rng = np.random.default_rng(17)
         E = 9
         a, b, c = make_operands(s, E, rng)
-        c_pure = copy_operand(c)
+        c_pure = clone_operand(c)
         with use_jit(True):
             run_batched(s, E, 1.5, a, b, 0.5, c, registry=registry)
         with use_jit(False):
@@ -500,39 +500,39 @@ class TestPackStrided:
 class TestScratch:
     def test_capacity_postcondition(self):
         buf = ScratchBuffer()
-        ensure_scratch(buf, 10000, 180)
+        buf.ensure(10000, 180)
         assert buf.capacity >= 10000 * 180
 
     def test_repeated_ensure_is_noop(self):
         buf = ScratchBuffer()
-        ensure_scratch(buf, 10000, 180)
+        buf.ensure(10000, 180)
         backing = buf.array
-        ensure_scratch(buf, 10000, 180)
+        buf.ensure(10000, 180)
         assert buf.array is backing
 
     def test_zero_batch(self):
         buf = ScratchBuffer()
-        ensure_scratch(buf, 0, 64)
+        buf.ensure(0, 64)
         assert buf.capacity >= 0
 
     def test_never_shrinks(self):
         buf = ScratchBuffer()
-        ensure_scratch(buf, 1000, 8)
+        buf.ensure(1000, 8)
         grown = buf.capacity
-        ensure_scratch(buf, 1, 1)
+        buf.ensure(1, 1)
         assert buf.capacity == grown
 
     def test_geometric_growth(self):
         buf = ScratchBuffer()
-        ensure_scratch(buf, 3, 1)
+        buf.ensure(3, 1)
         first = buf.capacity
-        ensure_scratch(buf, 4, 1)
+        buf.ensure(4, 1)
         assert buf.capacity >= first
         assert buf.capacity in (first, first * 2)
 
     def test_alignment(self):
         buf = ScratchBuffer(alignment=64)
-        ensure_scratch(buf, 100, 7)
+        buf.ensure(100, 7)
         assert buf.array.ctypes.data % 64 == 0
 
     def test_bad_alignment(self):
