@@ -26,6 +26,7 @@ from .core import (
     KernelShape,
     KernelSpec,
     Layout,
+    is_decimal,
     kernel_name,
     operand_dims,
 )
@@ -83,7 +84,6 @@ class KernelManifest:
 
 
 _TOKEN = re.compile(r"\S+")
-_DECIMAL = re.compile(r"[0-9]+")
 
 #: Fields of one manifest line; a chain file line starts with the same five.
 SPEC_FIELDS = "Layout N M K abc"
@@ -126,7 +126,7 @@ def parse_spec_tokens(tokens: Sequence[re.Match], lineno: int) -> KernelSpec:
     dims = []
     for label, tok in (("N", n_tok), ("M", m_tok), ("K", k_tok)):
         value_text = tok.group()
-        if not _DECIMAL.fullmatch(value_text):
+        if not is_decimal(value_text):
             raise ManifestError(
                 f"{label} is not a decimal integer: {value_text!r}", lineno, tok.start() + 1
             )

@@ -4,12 +4,18 @@ A batched kernel is fully identified by a :class:`KernelSpec`: memory layout,
 the (N, M, K) problem shape, and one access kind per operand.  The spec maps
 one-to-one onto a kernel name such as ``bbdgemm_ColMajor_2_3_4_cis``; the
 name is the key used by manifests, the dispatch table, and the CLI.
+:func:`is_decimal` and :func:`flat_float64_buffers` are the token and buffer
+tests that the parsers, the operand checks and the oracle share.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import repeat
+from operator import attrgetter
+
+import numpy as np
 
 __all__ = [
     "Layout",
@@ -22,6 +28,8 @@ __all__ = [
     "parse_kernel_name",
     "operand_dims",
     "matrix_span",
+    "is_decimal",
+    "flat_float64_buffers",
     "OPERANDS",
 ]
 
@@ -62,6 +70,33 @@ class AccessKind(enum.Enum):
             return cls(letter)
         except ValueError:
             raise KernelNameError(f"unknown access suffix letter {letter!r}") from None
+
+
+def is_decimal(token: str) -> bool:
+    """True when *token* is ASCII decimal digits ``[0-9]+``, the one spelling of a dimension.
+
+    ``str.isdigit`` alone also accepts digits such as ``²`` and ``４``.
+    """
+    return token.isascii() and token.isdigit()
+
+
+_FLOAT64, _FLAT = {np.dtype(np.float64)}, {1}
+_DTYPE, _NDIM = attrgetter("dtype"), attrgetter("ndim")
+
+
+def flat_float64_buffers(buffers, size: int = 0) -> bool:
+    """True when every buffer is a 1-D float64 ndarray of at least *size* elements.
+
+    Each property is read by one C-level scan of the sequence, so no Python
+    frame runs per buffer; a caller that must name the first bad buffer walks
+    the sequence again only after this returns False.  True when empty.
+    """
+    return (
+        all(map(isinstance, buffers, repeat(np.ndarray)))
+        and _FLOAT64.issuperset(map(_DTYPE, buffers))
+        and _FLAT.issuperset(map(_NDIM, buffers))
+        and min(map(len, buffers), default=size) >= size
+    )
 
 
 class KernelNameError(ValueError):
@@ -166,7 +201,7 @@ def parse_kernel_name(name: str) -> KernelSpec:
 
     dims = []
     for label, token in (("N", n_token), ("M", m_token), ("K", k_token)):
-        if not token.isdigit():
+        if not is_decimal(token):
             raise KernelNameError(f"dimension {label} is not a decimal integer: {token!r}")
         value = int(token)
         if value < 1:

@@ -17,6 +17,8 @@ provide the file-based validation used to demonstrate it.
 
 from __future__ import annotations
 
+import math
+import re
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -523,24 +525,29 @@ def infer_tensor_dims(chain: tuple[ChainStep, ...]) -> tuple[int, int] | None:
     return None
 
 
+#: ASCII decimal float literal; ``float()`` alone also reads ``1_0``, ``４``, ``nan`` and ``inf``.
+_FLOAT = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+
+
 def parse_chain(text: str) -> tuple[ChainStep, ...]:
     """Parse a chain file: one step per line.
 
     Grammar: a manifest spec ``<Layout> <N> <M> <K> <abc>`` followed by
     ``<a-binding> <b-binding> <c-binding> <alpha> <beta>``; ``#`` comments
-    and blank lines ignored.  Errors are :class:`ManifestError` carrying the
-    line and column, as in a manifest.
+    and blank lines ignored.  alpha and beta are finite ASCII decimal float
+    literals.  Errors are :class:`ManifestError` carrying the line and
+    column, as in a manifest.
     """
     steps: list[ChainStep] = []
     for lineno, tokens in spec_lines(text, SPEC_FIELDS + " a b c alpha beta"):
         scalars = []
         for tok in tokens[8:]:
-            try:
-                scalars.append(float(tok.group()))
-            except ValueError:
+            value = float(tok.group()) if _FLOAT.fullmatch(tok.group()) else math.nan
+            if not math.isfinite(value):
                 raise ManifestError(
                     f"alpha/beta must be numbers, got {tok.group()!r}", lineno, tok.start() + 1
-                ) from None
+                )
+            scalars.append(value)
         bindings = (tok.group() for tok in tokens[5:8])
         steps.append(ChainStep(parse_spec_tokens(tokens[:5], lineno), *bindings, *scalars))
     if not steps:

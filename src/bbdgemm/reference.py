@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import AccessKind, KernelSpec, Layout, matrix_span
+from .core import AccessKind, KernelSpec, Layout, flat_float64_buffers, matrix_span
 from .vectorize import jit_compile, jit_env_allowed
 
 if TYPE_CHECKING:
@@ -140,7 +140,7 @@ def dgemm_ref(
                 f"buffer {which} holds {len(buf)} elements, a {rows}x{cols} "
                 f"{layout.value} matrix at ld={ld} addresses {last + 1}"
             )
-    arrays = _all_float64_arrays(a, b, c)
+    arrays = flat_float64_buffers((a, b, c))
     if arrays and jit_env_allowed():
         fn = _jitted_dgemm()
     elif arrays and all(buf.flags.c_contiguous for buf in (a, b, c)):
@@ -148,13 +148,6 @@ def dgemm_ref(
     else:
         fn = _dgemm_flat
     fn(col_major, n, m, k, float(alpha), a, lda, b, ldb, float(beta), c, ldc)
-
-
-def _all_float64_arrays(*buffers) -> bool:
-    return all(
-        isinstance(buf, np.ndarray) and buf.dtype == np.float64 and buf.ndim == 1
-        for buf in buffers
-    )
 
 
 def _resolve(operand: "BatchedOperand", kind: AccessKind, e: int, span: int):

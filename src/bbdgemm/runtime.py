@@ -1,16 +1,26 @@
-"""Batched-operand descriptors, kernel dispatch, and layout transforms.
+"""Batched-operand descriptors, the operand contract, kernel dispatch, and layout transforms.
 
-``run_batched`` looks the kernel up by name in a :class:`KernelRegistry` and
-calls it; when the kernel was not built it falls back to the reference
-implementation and bumps an observable counter, so a benchmark can never
-silently measure the fallback.  ``build_pointer_table`` and ``pack_strided``
-are the two layout transformations needed to feed per-cell tensor data into
-batched calls; :class:`ScratchBuffer` provides the grow-only temporary
-storage whose size depends on the runtime batch size.
+``run_batched`` checks its operands against one contract, then looks the
+kernel up by name in a :class:`KernelRegistry` and calls it; when the kernel
+was not built it falls back to the reference implementation and bumps an
+observable counter, so a benchmark can never silently measure the fallback.
+``build_pointer_table`` and ``pack_strided`` are the two layout
+transformations needed to feed per-cell tensor data into batched calls;
+:class:`ScratchBuffer` provides the grow-only temporary storage whose size
+depends on the runtime batch size.
 
-Validating an Indexed operand costs one C-level scan of its pointer table per
-checked property; the table is walked entry by entry only to name the first
-bad entry in the error.
+The contract makes the batch elements independent, so every path may run
+them as lanes.  :meth:`BatchedOperand.validate` checks each operand's kind,
+leading dimension and flat float64 buffers, and that C is writable.  Then,
+in byte extents (a matrix spans the bytes from the first to the last
+element of ``buffer[:span]``), a Strided or Indexed C's matrices must be
+pairwise disjoint and every C matrix disjoint from every A and B matrix; so
+strided views interleaved in one pool are refused as C.  A Constant C is the
+one matrix all E elements accumulate into, in order; A and B may overlap,
+being only read.  A breach raises ``ValueError`` naming operand C (or the
+operand at fault) before any byte is written or a fallback is counted.
+Tables are read by C-level scans and owner ids; byte extents are sorted, in
+O(E log E), only when buffers share or hide their numpy allocation.
 """
 
 from __future__ import annotations
@@ -21,6 +31,8 @@ import re
 import sys
 import threading
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -31,12 +43,12 @@ from .core import (
     KernelSpec,
     Layout,
     OperandDims,
+    flat_float64_buffers,
     kernel_name,
     matrix_span,
     operand_dims,
 )
 from .reference import GemmScalars, batched_ref
-from .vectorize import flat_float64_buffers
 
 __all__ = [
     "BatchedOperand",
@@ -84,6 +96,11 @@ class BatchedOperand:
         return self.table if self.kind is AccessKind.Indexed else self.data
 
     def validate(self, which: str, spec: KernelSpec, E: int) -> None:
+        """Check this operand alone against the contract for role *which* of *spec*.
+
+        Raises ``ValueError`` naming the operand, and the first bad table
+        entry where there is one.  C must also be writable.
+        """
         dims = operand_dims(spec, which)
         if spec.access(which) is not self.kind:
             raise ValueError(
@@ -130,10 +147,16 @@ class BatchedOperand:
                         f"operand {which}: buffer holds {len(self.data)} elements, "
                         f"need {min_span}"
                     )
+        buffers = self.table if self.kind is AccessKind.Indexed else (self.data,)
+        if which == "C" and not all(map(attrgetter("flags.writeable"), buffers)):
+            label = "buffer"
+            if self.kind is AccessKind.Indexed:
+                label = f"table entry {[m.flags.writeable for m in buffers].index(False)}"
+            raise ValueError(f"operand {which}: {label} is read-only")
 
 
 def _check_buffer(which: str, buffer, label: str) -> None:
-    if not isinstance(buffer, np.ndarray) or buffer.dtype != np.float64 or buffer.ndim != 1:
+    if not flat_float64_buffers([buffer]):
         raise ValueError(
             f"operand {which}: {label} must be a flat float64 ndarray, "
             f"got {type(buffer).__name__}"
@@ -221,6 +244,73 @@ def load_kernel_dir(path: str | Path, package_name: str | None = None) -> Kernel
     return KernelRegistry(module.KERNELS)
 
 
+def _owner_ids(buffers) -> list | None:
+    """ids of the ndarrays whose own allocations hold *buffers*; None if one is unknown."""
+    owners = [buffer if buffer.base is None else buffer.base for buffer in buffers]
+    if not all(map(isinstance, owners, repeat(np.ndarray))):
+        return None
+    return list(map(id, owners)) if all(map(attrgetter("flags.owndata"), owners)) else None
+
+
+def _byte_extents(operand: BatchedOperand, span: int, E: int):
+    """``(lo, hi)`` int64 arrays: the bytes each matrix of *operand* spans.
+
+    Matrix e is ``table[e][:span]`` (Indexed) or ``data[e*operand.span:][:span]``
+    (Strided); a Constant operand has the one matrix ``data[:span]``.
+    """
+    if operand.kind is AccessKind.Indexed:
+        first, step = np.array(
+            [(m.__array_interface__["data"][0], m.strides[0]) for m in operand.table],
+            dtype=np.int64,
+        ).reshape(-1, 2).T
+    else:
+        step = operand.data.strides[0]
+        first = np.array([operand.data.__array_interface__["data"][0]], dtype=np.int64)
+        if operand.kind is AccessKind.Strided:
+            first = first + np.arange(E, dtype=np.int64) * (operand.span * step)
+    last = first + (span - 1) * step
+    return np.minimum(first, last), np.maximum(first, last) + 8
+
+
+def _check_disjoint(spec: KernelSpec, E: int, operands: Sequence[BatchedOperand]) -> None:
+    """Refuse a C whose matrices overlap each other, A or B, in byte extents.
+
+    Buffers held by different numpy allocations cannot overlap, so when every
+    C buffer has an allocation to itself that A and B do not use, only a
+    Strided C's own layout is left to check.  Otherwise the test is on sorted
+    extents, in O(E log E): C's must not overlap each other, and each A or B
+    extent must miss the highest C extent that starts below its end (lower
+    ones end earlier).  A Constant C is a single extent.
+    """
+    c = operands[2]
+    owners = [
+        _owner_ids(op.table if op.kind is AccessKind.Indexed else [op.data]) for op in operands
+    ]
+    c_owners = owners[2]
+    c_alone = (
+        None not in owners
+        and len(set(c_owners)) == len(c_owners)
+        and set(c_owners).isdisjoint(chain(*owners[:2]))
+    )
+    if c_alone and c.kind is not AccessKind.Strided:
+        return
+    spans = [matrix_span(spec, which, op.ld) for which, op in zip("ABC", operands)]
+    c_lo, c_hi = _byte_extents(c, spans[2], E)
+    order = np.argsort(c_lo, kind="stable")
+    c_lo, c_hi = c_lo[order], c_hi[order]
+    clash = np.flatnonzero(c_lo[1:] < c_hi[:-1])
+    if clash.size:
+        first, second = sorted(order[clash[0] : clash[0] + 2])
+        raise ValueError(f"operand C: the matrices of batch elements {first} and {second} overlap")
+    if c_alone:
+        return
+    for which, operand, span in zip("AB", operands, spans):
+        lo, hi = _byte_extents(operand, span, E)
+        below = np.searchsorted(c_lo, hi) - 1
+        if np.any((below >= 0) & (c_hi[below] > lo)):
+            raise ValueError(f"operand C overlaps operand {which}")
+
+
 def _spans_match(spec: KernelSpec, a: BatchedOperand, b: BatchedOperand, c: BatchedOperand) -> bool:
     # Generated kernels derive strided spans from the leading dimensions;
     # padded spans are valid operands but must take the reference path.
@@ -243,10 +333,12 @@ def run_batched(
 ) -> None:
     """Run one batched GEMM, preferring the generated kernel for *spec*.
 
-    Falls back to :func:`bbdgemm.reference.batched_ref` (and records the
-    event on the registry) when the kernel is absent.  Operand leading
-    dimensions travel inside the operands.  E == 0 succeeds without touching
-    memory or counting a fallback.
+    The operands must meet the module's operand contract; a call that does
+    not raises ``ValueError`` before anything is written.  Falls back to
+    :func:`bbdgemm.reference.batched_ref` (and records the event on the
+    registry) when the kernel is absent.  Operand leading dimensions travel
+    inside the operands.  E == 0 succeeds without touching memory or counting
+    a fallback.
     """
     if E < 0:
         raise ValueError(f"batch size must be non-negative, got {E}")
@@ -255,6 +347,7 @@ def run_batched(
         return
     for which, operand in zip("ABC", (a, b, c)):
         operand.validate(which, spec, E)
+    _check_disjoint(spec, E, (a, b, c))
     kernel = registry.lookup(kernel_name(spec))
     if kernel is not None and _spans_match(spec, a, b, c):
         kernel(E, alpha, a.payload(), a.ld, b.payload(), b.ld, beta, c.payload(), c.ld)

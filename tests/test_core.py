@@ -83,6 +83,12 @@ class TestParseKernelName:
         with pytest.raises(KernelNameError, match="N"):
             parse_kernel_name("bbdgemm_ColMajor_0_3_4_cis")
 
+    @pytest.mark.parametrize("token", ["\u00b2", "\uff14"], ids=["superscript", "full-width"])
+    def test_non_ascii_digit_dimension(self, token):
+        # str.isdigit() is true for both; int() reads the full-width one as 4
+        with pytest.raises(KernelNameError, match=f"N is not a decimal integer: '{token}'"):
+            parse_kernel_name(f"bbdgemm_ColMajor_{token}_2_2_cis")
+
     def test_zero_padded_dimension(self):
         with pytest.raises(KernelNameError, match="zero-padded"):
             parse_kernel_name("bbdgemm_ColMajor_02_3_4_cis")

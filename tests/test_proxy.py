@@ -317,8 +317,24 @@ class TestChainFile:
             ("ColMajor 0 2 3 cis op1 qin scratch 1.0 0.0", 1, 10, "N must be >= 1"),
             ("ColMajor -4 2 3 cis op1 qin scratch 1.0 0.0", 1, 10, "decimal integer"),
             ("# head\n\nColMajor 4 2 3 cxs op1 qin scratch 1.0 0.0", 3, 16, "three of c/s/i"),
+            ("ColMajor 4 2 3 cis op1 qin scratch 1_0 0.0", 1, 36, "alpha/beta must be numbers"),
+            ("ColMajor 4 2 3 cis op1 qin scratch \uff11 0.0", 1, 36, "alpha/beta must be numbers"),
+            ("ColMajor 4 2 3 cis op1 qin scratch 1.0 nan", 1, 40, "alpha/beta must be numbers"),
+            ("ColMajor 4 2 3 cis op1 qin scratch -inf 0.0", 1, 36, "alpha/beta must be numbers"),
+            ("ColMajor 4 2 3 cis op1 qin scratch 1.0 1e999", 1, 40, "alpha/beta must be numbers"),
         ],
-        ids=["underscore", "full-width", "zero", "negative", "line-3"],
+        ids=[
+            "underscore",
+            "full-width",
+            "zero",
+            "negative",
+            "line-3",
+            "alpha-underscore",
+            "alpha-full-width",
+            "beta-nan",
+            "alpha-inf",
+            "beta-overflow",
+        ],
     )
     def test_spec_errors_use_the_manifest_grammar(self, text, line, column, message):
         with pytest.raises(ManifestError, match=message) as caught:

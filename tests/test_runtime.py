@@ -1,7 +1,9 @@
 import functools
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bbdgemm import vectorize
 from bbdgemm.bench import clone_operand, output_elements
@@ -305,61 +307,190 @@ class TestRunBatched:
         assert np.array_equal(output_elements(s, E, c), output_elements(s, E, c_pure))
 
 
-class TestSequentialWhenLanesWouldDiffer:
-    """Batches whose elements read what earlier elements wrote.
+@contextmanager
+def on_path(path):
+    """Registry factory for one execution path of ``run_batched``.
 
-    Lane execution computes every element from the operands as they were on
-    entry, so these calls must keep the sequential loop's answer, which is
-    the oracle's.
+    ``lanes`` runs the generated kernels without the JIT backend; ``compiled``
+    stands in for the JIT backend with the generated loop itself
+    (``jit_compile`` patched to ``functools.partial``), so the compiled path's
+    pointer-table staging runs without numba; ``fallback`` has an empty
+    registry, so the reference fallback serves the call.  Each factory call
+    decorates its kernels afresh, so no earlier compilation is reused.
+    """
+    with use_jit(False), pytest.MonkeyPatch.context() as patch:
+        if path == "compiled":
+            patch.setattr(vectorize, "jit_enabled", lambda: True)
+            patch.setattr(vectorize, "jit_compile", functools.partial)
+        yield (lambda s: KernelRegistry({})) if path == "fallback" else build_registry
+
+
+PATHS = ["lanes", "compiled", "fallback"]
+
+
+def buffers_of(*operands):
+    """Every array the operands hold: table entries, or the flat buffer."""
+    return [m for op in operands for m in (op.table if op.kind is AccessKind.Indexed else [op.data])]
+
+
+def c_repeating_one_buffer():
+    s = spec(Layout.ColMajor, 2, 2, 2, "cci")
+    identity = np.array([1.0, 0.0, 0.0, 1.0])
+    shared = np.zeros(4)
+    a = BatchedOperand.constant(identity.copy(), 2)
+    b = BatchedOperand.constant(identity.copy(), 2)
+    return s, 4, a, b, BatchedOperand.indexed([shared] * 4, 2)
+
+
+def c_overlapping_a(through_memoryview):
+    # A's element e is C's element e - 1.  C is a plain view of the pool, or
+    # an array over a memoryview of it, whose allocation numpy cannot name.
+    def build():
+        s = spec(Layout.ColMajor, 2, 3, 3, "iis")
+        E, span = 6, 6  # A is 2x3 and C is 2x3 at ld 2
+        rng = np.random.default_rng(31)
+        pool = rng.uniform(-1.0, 1.0, (E + 1) * span)
+        c_data = np.frombuffer(memoryview(pool)) if through_memoryview else pool
+        starts = [E] + list(range(E - 1))
+        a = BatchedOperand.indexed([pool[i * span : (i + 1) * span] for i in starts], 2)
+        b = BatchedOperand.indexed([rng.uniform(-1.0, 1.0, 9) for _ in range(E)], 3)
+        return s, E, a, b, BatchedOperand.strided(c_data[: E * span], 2, span)
+
+    return build
+
+
+def c_overlapping_b():
+    # B's element e (3x3) starts where C's element e (2x3) does.
+    s = spec(Layout.ColMajor, 2, 3, 3, "cis")
+    E, span = 5, 6
+    rng = np.random.default_rng(33)
+    pool = rng.uniform(-1.0, 1.0, E * span + 3)
+    a = BatchedOperand.constant(rng.uniform(-1.0, 1.0, 6), 2)
+    b = BatchedOperand.indexed([pool[e * span : e * span + 9] for e in range(E)], 3)
+    return s, E, a, b, BatchedOperand.strided(pool[: E * span], 2, span)
+
+
+def read_only_strided_c():
+    s = spec(Layout.ColMajor, 2, 3, 4, "cis")
+    a, b, c = make_operands(s, 5, np.random.default_rng(34))
+    c.data.flags.writeable = False
+    return s, 5, a, b, c
+
+
+def read_only_indexed_c_entry_3():
+    s = spec(Layout.ColMajor, 2, 3, 4, "cii")
+    a, b, c = make_operands(s, 5, np.random.default_rng(35))
+    c.table[3].flags.writeable = False
+    return s, 5, a, b, c
+
+
+class TestOperandContract:
+    """Batches that break the operand contract are refused before any write.
+
+    Each would compute differently on lanes than in the sequential loop (or,
+    read-only, fail part-way through it), so every path refuses it the same
+    way: ``ValueError`` naming operand C, no byte changed, no fallback counted.
     """
 
-    @pytest.fixture(autouse=True)
-    def path(self):
+    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (c_repeating_one_buffer, "operand C: the matrices of batch elements 0 and 1 overlap"),
+            (c_overlapping_a(False), "operand C overlaps operand A"),
+            (c_overlapping_a(True), "operand C overlaps operand A"),
+            (c_overlapping_b, "operand C overlaps operand B"),
+            (read_only_strided_c, "operand C: buffer is read-only"),
+            (read_only_indexed_c_entry_3, "operand C: table entry 3 is read-only"),
+        ],
+        ids=[
+            "indexed_c_repeating_one_buffer",
+            "c_overlapping_a_view",
+            "c_overlapping_a_memoryview",
+            "c_overlapping_b",
+            "read_only_strided_c",
+            "read_only_indexed_c_entry_3",
+        ],
+    )
+    def test_refused_before_any_write(self, path, build, message):
+        s, E, a, b, c = build()
+        before = [m.tobytes() for m in buffers_of(a, b, c)]
+        with on_path(path) as registry_for:
+            registry = registry_for(s)
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                run_batched(s, E, 1.0, a, b, 1.0, c, registry=registry)
+        assert [m.tobytes() for m in buffers_of(a, b, c)] == before
+        assert registry.fallback_count == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        E=st.integers(1, 5),
+        offsets=st.lists(st.integers(0, 60), min_size=10, max_size=10),
+        read_only=st.sets(st.integers(0, 9), max_size=1),
+    )
+    def test_paths_agree_or_refuse_alike(self, E, offsets, read_only):
+        # A and C tables index one pool at random offsets, so C may overlap
+        # itself or A; one C entry may be read-only.
+        s = spec(Layout.ColMajor, 2, 2, 2, "ici")
+
+        def build():
+            pool = np.random.default_rng(36).uniform(-1.0, 1.0, 64)
+            a = BatchedOperand.indexed([pool[o : o + 4] for o in offsets[:E]], 2)
+            b = BatchedOperand.constant(np.array([0.5, -1.0, 2.0, 0.25]), 2)
+            c_table = [pool[o : o + 4] for o in offsets[5 : 5 + E]]
+            for e in read_only & set(range(E)):
+                c_table[e].flags.writeable = False
+            return (a, b, BatchedOperand.indexed(c_table, 2)), pool
+
+        outcomes = []
+        for path in PATHS:
+            operands, pool = build()
+            with on_path(path) as registry_for:
+                try:
+                    run_batched(s, E, 1.5, *operands[:2], 0.5, operands[2], registry=registry_for(s))
+                except ValueError as error:
+                    outcomes.append(("refused", str(error), pool.tobytes()))
+                else:
+                    outcomes.append(("ran", "", pool.tobytes()))
+        assert outcomes[1:] == outcomes[:1] * 2
+        kind, _, got = outcomes[0]
+        operands, pool = build()
+        if kind == "refused":
+            assert got == pool.tobytes()
+        else:
+            batched_ref(s, E, GemmScalars(1.5, 0.5), *operands)
+            assert got == pool.tobytes()
+
+    @pytest.mark.parametrize("access", [a + b + c for a in "csi" for b in "csi" for c in "csi"])
+    def test_generated_loop_runs_sequentially_only_for_constant_c(self, access, monkeypatch):
+        # A spy under the decorator records the E each generated function
+        # receives: 1 when the batch runs as lanes, E in the plain loop.
+        seen = []
+        decorate_with = vectorize.vectorize_batch_loop
+
+        def spying(name):
+            def decorate(py_fn):
+                return decorate_with(name)(lambda E, *args: seen.append(E) or py_fn(E, *args))
+
+            return decorate
+
+        monkeypatch.setattr(vectorize, "vectorize_batch_loop", spying)
         enable_jit(False)
+        s = spec(Layout.ColMajor, 2, 3, 4, access)
+        a, b, c = make_operands(s, 7, np.random.default_rng(37))
+        run_batched(s, 7, 1.0, a, b, 1.0, c, registry=build_registry(s))
+        assert seen == [7 if s.access_c is AccessKind.Constant else 1]
 
-    @staticmethod
-    def run_both(s, E, alpha, beta, build):
-        # build() returns fresh (a, b, c, memory) with any aliasing intact;
-        # memory is the array holding every element C can reach.
-        got, want = build(), build()
-        run_batched(s, E, alpha, *got[:2], beta, got[2], registry=build_registry(s))
-        batched_ref(s, E, GemmScalars(alpha, beta), *want[:3])
-        assert got[3].tobytes() == want[3].tobytes()
-        return got[3]
 
-    def test_indexed_c_repeating_one_buffer(self):
-        s = spec(Layout.ColMajor, 2, 2, 2, "cci")
-        identity = np.array([1.0, 0.0, 0.0, 1.0])
+class TestSequentialWhenLanesWouldDiffer:
+    """A Constant C, the one output the contract lets batch elements share.
 
-        def build():
-            shared = np.zeros(4)
-            a = BatchedOperand.constant(identity.copy(), 2)
-            b = BatchedOperand.constant(identity.copy(), 2)
-            return a, b, BatchedOperand.indexed([shared] * 4, 2), shared
+    Every element accumulates into the same matrix, so lanes would differ
+    from the loop; the call must keep the sequential loop's answer, which
+    is the oracle's.
+    """
 
-        result = self.run_both(s, 4, 1.0, 1.0, build)
-        assert np.array_equal(result, 4.0 * identity)
-
-    @pytest.mark.parametrize("through_memoryview", [False, True])
-    def test_c_overlapping_a(self, through_memoryview):
-        # A's element e is C's element e - 1, so element e reads what
-        # element e - 1 wrote.  C is a plain view of the pool, or an array
-        # over a memoryview of it, whose allocation numpy cannot name.
-        s = spec(Layout.ColMajor, 2, 3, 3, "iis")
-        E = 6
-        span = 6  # A is 2x3 and C is 2x3 at ld 2
-
-        def build():
-            rng = np.random.default_rng(31)
-            pool = rng.uniform(-1.0, 1.0, (E + 1) * span)
-            c_data = np.frombuffer(memoryview(pool)) if through_memoryview else pool
-            starts = [E] + list(range(E - 1))
-            a = BatchedOperand.indexed([pool[i * span : (i + 1) * span] for i in starts], 2)
-            b = BatchedOperand.indexed([rng.uniform(-1.0, 1.0, 9) for _ in range(E)], 3)
-            c = BatchedOperand.strided(c_data[: E * span], 2, span)
-            return a, b, c, pool
-
-        self.run_both(s, E, 1.0, 0.5, build)
+    PATH = "lanes"
 
     def test_constant_c_accumulates_over_batch(self):
         s = spec(Layout.ColMajor, 3, 2, 2, "sic")
@@ -369,24 +500,21 @@ class TestSequentialWhenLanesWouldDiffer:
             rng = np.random.default_rng(32)
             a = BatchedOperand.strided(rng.uniform(-1.0, 1.0, E * 6), 3, 6)
             b = BatchedOperand.indexed([rng.uniform(-1.0, 1.0, 4) for _ in range(E)], 2)
-            c = BatchedOperand.constant(rng.uniform(-1.0, 1.0, 6), 3)
-            return a, b, c, c.data
+            return a, b, BatchedOperand.constant(rng.uniform(-1.0, 1.0, 6), 3)
 
-        self.run_both(s, E, 1.0, 1.0, build)
+        got, want = build(), build()
+        with on_path(self.PATH) as registry_for:
+            registry = registry_for(s)
+            run_batched(s, E, 1.0, got[0], got[1], 1.0, got[2], registry=registry)
+        assert registry.fallback_count == 0
+        batched_ref(s, E, GemmScalars(1.0, 1.0), *want)
+        assert got[2].data.tobytes() == want[2].data.tobytes()
 
 
 class TestCompiledStagingWhenLanesWouldDiffer(TestSequentialWhenLanesWouldDiffer):
-    """The same batches through the compiled path, which stages pointer tables.
+    """The same batch through the compiled path's stand-in (see :func:`on_path`)."""
 
-    The stand-in for the compiled kernel is the generated loop itself, so the
-    staging is exercised without the JIT backend; each test registry
-    decorates its kernel afresh, so no earlier compilation is reused.
-    """
-
-    @pytest.fixture(autouse=True)
-    def path(self, monkeypatch):
-        monkeypatch.setattr(vectorize, "jit_enabled", lambda: True)
-        monkeypatch.setattr(vectorize, "jit_compile", functools.partial)
+    PATH = "compiled"
 
 
 class TestPointerTable:
