@@ -2,8 +2,8 @@
 
 The package generates one shape-specialized kernel per (layout, N, M, K,
 access-kinds) combination: a single loop over the batch with a fully
-unrolled body that a JIT backend can turn into long-vector code, and that
-runs unchanged (just slower) without one.  A naive reference implementation,
+unrolled body, as Python and as a C twin that a C compiler turns into
+long-vector code; without a compiler the Python runs as numpy lanes.  A naive reference implementation,
 a register-pressure estimator, a cell-based proxy application, and a
 correctness-gated benchmark harness round out the library.
 """

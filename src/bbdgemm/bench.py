@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import statistics
 import time
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -90,6 +91,9 @@ class TimingDetail:
     percall_samples_ns: tuple[float, ...]
     batched_inner_iters: int
     percall_inner_iters: int
+    #: Kernel path(s) that served the timed batched calls, e.g. ``compiled``
+    #: or ``lanes`` (see :mod:`bbdgemm.vectorize`); empty on the fallback.
+    path: str = ""
 
     @property
     def stddev_ns_batched(self) -> float:
@@ -283,7 +287,10 @@ def run_benchmark(
     batched_unit = lambda: run_batched(
         spec, E, scalars.alpha, a, b, scalars.beta, c, registry=registry
     )
+    counts = getattr(registry.lookup(kernel_name(spec)), "path_counts", Counter())
+    counts_before = Counter(counts)
     batched_samples, batched_inner = _measure(batched_unit, reps)
+    paths = sorted(counts - counts_before)
     c_base = clone_operand(c)
     percall_samples, percall_inner = _measure(
         _percall_unit(spec, E, scalars, a, b, c_base, baseline), reps
@@ -305,6 +312,7 @@ def run_benchmark(
         percall_samples_ns=tuple(percall_samples),
         batched_inner_iters=batched_inner,
         percall_inner_iters=percall_inner,
+        path="+".join(paths),
     )
     return record, detail
 
@@ -398,19 +406,20 @@ def format_report(
         if spec is not None and record.median_ns_batched > 0:
             rate = 2.0 * spec.shape.volume * record.E / record.median_ns_batched
             flops = f"  {rate:7.3f} GFLOP/s"
-        stddev = ""
+        stddev = path = ""
         if details is not None and index < len(details):
             stddev = (
                 f"  (stddev batched {details[index].stddev_ns_batched / 1e3:.1f} us, "
                 f"percall {details[index].stddev_ns_percall / 1e3:.1f} us)"
             )
+            path = f"  path {details[index].path}" if details[index].path else ""
         marker = "  [fallback]" if record.fallback_used else ""
         lines.append(
             f"{record.name:<36} E={record.E:<7} "
             f"batched {record.median_ns_batched / 1e6:9.3f} ms  "
             f"percall {record.median_ns_percall / 1e6:9.3f} ms  "
             f"speedup {record.speedup:6.2f}x  max|diff| {record.max_abs_diff:.2e}"
-            f"{flops}{marker}{stddev}"
+            f"{flops}{marker}{path}{stddev}"
         )
     ranked = _ranked_by_volume(records)
     if len(ranked) >= 2:

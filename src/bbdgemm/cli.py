@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 from . import bench as bench_mod
-from . import codegen, proxy as proxy_mod
+from . import codegen, proxy as proxy_mod, vectorize
 from .core import kernel_name
 from .runtime import default_registry, load_kernel_dir
 
@@ -114,6 +114,13 @@ def proxy_main(argv: list[str] | None = None) -> int:
         f"ran {config.timesteps} timesteps over {config.cells} cells in {config.mode} mode "
         f"(chain of {len(config.chain)}, {config.components} components, seed {config.seed})"
     )
+    for name in registry.names():
+        counts = getattr(registry.lookup(name), "path_counts", {})
+        if counts:
+            print(f"{name}: " + ", ".join(f"{n} calls {path}" for path, n in sorted(counts.items())))
+    for event in vectorize.compile_log:
+        cache = "hit" if event.cache_hit else "miss"
+        print(f"compile {event.kernel}: {event.seconds:.3f} s (cache {cache})")
     if config.mode == "vector" and fallbacks:
         print(f"warning: {fallbacks} batched calls used the reference fallback")
     if args.dump:

@@ -8,6 +8,11 @@ beta and stores.  There are no inner loops over the matrix dimensions and no
 platform-specific constructs; the only concession to speed is the portable
 :func:`bbdgemm.vectorize.vectorize_batch_loop` hint on the loop function.
 
+The same kernel is also printed as one C function
+(:func:`generate_c_source`), which the hint compiles on first use.  Both
+printers emit one statement list, so the two forms make the same roundings
+in the same order.
+
 Generation is deterministic: the same spec always yields byte-identical
 source, and dispatch tables preserve manifest order.
 """
@@ -19,7 +24,7 @@ import re
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .core import (
     AccessKind,
@@ -42,6 +47,7 @@ __all__ = [
     "parse_spec_tokens",
     "parse_manifest",
     "generate_kernel_source",
+    "generate_c_source",
     "generate_dispatch_source",
     "write_kernel_package",
     "estimate_pressure",
@@ -164,6 +170,44 @@ def parse_manifest(text: str, source: str = "<memory>") -> KernelManifest:
     return KernelManifest(tuple(entries), source=source)
 
 
+class _Statement(NamedTuple):
+    """One statement of a kernel's loop body, in no particular language.
+
+    *form* selects the template a printer uses; *var* is the local it assigns
+    (for ``store``, the local it stores), *args* the other locals it reads,
+    and *operand*/*offset* the matrix element it loads or stores, if any.
+    """
+
+    form: str
+    var: str
+    args: tuple[str, ...] = ()
+    operand: str | None = None
+    offset: str | None = None
+
+
+#: Statement templates per language: ``{0}`` is *var*, ``{1}``... are *args*,
+#: ``{x}`` is the element expression.  Both sides of every ``+`` and ``*``
+#: are in the same order in each language, so each rounds the same way.
+_PYTHON_FORMS = {
+    "load": "{0} = {x}",
+    "zero": "{0} = 0.0",
+    "madd": "{0} = {1} * {2} + {0}",
+    "scale": "{0} = {0} * alpha",
+    "read_c": "{0} = {x} if beta != 0.0 else 0.0",
+    "combine": "{0} = {1} * beta + {0}",
+    "store": "{x} = {0}",
+}
+_C_FORMS = {
+    "load": "const double {0} = {x};",
+    "zero": "double {0} = 0.0;",
+    "madd": "{0} = {1} * {2} + {0};",
+    "scale": "{0} = {0} * alpha;",
+    "read_c": "const double {0} = beta != 0.0 ? {x} : 0.0;",
+    "combine": "{0} = {1} * beta + {0};",
+    "store": "{x} = {0};",
+}
+
+
 def _offset_expr(layout: Layout, r: int, c: int, ld_var: str) -> str:
     if layout is Layout.ColMajor:
         return f"({c}*{ld_var}+{r})"
@@ -178,19 +222,70 @@ def _load_expr(kind: AccessKind, operand: str, offset: str) -> str:
     return f"{operand}[e][{offset}]"
 
 
-def generate_kernel_source(spec: KernelSpec, max_dim: int = DEFAULT_MAX_DIM) -> str:
-    """Emit the Python module implementing *spec* as one unrolled kernel."""
+def _c_element_expr(kind: AccessKind, operand: str, offset: str) -> str:
+    if kind is AccessKind.Constant:
+        return f"{operand}[{offset}]"
+    return f"{operand}[e*span{operand}+{offset}]"
+
+
+def _kernel_statements(
+    spec: KernelSpec, max_dim: int
+) -> tuple[list[_Statement], list[_Statement]]:
+    """*spec*'s arithmetic as ``(before the batch loop, loop body)`` statements.
+
+    This is the one definition of a kernel: every printer emits these
+    statements in this order.  Accumulators are visited column-outer and
+    summed in ascending k, so the summation order (and hence the bit
+    pattern of the result) is fixed; beta == 0 never reads C.
+    """
     shape = spec.shape
     if max(shape.n, shape.m, shape.k) > max_dim:
         raise ValueError(
             f"shape {shape.n}x{shape.m}x{shape.k} exceeds the per-dimension bound {max_dim}; "
             f"raise max_dim only if the unrolled output size is acceptable"
         )
-    name = kernel_name(spec)
     layout = spec.layout
     n, m, k = shape.n, shape.m, shape.k
-    kinds = {"A": spec.access_a, "B": spec.access_b, "C": spec.access_c}
 
+    def loads(operand: str, rows: int, cols: int, ld_var: str) -> list[_Statement]:
+        return [
+            _Statement("load", f"v{operand}_{r}_{c}", (), operand, _offset_expr(layout, r, c, ld_var))
+            for r in range(rows)
+            for c in range(cols)
+        ]
+
+    # A constant across the batch only needs scalar slots: load it once.
+    before = loads("A", n, k, "lda") if spec.access_a is AccessKind.Constant else []
+    body = ([] if before else loads("A", n, k, "lda")) + loads("B", k, m, "ldb")
+    for c in range(m):
+        for r in range(n):
+            acc = f"rC_{r}_{c}"
+            body.append(_Statement("zero", acc))
+            body += [_Statement("madd", acc, (f"vA_{r}_{t}", f"vB_{t}_{c}")) for t in range(k)]
+            body.append(_Statement("scale", acc))
+    for c in range(m):
+        for r in range(n):
+            acc, old = f"rC_{r}_{c}", f"vC_{r}_{c}"
+            offset = _offset_expr(layout, r, c, "ldc")
+            body += [
+                _Statement("read_c", old, (), "C", offset),
+                _Statement("combine", acc, (old,)),
+                _Statement("store", acc, (), "C", offset),
+            ]
+    return before, body
+
+
+def _print(statement: _Statement, forms: dict[str, str], element, spec: KernelSpec) -> str:
+    """*statement* in one language: its *forms*, and *element* to address operands."""
+    operand = statement.operand
+    x = element(spec.access(operand), operand, statement.offset) if operand else ""
+    return forms[statement.form].format(statement.var, *statement.args, x=x)
+
+
+def generate_kernel_source(spec: KernelSpec, max_dim: int = DEFAULT_MAX_DIM) -> str:
+    """Emit the Python module implementing *spec* as one unrolled kernel."""
+    before, body = _kernel_statements(spec, max_dim)
+    name = kernel_name(spec)
     out: list[str] = []
     out.append(_GENERATED_HEADER.rstrip("\n"))
     out.append("")
@@ -199,48 +294,48 @@ def generate_kernel_source(spec: KernelSpec, max_dim: int = DEFAULT_MAX_DIM) -> 
     out.append("")
     out.append(f'@vectorize_batch_loop("{name}")')
     out.append(f"def {name}(E, alpha, A, lda, B, ldb, beta, C, ldc):")
-
     # Strided spans depend only on the leading dimensions; hoist them.
     for operand, ld_var in (("A", "lda"), ("B", "ldb"), ("C", "ldc")):
-        if kinds[operand] is AccessKind.Strided:
+        if spec.access(operand) is AccessKind.Strided:
             dims = operand_dims(spec, operand)
-            count = dims.cols if layout is Layout.ColMajor else dims.rows
+            count = dims.cols if spec.layout is Layout.ColMajor else dims.rows
             out.append(f"    size{operand} = {count} * {ld_var}")
-
-    # A constant across the batch only needs scalar slots: load it once.
-    if kinds["A"] is AccessKind.Constant:
-        for r in range(n):
-            for c in range(k):
-                offset = _offset_expr(layout, r, c, "lda")
-                out.append(f"    vA_{r}_{c} = A[{offset}]")
-
+    out += [f"    {_print(s, _PYTHON_FORMS, _load_expr, spec)}" for s in before]
     out.append("    for e in range(E):")
-    if kinds["A"] is not AccessKind.Constant:
-        for r in range(n):
-            for c in range(k):
-                offset = _offset_expr(layout, r, c, "lda")
-                out.append(f"        vA_{r}_{c} = {_load_expr(kinds['A'], 'A', offset)}")
-    for r in range(k):
-        for c in range(m):
-            offset = _offset_expr(layout, r, c, "ldb")
-            out.append(f"        vB_{r}_{c} = {_load_expr(kinds['B'], 'B', offset)}")
-
-    # Accumulators in column-outer order so the summation order (and hence
-    # the bit pattern of the result) is fixed.
-    for c in range(m):
-        for r in range(n):
-            out.append(f"        rC_{r}_{c} = 0.0")
-            for t in range(k):
-                out.append(f"        rC_{r}_{c} = vA_{r}_{t} * vB_{t}_{c} + rC_{r}_{c}")
-            out.append(f"        rC_{r}_{c} = rC_{r}_{c} * alpha")
-    for c in range(m):
-        for r in range(n):
-            offset = _offset_expr(layout, r, c, "ldc")
-            target = _load_expr(kinds["C"], "C", offset)
-            out.append(f"        vC_{r}_{c} = {target} if beta != 0.0 else 0.0")
-            out.append(f"        rC_{r}_{c} = vC_{r}_{c} * beta + rC_{r}_{c}")
-            out.append(f"        {target} = rC_{r}_{c}")
+    out += [f"        {_print(s, _PYTHON_FORMS, _load_expr, spec)}" for s in body]
     out.append("")
+    return "\n".join(out)
+
+
+def generate_c_source(spec: KernelSpec, max_dim: int = DEFAULT_MAX_DIM) -> str:
+    """Emit *spec*'s kernel as one C function, statement for statement.
+
+    The function has :func:`generate_kernel_source`'s statements in its
+    order, and the Python kernel's arguments plus one span per operand::
+
+        void <name>(long E, double alpha, const double *restrict A, long lda,
+                    const double *restrict B, long ldb, double beta,
+                    double *restrict C, long ldc, long spanA, long spanB, long spanC)
+
+    Batch element e of a Strided or Indexed operand X starts at
+    ``X[e*spanX]``; a Constant operand is ``X[0:]`` for every element.
+    ``restrict`` holds under the operand contract: C is disjoint from A and
+    B, which are only read.  Compiled without FP contraction or fast-math,
+    every element gets the Python kernel's roundings in its order.
+    """
+    before, body = _kernel_statements(spec, max_dim)
+    out = [
+        "/* Generated by bbdgemm. Do not edit by hand. */",
+        "",
+        f"void {kernel_name(spec)}(long E, double alpha, const double *restrict A, long lda, "
+        "const double *restrict B, long ldb, double beta, double *restrict C, long ldc, "
+        "long spanA, long spanB, long spanC)",
+        "{",
+    ]
+    out += [f"    {_print(s, _C_FORMS, _c_element_expr, spec)}" for s in before]
+    out.append("    for (long e = 0; e < E; e++) {")
+    out += [f"        {_print(s, _C_FORMS, _c_element_expr, spec)}" for s in body]
+    out += ["    }", "}", ""]
     return "\n".join(out)
 
 

@@ -6,15 +6,14 @@ resolves each batch element according to its operand's access kind and runs
 beta combine mirrors the generated kernels exactly, so a generated kernel and
 the oracle produce bitwise-identical outputs when nothing reorders the sums.
 
-This module is deliberately simple; its only job is to be obviously correct.
+This module is deliberately simple; its only job is to be obviously correct,
+so it uses numpy and plain Python only, never compiled kernels.
 ``_dgemm_flat`` is the definition of one GEMM.  So that large validation
-runs finish in reasonable time, contiguous float64 buffers take a faster
-form of the same arithmetic: the compiled twin of ``_dgemm_flat`` (same
-statements, same order) when the optional JIT backend is present, and
-otherwise ``_dgemm_rank1``, which runs the ascending-k sum as k rank-1
-updates on (n, m) numpy views.  Every output element sees the same
-multiply-then-add sequence on each path, so all three agree bit for bit.
-Other buffer types run ``_dgemm_flat`` itself.
+runs finish in reasonable time, contiguous float64 buffers take
+``_dgemm_rank1``, which runs the same ascending-k sum as k rank-1 updates
+on (n, m) numpy views.  Every output element sees the same multiply-then-add
+sequence on both, so they agree bit for bit.  Other buffer types run
+``_dgemm_flat`` itself.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .core import AccessKind, KernelSpec, Layout, flat_float64_buffers, matrix_span
-from .vectorize import jit_compile, jit_env_allowed
 
 if TYPE_CHECKING:
     from .runtime import BatchedOperand
@@ -90,16 +88,6 @@ def _last_offset(rows, cols, ld, col_major):
     return (cols - 1) * ld + rows - 1 if col_major else (rows - 1) * ld + cols - 1
 
 
-_dgemm_flat_jit = None
-
-
-def _jitted_dgemm():
-    global _dgemm_flat_jit
-    if _dgemm_flat_jit is None:
-        _dgemm_flat_jit = jit_compile(_dgemm_flat)
-    return _dgemm_flat_jit
-
-
 def dgemm_ref(
     layout: Layout,
     n: int,
@@ -140,10 +128,7 @@ def dgemm_ref(
                 f"buffer {which} holds {len(buf)} elements, a {rows}x{cols} "
                 f"{layout.value} matrix at ld={ld} addresses {last + 1}"
             )
-    arrays = flat_float64_buffers((a, b, c))
-    if arrays and jit_env_allowed():
-        fn = _jitted_dgemm()
-    elif arrays and all(buf.flags.c_contiguous for buf in (a, b, c)):
+    if flat_float64_buffers((a, b, c)) and all(buf.flags.c_contiguous for buf in (a, b, c)):
         fn = _dgemm_rank1
     else:
         fn = _dgemm_flat

@@ -136,10 +136,11 @@ class BatchedOperand:
                     raise ValueError(
                         f"operand {which}: span {self.span} below matrix span {min_span}"
                     )
-                if len(self.data) < E * self.span:
+                needed = (E - 1) * self.span + min_span  # the last matrix ends at its span
+                if len(self.data) < needed:
                     raise ValueError(
                         f"operand {which}: buffer holds {len(self.data)} elements, "
-                        f"need E*span = {E * self.span}"
+                        f"need (E-1)*span + {min_span} = {needed}"
                     )
             else:
                 if len(self.data) < min_span:

@@ -1,32 +1,44 @@
-"""Portable batch-loop acceleration hint for generated kernels.
+"""Batch-loop acceleration for generated kernels: compiled C, or numpy lanes.
 
 Generated kernels carry a single loop over the batch index with a fully
 unrolled body.  :func:`vectorize_batch_loop` is the source-level hint placed
-on that loop's function.  It makes the batch dimension the vector lane in
-one of two ways:
+on that loop's function.  It runs the batch loop in one of three ways, and
+counts each call under the path that served it:
 
-* when the optional JIT backend (numba) is installed and enabled, the loop
-  is compiled so the backend's auto-vectorizer can turn the batch dimension
-  into vector lanes; each Indexed operand is staged as an ``(E, span)``
-  copy whose row e is batch element e, and C is scattered back after it;
-* otherwise every Strided or Indexed operand is staged as a ``(span, E)``
+* ``compiled``: when a C compiler (``cc``) is on PATH and the switches
+  below allow it, the kernel's C twin (:func:`bbdgemm.codegen.generate_c_source`)
+  is built on the kernel's first compiled call and called through
+  ``ctypes``; the compiler vectorizes the batch loop for the host.  Strided
+  and Constant buffers are passed in place when C-contiguous; each Indexed
+  operand is staged as an ``(E, span)`` copy whose row e is batch element
+  e, and an Indexed C is scattered back after the call.  A batch with any
+  other flat buffer takes the next path.
+* ``lanes``: every Strided or Indexed operand is staged as a ``(span, E)``
   array whose row ``off`` holds element ``off`` of every matrix, and the
-  generated function runs once with E == 1 on those arrays.  Each unrolled
-  statement then computes all E batch elements as one numpy operation, and
-  C is scattered back at the end.
+  generated Python function runs once with E == 1 on those arrays.  Each
+  unrolled statement then computes all E batch elements as one numpy
+  operation, and C is scattered back at the end.
+* ``sequential``: the plain interpreted loop, for a Constant C that the
+  compiled path does not serve, since every element accumulates into that
+  one matrix in order (the C loop does so too; lanes would not).
 
 Staged copies and lanes read operands as they were on entry, so both give
 the sequential loop's answer only when no batch element reads or writes
 what another writes.  That is the operand contract that
 :func:`bbdgemm.runtime.run_batched` checks before it calls a kernel; the
-wrapper assumes it and checks nothing again.  The one output the contract
-lets elements share is a Constant C, which every element accumulates into
-in order: the compiled loop does so, and without it the plain interpreted
-loop runs.  There is no architecture-specific code on any path.
+wrapper assumes it and checks again only what a pointer handed to C needs:
+dtype, rank, contiguity, length and, for C, writability of flat buffers.
 
-Per call, outside the kernel's arithmetic, each Strided or Indexed operand
-costs one ``np.concatenate`` or transpose copy, and an Indexed C one
-write-back loop over its entries.
+Switches: ``BBDGEMM_JIT=0`` (or ``off``/``false``/``no``) turns the compiled
+path off for the process; otherwise :func:`enable_jit` and :func:`use_jit`
+turn it off and on at run time.  Shared objects are built with ``-O3 -march=native
+-ffp-contract=off`` (no fast-math: contracting ``a*b + c`` into a fused
+multiply-add would change the bits) and cached in ``$XDG_CACHE_HOME/bbdgemm``
+(default ``~/.cache/bbdgemm``) under the sha256 of the source, the flags,
+``cc --version`` and the target ``-march=native`` resolves to, so a cache
+shared between different CPUs never loads another CPU's object.  Each build
+or cache load is recorded in :data:`compile_log`, never inside a call's
+timing once the kernel is loaded.
 
 Calling the decorated kernel never changes numerics: every path executes
 the same statements in the same order on IEEE doubles, and numpy's
@@ -35,72 +47,94 @@ elementwise multiply and add round exactly as scalar code does.
 
 from __future__ import annotations
 
+import ctypes
 import functools
-import inspect
+import hashlib
 import os
+import shutil
+import subprocess
+import tempfile
 import threading
+import time
+from collections import Counter
 from contextlib import contextmanager
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import AccessKind, matrix_span, parse_kernel_name
-
-try:  # the JIT backend is optional; everything works without it
-    import numba
-except ImportError:  # pragma: no cover - exercised only on numba-free installs
-    numba = None
+from .codegen import generate_c_source
+from .core import AccessKind, flat_float64_buffers, matrix_span, parse_kernel_name
 
 __all__ = [
+    "CompileEvent",
+    "compile_log",
     "jit_available",
-    "jit_env_allowed",
     "jit_enabled",
     "enable_jit",
     "use_jit",
-    "jit_compile",
     "vectorize_batch_loop",
 ]
 
 _override: bool | None = None
 
+#: Flags of every kernel build.  No fast-math, and no FP contraction: GNU C
+#: fuses ``a*b + c`` by default, which rounds once where the oracle rounds twice.
+_CFLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fPIC", "-shared")
+
+_C_ARGTYPES = (
+    ctypes.c_long, ctypes.c_double, ctypes.c_void_p, ctypes.c_long,
+    ctypes.c_void_p, ctypes.c_long, ctypes.c_double, ctypes.c_void_p, ctypes.c_long,
+    ctypes.c_long, ctypes.c_long, ctypes.c_long,
+)
+
+
+class CompileEvent(NamedTuple):
+    """One kernel's shared object made ready: built (cache miss) or loaded (hit)."""
+
+    kernel: str
+    seconds: float
+    cache_hit: bool
+
+
+#: Every compile event of this process, in order.
+compile_log: list[CompileEvent] = []
+
+
+@functools.cache
+def _find_compiler() -> str | None:
+    return shutil.which("cc")
+
 
 def jit_available() -> bool:
-    """True when the optional JIT backend is importable."""
-    return numba is not None
-
-
-def jit_env_allowed() -> bool:
-    """True unless ``BBDGEMM_JIT`` turns compilation off for the process.
-
-    This is the master switch: when false, neither generated kernels nor the
-    reference oracle's compiled twin are used.
-    """
-    if numba is None:
-        return False
-    value = os.environ.get("BBDGEMM_JIT", "").strip().lower()
-    return value not in ("0", "off", "false", "no")
+    """True when a C compiler, ``cc``, is on PATH."""
+    return _find_compiler() is not None
 
 
 def jit_enabled() -> bool:
-    """True when decorated kernels will run through the JIT backend.
+    """True when decorated kernels will take the compiled path.
 
-    Runtime toggles (:func:`enable_jit`, :func:`use_jit`) only affect the
-    generated kernels; they deliberately leave the oracle untouched so the
-    two sides of an equivalence check never share a switch.
+    ``BBDGEMM_JIT`` set to ``0``, ``off``, ``false`` or ``no`` is the master
+    switch: it turns the path off for the process.  Otherwise
+    :func:`enable_jit` and :func:`use_jit` decide, and without them the path
+    is on.  Without a compiler it is off whatever the switches say.
     """
-    if _override is not None:
-        return _override and jit_env_allowed()
-    return jit_env_allowed()
+    if not jit_available():
+        return False
+    if os.environ.get("BBDGEMM_JIT", "").strip().lower() in ("0", "off", "false", "no"):
+        return False
+    return _override is not False
 
 
 def enable_jit(on: bool | None) -> None:
-    """Force the JIT path on/off; ``None`` restores the default."""
+    """Force the compiled path on/off; ``None`` restores the default."""
     global _override
     _override = on
 
 
 @contextmanager
 def use_jit(on: bool):
-    """Temporarily force the JIT path on or off."""
+    """Temporarily force the compiled path on or off."""
     global _override
     previous = _override
     _override = on
@@ -110,20 +144,45 @@ def use_jit(on: bool):
         _override = previous
 
 
-def jit_compile(fn):
-    """Compile *fn* with the JIT backend, caching to disk when possible.
+def _run(cc: str, *args: str) -> str:
+    done = subprocess.run([cc, *args], capture_output=True, text=True, stdin=subprocess.DEVNULL)
+    if done.returncode != 0:
+        raise RuntimeError(f"{cc} {' '.join(args)} failed:\n{done.stderr}")
+    return done.stdout
 
-    Returns *fn* unchanged when the backend is unavailable.
-    """
-    if numba is None:
-        return fn
-    cache = False
-    try:
-        source = inspect.getsourcefile(fn)
-        cache = bool(source) and os.path.exists(source)
-    except TypeError:
-        cache = False
-    return numba.njit(cache=cache)(fn)
+
+@functools.cache
+def _toolchain(cc: str) -> str:
+    """``cc --version`` and the target options ``-march=native`` resolves to."""
+    return _run(cc, "--version") + _run(cc, "-march=native", "-Q", "--help=target")
+
+
+def _cache_dir() -> Path:
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    path = Path(base) / "bbdgemm"
+    path.mkdir(mode=0o700, parents=True, exist_ok=True)
+    return path
+
+
+def _load_c_kernel(name: str):
+    """The ctypes function of kernel *name*, built into the cache when missing."""
+    started = time.perf_counter()
+    cc = _find_compiler()
+    source = generate_c_source(parse_kernel_name(name))
+    key = hashlib.sha256("\0".join((source, " ".join(_CFLAGS), _toolchain(cc))).encode())
+    directory = _cache_dir()
+    target = directory / f"{name}-{key.hexdigest()}.so"
+    hit = target.exists()
+    if not hit:
+        with tempfile.TemporaryDirectory(dir=directory) as tmp:
+            c_file, so_file = Path(tmp) / f"{name}.c", Path(tmp) / f"{name}.so"
+            c_file.write_text(source, encoding="utf-8")
+            _run(cc, *_CFLAGS, "-o", str(so_file), str(c_file))
+            os.replace(so_file, target)
+    fn = getattr(ctypes.CDLL(str(target)), name)
+    fn.argtypes, fn.restype = _C_ARGTYPES, None
+    compile_log.append(CompileEvent(name, time.perf_counter() - started, hit))
+    return fn
 
 
 def _matrices(table, E: int, span: int):
@@ -158,12 +217,14 @@ def vectorize_batch_loop(name: str):
     """Decorator marking a generated kernel's batch loop for acceleration.
 
     *name* must be the kernel's own canonical name; the operand roles needed
-    to stage pointer-table arguments are recovered from it.  Precondition:
-    the operands are ones :func:`bbdgemm.runtime.run_batched` accepts (its
-    module documents the contract), which a caller of the kernel itself must
-    ensure; nothing here checks them again.  Under that contract the
-    decorated function gives exactly the undecorated one's results.  E <= 0
-    returns early and touches no memory on any path.
+    to stage pointer-table arguments, and the C twin, are recovered from it.
+    Precondition: the operands are ones :func:`bbdgemm.runtime.run_batched`
+    accepts (its module documents the contract), which a caller of the
+    kernel itself must ensure.  Under that contract the decorated function
+    gives exactly the undecorated one's results.  E <= 0 returns early and
+    touches no memory on any path.  The wrapper's ``path_counts`` counts
+    completed calls per path.  A kernel whose C twin fails to compile
+    raises ``RuntimeError`` carrying the compiler's messages.
     """
     spec = parse_kernel_name(name)
     kinds = (spec.access_a, spec.access_b, spec.access_c)
@@ -171,11 +232,13 @@ def vectorize_batch_loop(name: str):
     def decorate(py_fn):
         compiled = []
         compile_lock = threading.Lock()
+        path_counts = Counter()
+        count_lock = threading.Lock()
 
-        def jitted():
+        def c_kernel():
             with compile_lock:
                 if not compiled:
-                    compiled.append(jit_compile(py_fn))
+                    compiled.append(_load_c_kernel(name))
             return compiled[0]
 
         @functools.wraps(py_fn)
@@ -183,32 +246,51 @@ def vectorize_batch_loop(name: str):
             if E <= 0:
                 return
             payloads = (A, B, C)
-            spans = [matrix_span(spec, which, ld) for which, ld in zip("ABC", (lda, ldb, ldc))]
-            if jit_enabled() and _try_jit(E, alpha, payloads, (lda, ldb, ldc), beta, spans):
-                return
-            if kinds[2] is not AccessKind.Constant:
-                _run_lanes(E, alpha, payloads, (lda, ldb, ldc), beta, spans)
-                return
-            # A Constant C accumulates over the batch in order: the plain loop,
-            # on memoryviews, whose items are plain floats, faster here than
-            # numpy scalars.
-            args = [
-                [memoryview(m) for m in p] if kind is AccessKind.Indexed else memoryview(p)
-                for p, kind in zip(payloads, kinds)
-            ]
-            py_fn(E, alpha, args[0], lda, args[1], ldb, beta, args[2], ldc)
+            lds = (lda, ldb, ldc)
+            spans = [matrix_span(spec, which, ld) for which, ld in zip("ABC", lds)]
+            if jit_enabled() and _run_compiled(E, alpha, payloads, lds, beta, spans):
+                path = "compiled"
+            elif kinds[2] is not AccessKind.Constant:
+                _run_lanes(E, alpha, payloads, lds, beta, spans)
+                path = "lanes"
+            else:
+                # A Constant C accumulates over the batch in order: the plain
+                # loop, on memoryviews, whose items are plain floats, faster
+                # here than numpy scalars.
+                args = [
+                    [memoryview(m) for m in p] if kind is AccessKind.Indexed else memoryview(p)
+                    for p, kind in zip(payloads, kinds)
+                ]
+                py_fn(E, alpha, args[0], lda, args[1], ldb, beta, args[2], ldc)
+                path = "sequential"
+            with count_lock:
+                path_counts[path] += 1
 
-        def _try_jit(E, alpha, payloads, lds, beta, spans) -> bool:
-            jit_fn = jitted()
-            indexed = [kind is AccessKind.Indexed for kind in kinds]
-            if jit_fn is py_fn or not all(i or p.flags.c_contiguous for i, p in zip(indexed, payloads)):
-                return False  # backend unavailable after all, or a flat buffer it cannot take
-            # Row e of a staged table is batch element e, so the kernel's
-            # table[e][idx] still holds.
-            args = [_gather(p, E, span) if i else p for i, p, span in zip(indexed, payloads, spans)]
-            lda, ldb, ldc = map(int, lds)
-            jit_fn(int(E), float(alpha), args[0], lda, args[1], ldb, float(beta), args[2], ldc)
-            if indexed[2]:
+        def _run_compiled(E, alpha, payloads, lds, beta, spans) -> bool:
+            # Pointers handed to C must address float64 memory long enough
+            # for every element the loop touches; a flat buffer that is not
+            # C-contiguous takes lanes instead.
+            for payload, kind, span, which in zip(payloads, kinds, spans, "ABC"):
+                if kind is not AccessKind.Indexed and not (
+                    flat_float64_buffers([payload], E * span if kind is AccessKind.Strided else span)
+                    and payload.flags.c_contiguous
+                    and (which != "C" or payload.flags.writeable)
+                ):
+                    return False
+            fn = c_kernel()
+            # Row e of a staged table is batch element e, at e*span.
+            args = [
+                _gather(p, E, span) if kind is AccessKind.Indexed else p
+                for p, kind, span in zip(payloads, kinds, spans)
+            ]
+            if any(arg.dtype != np.float64 for arg in args):
+                return False
+            fn(
+                int(E), float(alpha), args[0].ctypes.data, int(lds[0]),
+                args[1].ctypes.data, int(lds[1]), float(beta), args[2].ctypes.data, int(lds[2]),
+                *map(int, spans),
+            )
+            if kinds[2] is AccessKind.Indexed:
                 _scatter(payloads[2], args[2], spans[2])
             return True
 
@@ -234,6 +316,7 @@ def vectorize_batch_loop(name: str):
         wrapper.__wrapped__ = py_fn
         wrapper.spec = spec
         wrapper.kernel_name = name
+        wrapper.path_counts = path_counts
         return wrapper
 
     return decorate

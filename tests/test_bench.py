@@ -13,7 +13,7 @@ from bbdgemm.bench import (
 )
 from bbdgemm.core import AccessKind, KernelShape, KernelSpec, Layout, kernel_name
 from bbdgemm.runtime import KernelRegistry
-from bbdgemm.vectorize import use_jit
+from bbdgemm.vectorize import jit_available, use_jit
 
 from conftest import build_registry
 
@@ -98,6 +98,23 @@ class TestBenchmark:
         assert len(detail.percall_samples_ns) == 3
         assert detail.batched_inner_iters >= 1
         assert detail.stddev_ns_batched >= 0.0
+
+    @pytest.mark.parametrize(
+        "jit, path",
+        [
+            (False, "lanes"),
+            pytest.param(
+                True, "compiled",
+                marks=pytest.mark.skipif(not jit_available(), reason="no C compiler (cc) on PATH"),
+            ),
+        ],
+    )
+    def test_report_names_the_serving_path(self, jit, path):
+        registry = build_registry(S222)
+        with use_jit(jit):
+            rec, detail = run_benchmark(S222, 64, reps=2, registry=registry, seed=5)
+        assert detail.path == path
+        assert f"path {path}" in format_report([rec], [detail])
 
     @pytest.mark.parametrize(
         "broken", [wrong_value, nan_everywhere], ids=["wrong_value", "nan_everywhere"]

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from bbdgemm.cli import bench_main, genkernels_main, proxy_main
 from bbdgemm.proxy import load_dump
+from bbdgemm.vectorize import jit_available
 
 
 CHAIN = (
@@ -71,6 +74,16 @@ class TestProxyCli:
         assert (cells, components, rows, cols) == (11, 4, 3, 2)
         assert np.all(np.isfinite(data))
 
+    def test_prints_paths_and_compile_log(self, monkeypatch, capsys):
+        if not jit_available():
+            pytest.skip("no C compiler (cc) on PATH")
+        monkeypatch.setenv("BBDGEMM_JIT", "1")
+        assert proxy_main(["--cells", "2", "--timesteps", "1", "--seed", "1"]) == 0
+        out = capsys.readouterr().out
+        for name in ("bbdgemm_ColMajor_20_9_10_cis", "bbdgemm_ColMajor_10_9_9_sci"):
+            assert re.search(rf"^{name}: \d+ calls compiled$", out, re.M)
+            assert re.search(rf"^compile {name}: [0-9.]+ s \(cache (hit|miss)\)$", out, re.M)
+
     def test_compare_requires_dump(self, tmp_path, capsys):
         rc = proxy_main(
             ["--cells", "2", "--timesteps", "1", "--mode", "scalar", "--seed", "1",
@@ -104,6 +117,7 @@ class TestBenchCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "speedup" in out
+        assert "path lanes" in out
         lines = csv_path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 2
         assert lines[1].startswith("bbdgemm_ColMajor_2_2_2_cis,40,2,")

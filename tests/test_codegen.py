@@ -11,6 +11,7 @@ from bbdgemm.codegen import (
     MachineModel,
     ManifestError,
     estimate_pressure,
+    generate_c_source,
     generate_dispatch_source,
     generate_kernel_source,
     parse_manifest,
@@ -94,6 +95,27 @@ class TestGeneratedSource:
         source = generate_kernel_source(spec(Layout.ColMajor, 4, 4, 4, "sss"))
         loops = [line for line in source.splitlines() if "for " in line]
         assert loops == ["    for e in range(E):"]
+
+    @pytest.mark.parametrize("layout,access", [(Layout.ColMajor, "cis"), (Layout.RowMajor, "sic")])
+    def test_c_twin_prints_the_same_statements(self, layout, access):
+        # Line by line, the C function is the Python kernel with C spelling:
+        # declarations on first assignment, a ternary for the beta test,
+        # and spanX for sizeX and for an Indexed operand's row.
+        s = spec(layout, 3, 2, 4, access)
+        python = generate_kernel_source(s).split(":\n", 1)[1].splitlines()
+        python = [line for line in python if not re.match(r"\s+size[ABC] = ", line)]
+        c_lines = generate_c_source(s).split("{\n", 1)[1].splitlines()
+        respelled = []
+        for line in c_lines[:-2]:
+            line = re.sub(r"^(\s+)(const )?double ", r"\1", line.rstrip(";"))
+            line = re.sub(r"= beta != 0\.0 \? (.+) : 0\.0$", r"= \1 if beta != 0.0 else 0.0", line)
+            line = line.replace("for (long e = 0; e < E; e++) {", "for e in range(E):")
+            respelled.append(line)
+        for operand, kind in zip("ABC", access):
+            index = {"s": f"[e*size{operand}+", "i": "[e][", "c": "["}[kind]
+            respelled = [line.replace(f"{operand}[e*span{operand}+", f"{operand}{index}") for line in respelled]
+        assert respelled == python
+        assert c_lines[-2:] == ["    }", "}"]
 
     def test_shape_bound(self):
         with pytest.raises(ValueError, match="bound"):

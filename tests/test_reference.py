@@ -7,7 +7,6 @@ from bbdgemm.bench import clone_operand, output_elements
 from bbdgemm.core import AccessKind, KernelShape, KernelSpec, Layout
 from bbdgemm.reference import GemmScalars, _dgemm_flat, _dgemm_rank1, batched_ref, dgemm_ref
 from bbdgemm.runtime import BatchedOperand
-from bbdgemm.vectorize import jit_available, jit_compile
 
 from conftest import make_operands
 
@@ -94,21 +93,6 @@ class TestDgemmRef:
             dgemm_ref(
                 Layout.ColMajor, 0, 2, 2, 1.0, np.zeros(4), 2, np.zeros(4), 2, 0.0, np.zeros(4), 2
             )
-
-    @pytest.mark.skipif(not jit_available(), reason="JIT backend not installed")
-    def test_compiled_twin_is_bitwise_identical(self):
-        rng = np.random.default_rng(11)
-        jitted = jit_compile(_dgemm_flat)
-        for layout_flag in (True, False):
-            n, m, k = 4, 3, 5
-            lda, ldb, ldc = (n, k, n) if layout_flag else (k, m, m)
-            a = rng.uniform(-1, 1, 32)
-            b = rng.uniform(-1, 1, 32)
-            c1 = rng.uniform(-1, 1, 32)
-            c2 = c1.copy()
-            _dgemm_flat(layout_flag, n, m, k, 1.3, a, lda, b, ldb, 0.7, c1, ldc)
-            jitted(layout_flag, n, m, k, 1.3, a, lda, b, ldb, 0.7, c2, ldc)
-            assert np.array_equal(c1, c2)
 
 
 def gemm_buffers(rng, col_major, n, m, k, pad):

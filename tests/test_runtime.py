@@ -1,5 +1,11 @@
-import functools
+import itertools
+import json
+import os
+import subprocess
+import sys
+import threading
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +13,15 @@ from hypothesis import given, settings, strategies as st
 
 from bbdgemm import vectorize
 from bbdgemm.bench import clone_operand, output_elements
-from bbdgemm.core import AccessKind, KernelShape, KernelSpec, Layout, matrix_span, operand_dims
+from bbdgemm.core import (
+    AccessKind,
+    KernelShape,
+    KernelSpec,
+    Layout,
+    kernel_name,
+    matrix_span,
+    operand_dims,
+)
 from bbdgemm.reference import GemmScalars, batched_ref
 from bbdgemm.runtime import (
     BatchedOperand,
@@ -20,7 +34,9 @@ from bbdgemm.runtime import (
 )
 from bbdgemm.vectorize import enable_jit, jit_available, use_jit
 
-from conftest import build_registry, make_operands
+from conftest import build_kernel, build_registry, make_operands
+
+needs_cc = pytest.mark.skipif(not jit_available(), reason="no C compiler (cc) on PATH")
 
 
 def spec(layout, n, m, k, access):
@@ -137,6 +153,23 @@ class TestRunBatched:
             got = c_padded.data[e * padded_span : e * padded_span + c.span]
             want = c_ref.data[e * c.span : (e + 1) * c.span]
             assert np.array_equal(got, want)
+
+    def test_strided_buffer_needs_only_up_to_the_last_matrix(self):
+        # span 7 > the 2x2 matrix span 4: the last matrix ends at element
+        # (E-1)*7 + 4 = 18, so an 18-element C is enough and 17 is not
+        s = spec(Layout.ColMajor, 2, 2, 2, "ccs")
+        registry = build_registry(s)
+        rng = np.random.default_rng(20)
+        a = BatchedOperand.constant(rng.uniform(-1.0, 1.0, 4), 2)
+        b = BatchedOperand.constant(rng.uniform(-1.0, 1.0, 4), 2)
+        c = BatchedOperand.strided(rng.uniform(-1.0, 1.0, 18), 2, 7)
+        c_ref = clone_operand(c)
+        run_batched(s, 3, 1.5, a, b, 0.5, c, registry=registry)
+        batched_ref(s, 3, GemmScalars(1.5, 0.5), a, b, c_ref)
+        assert c.data.tobytes() == c_ref.data.tobytes()
+        short = BatchedOperand.strided(c.data[:17].copy(), 2, 7)
+        with pytest.raises(ValueError, match=r"^operand C: buffer holds 17 elements, need \(E-1\)\*span \+ 4 = 18$"):
+            run_batched(s, 3, 1.5, a, b, 0.5, short, registry=registry)
 
     def test_non_minimal_leading_dims(self):
         # every operand padded: ld = min_ld + 2, spans derived from the lds
@@ -288,7 +321,7 @@ class TestRunBatched:
         assert not failures
         assert registry.fallback_count == 0
 
-    @pytest.mark.skipif(not jit_available(), reason="JIT backend not installed")
+    @needs_cc
     @pytest.mark.parametrize("access", ["ccc", "cci", "cic", "cii", "icc", "ici", "iic", "iii"])
     def test_jit_staging_type_combinations(self, access):
         # flat buffers vs staged pointer tables are the two argument types
@@ -304,6 +337,7 @@ class TestRunBatched:
         with use_jit(False):
             run_batched(s, E, 1.5, a, b, 0.5, c_pure, registry=registry)
         assert registry.fallback_count == 0
+        assert registry.lookup(kernel_name(s)).path_counts["compiled"] == 1
         assert np.array_equal(output_elements(s, E, c), output_elements(s, E, c_pure))
 
 
@@ -311,17 +345,14 @@ class TestRunBatched:
 def on_path(path):
     """Registry factory for one execution path of ``run_batched``.
 
-    ``lanes`` runs the generated kernels without the JIT backend; ``compiled``
-    stands in for the JIT backend with the generated loop itself
-    (``jit_compile`` patched to ``functools.partial``), so the compiled path's
-    pointer-table staging runs without numba; ``fallback`` has an empty
-    registry, so the reference fallback serves the call.  Each factory call
-    decorates its kernels afresh, so no earlier compilation is reused.
+    ``lanes`` runs the generated kernels with the compiled path off;
+    ``compiled`` runs their C twins (the test is skipped without a
+    compiler); ``fallback`` has an empty registry, so the reference fallback
+    serves the call.  Each factory call decorates its kernels afresh.
     """
-    with use_jit(False), pytest.MonkeyPatch.context() as patch:
-        if path == "compiled":
-            patch.setattr(vectorize, "jit_enabled", lambda: True)
-            patch.setattr(vectorize, "jit_compile", functools.partial)
+    if path == "compiled" and not jit_available():
+        pytest.skip("no C compiler (cc) on PATH")
+    with use_jit(path == "compiled"):
         yield (lambda s: KernelRegistry({})) if path == "fallback" else build_registry
 
 
@@ -443,7 +474,8 @@ class TestOperandContract:
             return (a, b, BatchedOperand.indexed(c_table, 2)), pool
 
         outcomes = []
-        for path in PATHS:
+        paths = PATHS if jit_available() else ["lanes", "fallback"]
+        for path in paths:
             operands, pool = build()
             with on_path(path) as registry_for:
                 try:
@@ -452,7 +484,7 @@ class TestOperandContract:
                     outcomes.append(("refused", str(error), pool.tobytes()))
                 else:
                     outcomes.append(("ran", "", pool.tobytes()))
-        assert outcomes[1:] == outcomes[:1] * 2
+        assert outcomes[1:] == outcomes[:1] * (len(paths) - 1)
         kind, _, got = outcomes[0]
         operands, pool = build()
         if kind == "refused":
@@ -487,10 +519,11 @@ class TestSequentialWhenLanesWouldDiffer:
 
     Every element accumulates into the same matrix, so lanes would differ
     from the loop; the call must keep the sequential loop's answer, which
-    is the oracle's.
+    is the oracle's.  ``SERVED`` is the kernel path that must serve it.
     """
 
     PATH = "lanes"
+    SERVED = "sequential"
 
     def test_constant_c_accumulates_over_batch(self):
         s = spec(Layout.ColMajor, 3, 2, 2, "sic")
@@ -507,14 +540,161 @@ class TestSequentialWhenLanesWouldDiffer:
             registry = registry_for(s)
             run_batched(s, E, 1.0, got[0], got[1], 1.0, got[2], registry=registry)
         assert registry.fallback_count == 0
+        assert registry.lookup(kernel_name(s)).path_counts == {self.SERVED: 1}
         batched_ref(s, E, GemmScalars(1.0, 1.0), *want)
         assert got[2].data.tobytes() == want[2].data.tobytes()
 
 
 class TestCompiledStagingWhenLanesWouldDiffer(TestSequentialWhenLanesWouldDiffer):
-    """The same batch through the compiled path's stand-in (see :func:`on_path`)."""
+    """The same batch on the C path, whose loop accumulates in order too."""
 
     PATH = "compiled"
+    SERVED = "compiled"
+
+
+ACCESS_TRIPLES = ["".join(t) for t in itertools.product("csi", repeat=3)]
+#: Shapes of the parity sample, taken in turn; all from the criterion-1 lattice.
+PARITY_SHAPES = [(1, 1, 1), (2, 3, 4), (4, 4, 4), (3, 1, 2)]
+#: (E, alpha, beta): accumulate, overwrite over NaN, scale, and alpha == 0.
+PARITY_CALLS = [(1, 1.0, 1.0), (7, 1.0, 0.0), (256, 0.5, 0.25), (1000, 0.0, 1.0)]
+
+#: Runs in a fresh interpreter: one call of a shipped kernel on the C path,
+#: then prints the compile events and every compiler command that ran.
+CACHE_PROBE = """
+import json, subprocess
+import numpy as np
+from bbdgemm import vectorize
+from bbdgemm.kernels import KERNELS
+
+commands = []
+run = subprocess.run
+subprocess.run = lambda args, *rest, **kw: commands.append(args) or run(args, *rest, **kw)
+E = 3
+c = np.zeros(4 * E)
+KERNELS["bbdgemm_ColMajor_2_2_2_cis"](
+    E, 1.0, np.ones(4), 2, [np.ones(4) for _ in range(E)], 2, 0.0, c, 2
+)
+print(json.dumps({"events": vectorize.compile_log, "commands": commands, "c": c.tolist()}))
+"""
+
+
+@needs_cc
+class TestCompiledPath:
+    """The C twins of generated kernels: parity, build cache and build lock."""
+
+    def test_lattice_sample_matches_oracle_bytewise(self):
+        # Both layouts x all 27 access triples (54 kernels, shapes taken in
+        # turn from PARITY_SHAPES), each at every PARITY_CALLS batch size,
+        # on operands holding signed zeros, with C all NaN when beta == 0.
+        events = len(vectorize.compile_log)
+        rng = np.random.default_rng(44)
+        for i, (layout, access) in enumerate(itertools.product(Layout, ACCESS_TRIPLES)):
+            s = spec(layout, *PARITY_SHAPES[i % len(PARITY_SHAPES)], access)
+            registry = build_registry(s)
+            for E, alpha, beta in PARITY_CALLS:
+                a, b, c = make_operands(s, E, rng)
+                for buffer in buffers_of(a, b, c):
+                    buffer[::3], buffer[1::5] = 0.0, -0.0
+                for buffer in buffers_of(c) if beta == 0.0 else []:
+                    buffer[...] = np.nan
+                c_ref = clone_operand(c)
+                with use_jit(True):
+                    run_batched(s, E, alpha, a, b, beta, c, registry=registry)
+                batched_ref(s, E, GemmScalars(alpha, beta), a, b, c_ref)
+                got, want = buffers_of(c), buffers_of(c_ref)
+                assert [m.tobytes() for m in got] == [m.tobytes() for m in want], (
+                    f"{kernel_name(s)} E={E}"
+                )
+            assert registry.lookup(kernel_name(s)).path_counts == {"compiled": len(PARITY_CALLS)}
+        built = vectorize.compile_log[events:]
+        print(
+            f"\nC parity sample: {len(built)} kernels made ready in "
+            f"{sum(e.seconds for e in built):.1f} s "
+            f"({sum(not e.cache_hit for e in built)} built, {sum(e.cache_hit for e in built)} cached)"
+        )
+
+    def test_no_compiler_takes_lanes_with_the_same_bytes(self, monkeypatch):
+        s = spec(Layout.RowMajor, 2, 3, 4, "ici")
+        got = make_operands(s, 9, np.random.default_rng(45))
+        want = tuple(clone_operand(op) for op in got)
+        with use_jit(True):
+            run_batched(s, 9, 1.5, *got[:2], 0.5, got[2], registry=build_registry(s))
+        monkeypatch.setattr(vectorize, "_find_compiler", lambda: None)
+        assert not vectorize.jit_available() and not vectorize.jit_enabled()
+        registry = build_registry(s)
+        with use_jit(True):  # the switch cannot turn on a missing compiler
+            run_batched(s, 9, 1.5, *want[:2], 0.5, want[2], registry=registry)
+        assert registry.lookup(kernel_name(s)).path_counts == {"lanes": 1}
+        assert [m.tobytes() for m in got[2].table] == [m.tobytes() for m in want[2].table]
+
+    def test_environment_is_the_master_switch(self, monkeypatch):
+        monkeypatch.setenv("BBDGEMM_JIT", "off")
+        with use_jit(True):
+            assert not vectorize.jit_enabled()
+        monkeypatch.delenv("BBDGEMM_JIT")
+        assert vectorize.jit_enabled()
+        with use_jit(False):
+            assert not vectorize.jit_enabled()
+
+    def test_second_process_loads_from_the_cache(self, tmp_path):
+        env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path), BBDGEMM_JIT="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH", "")]
+        )
+        runs = []
+        for _ in range(2):
+            done = subprocess.run(
+                [sys.executable, "-c", CACHE_PROBE], env=env, capture_output=True, text=True,
+                timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            runs.append(json.loads(done.stdout.splitlines()[-1]))
+        first, second = runs
+        assert [event[2] for event in first["events"]] == [False]
+        assert sum("-shared" in command for command in first["commands"]) == 1
+        assert [event[2] for event in second["events"]] == [True]
+        assert not any("-shared" in command for command in second["commands"])
+        assert first["c"] == second["c"] == [2.0] * 12
+        assert [p.suffix for p in (tmp_path / "bbdgemm").iterdir()] == [".so"]
+        assert (tmp_path / "bbdgemm").stat().st_mode & 0o777 == 0o700
+
+    def test_threads_compile_a_fresh_kernel_once(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        s = spec(Layout.ColMajor, 3, 2, 4, "sis")
+        kernel = build_kernel(s)
+        registry = KernelRegistry({kernel_name(s): kernel})
+        events = len(vectorize.compile_log)
+        start = threading.Barrier(4)
+        failures = []
+
+        def worker(seed):
+            try:
+                a, b, c = make_operands(s, 50, np.random.default_rng(seed))
+                c_ref = clone_operand(c)
+                start.wait(timeout=30)
+                run_batched(s, 50, 1.0, a, b, 1.0, c, registry=registry)
+                batched_ref(s, 50, GemmScalars(1.0, 1.0), a, b, c_ref)
+                if c.data.tobytes() != c_ref.data.tobytes():
+                    failures.append(seed)
+            except Exception as error:  # surfaced below; threads must not die silently
+                failures.append((seed, error))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with use_jit(True):
+                threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures
+        built = [e for e in vectorize.compile_log[events:] if e.kernel == kernel_name(s)]
+        assert [e.cache_hit for e in built] == [False]
+        assert kernel.path_counts == {"compiled": 4}
 
 
 class TestPointerTable:
