@@ -115,9 +115,13 @@ def proxy_main(argv: list[str] | None = None) -> int:
         f"(chain of {len(config.chain)}, {config.components} components, seed {config.seed})"
     )
     for name in registry.names():
-        counts = getattr(registry.lookup(name), "path_counts", {})
+        kernel = registry.lookup(name)
+        counts = getattr(kernel, "path_counts", {})
         if counts:
-            print(f"{name}: " + ", ".join(f"{n} calls {path}" for path, n in sorted(counts.items())))
+            print(f"{name}: " + ", ".join(
+                f"{n} calls {path} ({kernel.path_elements[path]} elements)"
+                for path, n in sorted(counts.items())
+            ))
     for event in vectorize.compile_log:
         cache = "hit" if event.cache_hit else "miss"
         print(f"compile {event.kernel}: {event.seconds:.3f} s (cache {cache})")

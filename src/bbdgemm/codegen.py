@@ -214,18 +214,25 @@ def _offset_expr(layout: Layout, r: int, c: int, ld_var: str) -> str:
     return f"({r}*{ld_var}+{c})"
 
 
-def _load_expr(kind: AccessKind, operand: str, offset: str) -> str:
+def _load_expr(kind: AccessKind, operand: str, offset: str, stride: str = "size") -> str:
+    """Batch element e's entry *offset* of *operand*; *stride* names a Strided span."""
     if kind is AccessKind.Constant:
         return f"{operand}[{offset}]"
     if kind is AccessKind.Strided:
-        return f"{operand}[e*size{operand}+{offset}]"
+        return f"{operand}[e*{stride}{operand}+{offset}]"
     return f"{operand}[e][{offset}]"
 
 
 def _c_element_expr(kind: AccessKind, operand: str, offset: str) -> str:
-    if kind is AccessKind.Constant:
-        return f"{operand}[{offset}]"
-    return f"{operand}[e*span{operand}+{offset}]"
+    return _load_expr(kind, operand, offset, stride="span")
+
+
+def _c_parameter(spec: KernelSpec, operand: str) -> str:
+    """C declaration of *operand*: a pointer to doubles, or to an Indexed table's pointers."""
+    const = "" if operand == "C" else "const "
+    if spec.access(operand) is AccessKind.Indexed:
+        return f"{const}double *const *restrict {operand}"
+    return f"{const}double *restrict {operand}"
 
 
 def _kernel_statements(
@@ -313,23 +320,26 @@ def generate_c_source(spec: KernelSpec, max_dim: int = DEFAULT_MAX_DIM) -> str:
     The function has :func:`generate_kernel_source`'s statements in its
     order, and the Python kernel's arguments plus one span per operand::
 
-        void <name>(long E, double alpha, const double *restrict A, long lda,
-                    const double *restrict B, long ldb, double beta,
-                    double *restrict C, long ldc, long spanA, long spanB, long spanC)
+        void <name>(long E, double alpha, <A>, long lda, <B>, long ldb,
+                    double beta, <C>, long ldc, long spanA, long spanB, long spanC)
 
-    Batch element e of a Strided or Indexed operand X starts at
-    ``X[e*spanX]``; a Constant operand is ``X[0:]`` for every element.
-    ``restrict`` holds under the operand contract: C is disjoint from A and
-    B, which are only read.  Compiled without FP contraction or fast-math,
-    every element gets the Python kernel's roundings in its order.
+    A Constant or Strided operand X is ``const double *restrict X`` (C drops
+    the ``const``): a Constant one is ``X[0:]`` for every element, and batch
+    element e of a Strided one starts at ``X[e*spanX]``.  An Indexed operand
+    is an array of matrix addresses, ``const double *const *restrict X``
+    (for C, ``double *const *restrict C``), and element e is ``X[e][0:]``;
+    its span argument is unused.  ``restrict`` holds under the operand contract: C is
+    disjoint from A and B, which are only read.  Compiled without FP
+    contraction or fast-math, every element gets the Python kernel's
+    roundings in its order.
     """
     before, body = _kernel_statements(spec, max_dim)
+    a, b, c = (_c_parameter(spec, operand) for operand in "ABC")
     out = [
         "/* Generated by bbdgemm. Do not edit by hand. */",
         "",
-        f"void {kernel_name(spec)}(long E, double alpha, const double *restrict A, long lda, "
-        "const double *restrict B, long ldb, double beta, double *restrict C, long ldc, "
-        "long spanA, long spanB, long spanC)",
+        f"void {kernel_name(spec)}(long E, double alpha, {a}, long lda, {b}, long ldb, "
+        f"double beta, {c}, long ldc, long spanA, long spanB, long spanC)",
         "{",
     ]
     out += [f"    {_print(s, _C_FORMS, _c_element_expr, spec)}" for s in before]

@@ -5,12 +5,14 @@ the (N, M, K) problem shape, and one access kind per operand.  The spec maps
 one-to-one onto a kernel name such as ``bbdgemm_ColMajor_2_3_4_cis``; the
 name is the key used by manifests, the dispatch table, and the CLI.
 :func:`is_decimal` and :func:`flat_float64_buffers` are the token and buffer
-tests that the parsers, the operand checks and the oracle share.
+tests that the parsers, the operand checks and the oracle share;
+:class:`PointerTable` is an Indexed operand's table of buffers as a value.
 """
 
 from __future__ import annotations
 
 import enum
+import threading
 from dataclasses import dataclass
 from itertools import repeat
 from operator import attrgetter
@@ -30,6 +32,9 @@ __all__ = [
     "matrix_span",
     "is_decimal",
     "flat_float64_buffers",
+    "PointerTable",
+    "owner_ids",
+    "sort_extents",
     "OPERANDS",
 ]
 
@@ -95,8 +100,149 @@ def flat_float64_buffers(buffers, size: int = 0) -> bool:
         all(map(isinstance, buffers, repeat(np.ndarray)))
         and _FLOAT64.issuperset(map(_DTYPE, buffers))
         and _FLAT.issuperset(map(_NDIM, buffers))
-        and min(map(len, buffers), default=size) >= size
+        and (size <= 0 or min(map(len, buffers), default=size) >= size)
     )
+
+
+_ADDRESS, _STRIDES, _CONTIGUOUS = (
+    attrgetter("ctypes.data"), attrgetter("strides"), attrgetter("flags.c_contiguous")
+)
+
+
+class PointerTable(tuple):
+    """An Indexed operand's pointer table as a value: a tuple of its entries.
+
+    Building one snapshots any sequence of buffers; a later change to that
+    sequence does not reach the table.  Facts about the entries are computed
+    on first use, once, under a lock, and cached on the value: the shortest
+    length if every entry is a flat float64 ndarray, the allocations that
+    hold the entries, and then each entry's address and stride, whether all
+    are C-contiguous, and the sorted byte extents of its matrices per span.
+    They stay true as long as no entry is resized or reshaped in place.  The
+    address array is what a compiled kernel reads as its ``double **``
+    argument.  Reading it costs about 1 us per entry, more than copying a
+    small matrix out and back, so it pays only for a table that is used
+    again: :meth:`addresses_on_reuse` withholds it on the first request.
+    """
+
+    def __new__(cls, entries=()):
+        table = super().__new__(cls, entries)
+        table._lock = threading.RLock()
+        table._facts = {}
+        table._asked = False
+        return table
+
+    def __reduce__(self):
+        # A copy or an unpickled table holds other buffers: its facts are
+        # computed afresh, never carried over.
+        return PointerTable, (tuple(self),)
+
+    def _fact(self, key, compute):
+        facts = self._facts
+        if key not in facts:
+            with self._lock:
+                if key not in facts:
+                    facts[key] = compute()
+        return facts[key]
+
+    def flat_length(self) -> int:
+        """Shortest entry length when every entry is a flat float64 ndarray, else -1."""
+        return self._fact(
+            "flat_length",
+            lambda: min(map(len, self), default=0) if flat_float64_buffers(self) else -1,
+        )
+
+    def owners(self) -> np.ndarray | None:
+        """:func:`owner_ids` of the entries."""
+        return self._fact("owners", lambda: owner_ids(self))
+
+    def sorted_owners(self) -> np.ndarray | None:
+        """:meth:`owners` in ascending order."""
+        owners = self.owners()
+        return self._fact(
+            "sorted_owners", lambda: owners if owners is None else _read_only(np.sort(owners))
+        )
+
+    # The facts below assume flat_length() >= 0: every entry is a flat float64 ndarray.
+
+    @property
+    def addresses(self) -> np.ndarray:
+        """intp array: the address of each entry's first element."""
+        return self._fact(
+            "addresses", lambda: _read_only(np.fromiter(map(_ADDRESS, self), np.intp, len(self)))
+        )
+
+    def addresses_on_reuse(self) -> np.ndarray | None:
+        """:attr:`addresses` if they are cached or were asked for before, else None."""
+        if "addresses" not in self._facts:
+            with self._lock:
+                first, self._asked = not self._asked, True
+            if first:
+                return None
+        return self.addresses
+
+    @property
+    def strides(self) -> np.ndarray:
+        """intp array: each entry's stride in bytes."""
+        return self._fact(
+            "strides",
+            lambda: _read_only(
+                np.array(list(map(_STRIDES, self)), dtype=np.intp).reshape(len(self))
+            ),
+        )
+
+    @property
+    def contiguous(self) -> bool:
+        """True when every entry is C-contiguous, so ``entry[off]`` is at ``address + 8*off``."""
+        return self._fact("contiguous", lambda: all(map(_CONTIGUOUS, self)))
+
+    def extents(self, span: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(lo, hi)``: the bytes ``entry[:span]`` spans, per entry, in table order."""
+        first = self.addresses
+        last = first + (span - 1) * self.strides
+        return np.minimum(first, last), np.maximum(first, last) + 8
+
+    def sorted_extents(self, span: int):
+        """:func:`sort_extents` of :meth:`extents`, cached per span."""
+        return self._fact(
+            ("sorted_extents", span), lambda: _read_only(sort_extents(*self.extents(span)))
+        )
+
+
+def owner_ids(buffers) -> np.ndarray | None:
+    """intp ids of the ndarrays whose own allocations hold *buffers*; None if one is unknown.
+
+    Buffers in different allocations cannot overlap, so disjoint owners
+    prove disjoint memory without reading an address.
+    """
+    owners = [buffer if buffer.base is None else buffer.base for buffer in buffers]
+    if not all(map(isinstance, owners, repeat(np.ndarray))):
+        return None
+    if not all(map(attrgetter("flags.owndata"), owners)):
+        return None
+    return _read_only(np.fromiter(map(id, owners), np.intp, len(owners)))
+
+
+def _read_only(fact):
+    """*fact* with every ndarray in it made read-only, since all callers share it."""
+    for array in fact if isinstance(fact, tuple) else (fact,):
+        if isinstance(array, np.ndarray):
+            array.flags.writeable = False
+    return fact
+
+
+def sort_extents(lo: np.ndarray, hi: np.ndarray):
+    """``(lo, hi, clash)``: byte extents sorted by ``lo``, and the first overlap.
+
+    *clash* is None when the extents are pairwise disjoint, else the
+    ascending pair of the indices whose extents overlap first in address
+    order.
+    """
+    order = np.argsort(lo, kind="stable")
+    lo, hi = lo[order], hi[order]
+    clash = np.flatnonzero(lo[1:] < hi[:-1])
+    pair = tuple(sorted(order[clash[0] : clash[0] + 2].tolist())) if clash.size else None
+    return lo, hi, pair
 
 
 class KernelNameError(ValueError):

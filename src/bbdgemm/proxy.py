@@ -9,7 +9,9 @@ interchangeable variants are provided:
   one naive GEMM call per chain step, per-cell fixed-size scratch.
 * ``vector``  - the loop-interchanged variant: the cell loop becomes the
   batch dimension of one ``run_batched`` call per chain step per component,
-  with scratch grown dynamically to cover all cells.
+  with scratch grown dynamically to cover all cells.  Cell storage never
+  moves, so a state builds its pointer tables (one per tensor binding and
+  component) and its scratch on its first batched timestep and reuses them.
 
 Both variants compute identical values; ``dump_state``/``compare_dumps``
 provide the file-based validation used to demonstrate it.
@@ -258,13 +260,21 @@ def _validate_chain(config: ProxyConfig) -> None:
 
 @dataclass
 class ProxyState:
-    """Mutable run state: input/output tensors per cell plus shared constants."""
+    """Mutable run state: input/output tensors per cell plus shared constants.
+
+    ``pointer_tables`` holds one ``(qin, qout)`` pair of Indexed operands per
+    component; the first batched timestep builds them and every later one
+    reuses them, as it reuses ``scratch``.  Replacing a cell's matrices after
+    that needs ``pointer_tables`` reset to None.
+    """
 
     config: ProxyConfig
     qin: list[TensorBatch]
     qout: list[TensorBatch]
     constants: dict[str, np.ndarray]
     constant_lds: dict[str, int]
+    pointer_tables: tuple[tuple[BatchedOperand, BatchedOperand], ...] | None = None
+    scratch: ScratchBuffer = field(default_factory=ScratchBuffer)
 
 
 def build_state(config: ProxyConfig) -> ProxyState:
@@ -369,7 +379,8 @@ def compute_local_integration_batched(
     """Loop-interchanged variant: one batched call per chain step per component.
 
     *scratch* must have been sized via :meth:`ScratchBuffer.ensure` for
-    E == cells; an undersized buffer is a checked programming error.
+    E == cells; an undersized buffer is a checked programming error.  The
+    pointer tables are *state*'s, built by the first call.
     """
     per_element = config.scratch_per_element
     needed = config.cells * per_element
@@ -380,9 +391,12 @@ def compute_local_integration_batched(
         )
     scratch_ld = _scratch_ld(config)
     scratch_flat = scratch.array[:needed] if needed else scratch.array[:0]
-    for component in range(config.components):
-        qin_table = build_pointer_table(state.qin, component)
-        qout_table = build_pointer_table(state.qout, component)
+    if state.pointer_tables is None:
+        state.pointer_tables = tuple(
+            (build_pointer_table(state.qin, component), build_pointer_table(state.qout, component))
+            for component in range(config.components)
+        )
+    for qin_table, qout_table in state.pointer_tables:
         for step in config.chain:
             operands = []
             for which, binding in zip("ABC", step.bindings()):
@@ -424,12 +438,11 @@ def run_proxy_state(
     Each timestep runs the local-integration phase in the configured mode.
     """
     steps = config.timesteps if timesteps is None else timesteps
-    scratch = ScratchBuffer()
     for _ in range(steps):
         if config.mode == "vector":
             # Allocation step before each timestep; a no-op once grown.
-            scratch.ensure(config.cells, config.scratch_per_element)
-            compute_local_integration_batched(config, state, scratch, registry=registry)
+            state.scratch.ensure(config.cells, config.scratch_per_element)
+            compute_local_integration_batched(config, state, state.scratch, registry=registry)
         else:
             compute_local_integration_ref(config, state)
 

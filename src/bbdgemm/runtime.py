@@ -19,8 +19,17 @@ strided views interleaved in one pool are refused as C.  A Constant C is the
 one matrix all E elements accumulate into, in order; A and B may overlap,
 being only read.  A breach raises ``ValueError`` naming operand C (or the
 operand at fault) before any byte is written or a fallback is counted.
-Tables are read by C-level scans and owner ids; byte extents are sorted, in
-O(E log E), only when buffers share or hide their numpy allocation.
+
+An Indexed operand's table is a :class:`~bbdgemm.core.PointerTable`, a
+value built once: the facts the contract needs (flat float64 entries and
+their shortest length, the allocations holding them, and where those do not
+settle disjointness, entry addresses and C's sorted extents) are computed
+on the table's first use and cached.  A table reused across calls is
+checked in O(1) plus one C-level scan of C's writability and one
+``searchsorted`` of A's and B's owners (or extents) into C's.  A table
+built afresh for each call costs what it did before tables were values: one
+scan of its entries, and no address read while every entry has an
+allocation of its own.
 """
 
 from __future__ import annotations
@@ -31,7 +40,6 @@ import re
 import sys
 import threading
 from dataclasses import dataclass
-from itertools import chain, repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -43,10 +51,13 @@ from .core import (
     KernelSpec,
     Layout,
     OperandDims,
+    PointerTable,
     flat_float64_buffers,
     kernel_name,
     matrix_span,
     operand_dims,
+    owner_ids,
+    sort_extents,
 )
 from .reference import GemmScalars, batched_ref
 
@@ -68,16 +79,23 @@ class BatchedOperand:
     """One batched matrix operand: how its E matrices are addressed.
 
     Constant and Strided operands carry a flat float64 buffer; Indexed
-    operands carry a pointer table (sequence of flat buffers, one per batch
-    element).  ``span`` is only meaningful for Strided operands and is the
-    element count between consecutive matrices.
+    operands carry a pointer table, one flat buffer per batch element, held
+    as a :class:`~bbdgemm.core.PointerTable`: any sequence given as ``table``
+    at construction is snapshotted into one, so changing that sequence later
+    changes neither the operand nor its results.  ``span`` is only
+    meaningful for Strided operands and is the element count between
+    consecutive matrices.
     """
 
     kind: AccessKind
     ld: int
     data: np.ndarray | None = None
-    table: Sequence[np.ndarray] | None = None
+    table: PointerTable | None = None
     span: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.table is not None and not isinstance(self.table, PointerTable):
+            self.table = PointerTable(self.table)
 
     @classmethod
     def constant(cls, data: np.ndarray, ld: int) -> "BatchedOperand":
@@ -89,6 +107,7 @@ class BatchedOperand:
 
     @classmethod
     def indexed(cls, table: Sequence[np.ndarray], ld: int) -> "BatchedOperand":
+        """Indexed operand over a snapshot of *table*, one buffer per batch element."""
         return cls(kind=AccessKind.Indexed, ld=ld, table=table)
 
     def payload(self):
@@ -99,7 +118,9 @@ class BatchedOperand:
         """Check this operand alone against the contract for role *which* of *spec*.
 
         Raises ``ValueError`` naming the operand, and the first bad table
-        entry where there is one.  C must also be writable.
+        entry where there is one.  C must also be writable.  A table's
+        entries are checked once, on its first use; after that only C's
+        writability is scanned again.
         """
         dims = operand_dims(spec, which)
         if spec.access(which) is not self.kind:
@@ -119,7 +140,7 @@ class BatchedOperand:
                 raise ValueError(
                     f"operand {which}: pointer table has {len(self.table)} entries, need E={E}"
                 )
-            if not flat_float64_buffers(self.table, min_span):
+            if self.table.flat_length() < min_span:
                 for e, entry in enumerate(self.table):
                     _check_buffer(which, entry, f"table entry {e}")
                     if len(entry) < min_span:
@@ -245,14 +266,6 @@ def load_kernel_dir(path: str | Path, package_name: str | None = None) -> Kernel
     return KernelRegistry(module.KERNELS)
 
 
-def _owner_ids(buffers) -> list | None:
-    """ids of the ndarrays whose own allocations hold *buffers*; None if one is unknown."""
-    owners = [buffer if buffer.base is None else buffer.base for buffer in buffers]
-    if not all(map(isinstance, owners, repeat(np.ndarray))):
-        return None
-    return list(map(id, owners)) if all(map(attrgetter("flags.owndata"), owners)) else None
-
-
 def _byte_extents(operand: BatchedOperand, span: int, E: int):
     """``(lo, hi)`` int64 arrays: the bytes each matrix of *operand* spans.
 
@@ -260,15 +273,11 @@ def _byte_extents(operand: BatchedOperand, span: int, E: int):
     (Strided); a Constant operand has the one matrix ``data[:span]``.
     """
     if operand.kind is AccessKind.Indexed:
-        first, step = np.array(
-            [(m.__array_interface__["data"][0], m.strides[0]) for m in operand.table],
-            dtype=np.int64,
-        ).reshape(-1, 2).T
-    else:
-        step = operand.data.strides[0]
-        first = np.array([operand.data.__array_interface__["data"][0]], dtype=np.int64)
-        if operand.kind is AccessKind.Strided:
-            first = first + np.arange(E, dtype=np.int64) * (operand.span * step)
+        return operand.table.extents(span)
+    step = operand.data.strides[0]
+    first = np.array([operand.data.ctypes.data], dtype=np.int64)
+    if operand.kind is AccessKind.Strided:
+        first = first + np.arange(E, dtype=np.int64) * (operand.span * step)
     last = first + (span - 1) * step
     return np.minimum(first, last), np.maximum(first, last) + 8
 
@@ -278,30 +287,24 @@ def _check_disjoint(spec: KernelSpec, E: int, operands: Sequence[BatchedOperand]
 
     Buffers held by different numpy allocations cannot overlap, so when every
     C buffer has an allocation to itself that A and B do not use, only a
-    Strided C's own layout is left to check.  Otherwise the test is on sorted
-    extents, in O(E log E): C's must not overlap each other, and each A or B
-    extent must miss the highest C extent that starts below its end (lower
-    ones end earlier).  A Constant C is a single extent.
+    Strided C's own layout is left to check; a table's owners are cached on
+    it, and no entry address is read.  Otherwise C's extents are sorted, and
+    must not overlap each other (an Indexed C's table caches them, and the
+    verdict, per span); then each A or B extent must miss the highest C
+    extent that starts below its end (lower ones end earlier): one
+    ``searchsorted`` per operand.  A Constant C is a single extent.
     """
     c = operands[2]
-    owners = [
-        _owner_ids(op.table if op.kind is AccessKind.Indexed else [op.data]) for op in operands
-    ]
-    c_owners = owners[2]
-    c_alone = (
-        None not in owners
-        and len(set(c_owners)) == len(c_owners)
-        and set(c_owners).isdisjoint(chain(*owners[:2]))
-    )
+    c_alone = _c_has_own_allocations(operands)
     if c_alone and c.kind is not AccessKind.Strided:
         return
     spans = [matrix_span(spec, which, op.ld) for which, op in zip("ABC", operands)]
-    c_lo, c_hi = _byte_extents(c, spans[2], E)
-    order = np.argsort(c_lo, kind="stable")
-    c_lo, c_hi = c_lo[order], c_hi[order]
-    clash = np.flatnonzero(c_lo[1:] < c_hi[:-1])
-    if clash.size:
-        first, second = sorted(order[clash[0] : clash[0] + 2])
+    if c.kind is AccessKind.Indexed:
+        c_lo, c_hi, clash = c.table.sorted_extents(spans[2])
+    else:
+        c_lo, c_hi, clash = sort_extents(*_byte_extents(c, spans[2], E))
+    if clash is not None:
+        first, second = clash
         raise ValueError(f"operand C: the matrices of batch elements {first} and {second} overlap")
     if c_alone:
         return
@@ -310,6 +313,21 @@ def _check_disjoint(spec: KernelSpec, E: int, operands: Sequence[BatchedOperand]
         below = np.searchsorted(c_lo, hi) - 1
         if np.any((below >= 0) & (c_hi[below] > lo)):
             raise ValueError(f"operand C overlaps operand {which}")
+
+
+def _c_has_own_allocations(operands: Sequence[BatchedOperand]) -> bool:
+    """True when every C buffer has a numpy allocation to itself that A and B do not use."""
+    owners = [
+        op.table.owners() if op.kind is AccessKind.Indexed else owner_ids((op.data,))
+        for op in operands
+    ]
+    if any(ids is None for ids in owners):
+        return False
+    c = operands[2]
+    c_ids = c.table.sorted_owners() if c.kind is AccessKind.Indexed else owners[2]
+    others = np.concatenate(owners[:2])
+    nearest = c_ids[np.minimum(np.searchsorted(c_ids, others), c_ids.size - 1)]
+    return not (np.any(c_ids[1:] == c_ids[:-1]) or np.any(nearest == others))
 
 
 def _spans_match(spec: KernelSpec, a: BatchedOperand, b: BatchedOperand, c: BatchedOperand) -> bool:

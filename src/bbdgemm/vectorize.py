@@ -8,11 +8,17 @@ counts each call under the path that served it:
 * ``compiled``: when a C compiler (``cc``) is on PATH and the switches
   below allow it, the kernel's C twin (:func:`bbdgemm.codegen.generate_c_source`)
   is built on the kernel's first compiled call and called through
-  ``ctypes``; the compiler vectorizes the batch loop for the host.  Strided
-  and Constant buffers are passed in place when C-contiguous; each Indexed
-  operand is staged as an ``(E, span)`` copy whose row e is batch element
-  e, and an Indexed C is scattered back after the call.  A batch with any
-  other flat buffer takes the next path.
+  ``ctypes``; the compiler vectorizes the batch loop for the host.  A
+  Strided or Constant buffer is passed by its address, an Indexed operand by
+  an address array that C reads as ``X[e][off]``.  That is the address array
+  of the operand's :class:`~bbdgemm.core.PointerTable` from the table's
+  second use on, so a reused table is read and written in place, with no
+  copy.  On a table's first use, whose addresses would cost more to read
+  than its matrices to copy, or when its entries are not all C-contiguous
+  (or, for C, not all writable), the matrices are copied into an
+  ``(E, span)`` array, C reads that array's row addresses, and C's rows are
+  copied back.  A batch with a flat buffer that is not C-contiguous, or a
+  read-only flat C, takes the next path.
 * ``lanes``: every Strided or Indexed operand is staged as a ``(span, E)``
   array whose row ``off`` holds element ``off`` of every matrix, and the
   generated Python function runs once with E == 1 on those arrays.  Each
@@ -22,12 +28,14 @@ counts each call under the path that served it:
   compiled path does not serve, since every element accumulates into that
   one matrix in order (the C loop does so too; lanes would not).
 
-Staged copies and lanes read operands as they were on entry, so both give
-the sequential loop's answer only when no batch element reads or writes
-what another writes.  That is the operand contract that
-:func:`bbdgemm.runtime.run_batched` checks before it calls a kernel; the
-wrapper assumes it and checks again only what a pointer handed to C needs:
-dtype, rank, contiguity, length and, for C, writability of flat buffers.
+Lanes read operands as they were on entry, and the C loop lets element e
+write C before element e+1 reads; both give the sequential loop's answer
+because no batch element reads or writes what another writes.  That is the
+operand contract that :func:`bbdgemm.runtime.run_batched` checks before it
+calls a kernel; the wrapper assumes it and checks again only what a pointer
+handed to C needs: dtype, rank, contiguity, length and, for C, writability.
+A table caches all but its writability, so a reused table costs the wrapper
+O(1) plus, for C, one C-level scan of its entries' writable flags.
 
 Switches: ``BBDGEMM_JIT=0`` (or ``off``/``false``/``no``) turns the compiled
 path off for the process; otherwise :func:`enable_jit` and :func:`use_jit`
@@ -58,13 +66,14 @@ import threading
 import time
 from collections import Counter
 from contextlib import contextmanager
+from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from .codegen import generate_c_source
-from .core import AccessKind, flat_float64_buffers, matrix_span, parse_kernel_name
+from .core import AccessKind, PointerTable, flat_float64_buffers, matrix_span, parse_kernel_name
 
 __all__ = [
     "CompileEvent",
@@ -185,6 +194,9 @@ def _load_c_kernel(name: str):
     return fn
 
 
+_WRITEABLE = attrgetter("flags.writeable")
+
+
 def _matrices(table, E: int, span: int):
     """``table[e][:span]`` for each of the first E entries; views, not copies."""
     entries = table[:E]
@@ -223,8 +235,9 @@ def vectorize_batch_loop(name: str):
     kernel itself must ensure.  Under that contract the decorated function
     gives exactly the undecorated one's results.  E <= 0 returns early and
     touches no memory on any path.  The wrapper's ``path_counts`` counts
-    completed calls per path.  A kernel whose C twin fails to compile
-    raises ``RuntimeError`` carrying the compiler's messages.
+    completed calls per path, and ``path_elements`` the batch elements
+    those calls handled.  A kernel whose C twin fails to compile raises
+    ``RuntimeError`` carrying the compiler's messages.
     """
     spec = parse_kernel_name(name)
     kinds = (spec.access_a, spec.access_b, spec.access_c)
@@ -233,6 +246,7 @@ def vectorize_batch_loop(name: str):
         compiled = []
         compile_lock = threading.Lock()
         path_counts = Counter()
+        path_elements = Counter()
         count_lock = threading.Lock()
 
         def c_kernel():
@@ -265,33 +279,43 @@ def vectorize_batch_loop(name: str):
                 path = "sequential"
             with count_lock:
                 path_counts[path] += 1
+                path_elements[path] += E
 
         def _run_compiled(E, alpha, payloads, lds, beta, spans) -> bool:
             # Pointers handed to C must address float64 memory long enough
-            # for every element the loop touches; a flat buffer that is not
-            # C-contiguous takes lanes instead.
+            # for every element the loop touches, and writable for C; a flat
+            # buffer that is not takes lanes instead.  An Indexed operand goes
+            # as an address array read as X[e][off]: its table's own, or, for
+            # a table on its first use or with entries C cannot write or read
+            # in place, that of an (E, span) copy, with C copied back after.
+            args, staged = [], {}
             for payload, kind, span, which in zip(payloads, kinds, spans, "ABC"):
-                if kind is not AccessKind.Indexed and not (
+                if kind is AccessKind.Indexed:
+                    table = payload if isinstance(payload, PointerTable) else PointerTable(payload)
+                    if not (len(table) >= E and table.flat_length() >= span):
+                        return False
+                    addresses = table.addresses_on_reuse()
+                    if addresses is None or not (
+                        table.contiguous and (which != "C" or all(map(_WRITEABLE, table)))
+                    ):
+                        rows = staged[which] = _gather(table, E, span)
+                        addresses = rows.ctypes.data + np.arange(E, dtype=np.intp) * rows.strides[0]
+                    args.append(addresses)
+                elif not (
                     flat_float64_buffers([payload], E * span if kind is AccessKind.Strided else span)
                     and payload.flags.c_contiguous
                     and (which != "C" or payload.flags.writeable)
                 ):
                     return False
-            fn = c_kernel()
-            # Row e of a staged table is batch element e, at e*span.
-            args = [
-                _gather(p, E, span) if kind is AccessKind.Indexed else p
-                for p, kind, span in zip(payloads, kinds, spans)
-            ]
-            if any(arg.dtype != np.float64 for arg in args):
-                return False
-            fn(
+                else:
+                    args.append(payload)
+            c_kernel()(
                 int(E), float(alpha), args[0].ctypes.data, int(lds[0]),
                 args[1].ctypes.data, int(lds[1]), float(beta), args[2].ctypes.data, int(lds[2]),
                 *map(int, spans),
             )
-            if kinds[2] is AccessKind.Indexed:
-                _scatter(payloads[2], args[2], spans[2])
+            if "C" in staged:
+                _scatter(payloads[2], staged["C"], spans[2])
             return True
 
         def _run_lanes(E, alpha, payloads, lds, beta, spans) -> None:
@@ -317,6 +341,7 @@ def vectorize_batch_loop(name: str):
         wrapper.spec = spec
         wrapper.kernel_name = name
         wrapper.path_counts = path_counts
+        wrapper.path_elements = path_elements
         return wrapper
 
     return decorate

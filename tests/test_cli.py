@@ -81,7 +81,7 @@ class TestProxyCli:
         assert proxy_main(["--cells", "2", "--timesteps", "1", "--seed", "1"]) == 0
         out = capsys.readouterr().out
         for name in ("bbdgemm_ColMajor_20_9_10_cis", "bbdgemm_ColMajor_10_9_9_sci"):
-            assert re.search(rf"^{name}: \d+ calls compiled$", out, re.M)
+            assert re.search(rf"^{name}: \d+ calls compiled \(\d+ elements\)$", out, re.M)
             assert re.search(rf"^compile {name}: [0-9.]+ s \(cache (hit|miss)\)$", out, re.M)
 
     def test_compare_requires_dump(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bbdgemm import proxy as proxy_mod, runtime as runtime_mod
 from bbdgemm.codegen import ManifestError
 from bbdgemm.core import AccessKind, KernelShape, KernelSpec, Layout
 from bbdgemm.proxy import (
@@ -208,6 +209,31 @@ class TestBatchedVariant:
                 backing = scratch.array
                 compute_local_integration_batched(config, state, scratch, registry=registry)
                 assert scratch.array is backing
+
+    def test_state_builds_its_tables_and_scratch_once(self, monkeypatch):
+        # Three one-timestep runs of one state build 2 x components pointer
+        # tables and allocate scratch once, and give the bytes of one
+        # three-timestep run and of the scalar mode.
+        built, allocated = [], []
+        build, allocate = proxy_mod.build_pointer_table, runtime_mod._aligned_empty
+        monkeypatch.setattr(
+            proxy_mod, "build_pointer_table", lambda *args: built.append(args) or build(*args)
+        )
+        monkeypatch.setattr(
+            runtime_mod, "_aligned_empty", lambda *args: allocated.append(args) or allocate(*args)
+        )
+        registry = small_registry()
+        config = small_config(mode="vector", timesteps=3)
+        stepped = build_state(config)
+        for _ in range(3):
+            run_proxy_state(config, stepped, registry=registry, timesteps=1)
+        assert len(built) == 2 * config.components
+        assert len(allocated) == 1
+        whole = run_proxy(config, registry=registry)
+        scalar = run_proxy(small_config(mode="scalar", timesteps=3))
+        assert registry.fallback_count == 0
+        assert qout_snapshot(stepped).tobytes() == qout_snapshot(whole).tobytes()
+        assert qout_snapshot(stepped).tobytes() == qout_snapshot(scalar).tobytes()
 
 
 class TestState:

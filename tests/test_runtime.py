@@ -1,3 +1,4 @@
+import copy
 import itertools
 import json
 import os
@@ -11,13 +12,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bbdgemm import vectorize
+from bbdgemm import core, vectorize
 from bbdgemm.bench import clone_operand, output_elements
 from bbdgemm.core import (
     AccessKind,
     KernelShape,
     KernelSpec,
     Layout,
+    PointerTable,
     kernel_name,
     matrix_span,
     operand_dims,
@@ -115,9 +117,9 @@ class TestRunBatched:
         registry = build_registry(S_CIS)
         rng = np.random.default_rng(5)
         a, b, c = make_operands(S_CIS, 3, rng)
-        b.table.pop()
+        short = BatchedOperand.indexed(b.table[:-1], b.ld)
         with pytest.raises(ValueError, match="pointer table"):
-            run_batched(S_CIS, 3, 1.0, a, b, 0.0, c, registry=registry)
+            run_batched(S_CIS, 3, 1.0, a, short, 0.0, c, registry=registry)
 
     def test_inputs_never_mutated(self):
         registry = build_registry(S_CIS)
@@ -217,9 +219,11 @@ class TestRunBatched:
         s = spec(Layout.ColMajor, 2, 3, 4, "cii")
         registry = build_registry(s)
         a, b, c = make_operands(s, 5, np.random.default_rng(18))
-        table = {"B": b, "C": c}[which].table
+        table = list({"B": b, "C": c}[which].table)
         span = len(table[2])
         table[2], table[3] = spoil(table[2]), spoil(table[3])
+        spoiled = BatchedOperand.indexed(table, b.ld if which == "B" else c.ld)
+        b, c = (spoiled, c) if which == "B" else (b, spoiled)
         c_before = [np.array(m).tobytes() for m in c.table]
         message = message.format(short=span - 1, span=span)
         with pytest.raises(ValueError, match=rf"operand {which}: table entry 2 {message}"):
@@ -541,6 +545,7 @@ class TestSequentialWhenLanesWouldDiffer:
             run_batched(s, E, 1.0, got[0], got[1], 1.0, got[2], registry=registry)
         assert registry.fallback_count == 0
         assert registry.lookup(kernel_name(s)).path_counts == {self.SERVED: 1}
+        assert registry.lookup(kernel_name(s)).path_elements == {self.SERVED: E}
         batched_ref(s, E, GemmScalars(1.0, 1.0), *want)
         assert got[2].data.tobytes() == want[2].data.tobytes()
 
@@ -613,6 +618,109 @@ class TestCompiledPath:
             f"({sum(not e.cache_hit for e in built)} built, {sum(e.cache_hit for e in built)} cached)"
         )
 
+    @pytest.mark.parametrize(
+        "entries",
+        ["pooled_views", "longer_than_span", "read_only_a_b", "shared_a_b", "non_contiguous"],
+    )
+    def test_reused_indexed_operands_are_read_in_place(self, entries, monkeypatch):
+        # From a table's second use, C reads every contiguous table through
+        # its address array: no staging copy, no write-back, and the oracle's
+        # bytes, elements past a matrix included.  Entries that are not
+        # C-contiguous are copied on every call, and give the same bytes on
+        # lanes.
+        s = spec(Layout.ColMajor, 3, 3, 3, "iii")
+        E = 9
+        staged = []
+        for helper in ("_gather", "_scatter"):
+            original = getattr(vectorize, helper)
+            monkeypatch.setattr(
+                vectorize, helper, lambda *args, f=original, n=helper: staged.append(n) or f(*args)
+            )
+
+        def build():
+            # Views take A's, B's and C's matrices from one pool, in turn.
+            rng = np.random.default_rng(46)
+            step = 2 if entries == "non_contiguous" else 1
+            span = matrix_span(s, "A", 3)  # 9, as for B and C
+            pool = rng.uniform(-1.0, 1.0, 3 * step * E * span)
+            operands = []
+            for offset, which in zip(range(0, pool.size, step * E * span), "ABC"):
+                if entries == "longer_than_span":
+                    table = [rng.uniform(-1.0, 1.0, span + 3) for _ in range(E)]
+                else:
+                    starts = offset + step * span * rng.permutation(E)
+                    table = [pool[o : o + step * span : step] for o in starts]
+                for entry in table if entries == "read_only_a_b" and which != "C" else []:
+                    entry.flags.writeable = False
+                operands.append(BatchedOperand.indexed(table, 3))
+            if entries == "shared_a_b":
+                operands[1] = operands[0]
+            return operands
+
+        got, lanes, want = build(), build(), build()
+        registry = build_registry(s)
+        with use_jit(True):
+            run_batched(s, E, 1.5, got[0], got[1], 0.5, got[2], registry=registry)
+            staged.clear()
+            run_batched(s, E, 1.5, got[0], got[1], 0.5, got[2], registry=registry)
+        copied = ["_gather"] * 3 + ["_scatter"] if entries == "non_contiguous" else []
+        assert staged == copied
+        assert registry.lookup(kernel_name(s)).path_counts == {"compiled": 2}
+        with use_jit(False):
+            for _ in range(2):
+                run_batched(s, E, 1.5, lanes[0], lanes[1], 0.5, lanes[2], registry=registry)
+        for _ in range(2):
+            batched_ref(s, E, GemmScalars(1.5, 0.5), *want)
+        expected = [m.tobytes() for m in buffers_of(*want)]
+        assert [m.tobytes() for m in buffers_of(*got)] == expected
+        assert [m.tobytes() for m in buffers_of(*lanes)] == expected
+
+    def test_a_table_reads_its_addresses_only_when_reused(self, monkeypatch):
+        # Separately allocated entries need no address for the contract, so a
+        # table's first call copies its matrices, as a table built afresh for
+        # every call would; its second reads the addresses, once.
+        s = spec(Layout.RowMajor, 2, 3, 4, "ici")
+        E = 6
+        rng = np.random.default_rng(47)
+        a, b, c = make_operands(s, E, rng)
+        a, c = (BatchedOperand.indexed([m.copy() for m in op.table], op.ld) for op in (a, c))
+        want = [clone_operand(op) for op in (a, b, c)]
+        reads, copies = [], []
+        read_address = core._ADDRESS
+        monkeypatch.setattr(core, "_ADDRESS", lambda m: reads.append(m) or read_address(m))
+        gather = vectorize._gather
+        monkeypatch.setattr(vectorize, "_gather", lambda *args: copies.append(args) or gather(*args))
+        registry = build_registry(s)
+        seen = []
+        with use_jit(True):
+            for _ in range(3):
+                run_batched(s, E, 1.5, a, b, 0.5, c, registry=registry)
+                seen.append((len(reads), len(copies)))
+                batched_ref(s, E, GemmScalars(1.5, 0.5), *want)
+        assert seen == [(0, 2), (2 * E, 2), (2 * E, 2)]
+        assert registry.lookup(kernel_name(s)).path_counts == {"compiled": 3}
+        assert [m.tobytes() for m in c.table] == [m.tobytes() for m in want[2].table]
+
+    @pytest.mark.parametrize("uses", [1, 2])
+    def test_direct_call_never_writes_a_read_only_c_entry(self, uses):
+        # Called directly, past run_batched's contract check, the compiled
+        # path still refuses to write through a read-only C entry, whether
+        # the table is copied (first use) or read in place (reuse).
+        s = spec(Layout.ColMajor, 2, 3, 4, "cii")
+        E = 4
+        a, b, c = make_operands(s, E, np.random.default_rng(48))
+        frozen = bytes(len(c.table[0]) * 8)
+        table = PointerTable([np.frombuffer(frozen), *c.table[1:]])
+        kernel = build_registry(s).lookup(kernel_name(s))
+        with use_jit(True):
+            for _ in range(uses - 1):
+                table.addresses_on_reuse()
+            with pytest.raises(ValueError, match="read-only"):
+                kernel(E, 1.0, a.data, a.ld, b.table, b.ld, 1.0, table, c.ld)
+        assert frozen == bytes(len(frozen))
+        # The compiled path, not lanes, took the call: it asked for the addresses.
+        assert table.addresses_on_reuse() is not None
+
     def test_no_compiler_takes_lanes_with_the_same_bytes(self, monkeypatch):
         s = spec(Layout.RowMajor, 2, 3, 4, "ici")
         got = make_operands(s, 9, np.random.default_rng(45))
@@ -625,6 +733,7 @@ class TestCompiledPath:
         with use_jit(True):  # the switch cannot turn on a missing compiler
             run_batched(s, 9, 1.5, *want[:2], 0.5, want[2], registry=registry)
         assert registry.lookup(kernel_name(s)).path_counts == {"lanes": 1}
+        assert registry.lookup(kernel_name(s)).path_elements == {"lanes": 9}
         assert [m.tobytes() for m in got[2].table] == [m.tobytes() for m in want[2].table]
 
     def test_environment_is_the_master_switch(self, monkeypatch):
@@ -695,6 +804,7 @@ class TestCompiledPath:
         built = [e for e in vectorize.compile_log[events:] if e.kernel == kernel_name(s)]
         assert [e.cache_hit for e in built] == [False]
         assert kernel.path_counts == {"compiled": 4}
+        assert kernel.path_elements == {"compiled": 200}
 
 
 class TestPointerTable:
@@ -729,6 +839,75 @@ class TestPointerTable:
     def test_no_cells(self):
         with pytest.raises(ValueError, match="zero cells"):
             build_pointer_table([], 0)
+
+
+class TestTableValue:
+    """``BatchedOperand.indexed`` snapshots its table into a PointerTable value."""
+
+    def test_mutating_the_source_list_changes_nothing(self):
+        s = spec(Layout.ColMajor, 2, 3, 4, "cii")
+        registry = build_registry(s)
+        a, b, c = make_operands(s, 6, np.random.default_rng(21))
+        source = list(c.table)
+        c = BatchedOperand.indexed(source, c.ld)
+        c_ref = clone_operand(c)
+        first, stranger = source[0], np.zeros(len(source[0]))
+        source[0] = stranger
+        source.append(np.zeros(len(first)))
+        del source[1]
+        assert len(c.table) == 6 and c.table[0] is first
+        run_batched(s, 6, 1.5, a, b, 0.5, c, registry=registry)
+        batched_ref(s, 6, GemmScalars(1.5, 0.5), a, b, c_ref)
+        assert [m.tobytes() for m in c.table] == [m.tobytes() for m in c_ref.table]
+        assert not stranger.any()
+
+    def test_entries_are_scanned_once_across_calls(self, monkeypatch):
+        # After the first call, validate reads the table's cached facts; only
+        # C's writability is scanned per call.
+        scans = []
+        scan = core.flat_float64_buffers
+        monkeypatch.setattr(
+            core, "flat_float64_buffers", lambda buffers, *rest: scans.append(buffers) or scan(buffers, *rest)
+        )
+        registry = build_registry(S_CIS)
+        a, b, c = make_operands(S_CIS, 8, np.random.default_rng(22))
+        for _ in range(3):
+            run_batched(S_CIS, 8, 1.0, a, b, 1.0, c, registry=registry)
+        assert [scanned is b.table for scanned in scans] == [True]
+
+    def test_a_deep_copy_computes_its_own_facts(self):
+        table = PointerTable([np.zeros(4), np.ones(4)])
+        copied = copy.deepcopy(table)
+        assert isinstance(copied, PointerTable)
+        assert set(table.addresses.tolist()).isdisjoint(copied.addresses.tolist())
+        assert [m.tobytes() for m in copied] == [m.tobytes() for m in table]
+        assert not table.addresses.flags.writeable
+
+    def test_facts_are_computed_once_under_threads(self):
+        pool = np.arange(400.0)
+        table = PointerTable(pool[o : o + 4] for o in range(0, 400, 4))
+        start = threading.Barrier(4)
+        seen = []
+
+        def worker():
+            start.wait(timeout=30)
+            seen.append((table.addresses, table.sorted_extents(4)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == 4
+        assert all(addresses is seen[0][0] and extents is seen[0][1] for addresses, extents in seen)
+        assert seen[0][0].tolist() == [pool.ctypes.data + 8 * o for o in range(0, 400, 4)]
+        assert seen[0][1][2] is None  # the 100 matrices are pairwise disjoint
 
 
 class TestPackStrided:
