@@ -6,13 +6,16 @@ one-to-one onto a kernel name such as ``bbdgemm_ColMajor_2_3_4_cis``; the
 name is the key used by manifests, the dispatch table, and the CLI.
 :func:`is_decimal` and :func:`flat_float64_buffers` are the token and buffer
 tests that the parsers, the operand checks and the oracle share;
-:class:`PointerTable` is an Indexed operand's table of buffers as a value.
+:class:`PointerTable` is an Indexed operand's table of buffers as a value,
+and :data:`checked_c` marks the one whose writability a call has checked.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import threading
+from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import repeat
 from operator import attrgetter
@@ -33,6 +36,7 @@ __all__ = [
     "is_decimal",
     "flat_float64_buffers",
     "PointerTable",
+    "checked_c",
     "owner_ids",
     "sort_extents",
     "OPERANDS",
@@ -104,9 +108,16 @@ def flat_float64_buffers(buffers, size: int = 0) -> bool:
     )
 
 
-_ADDRESS, _STRIDES, _CONTIGUOUS = (
-    attrgetter("ctypes.data"), attrgetter("strides"), attrgetter("flags.c_contiguous")
+_ADDRESS, _STRIDES, _CONTIGUOUS, _WRITEABLE = (
+    attrgetter("ctypes.data"), attrgetter("strides"), attrgetter("flags.c_contiguous"),
+    attrgetter("flags.writeable"),
 )
+
+#: The Indexed C table whose writability ``run_batched`` checked for the
+#: kernel call it is making in this context, else None.  Set around that one
+#: call and reset after it, per thread and task, so it never outlives the call
+#: and survives any plain function wrapped around the kernel.
+checked_c: ContextVar["PointerTable | None"] = ContextVar("checked_c", default=None)
 
 
 class PointerTable(tuple):
@@ -116,13 +127,16 @@ class PointerTable(tuple):
     sequence does not reach the table.  Facts about the entries are computed
     on first use, once, under a lock, and cached on the value: the shortest
     length if every entry is a flat float64 ndarray, the allocations that
-    hold the entries, and then each entry's address and stride, whether all
-    are C-contiguous, and the sorted byte extents of its matrices per span.
-    They stay true as long as no entry is resized or reshaped in place.  The
-    address array is what a compiled kernel reads as its ``double **``
-    argument.  Reading it costs about 1 us per entry, more than copying a
-    small matrix out and back, so it pays only for a table that is used
-    again: :meth:`addresses_on_reuse` withholds it on the first request.
+    hold the entries and whether no two share one, and then each entry's
+    address and stride, whether all are C-contiguous, and the sorted byte
+    extents of its matrices per span.  They stay true as long as no entry is
+    resized or reshaped in place.  Writability is not among them, since a
+    flag can be flipped between calls: :meth:`check_writable` scans it every
+    time.  The address array is what a compiled kernel reads as its
+    ``double **`` argument.  Reading it costs about 1 us per entry, more
+    than copying a small matrix out and back, so it pays only for a table
+    that is used again: :meth:`addresses_on_reuse` withholds it on the first
+    request.
     """
 
     def __new__(cls, entries=()):
@@ -162,6 +176,24 @@ class PointerTable(tuple):
         return self._fact(
             "sorted_owners", lambda: owners if owners is None else _read_only(np.sort(owners))
         )
+
+    def distinct_owners(self) -> bool:
+        """True when the owners are known and no two entries share one."""
+        owners = self.sorted_owners()
+        return self._fact(
+            "distinct_owners",
+            lambda: owners is not None and not np.any(owners[1:] == owners[:-1]),
+        )
+
+    def check_writable(self, which: str) -> None:
+        """Raise ``ValueError`` naming the first entry of operand *which* that is read-only.
+
+        One C-level scan of the entries' flags per call, never cached; the
+        entries are walked again only to name the one at fault.
+        """
+        if not all(map(_WRITEABLE, self)):
+            entry = list(map(_WRITEABLE, self)).index(False)
+            raise ValueError(f"operand {which}: table entry {entry} is read-only")
 
     # The facts below assume flat_length() >= 0: every entry is a flat float64 ndarray.
 
@@ -301,6 +333,16 @@ class KernelSpec:
     def name(self) -> str:
         return kernel_name(self)
 
+    @functools.cached_property
+    def _operand_dims(self) -> dict[str, OperandDims]:
+        # Derived once per spec value: a run_batched call reads them several times.
+        s = self.shape
+        dims = {}
+        for which, (rows, cols) in zip(OPERANDS, ((s.n, s.k), (s.k, s.m), (s.n, s.m))):
+            min_ld = rows if self.layout is Layout.ColMajor else cols
+            dims[which] = OperandDims(rows=rows, cols=cols, min_ld=min_ld)
+        return dims
+
 
 @dataclass(frozen=True)
 class OperandDims:
@@ -368,10 +410,7 @@ def parse_kernel_name(name: str) -> KernelSpec:
 def operand_dims(spec: KernelSpec, which: str) -> OperandDims:
     """Dimensions of operand *which*: A is n x k, B is k x m, C is n x m."""
     _check_operand(which)
-    s = spec.shape
-    rows, cols = {"A": (s.n, s.k), "B": (s.k, s.m), "C": (s.n, s.m)}[which]
-    min_ld = rows if spec.layout is Layout.ColMajor else cols
-    return OperandDims(rows=rows, cols=cols, min_ld=min_ld)
+    return spec._operand_dims[which]
 
 
 def matrix_span(spec: KernelSpec, which: str, ld: int) -> int:

@@ -22,14 +22,19 @@ operand at fault) before any byte is written or a fallback is counted.
 
 An Indexed operand's table is a :class:`~bbdgemm.core.PointerTable`, a
 value built once: the facts the contract needs (flat float64 entries and
-their shortest length, the allocations holding them, and where those do not
-settle disjointness, entry addresses and C's sorted extents) are computed
-on the table's first use and cached.  A table reused across calls is
-checked in O(1) plus one C-level scan of C's writability and one
-``searchsorted`` of A's and B's owners (or extents) into C's.  A table
-built afresh for each call costs what it did before tables were values: one
-scan of its entries, and no address read while every entry has an
-allocation of its own.
+their shortest length, the allocations holding them and whether they are
+distinct, and where those do not settle disjointness, entry addresses and
+C's sorted extents) are computed on the table's first use and cached.  A
+call on reused operands makes one pass over entries at Python level: the
+C-level scan of an Indexed C's writable flags, which no cache can answer
+since a flag can be flipped between calls.  ``run_batched`` marks that C
+table in :data:`~bbdgemm.core.checked_c` for the kernel call it makes, so
+the kernel wrapper does not scan it again.  The rest is O(1) or numpy on
+cached facts: a Strided C's own layout is an arithmetic progression, decided
+by one comparison, and A's and B's owners (or extents) are searched against
+C's.  A table built afresh for each call costs what it did before tables
+were values: one scan of its entries, and no address read while every entry
+has an allocation of its own.
 """
 
 from __future__ import annotations
@@ -40,7 +45,6 @@ import re
 import sys
 import threading
 from dataclasses import dataclass
-from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -52,6 +56,7 @@ from .core import (
     Layout,
     OperandDims,
     PointerTable,
+    checked_c,
     flat_float64_buffers,
     kernel_name,
     matrix_span,
@@ -114,13 +119,13 @@ class BatchedOperand:
         """Raw argument passed to a generated kernel."""
         return self.table if self.kind is AccessKind.Indexed else self.data
 
-    def validate(self, which: str, spec: KernelSpec, E: int) -> None:
+    def validate(self, which: str, spec: KernelSpec, E: int) -> int:
         """Check this operand alone against the contract for role *which* of *spec*.
 
         Raises ``ValueError`` naming the operand, and the first bad table
         entry where there is one.  C must also be writable.  A table's
         entries are checked once, on its first use; after that only C's
-        writability is scanned again.
+        writability is scanned again.  Returns the operand's matrix span.
         """
         dims = operand_dims(spec, which)
         if spec.access(which) is not self.kind:
@@ -169,12 +174,12 @@ class BatchedOperand:
                         f"operand {which}: buffer holds {len(self.data)} elements, "
                         f"need {min_span}"
                     )
-        buffers = self.table if self.kind is AccessKind.Indexed else (self.data,)
-        if which == "C" and not all(map(attrgetter("flags.writeable"), buffers)):
-            label = "buffer"
+        if which == "C":
             if self.kind is AccessKind.Indexed:
-                label = f"table entry {[m.flags.writeable for m in buffers].index(False)}"
-            raise ValueError(f"operand {which}: {label} is read-only")
+                self.table.check_writable(which)
+            elif not self.data.flags.writeable:
+                raise ValueError(f"operand {which}: buffer is read-only")
+        return min_span
 
 
 def _check_buffer(which: str, buffer, label: str) -> None:
@@ -282,32 +287,50 @@ def _byte_extents(operand: BatchedOperand, span: int, E: int):
     return np.minimum(first, last), np.maximum(first, last) + 8
 
 
-def _check_disjoint(spec: KernelSpec, E: int, operands: Sequence[BatchedOperand]) -> None:
-    """Refuse a C whose matrices overlap each other, A or B, in byte extents.
+def _strided_clash(step: int, span: int, min_span: int, E: int) -> tuple[int, int] | None:
+    """The clash :func:`sort_extents` reports for a Strided C's own extents, in O(1).
 
-    Buffers held by different numpy allocations cannot overlap, so when every
-    C buffer has an allocation to itself that A and B do not use, only a
-    Strided C's own layout is left to check; a table's owners are cached on
-    it, and no entry address is read.  Otherwise C's extents are sorted, and
-    must not overlap each other (an Indexed C's table caches them, and the
-    verdict, per span); then each A or B extent must miss the highest C
-    extent that starts below its end (lower ones end earlier): one
-    ``searchsorted`` per operand.  A Constant C is a single extent.
+    *step* is the buffer's stride in bytes, *span* the operand's and
+    *min_span* its matrix span.  Matrix e starts ``e * span * step`` bytes
+    after the first, and all E span ``(min_span - 1) * |step| + 8`` bytes, so
+    consecutive ones overlap iff ``(span - min_span + 1) * |step| < 8``, and
+    when they do not, no pair does.  The first clash in address order is
+    then that of elements 0 and 1, or E-2 and E-1 when the step is negative.
     """
-    c = operands[2]
-    c_alone = _c_has_own_allocations(operands)
-    if c_alone and c.kind is not AccessKind.Strided:
-        return
-    spans = [matrix_span(spec, which, op.ld) for which, op in zip("ABC", operands)]
-    if c.kind is AccessKind.Indexed:
-        c_lo, c_hi, clash = c.table.sorted_extents(spans[2])
-    else:
-        c_lo, c_hi, clash = sort_extents(*_byte_extents(c, spans[2], E))
+    if E < 2 or (span - min_span + 1) * abs(step) >= 8:
+        return None
+    return (E - 2, E - 1) if step < 0 else (0, 1)
+
+
+def _refuse_clash(clash: tuple[int, int] | None) -> None:
     if clash is not None:
         first, second = clash
         raise ValueError(f"operand C: the matrices of batch elements {first} and {second} overlap")
-    if c_alone:
+
+
+def _check_disjoint(E: int, operands: Sequence[BatchedOperand], spans: Sequence[int]) -> None:
+    """Refuse a C whose matrices overlap each other, A or B, in byte extents.
+
+    A Strided C's own layout is decided in O(1) by :func:`_strided_clash`.
+    Buffers held by different numpy allocations cannot overlap, so when every
+    C buffer has an allocation to itself that A and B do not use, nothing is
+    left to check; a table's owners are cached on it, and no entry address is
+    read.  Otherwise C's extents are sorted, and an Indexed C's must not
+    overlap each other (its table caches them, and the verdict, per span);
+    then each A or B extent must miss the highest C extent that starts below
+    its end (lower ones end earlier): one ``searchsorted`` per operand.  A
+    Constant C is a single extent.
+    """
+    c = operands[2]
+    if c.kind is AccessKind.Strided:
+        _refuse_clash(_strided_clash(c.data.strides[0], c.span, spans[2], E))
+    if _c_has_own_allocations(operands):
         return
+    if c.kind is AccessKind.Indexed:
+        c_lo, c_hi, clash = c.table.sorted_extents(spans[2])
+        _refuse_clash(clash)
+    else:  # a Constant C is one extent; a Strided C's own layout passed above
+        c_lo, c_hi, _ = sort_extents(*_byte_extents(c, spans[2], E))
     for which, operand, span in zip("AB", operands, spans):
         lo, hi = _byte_extents(operand, span, E)
         below = np.searchsorted(c_lo, hi) - 1
@@ -316,28 +339,35 @@ def _check_disjoint(spec: KernelSpec, E: int, operands: Sequence[BatchedOperand]
 
 
 def _c_has_own_allocations(operands: Sequence[BatchedOperand]) -> bool:
-    """True when every C buffer has a numpy allocation to itself that A and B do not use."""
+    """True when every C buffer has a numpy allocation to itself that A and B do not use.
+
+    Reads cached table facts: C's duplicate-owner verdict, and the sorted
+    owners into which the smaller of the two owner sets compared is searched.
+    """
     owners = [
-        op.table.owners() if op.kind is AccessKind.Indexed else owner_ids((op.data,))
+        op.table.sorted_owners() if op.kind is AccessKind.Indexed else owner_ids((op.data,))
         for op in operands
     ]
-    if any(ids is None for ids in owners):
-        return False
     c = operands[2]
-    c_ids = c.table.sorted_owners() if c.kind is AccessKind.Indexed else owners[2]
-    others = np.concatenate(owners[:2])
-    nearest = c_ids[np.minimum(np.searchsorted(c_ids, others), c_ids.size - 1)]
-    return not (np.any(c_ids[1:] == c_ids[:-1]) or np.any(nearest == others))
+    if owners[2] is None or (c.kind is AccessKind.Indexed and not c.table.distinct_owners()):
+        return False
+    for ids in owners[:2]:
+        if ids is None:
+            return False
+        small, large = sorted((ids, owners[2]), key=len)
+        nearest = large[np.minimum(np.searchsorted(large, small), large.size - 1)]
+        if np.any(nearest == small):
+            return False
+    return True
 
 
-def _spans_match(spec: KernelSpec, a: BatchedOperand, b: BatchedOperand, c: BatchedOperand) -> bool:
+def _spans_match(operands: Sequence[BatchedOperand], spans: Sequence[int]) -> bool:
     # Generated kernels derive strided spans from the leading dimensions;
     # padded spans are valid operands but must take the reference path.
-    for which, operand in zip("ABC", (a, b, c)):
-        if operand.kind is AccessKind.Strided:
-            if operand.span != matrix_span(spec, which, operand.ld):
-                return False
-    return True
+    return all(
+        operand.kind is not AccessKind.Strided or operand.span == span
+        for operand, span in zip(operands, spans)
+    )
 
 
 def run_batched(
@@ -364,12 +394,17 @@ def run_batched(
     registry = registry if registry is not None else default_registry()
     if E == 0:
         return
-    for which, operand in zip("ABC", (a, b, c)):
-        operand.validate(which, spec, E)
-    _check_disjoint(spec, E, (a, b, c))
+    operands = (a, b, c)
+    spans = [operand.validate(which, spec, E) for which, operand in zip("ABC", operands)]
+    _check_disjoint(E, operands, spans)
     kernel = registry.lookup(kernel_name(spec))
-    if kernel is not None and _spans_match(spec, a, b, c):
-        kernel(E, alpha, a.payload(), a.ld, b.payload(), b.ld, beta, c.payload(), c.ld)
+    if kernel is not None and _spans_match(operands, spans):
+        # validate has just scanned C's writability: the kernel need not again.
+        token = checked_c.set(c.table)
+        try:
+            kernel(E, alpha, a.payload(), a.ld, b.payload(), b.ld, beta, c.payload(), c.ld)
+        finally:
+            checked_c.reset(token)
         return
     registry.record_fallback()
     batched_ref(spec, E, GemmScalars(alpha, beta), a, b, c)

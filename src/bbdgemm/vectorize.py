@@ -14,10 +14,11 @@ counts each call under the path that served it:
   of the operand's :class:`~bbdgemm.core.PointerTable` from the table's
   second use on, so a reused table is read and written in place, with no
   copy.  On a table's first use, whose addresses would cost more to read
-  than its matrices to copy, or when its entries are not all C-contiguous
-  (or, for C, not all writable), the matrices are copied into an
-  ``(E, span)`` array, C reads that array's row addresses, and C's rows are
-  copied back.  A batch with a flat buffer that is not C-contiguous, or a
+  than its matrices to copy, or when its entries are not all C-contiguous,
+  the matrices are copied into an ``(E, span)`` array, C reads that array's
+  row addresses, and C's rows are copied back.  An Indexed C with a
+  read-only entry is refused with ``ValueError`` before anything is
+  written.  A batch with a flat buffer that is not C-contiguous, or a
   read-only flat C, takes the next path.
 * ``lanes``: every Strided or Indexed operand is staged as a ``(span, E)``
   array whose row ``off`` holds element ``off`` of every matrix, and the
@@ -35,7 +36,9 @@ operand contract that :func:`bbdgemm.runtime.run_batched` checks before it
 calls a kernel; the wrapper assumes it and checks again only what a pointer
 handed to C needs: dtype, rank, contiguity, length and, for C, writability.
 A table caches all but its writability, so a reused table costs the wrapper
-O(1) plus, for C, one C-level scan of its entries' writable flags.
+O(1), plus, for an Indexed C, one C-level scan of its entries' writable
+flags, which the wrapper skips when the table is the one ``run_batched``
+has just checked for this very call (:data:`bbdgemm.core.checked_c`).
 
 Switches: ``BBDGEMM_JIT=0`` (or ``off``/``false``/``no``) turns the compiled
 path off for the process; otherwise :func:`enable_jit` and :func:`use_jit`
@@ -66,14 +69,20 @@ import threading
 import time
 from collections import Counter
 from contextlib import contextmanager
-from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from .codegen import generate_c_source
-from .core import AccessKind, PointerTable, flat_float64_buffers, matrix_span, parse_kernel_name
+from .core import (
+    AccessKind,
+    PointerTable,
+    checked_c,
+    flat_float64_buffers,
+    matrix_span,
+    parse_kernel_name,
+)
 
 __all__ = [
     "CompileEvent",
@@ -194,9 +203,6 @@ def _load_c_kernel(name: str):
     return fn
 
 
-_WRITEABLE = attrgetter("flags.writeable")
-
-
 def _matrices(table, E: int, span: int):
     """``table[e][:span]`` for each of the first E entries; views, not copies."""
     entries = table[:E]
@@ -284,10 +290,11 @@ def vectorize_batch_loop(name: str):
         def _run_compiled(E, alpha, payloads, lds, beta, spans) -> bool:
             # Pointers handed to C must address float64 memory long enough
             # for every element the loop touches, and writable for C; a flat
-            # buffer that is not takes lanes instead.  An Indexed operand goes
-            # as an address array read as X[e][off]: its table's own, or, for
-            # a table on its first use or with entries C cannot write or read
-            # in place, that of an (E, span) copy, with C copied back after.
+            # buffer that is not takes lanes instead, a read-only C entry is
+            # refused.  An Indexed operand goes as an address array read as
+            # X[e][off]: its table's own, or, for a table on its first use or
+            # with entries C cannot read in place, that of an (E, span) copy,
+            # with C copied back after.
             args, staged = [], {}
             for payload, kind, span, which in zip(payloads, kinds, spans, "ABC"):
                 if kind is AccessKind.Indexed:
@@ -295,9 +302,9 @@ def vectorize_batch_loop(name: str):
                     if not (len(table) >= E and table.flat_length() >= span):
                         return False
                     addresses = table.addresses_on_reuse()
-                    if addresses is None or not (
-                        table.contiguous and (which != "C" or all(map(_WRITEABLE, table)))
-                    ):
+                    if which == "C" and table is not checked_c.get():
+                        table.check_writable(which)
+                    if addresses is None or not table.contiguous:
                         rows = staged[which] = _gather(table, E, span)
                         addresses = rows.ctypes.data + np.arange(E, dtype=np.intp) * rows.strides[0]
                     args.append(addresses)

@@ -23,12 +23,15 @@ from bbdgemm.core import (
     kernel_name,
     matrix_span,
     operand_dims,
+    sort_extents,
 )
 from bbdgemm.reference import GemmScalars, batched_ref
 from bbdgemm.runtime import (
     BatchedOperand,
     KernelRegistry,
     ScratchBuffer,
+    _byte_extents,
+    _check_disjoint,
     build_pointer_table,
     pack_strided,
     run_batched,
@@ -457,6 +460,57 @@ class TestOperandContract:
         assert [m.tobytes() for m in buffers_of(a, b, c)] == before
         assert registry.fallback_count == 0
 
+    @pytest.mark.parametrize("path", PATHS)
+    def test_entry_made_read_only_after_first_use_is_refused(self, path):
+        # Writability is scanned on every call, not cached with the table's
+        # other facts: a flag flipped after the table was used and reused
+        # (so the compiled path reads it in place) is still refused.
+        s = spec(Layout.RowMajor, 2, 3, 4, "ici")
+        E = 6
+        a, b, c = make_operands(s, E, np.random.default_rng(49))
+        with on_path(path) as registry_for:
+            registry = registry_for(s)
+            for _ in range(2):
+                run_batched(s, E, 1.5, a, b, 0.5, c, registry=registry)
+            fallbacks = registry.fallback_count
+            c.table[4].flags.writeable = False
+            before = [m.tobytes() for m in buffers_of(a, b, c)]
+            with pytest.raises(ValueError, match="^operand C: table entry 4 is read-only$"):
+                run_batched(s, E, 1.5, a, b, 0.5, c, registry=registry)
+        assert [m.tobytes() for m in buffers_of(a, b, c)] == before
+        assert registry.fallback_count == fallbacks
+
+    @pytest.mark.parametrize("E", [1, 2, 7])
+    @pytest.mark.parametrize("step", [8, -8, 0, 4, -4, -2, 12, 24])
+    @pytest.mark.parametrize("padding", [0, 1, 2, 5])
+    def test_strided_c_layout_is_decided_as_by_sorting(self, E, step, padding):
+        # A Strided C's own overlap is decided in O(1); it must give the
+        # verdict, and the pair, that sorting its byte extents gives.  Steps
+        # of 0 and 4 bytes, and negative ones, come from as_strided views;
+        # padding 0 is span == matrix span.
+        s = spec(Layout.ColMajor, 2, 3, 4, "ccs")
+        min_span = matrix_span(s, "C", 2)
+        span = min_span + padding
+        count = (E - 1) * span + min_span
+        pool = np.zeros(count * 3 + 8)
+        start = pool[count * 3 + 4 :] if step < 0 else pool
+        data = np.lib.stride_tricks.as_strided(start, shape=(count,), strides=(step,))
+        a, b, _ = make_operands(s, E, np.random.default_rng(50))
+        c = BatchedOperand.strided(data, 2, span)
+        spans = [op.validate(which, s, E) for which, op in zip("ABC", (a, b, c))]
+        clash = sort_extents(*_byte_extents(c, min_span, E))[2]
+        want = None if clash is None else (
+            f"operand C: the matrices of batch elements {clash[0]} and {clash[1]} overlap"
+        )
+        try:
+            _check_disjoint(E, (a, b, c), spans)
+        except ValueError as error:
+            got = str(error)
+        else:
+            got = None
+        assert got == want
+        assert (got is None) == (E == 1 or (padding + 1) * abs(step) >= 8)
+
     @settings(max_examples=40, deadline=None)
     @given(
         E=st.integers(1, 5),
@@ -721,6 +775,24 @@ class TestCompiledPath:
         # The compiled path, not lanes, took the call: it asked for the addresses.
         assert table.addresses_on_reuse() is not None
 
+    @pytest.mark.parametrize("uses", [1, 2])
+    def test_direct_call_refuses_a_read_only_c_entry_before_any_write(self, uses):
+        # A read-only entry past the first is refused with the contract's
+        # message before C is written, not when a write-back reaches it.
+        s = spec(Layout.ColMajor, 2, 3, 4, "cii")
+        E = 4
+        a, b, c = make_operands(s, E, np.random.default_rng(53))
+        table = PointerTable(m.copy() for m in c.table)
+        table[2].flags.writeable = False
+        before = [m.tobytes() for m in table]
+        kernel = build_registry(s).lookup(kernel_name(s))
+        with use_jit(True):
+            for _ in range(uses - 1):
+                table.addresses_on_reuse()
+            with pytest.raises(ValueError, match="^operand C: table entry 2 is read-only$"):
+                kernel(E, 1.0, a.data, a.ld, b.table, b.ld, 1.0, table, c.ld)
+        assert [m.tobytes() for m in table] == before
+
     def test_no_compiler_takes_lanes_with_the_same_bytes(self, monkeypatch):
         s = spec(Layout.RowMajor, 2, 3, 4, "ici")
         got = make_operands(s, 9, np.random.default_rng(45))
@@ -874,6 +946,70 @@ class TestTableValue:
         for _ in range(3):
             run_batched(S_CIS, 8, 1.0, a, b, 1.0, c, registry=registry)
         assert [scanned is b.table for scanned in scans] == [True]
+
+    def test_c_writability_is_scanned_once_per_call(self, monkeypatch):
+        # validate scans an Indexed C's writable flags on every call, and the
+        # compiled path does not scan them again for the table run_batched
+        # has just checked, even behind a plain function wrapped around the
+        # kernel.  A direct kernel call scans them itself.
+        s = spec(Layout.RowMajor, 2, 3, 4, "ici")
+        E = 6
+        a, b, c = make_operands(s, E, np.random.default_rng(51))
+        scans = []
+        check = PointerTable.check_writable
+        monkeypatch.setattr(
+            PointerTable, "check_writable", lambda table, *args: scans.append(table) or check(table, *args)
+        )
+
+        def count(call):
+            scans.clear()
+            call()
+            assert all(table is c.table for table in scans)
+            return len(scans)
+
+        kernel = build_registry(s).lookup(kernel_name(s))
+        wrapped = KernelRegistry({kernel_name(s): lambda *args: kernel(*args)})
+        seen = {}
+        for path, registry in [
+            ("compiled", KernelRegistry({kernel_name(s): kernel})),
+            ("lanes", build_registry(s)),
+            ("fallback", KernelRegistry({})),
+            ("wrapped", wrapped),
+        ]:
+            with use_jit(path != "lanes"):
+                seen[path] = [
+                    count(lambda: run_batched(s, E, 1.5, a, b, 0.5, c, registry=registry))
+                    for _ in range(3)
+                ]
+        with use_jit(True):
+            seen["direct"] = [
+                count(lambda: kernel(E, 1.5, a.table, a.ld, b.data, b.ld, 0.5, c.table, c.ld))
+                for _ in range(2)
+            ]
+        assert seen == {
+            "compiled": [1, 1, 1], "lanes": [1, 1, 1], "fallback": [1, 1, 1],
+            "wrapped": [1, 1, 1], "direct": [1, 1],
+        }
+        assert kernel.path_counts == {"compiled": 8}
+
+    def test_checked_c_never_outlives_its_call(self):
+        # The mark is visible to the kernel run_batched calls, in that
+        # thread only, and is gone when the call returns or raises.
+        s = spec(Layout.RowMajor, 2, 3, 4, "ici")
+        a, b, c = make_operands(s, 4, np.random.default_rng(52))
+        seen = []
+
+        def kernel(*args):
+            other = threading.Thread(target=lambda: seen.append(core.checked_c.get()))
+            other.start()
+            other.join(timeout=30)
+            seen.append(core.checked_c.get())
+            raise RuntimeError("stop")
+
+        with pytest.raises(RuntimeError, match="stop"):
+            run_batched(s, 4, 1.0, a, b, 0.0, c, registry=KernelRegistry({kernel_name(s): kernel}))
+        assert len(seen) == 2 and seen[0] is None and seen[1] is c.table
+        assert core.checked_c.get() is None
 
     def test_a_deep_copy_computes_its_own_facts(self):
         table = PointerTable([np.zeros(4), np.ones(4)])
