@@ -40,11 +40,9 @@ from .runtime import (
     build_pointer_table,
     default_registry,
     load_kernel_dir,
-    pack_strided,
     run_batched,
-    unpack_strided,
 )
-from .vectorize import enable_jit, jit_available, jit_enabled, use_jit
+from .vectorize import jit_available, jit_enabled, use_jit
 
 __version__ = "0.1.0"
 
@@ -68,7 +66,6 @@ __all__ = [
     "build_pointer_table",
     "default_registry",
     "dgemm_ref",
-    "enable_jit",
     "estimate_pressure",
     "generate_dispatch_source",
     "generate_kernel_source",
@@ -78,11 +75,9 @@ __all__ = [
     "load_kernel_dir",
     "matrix_span",
     "operand_dims",
-    "pack_strided",
     "parse_kernel_name",
     "parse_manifest",
     "run_batched",
-    "unpack_strided",
     "use_jit",
     "write_kernel_package",
     "__version__",

@@ -126,7 +126,11 @@ def proxy_main(argv: list[str] | None = None) -> int:
         cache = "hit" if event.cache_hit else "miss"
         print(f"compile {event.kernel}: {event.seconds:.3f} s (cache {cache})")
     if config.mode == "vector" and fallbacks:
-        print(f"warning: {fallbacks} batched calls used the reference fallback")
+        missing = sorted({step.spec.name for step in config.chain} - set(registry.names()))
+        print(
+            f"warning: {fallbacks} batched calls used the reference fallback, since these "
+            f"kernels were not built: {', '.join(missing)}"
+        )
     if args.dump:
         proxy_mod.dump_state(state, args.dump)
         print(f"dump written to {args.dump}")

@@ -33,7 +33,6 @@ from .core import (
     Layout,
     is_decimal,
     kernel_name,
-    operand_dims,
 )
 
 __all__ = [
@@ -214,17 +213,13 @@ def _offset_expr(layout: Layout, r: int, c: int, ld_var: str) -> str:
     return f"({r}*{ld_var}+{c})"
 
 
-def _load_expr(kind: AccessKind, operand: str, offset: str, stride: str = "size") -> str:
-    """Batch element e's entry *offset* of *operand*; *stride* names a Strided span."""
+def _load_expr(kind: AccessKind, operand: str, offset: str) -> str:
+    """Batch element e's entry *offset* of *operand*, the same in every language."""
     if kind is AccessKind.Constant:
         return f"{operand}[{offset}]"
     if kind is AccessKind.Strided:
-        return f"{operand}[e*{stride}{operand}+{offset}]"
+        return f"{operand}[e*span{operand}+{offset}]"
     return f"{operand}[e][{offset}]"
-
-
-def _c_element_expr(kind: AccessKind, operand: str, offset: str) -> str:
-    return _load_expr(kind, operand, offset, stride="span")
 
 
 def _c_parameter(spec: KernelSpec, operand: str) -> str:
@@ -282,15 +277,20 @@ def _kernel_statements(
     return before, body
 
 
-def _print(statement: _Statement, forms: dict[str, str], element, spec: KernelSpec) -> str:
-    """*statement* in one language: its *forms*, and *element* to address operands."""
+def _print(statement: _Statement, forms: dict[str, str], spec: KernelSpec) -> str:
+    """*statement* in the language of *forms*."""
     operand = statement.operand
-    x = element(spec.access(operand), operand, statement.offset) if operand else ""
+    x = _load_expr(spec.access(operand), operand, statement.offset) if operand else ""
     return forms[statement.form].format(statement.var, *statement.args, x=x)
 
 
 def generate_kernel_source(spec: KernelSpec, max_dim: int = DEFAULT_MAX_DIM) -> str:
-    """Emit the Python module implementing *spec* as one unrolled kernel."""
+    """Emit the Python module implementing *spec* as one unrolled kernel.
+
+    Its signature is ``(E, alpha, A, lda, B, ldb, beta, C, ldc, spanA,
+    spanB, spanC)``: batch element e of a Strided operand X starts at
+    ``X[e*spanX]``, and a Constant or Indexed operand's span is unused.
+    """
     before, body = _kernel_statements(spec, max_dim)
     name = kernel_name(spec)
     out: list[str] = []
@@ -300,16 +300,10 @@ def generate_kernel_source(spec: KernelSpec, max_dim: int = DEFAULT_MAX_DIM) -> 
     out.append("")
     out.append("")
     out.append(f'@vectorize_batch_loop("{name}")')
-    out.append(f"def {name}(E, alpha, A, lda, B, ldb, beta, C, ldc):")
-    # Strided spans depend only on the leading dimensions; hoist them.
-    for operand, ld_var in (("A", "lda"), ("B", "ldb"), ("C", "ldc")):
-        if spec.access(operand) is AccessKind.Strided:
-            dims = operand_dims(spec, operand)
-            count = dims.cols if spec.layout is Layout.ColMajor else dims.rows
-            out.append(f"    size{operand} = {count} * {ld_var}")
-    out += [f"    {_print(s, _PYTHON_FORMS, _load_expr, spec)}" for s in before]
+    out.append(f"def {name}(E, alpha, A, lda, B, ldb, beta, C, ldc, spanA, spanB, spanC):")
+    out += [f"    {_print(s, _PYTHON_FORMS, spec)}" for s in before]
     out.append("    for e in range(E):")
-    out += [f"        {_print(s, _PYTHON_FORMS, _load_expr, spec)}" for s in body]
+    out += [f"        {_print(s, _PYTHON_FORMS, spec)}" for s in body]
     out.append("")
     return "\n".join(out)
 
@@ -318,7 +312,7 @@ def generate_c_source(spec: KernelSpec, max_dim: int = DEFAULT_MAX_DIM) -> str:
     """Emit *spec*'s kernel as one C function, statement for statement.
 
     The function has :func:`generate_kernel_source`'s statements in its
-    order, and the Python kernel's arguments plus one span per operand::
+    order, and the Python kernel's arguments::
 
         void <name>(long E, double alpha, <A>, long lda, <B>, long ldb,
                     double beta, <C>, long ldc, long spanA, long spanB, long spanC)
@@ -327,11 +321,11 @@ def generate_c_source(spec: KernelSpec, max_dim: int = DEFAULT_MAX_DIM) -> str:
     the ``const``): a Constant one is ``X[0:]`` for every element, and batch
     element e of a Strided one starts at ``X[e*spanX]``.  An Indexed operand
     is an array of matrix addresses, ``const double *const *restrict X``
-    (for C, ``double *const *restrict C``), and element e is ``X[e][0:]``;
-    its span argument is unused.  ``restrict`` holds under the operand contract: C is
-    disjoint from A and B, which are only read.  Compiled without FP
-    contraction or fast-math, every element gets the Python kernel's
-    roundings in its order.
+    (for C, ``double *const *restrict C``), and element e is ``X[e][0:]``.
+    A Constant or Indexed operand's span argument is unused.  ``restrict``
+    holds under the operand contract: C is disjoint from A and B, which are
+    only read.  Compiled without FP contraction or fast-math, every element
+    gets the Python kernel's roundings in its order.
     """
     before, body = _kernel_statements(spec, max_dim)
     a, b, c = (_c_parameter(spec, operand) for operand in "ABC")
@@ -342,9 +336,9 @@ def generate_c_source(spec: KernelSpec, max_dim: int = DEFAULT_MAX_DIM) -> str:
         f"double beta, {c}, long ldc, long spanA, long spanB, long spanC)",
         "{",
     ]
-    out += [f"    {_print(s, _C_FORMS, _c_element_expr, spec)}" for s in before]
+    out += [f"    {_print(s, _C_FORMS, spec)}" for s in before]
     out.append("    for (long e = 0; e < E; e++) {")
-    out += [f"        {_print(s, _C_FORMS, _c_element_expr, spec)}" for s in body]
+    out += [f"        {_print(s, _C_FORMS, spec)}" for s in body]
     out += ["    }", "}", ""]
     return "\n".join(out)
 

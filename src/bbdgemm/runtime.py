@@ -1,13 +1,14 @@
-"""Batched-operand descriptors, the operand contract, kernel dispatch, and layout transforms.
+"""Batched-operand descriptors, the operand contract, kernel dispatch, and pointer tables.
 
 ``run_batched`` checks its operands against one contract, then looks the
-kernel up by name in a :class:`KernelRegistry` and calls it; when the kernel
-was not built it falls back to the reference implementation and bumps an
+kernel up by name in a :class:`KernelRegistry` and calls it with each
+operand's leading dimension and span (a Strided operand's own, which may be
+longer than its matrix).  When the kernel was not built, the one reason
+left, it falls back to the reference implementation and bumps an
 observable counter, so a benchmark can never silently measure the fallback.
-``build_pointer_table`` and ``pack_strided`` are the two layout
-transformations needed to feed per-cell tensor data into batched calls;
-:class:`ScratchBuffer` provides the grow-only temporary storage whose size
-depends on the runtime batch size.
+``build_pointer_table`` feeds per-cell tensor data into batched calls
+without copying it; :class:`ScratchBuffer` provides the grow-only temporary
+storage whose size depends on the runtime batch size.
 
 The contract makes the batch elements independent, so every path may run
 them as lanes.  :meth:`BatchedOperand.validate` checks each operand's kind,
@@ -53,8 +54,6 @@ import numpy as np
 from .core import (
     AccessKind,
     KernelSpec,
-    Layout,
-    OperandDims,
     PointerTable,
     checked_c,
     flat_float64_buffers,
@@ -72,8 +71,6 @@ __all__ = [
     "ScratchBuffer",
     "run_batched",
     "build_pointer_table",
-    "pack_strided",
-    "unpack_strided",
     "load_kernel_dir",
     "default_registry",
 ]
@@ -361,15 +358,6 @@ def _c_has_own_allocations(operands: Sequence[BatchedOperand]) -> bool:
     return True
 
 
-def _spans_match(operands: Sequence[BatchedOperand], spans: Sequence[int]) -> bool:
-    # Generated kernels derive strided spans from the leading dimensions;
-    # padded spans are valid operands but must take the reference path.
-    return all(
-        operand.kind is not AccessKind.Strided or operand.span == span
-        for operand, span in zip(operands, spans)
-    )
-
-
 def run_batched(
     spec: KernelSpec,
     E: int,
@@ -385,9 +373,9 @@ def run_batched(
     The operands must meet the module's operand contract; a call that does
     not raises ``ValueError`` before anything is written.  Falls back to
     :func:`bbdgemm.reference.batched_ref` (and records the event on the
-    registry) when the kernel is absent.  Operand leading dimensions travel
-    inside the operands.  E == 0 succeeds without touching memory or counting
-    a fallback.
+    registry) when the kernel is absent.  Operand leading dimensions and
+    spans travel inside the operands.  E == 0 succeeds without touching
+    memory or counting a fallback.
     """
     if E < 0:
         raise ValueError(f"batch size must be non-negative, got {E}")
@@ -398,16 +386,23 @@ def run_batched(
     spans = [operand.validate(which, spec, E) for which, operand in zip("ABC", operands)]
     _check_disjoint(E, operands, spans)
     kernel = registry.lookup(kernel_name(spec))
-    if kernel is not None and _spans_match(operands, spans):
-        # validate has just scanned C's writability: the kernel need not again.
-        token = checked_c.set(c.table)
-        try:
-            kernel(E, alpha, a.payload(), a.ld, b.payload(), b.ld, beta, c.payload(), c.ld)
-        finally:
-            checked_c.reset(token)
+    if kernel is None:
+        registry.record_fallback()
+        batched_ref(spec, E, GemmScalars(alpha, beta), a, b, c)
         return
-    registry.record_fallback()
-    batched_ref(spec, E, GemmScalars(alpha, beta), a, b, c)
+    # Each Strided operand's own span; the others' matrix spans, which kernels ignore.
+    kernel_spans = [
+        operand.span if operand.kind is AccessKind.Strided else span
+        for operand, span in zip(operands, spans)
+    ]
+    # validate has just scanned C's writability: the kernel need not again.
+    token = checked_c.set(c.table)
+    try:
+        kernel(
+            E, alpha, a.payload(), a.ld, b.payload(), b.ld, beta, c.payload(), c.ld, *kernel_spans
+        )
+    finally:
+        checked_c.reset(token)
 
 
 def build_pointer_table(cells: Sequence, component: int) -> BatchedOperand:
@@ -426,53 +421,6 @@ def build_pointer_table(cells: Sequence, component: int) -> BatchedOperand:
         )
     table = [cell.component(component) for cell in cells]
     return BatchedOperand.indexed(table, ld=cells[0].ld)
-
-
-def _lane_count(layout: Layout, dims: OperandDims) -> tuple[int, int]:
-    # (number of contiguous runs, elements per run) for one matrix
-    if layout is Layout.ColMajor:
-        return dims.cols, dims.rows
-    return dims.rows, dims.cols
-
-
-def pack_strided(
-    source: BatchedOperand, dims: OperandDims, ld_out: int, layout: Layout
-) -> BatchedOperand:
-    """Copy an Indexed batch into one contiguous Strided buffer.
-
-    The inverse :func:`unpack_strided` restores the original matrices
-    bit-for-bit.
-    """
-    if source.kind is not AccessKind.Indexed:
-        raise ValueError(f"pack_strided expects an Indexed operand, got {source.kind.name}")
-    runs, run_len = _lane_count(layout, dims)
-    if ld_out < run_len:
-        raise ValueError(f"ld_out={ld_out} below minimum leading dimension {run_len}")
-    span = runs * ld_out
-    E = len(source.table)
-    buffer = np.zeros(E * span, dtype=np.float64)
-    for e, entry in enumerate(source.table):
-        base = e * span
-        for lane in range(runs):
-            src = lane * source.ld
-            dst = base + lane * ld_out
-            buffer[dst : dst + run_len] = entry[src : src + run_len]
-    return BatchedOperand.strided(buffer, ld=ld_out, span=span)
-
-
-def unpack_strided(
-    packed: BatchedOperand, dims: OperandDims, target: BatchedOperand, layout: Layout
-) -> None:
-    """Copy a packed Strided batch back into the Indexed *target* matrices."""
-    if packed.kind is not AccessKind.Strided or target.kind is not AccessKind.Indexed:
-        raise ValueError("unpack_strided expects (Strided, Indexed) operands")
-    runs, run_len = _lane_count(layout, dims)
-    for e, entry in enumerate(target.table):
-        base = e * packed.span
-        for lane in range(runs):
-            src = base + lane * packed.ld
-            dst = lane * target.ld
-            entry[dst : dst + run_len] = packed.data[src : src + run_len]
 
 
 class ScratchBuffer:

@@ -1,15 +1,6 @@
-import pytest
-
 from bbdgemm import generate_kernel_source, kernel_name
 from bbdgemm.core import AccessKind, matrix_span, operand_dims
 from bbdgemm.runtime import BatchedOperand, KernelRegistry
-from bbdgemm.vectorize import enable_jit
-
-
-@pytest.fixture(autouse=True)
-def _reset_jit_override():
-    yield
-    enable_jit(None)
 
 
 def build_kernel(spec, max_dim=64):

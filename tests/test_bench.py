@@ -38,14 +38,13 @@ def record(name="bbdgemm_ColMajor_2_2_2_cis", speedup=2.0, fallback=False):
     )
 
 
-def wrong_value(E, alpha, A, lda, B, ldb, beta, C, ldc):
-    size = 2 * ldc
+def wrong_value(E, alpha, A, lda, B, ldb, beta, C, ldc, spanA, spanB, spanC):
     for e in range(E):
-        C[e * size] = 1e9
+        C[e * spanC] = 1e9
 
 
-def nan_everywhere(E, alpha, A, lda, B, ldb, beta, C, ldc):
-    C[: E * 2 * ldc] = np.nan
+def nan_everywhere(E, alpha, A, lda, B, ldb, beta, C, ldc, spanA, spanB, spanC):
+    C[: E * spanC] = np.nan
 
 
 class TestCorrectness:

@@ -84,6 +84,25 @@ class TestProxyCli:
             assert re.search(rf"^{name}: \d+ calls compiled \(\d+ elements\)$", out, re.M)
             assert re.search(rf"^compile {name}: [0-9.]+ s \(cache (hit|miss)\)$", out, re.M)
 
+    def test_fallback_warning_names_the_kernels_not_built(self, tmp_path, capsys):
+        # The shipped kernels lack the second step's: its 4 calls (one per
+        # component) fall back, and the first step's run on kernels.
+        chain = tmp_path / "chain.txt"
+        chain.write_text(
+            "ColMajor 20 9 10 cis op1 qin scratch 1.0 0.0\n"
+            "ColMajor 10 9 5 sci scratch op2 qout 1.0 1.0\n",
+            encoding="utf-8",
+        )
+        args = ["--cells", "3", "--timesteps", "1", "--seed", "1", "--chain", str(chain)]
+        assert proxy_main(args) == 0
+        out = capsys.readouterr().out
+        assert re.search(
+            r"^warning: 4 batched calls used the reference fallback, since these kernels "
+            r"were not built: bbdgemm_ColMajor_10_9_5_sci$",
+            out,
+            re.M,
+        )
+
     def test_compare_requires_dump(self, tmp_path, capsys):
         rc = proxy_main(
             ["--cells", "2", "--timesteps", "1", "--mode", "scalar", "--seed", "1",

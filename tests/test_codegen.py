@@ -18,7 +18,7 @@ from bbdgemm.codegen import (
     pressure_report_rows,
     write_kernel_package,
 )
-from bbdgemm.core import AccessKind, KernelShape, KernelSpec, Layout
+from bbdgemm.core import AccessKind, KernelShape, KernelSpec, Layout, matrix_span
 from bbdgemm.reference import GemmScalars, batched_ref
 from bbdgemm.runtime import load_kernel_dir
 from bbdgemm.vectorize import use_jit
@@ -46,8 +46,9 @@ class TestGeneratedSource:
         source = generate_kernel_source(spec(Layout.ColMajor, 2, 2, 2, "cis"))
         assert "A[(0*lda+0)]" in source
         assert "B[e][(0*ldb+0)]" in source
-        assert "C[e*sizeC+(0*ldc+0)]" in source
-        assert "sizeC = 2 * ldc" in source
+        assert "C[e*spanC+(0*ldc+0)]" in source
+        assert "(E, alpha, A, lda, B, ldb, beta, C, ldc, spanA, spanB, spanC):" in source
+        assert "size" not in source
 
     def test_deterministic(self):
         s = spec(Layout.RowMajor, 3, 5, 2, "sic")
@@ -99,11 +100,10 @@ class TestGeneratedSource:
     @pytest.mark.parametrize("layout,access", [(Layout.ColMajor, "cis"), (Layout.RowMajor, "sic")])
     def test_c_twin_prints_the_same_statements(self, layout, access):
         # Line by line, the C function is the Python kernel with C spelling:
-        # declarations on first assignment, a ternary for the beta test,
-        # and spanX for sizeX and for an Indexed operand's row.
+        # declarations on first assignment and a ternary for the beta test.
+        # Elements are addressed alike, a Strided one through its spanX.
         s = spec(layout, 3, 2, 4, access)
         python = generate_kernel_source(s).split(":\n", 1)[1].splitlines()
-        python = [line for line in python if not re.match(r"\s+size[ABC] = ", line)]
         c_lines = generate_c_source(s).split("{\n", 1)[1].splitlines()
         respelled = []
         for line in c_lines[:-2]:
@@ -111,9 +111,6 @@ class TestGeneratedSource:
             line = re.sub(r"= beta != 0\.0 \? (.+) : 0\.0$", r"= \1 if beta != 0.0 else 0.0", line)
             line = line.replace("for (long e = 0; e < E; e++) {", "for e in range(E):")
             respelled.append(line)
-        for operand, kind in zip("ABC", access):
-            index = {"s": f"[e*size{operand}+", "i": "[e][", "c": "["}[kind]
-            respelled = [line.replace(f"{operand}[e*span{operand}+", f"{operand}{index}") for line in respelled]
         assert respelled == python
         assert c_lines[-2:] == ["    }", "}"]
 
@@ -142,7 +139,8 @@ class TestGeneratedSource:
         a, b, c = make_operands(s, E, rng)
         c_ref = clone_operand(c)
         with use_jit(False):
-            kernel(E, 1.5, a.payload(), a.ld, b.payload(), b.ld, 0.5, c.payload(), c.ld)
+            kernel(E, 1.5, a.payload(), a.ld, b.payload(), b.ld, 0.5, c.payload(), c.ld,
+                   *(matrix_span(s, which, op.ld) for which, op in zip("ABC", (a, b, c))))
         batched_ref(s, E, GemmScalars(1.5, 0.5), a, b, c_ref)
         assert np.array_equal(
             output_elements(s, E, c), output_elements(s, E, c_ref)

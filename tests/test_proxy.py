@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -235,6 +237,23 @@ class TestBatchedVariant:
         assert qout_snapshot(stepped).tobytes() == qout_snapshot(whole).tobytes()
         assert qout_snapshot(stepped).tobytes() == qout_snapshot(scalar).tobytes()
 
+
+    @pytest.mark.parametrize("jit", [False, True])
+    def test_narrow_scratch_window_runs_on_kernels(self, jit):
+        # Step 2 reads a 10x5 window of step 1's 20x9 scratch, so its A
+        # span, 180, pads the window's 100-element matrix span; no call
+        # falls back, and the bytes are the scalar mode's.
+        chain = parse_chain(
+            "ColMajor 20 9 10 cis op1 qin scratch 1.0 0.0\n"
+            "ColMajor 10 9 5 sci scratch op2 qout 1.0 1.0\n"
+        )
+        registry = build_registry(*(step.spec for step in chain))
+        config = ProxyConfig(cells=7, timesteps=2, chain=chain, mode="vector", seed=5)
+        with use_jit(jit):
+            vector = run_proxy(config, registry=registry)
+        scalar = run_proxy(replace(config, mode="scalar"))
+        assert registry.fallback_count == 0
+        assert qout_snapshot(vector).tobytes() == qout_snapshot(scalar).tobytes()
 
 class TestState:
     def test_component_matrices_allocated_independently(self):

@@ -33,11 +33,9 @@ from bbdgemm.runtime import (
     _byte_extents,
     _check_disjoint,
     build_pointer_table,
-    pack_strided,
     run_batched,
-    unpack_strided,
 )
-from bbdgemm.vectorize import enable_jit, jit_available, use_jit
+from bbdgemm.vectorize import jit_available, use_jit
 
 from conftest import build_kernel, build_registry, make_operands
 
@@ -64,6 +62,29 @@ class FakeCell:
         if not 0 <= index < len(self.matrices):
             raise ValueError(f"component {index} out of range")
         return self.matrices[index]
+
+
+@contextmanager
+def on_path(path):
+    """Registry factory for one execution path of ``run_batched``.
+
+    ``lanes`` runs the generated kernels with the compiled path off;
+    ``compiled`` runs their C twins (the test is skipped without a
+    compiler); ``fallback`` has an empty registry, so the reference fallback
+    serves the call.  Each factory call decorates its kernels afresh.
+    """
+    if path == "compiled" and not jit_available():
+        pytest.skip("no C compiler (cc) on PATH")
+    with use_jit(path == "compiled"):
+        yield (lambda s: KernelRegistry({})) if path == "fallback" else build_registry
+
+
+PATHS = ["lanes", "compiled", "fallback"]
+
+
+def buffers_of(*operands):
+    """Every array the operands hold: table entries, or the flat buffer."""
+    return [m for op in operands for m in (op.table if op.kind is AccessKind.Indexed else [op.data])]
 
 
 class TestRunBatched:
@@ -138,43 +159,86 @@ class TestRunBatched:
         for entry, before in zip(b.table, b_before):
             assert np.array_equal(np.asarray(entry), before)
 
-    def test_padded_strided_span_takes_reference_path(self):
-        registry = build_registry(S_CIS)
-        rng = np.random.default_rng(7)
-        E = 4
-        a, b, c = make_operands(S_CIS, E, rng)
-        padded_span = c.span + 3
-        padded = np.zeros(E * padded_span)
-        for e in range(E):
-            padded[e * padded_span : e * padded_span + c.span] = c.data[
-                e * c.span : (e + 1) * c.span
-            ]
-        c_padded = BatchedOperand.strided(padded, c.ld, padded_span)
-        c_ref = clone_operand(c)
-        run_batched(S_CIS, E, 1.0, a, b, 1.0, c_padded, registry=registry)
-        assert registry.fallback_count == 1  # generated kernels assume minimal spans
-        batched_ref(S_CIS, E, GemmScalars(1.0, 1.0), a, b, c_ref)
-        for e in range(E):
-            got = c_padded.data[e * padded_span : e * padded_span + c.span]
-            want = c_ref.data[e * c.span : (e + 1) * c.span]
-            assert np.array_equal(got, want)
+    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize(
+        "access, padded",
+        [("sss", "A"), ("sss", "B"), ("sss", "C"), ("ssc", "B")],
+        ids=["padded_a", "padded_b", "padded_c", "padded_b_constant_c"],
+    )
+    def test_padded_spans_on_every_path(self, path, access, padded):
+        # One operand's span is 3 longer than its matrix; every Strided
+        # buffer ends at its last matrix.  Each path gives the oracle's bytes,
+        # padding untouched, and no kernel path falls back.  A Constant C
+        # takes the sequential loop where lanes would serve the others.
+        s = spec(Layout.ColMajor, 2, 3, 4, access)
+        E = 5
 
-    def test_strided_buffer_needs_only_up_to_the_last_matrix(self):
+        def build():
+            rng = np.random.default_rng(23)
+            operands = []
+            for which in "ABC":
+                ld = operand_dims(s, which).min_ld
+                size = matrix_span(s, which, ld)
+                if s.access(which) is AccessKind.Constant:
+                    operands.append(BatchedOperand.constant(rng.uniform(-1.0, 1.0, size), ld))
+                    continue
+                span = size + 3 if which == padded else size
+                data = rng.uniform(-1.0, 1.0, (E - 1) * span + size)
+                operands.append(BatchedOperand.strided(data, ld, span))
+            return operands
+
+        got, want = build(), build()
+        with on_path(path) as registry_for:
+            registry = registry_for(s)
+            run_batched(s, E, 1.5, got[0], got[1], 0.5, got[2], registry=registry)
+        batched_ref(s, E, GemmScalars(1.5, 0.5), *want)
+        assert [m.tobytes() for m in buffers_of(*got)] == [m.tobytes() for m in buffers_of(*want)]
+        if path == "fallback":
+            assert registry.fallback_count == 1
+        else:
+            served = "sequential" if path == "lanes" and access == "ssc" else path
+            assert registry.fallback_count == 0
+            assert registry.lookup(kernel_name(s)).path_counts == {served: 1}
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_strided_buffer_needs_only_up_to_the_last_matrix(self, path):
         # span 7 > the 2x2 matrix span 4: the last matrix ends at element
         # (E-1)*7 + 4 = 18, so an 18-element C is enough and 17 is not
         s = spec(Layout.ColMajor, 2, 2, 2, "ccs")
-        registry = build_registry(s)
         rng = np.random.default_rng(20)
         a = BatchedOperand.constant(rng.uniform(-1.0, 1.0, 4), 2)
         b = BatchedOperand.constant(rng.uniform(-1.0, 1.0, 4), 2)
         c = BatchedOperand.strided(rng.uniform(-1.0, 1.0, 18), 2, 7)
         c_ref = clone_operand(c)
-        run_batched(s, 3, 1.5, a, b, 0.5, c, registry=registry)
+        with on_path(path) as registry_for:
+            registry = registry_for(s)
+            run_batched(s, 3, 1.5, a, b, 0.5, c, registry=registry)
+            short = BatchedOperand.strided(c.data[:17].copy(), 2, 7)
+            with pytest.raises(ValueError, match=r"^operand C: buffer holds 17 elements, need \(E-1\)\*span \+ 4 = 18$"):
+                run_batched(s, 3, 1.5, a, b, 0.5, short, registry=registry)
         batched_ref(s, 3, GemmScalars(1.5, 0.5), a, b, c_ref)
         assert c.data.tobytes() == c_ref.data.tobytes()
-        short = BatchedOperand.strided(c.data[:17].copy(), 2, 7)
-        with pytest.raises(ValueError, match=r"^operand C: buffer holds 17 elements, need \(E-1\)\*span \+ 4 = 18$"):
-            run_batched(s, 3, 1.5, a, b, 0.5, short, registry=registry)
+        assert registry.fallback_count == (1 if path == "fallback" else 0)
+
+    @pytest.mark.parametrize("path", ["lanes", "compiled"])
+    @pytest.mark.parametrize("length", ["one_matrix", "one_short"])
+    def test_direct_call_refuses_a_short_strided_buffer(self, path, length):
+        # Called directly, past run_batched's check, a Strided A that ends
+        # before its last matrix is refused before C is written, not read
+        # as fewer matrices (one matrix would broadcast over every lane).
+        s = spec(Layout.ColMajor, 2, 3, 4, "scs")
+        E = 3
+        a, b, c = make_operands(s, E, np.random.default_rng(54))
+        size = matrix_span(s, "A", a.ld)
+        needed = (E - 1) * size + size
+        short = a.data[: size if length == "one_matrix" else needed - 1].copy()
+        before = c.data.tobytes()
+        with on_path(path) as registry_for:
+            kernel = registry_for(s).lookup(kernel_name(s))
+            with pytest.raises(ValueError, match=rf"need span >= {size} and \(E-1\)\*span \+ {size} = {needed} elements$"):
+                kernel(E, 1.0, short, a.ld, b.data, b.ld, 1.0, c.data, c.ld, size, b.data.size, c.span)
+        assert c.data.tobytes() == before
+        assert kernel.path_counts == {}
 
     def test_non_minimal_leading_dims(self):
         # every operand padded: ld = min_ld + 2, spans derived from the lds
@@ -348,29 +412,6 @@ class TestRunBatched:
         assert np.array_equal(output_elements(s, E, c), output_elements(s, E, c_pure))
 
 
-@contextmanager
-def on_path(path):
-    """Registry factory for one execution path of ``run_batched``.
-
-    ``lanes`` runs the generated kernels with the compiled path off;
-    ``compiled`` runs their C twins (the test is skipped without a
-    compiler); ``fallback`` has an empty registry, so the reference fallback
-    serves the call.  Each factory call decorates its kernels afresh.
-    """
-    if path == "compiled" and not jit_available():
-        pytest.skip("no C compiler (cc) on PATH")
-    with use_jit(path == "compiled"):
-        yield (lambda s: KernelRegistry({})) if path == "fallback" else build_registry
-
-
-PATHS = ["lanes", "compiled", "fallback"]
-
-
-def buffers_of(*operands):
-    """Every array the operands hold: table entries, or the flat buffer."""
-    return [m for op in operands for m in (op.table if op.kind is AccessKind.Indexed else [op.data])]
-
-
 def c_repeating_one_buffer():
     s = spec(Layout.ColMajor, 2, 2, 2, "cci")
     identity = np.array([1.0, 0.0, 0.0, 1.0])
@@ -480,6 +521,27 @@ class TestOperandContract:
         assert [m.tobytes() for m in buffers_of(a, b, c)] == before
         assert registry.fallback_count == fallbacks
 
+    @pytest.mark.parametrize("path", ["lanes", "compiled"])
+    @pytest.mark.parametrize("uses", [1, 2])
+    def test_direct_call_refuses_a_read_only_c_entry_before_any_write(self, path, uses):
+        # Called directly, past run_batched's check, a read-only entry past
+        # the first is refused with the contract's message before C is
+        # written, on either kernel path, not when a write reaches it.
+        s = spec(Layout.ColMajor, 2, 3, 4, "cii")
+        E = 4
+        a, b, c = make_operands(s, E, np.random.default_rng(53))
+        table = PointerTable(m.copy() for m in c.table)
+        table[2].flags.writeable = False
+        before = [m.tobytes() for m in table]
+        with on_path(path) as registry_for:
+            kernel = registry_for(s).lookup(kernel_name(s))
+            for _ in range(uses - 1):
+                table.addresses_on_reuse()
+            with pytest.raises(ValueError, match="^operand C: table entry 2 is read-only$"):
+                kernel(E, 1.0, a.data, a.ld, b.table, b.ld, 1.0, table, c.ld, 8, 12, 6)
+        assert [m.tobytes() for m in table] == before
+        assert kernel.path_counts == {}
+
     @pytest.mark.parametrize("E", [1, 2, 7])
     @pytest.mark.parametrize("step", [8, -8, 0, 4, -4, -2, 12, 24])
     @pytest.mark.parametrize("padding", [0, 1, 2, 5])
@@ -516,16 +578,24 @@ class TestOperandContract:
         E=st.integers(1, 5),
         offsets=st.lists(st.integers(0, 60), min_size=10, max_size=10),
         read_only=st.sets(st.integers(0, 9), max_size=1),
+        padding=st.one_of(st.none(), st.integers(0, 3)),
     )
-    def test_paths_agree_or_refuse_alike(self, E, offsets, read_only):
+    def test_paths_agree_or_refuse_alike(self, E, offsets, read_only, padding):
         # A and C tables index one pool at random offsets, so C may overlap
-        # itself or A; one C entry may be read-only.
-        s = spec(Layout.ColMajor, 2, 2, 2, "ici")
+        # itself or A; one C entry may be read-only.  B is Constant (padding
+        # None) or Strided, its span padded past its matrix, in a buffer
+        # that ends at its last matrix.
+        s = spec(Layout.ColMajor, 2, 2, 2, "ici" if padding is None else "isi")
 
         def build():
-            pool = np.random.default_rng(36).uniform(-1.0, 1.0, 64)
+            rng = np.random.default_rng(36)
+            pool = rng.uniform(-1.0, 1.0, 64)
             a = BatchedOperand.indexed([pool[o : o + 4] for o in offsets[:E]], 2)
-            b = BatchedOperand.constant(np.array([0.5, -1.0, 2.0, 0.25]), 2)
+            if padding is None:
+                b = BatchedOperand.constant(rng.uniform(-1.0, 1.0, 4), 2)
+            else:
+                b_span = 4 + padding
+                b = BatchedOperand.strided(rng.uniform(-1.0, 1.0, (E - 1) * b_span + 4), 2, b_span)
             c_table = [pool[o : o + 4] for o in offsets[5 : 5 + E]]
             for e in read_only & set(range(E)):
                 c_table[e].flags.writeable = False
@@ -565,10 +635,10 @@ class TestOperandContract:
             return decorate
 
         monkeypatch.setattr(vectorize, "vectorize_batch_loop", spying)
-        enable_jit(False)
         s = spec(Layout.ColMajor, 2, 3, 4, access)
         a, b, c = make_operands(s, 7, np.random.default_rng(37))
-        run_batched(s, 7, 1.0, a, b, 1.0, c, registry=build_registry(s))
+        with use_jit(False):
+            run_batched(s, 7, 1.0, a, b, 1.0, c, registry=build_registry(s))
         assert seen == [7 if s.access_c is AccessKind.Constant else 1]
 
 
@@ -631,7 +701,7 @@ subprocess.run = lambda args, *rest, **kw: commands.append(args) or run(args, *r
 E = 3
 c = np.zeros(4 * E)
 KERNELS["bbdgemm_ColMajor_2_2_2_cis"](
-    E, 1.0, np.ones(4), 2, [np.ones(4) for _ in range(E)], 2, 0.0, c, 2
+    E, 1.0, np.ones(4), 2, [np.ones(4) for _ in range(E)], 2, 0.0, c, 2, 4, 4, 4
 )
 print(json.dumps({"events": vectorize.compile_log, "commands": commands, "c": c.tolist()}))
 """
@@ -757,9 +827,10 @@ class TestCompiledPath:
 
     @pytest.mark.parametrize("uses", [1, 2])
     def test_direct_call_never_writes_a_read_only_c_entry(self, uses):
-        # Called directly, past run_batched's contract check, the compiled
-        # path still refuses to write through a read-only C entry, whether
-        # the table is copied (first use) or read in place (reuse).
+        # Called directly, past run_batched's contract check, the kernel
+        # still refuses to write through a read-only C entry, whether the
+        # compiled path would copy the table (first use) or read it in place
+        # (reuse): before it chooses a path.
         s = spec(Layout.ColMajor, 2, 3, 4, "cii")
         E = 4
         a, b, c = make_operands(s, E, np.random.default_rng(48))
@@ -770,28 +841,9 @@ class TestCompiledPath:
             for _ in range(uses - 1):
                 table.addresses_on_reuse()
             with pytest.raises(ValueError, match="read-only"):
-                kernel(E, 1.0, a.data, a.ld, b.table, b.ld, 1.0, table, c.ld)
+                kernel(E, 1.0, a.data, a.ld, b.table, b.ld, 1.0, table, c.ld, 8, 12, 6)
         assert frozen == bytes(len(frozen))
-        # The compiled path, not lanes, took the call: it asked for the addresses.
-        assert table.addresses_on_reuse() is not None
-
-    @pytest.mark.parametrize("uses", [1, 2])
-    def test_direct_call_refuses_a_read_only_c_entry_before_any_write(self, uses):
-        # A read-only entry past the first is refused with the contract's
-        # message before C is written, not when a write-back reaches it.
-        s = spec(Layout.ColMajor, 2, 3, 4, "cii")
-        E = 4
-        a, b, c = make_operands(s, E, np.random.default_rng(53))
-        table = PointerTable(m.copy() for m in c.table)
-        table[2].flags.writeable = False
-        before = [m.tobytes() for m in table]
-        kernel = build_registry(s).lookup(kernel_name(s))
-        with use_jit(True):
-            for _ in range(uses - 1):
-                table.addresses_on_reuse()
-            with pytest.raises(ValueError, match="^operand C: table entry 2 is read-only$"):
-                kernel(E, 1.0, a.data, a.ld, b.table, b.ld, 1.0, table, c.ld)
-        assert [m.tobytes() for m in table] == before
+        assert kernel.path_counts == {}
 
     def test_no_compiler_takes_lanes_with_the_same_bytes(self, monkeypatch):
         s = spec(Layout.RowMajor, 2, 3, 4, "ici")
@@ -983,7 +1035,7 @@ class TestTableValue:
                 ]
         with use_jit(True):
             seen["direct"] = [
-                count(lambda: kernel(E, 1.5, a.table, a.ld, b.data, b.ld, 0.5, c.table, c.ld))
+                count(lambda: kernel(E, 1.5, a.table, a.ld, b.data, b.ld, 0.5, c.table, c.ld, 8, 12, 6))
                 for _ in range(2)
             ]
         assert seen == {
@@ -1044,80 +1096,6 @@ class TestTableValue:
         assert all(addresses is seen[0][0] and extents is seen[0][1] for addresses, extents in seen)
         assert seen[0][0].tolist() == [pool.ctypes.data + 8 * o for o in range(0, 400, 4)]
         assert seen[0][1][2] is None  # the 100 matrices are pairwise disjoint
-
-
-class TestPackStrided:
-    def test_round_trip_bitwise(self):
-        s = spec(Layout.ColMajor, 3, 2, 4, "ics")
-        dims = operand_dims(s, "A")
-        rng = np.random.default_rng(11)
-        E = 9
-        table = [rng.uniform(-1, 1, dims.cols * dims.min_ld) for _ in range(E)]
-        source = BatchedOperand.indexed(table, dims.min_ld)
-        originals = [entry.copy() for entry in table]
-        packed = pack_strided(source, dims, dims.min_ld, s.layout)
-        for entry in table:
-            entry[:] = 0.0
-        unpack_strided(packed, dims, source, s.layout)
-        for entry, original in zip(table, originals):
-            assert np.array_equal(entry, original)
-
-    def test_single_element_equals_source(self):
-        s = spec(Layout.ColMajor, 2, 3, 2, "icc")
-        dims = operand_dims(s, "A")
-        rng = np.random.default_rng(12)
-        matrix = rng.uniform(-1, 1, dims.cols * dims.min_ld)
-        packed = pack_strided(BatchedOperand.indexed([matrix], dims.min_ld), dims, dims.min_ld, s.layout)
-        assert np.array_equal(packed.data, matrix)
-
-    def test_repadding_preserves_elements(self):
-        s = spec(Layout.ColMajor, 2, 2, 2, "icc")
-        dims = operand_dims(s, "A")
-        matrix = np.array([1.0, 2.0, 3.0, 4.0])
-        packed = pack_strided(BatchedOperand.indexed([matrix], 2), dims, 5, s.layout)
-        assert packed.span == 10
-        assert packed.data[0] == 1.0 and packed.data[1] == 2.0
-        assert packed.data[5] == 3.0 and packed.data[6] == 4.0
-
-    def test_row_major_round_trip(self):
-        s = spec(Layout.RowMajor, 2, 3, 4, "ics")
-        dims = operand_dims(s, "A")
-        rng = np.random.default_rng(13)
-        table = [rng.uniform(-1, 1, dims.rows * dims.min_ld) for _ in range(4)]
-        originals = [t.copy() for t in table]
-        source = BatchedOperand.indexed(table, dims.min_ld)
-        packed = pack_strided(source, dims, dims.min_ld + 2, s.layout)
-        for t in table:
-            t[:] = np.nan
-        unpack_strided(packed, dims, source, s.layout)
-        for t, original in zip(table, originals):
-            assert np.array_equal(t, original)
-
-    def test_packed_equals_indexed_through_run_batched(self):
-        s = spec(Layout.ColMajor, 2, 3, 4, "cii")
-        s_packed = spec(Layout.ColMajor, 2, 3, 4, "cis")
-        registry = build_registry(s, s_packed)
-        rng = np.random.default_rng(14)
-        E = 12
-        a, b, c = make_operands(s, E, rng)
-        c_dims = operand_dims(s, "C")
-        c_packed = pack_strided(c, c_dims, c_dims.min_ld, s.layout)
-        with use_jit(False):
-            run_batched(s, E, 1.0, a, b, 1.0, c, registry=registry)
-            run_batched(s_packed, E, 1.0, a, b, 1.0, c_packed, registry=registry)
-        assert registry.fallback_count == 0
-        got_indexed = output_elements(s, E, c)
-        got_packed = output_elements(s_packed, E, c_packed)
-        assert np.max(np.abs(got_indexed - got_packed)) <= 1e-12
-
-    def test_requires_indexed_source(self):
-        with pytest.raises(ValueError, match="Indexed"):
-            pack_strided(
-                BatchedOperand.strided(np.zeros(4), 2, 2),
-                operand_dims(S_CIS, "C"),
-                2,
-                Layout.ColMajor,
-            )
 
 
 class TestScratch:
