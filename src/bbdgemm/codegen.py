@@ -4,7 +4,8 @@ Each kernel is emitted as one Python module holding one fully-unrolled,
 shape-specialized function: a single loop over the batch index ``e`` whose
 body loads every operand element into a named local, runs every
 multiply-accumulate in ascending-k order, applies alpha, then combines with
-beta and stores.  There are no inner loops over the matrix dimensions and no
+beta and stores, each step over C's elements in the order C stores them.
+There are no inner loops over the matrix dimensions and no
 platform-specific constructs; the only concession to speed is the portable
 :func:`bbdgemm.vectorize.vectorize_batch_loop` hint on the loop function.
 
@@ -236,9 +237,16 @@ def _kernel_statements(
     """*spec*'s arithmetic as ``(before the batch loop, loop body)`` statements.
 
     This is the one definition of a kernel: every printer emits these
-    statements in this order.  Accumulators are visited column-outer and
-    summed in ascending k, so the summation order (and hence the bit
-    pattern of the result) is fixed; beta == 0 never reads C.
+    statements in this order.  Each accumulator ``rC_r_c`` gets the same
+    sequence: zero, one multiply-add per t in ascending t, alpha, the beta
+    read of C (never reading C when beta == 0), combine, store.  That
+    sequence fixes the bit pattern of the result.  Across accumulators the
+    statements are interleaved along C's contiguous dimension (the rows of
+    one column for ColMajor, the columns of one row for RowMajor): per such
+    group, every zero, then for each t every multiply-add, then every alpha;
+    then, group by group, every read, every combine, every store.  Each step
+    is thus a run of like statements over adjacent elements of C, which a
+    compiler's straight-line (SLP) vectorizer packs into vector operations.
     """
     shape = spec.shape
     if max(shape.n, shape.m, shape.k) > max_dim:
@@ -259,21 +267,23 @@ def _kernel_statements(
     # A constant across the batch only needs scalar slots: load it once.
     before = loads("A", n, k, "lda") if spec.access_a is AccessKind.Constant else []
     body = ([] if before else loads("A", n, k, "lda")) + loads("B", k, m, "ldb")
-    for c in range(m):
-        for r in range(n):
-            acc = f"rC_{r}_{c}"
-            body.append(_Statement("zero", acc))
-            body += [_Statement("madd", acc, (f"vA_{r}_{t}", f"vB_{t}_{c}")) for t in range(k)]
-            body.append(_Statement("scale", acc))
-    for c in range(m):
-        for r in range(n):
-            acc, old = f"rC_{r}_{c}", f"vC_{r}_{c}"
-            offset = _offset_expr(layout, r, c, "ldc")
+    # (r, c) of C's elements, one group per contiguous run of C.
+    if layout is Layout.ColMajor:
+        groups = [[(r, c) for r in range(n)] for c in range(m)]
+    else:
+        groups = [[(r, c) for c in range(m)] for r in range(n)]
+    for group in groups:
+        body += [_Statement("zero", f"rC_{r}_{c}") for r, c in group]
+        for t in range(k):
             body += [
-                _Statement("read_c", old, (), "C", offset),
-                _Statement("combine", acc, (old,)),
-                _Statement("store", acc, (), "C", offset),
+                _Statement("madd", f"rC_{r}_{c}", (f"vA_{r}_{t}", f"vB_{t}_{c}")) for r, c in group
             ]
+        body += [_Statement("scale", f"rC_{r}_{c}") for r, c in group]
+    for group in groups:
+        cells = [(f"rC_{r}_{c}", f"vC_{r}_{c}", _offset_expr(layout, r, c, "ldc")) for r, c in group]
+        body += [_Statement("read_c", old, (), "C", offset) for _, old, offset in cells]
+        body += [_Statement("combine", acc, (old,)) for acc, old, _ in cells]
+        body += [_Statement("store", acc, (), "C", offset) for acc, _, offset in cells]
     return before, body
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 import functools
 import threading
+from bisect import bisect_left
 from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import repeat
@@ -38,6 +39,7 @@ __all__ = [
     "PointerTable",
     "checked_c",
     "owner_ids",
+    "owner_id",
     "sort_extents",
     "OPERANDS",
 ]
@@ -108,9 +110,9 @@ def flat_float64_buffers(buffers, size: int = 0) -> bool:
     )
 
 
-_ADDRESS, _STRIDES, _CONTIGUOUS, _WRITEABLE = (
+_ADDRESS, _STRIDES, _CONTIGUOUS, _WRITEABLE, _OWNDATA = (
     attrgetter("ctypes.data"), attrgetter("strides"), attrgetter("flags.c_contiguous"),
-    attrgetter("flags.writeable"),
+    attrgetter("flags.writeable"), attrgetter("flags.owndata"),
 )
 
 #: The Indexed C table whose writability ``run_batched`` checked for the
@@ -143,6 +145,7 @@ class PointerTable(tuple):
         table = super().__new__(cls, entries)
         table._lock = threading.RLock()
         table._facts = {}
+        table._partners = {}
         table._asked = False
         return table
 
@@ -166,16 +169,14 @@ class PointerTable(tuple):
             lambda: min(map(len, self), default=0) if flat_float64_buffers(self) else -1,
         )
 
-    def owners(self) -> np.ndarray | None:
-        """:func:`owner_ids` of the entries."""
-        return self._fact("owners", lambda: owner_ids(self))
-
     def sorted_owners(self) -> np.ndarray | None:
-        """:meth:`owners` in ascending order."""
-        owners = self.owners()
-        return self._fact(
-            "sorted_owners", lambda: owners if owners is None else _read_only(np.sort(owners))
-        )
+        """:func:`owner_ids` of the entries, in ascending order."""
+
+        def compute():
+            owners = owner_ids(self)
+            return owners if owners is None else _read_only(np.sort(owners))
+
+        return self._fact("sorted_owners", compute)
 
     def distinct_owners(self) -> bool:
         """True when the owners are known and no two entries share one."""
@@ -184,6 +185,28 @@ class PointerTable(tuple):
             "distinct_owners",
             lambda: owners is not None and not np.any(owners[1:] == owners[:-1]),
         )
+
+    def shares_owner(self, other: "PointerTable | int", role: str = "") -> bool:
+        """True when an allocation holding an entry also holds *other*, a table or an owner id.
+
+        Both sides' owners must be known.  An owner id (:func:`owner_id` of
+        a flat buffer) is looked up by bisection in the cached sorted owners,
+        with no numpy call.  Against a table, the verdict depends on the two
+        tables' cached owners only, so it is kept per *role* (the operand
+        *other* plays) together with the last table asked about, which this
+        table then keeps alive.
+        """
+        if not isinstance(other, PointerTable):
+            owners = self._fact("owner_view", lambda: memoryview(self.sorted_owners()))
+            found = bisect_left(owners, other)
+            return found < len(owners) and owners[found] == other
+        last = self._partners.get(role)
+        if last is None or last[0] is not other:
+            with self._lock:
+                small, large = sorted((other.sorted_owners(), self.sorted_owners()), key=len)
+                nearest = large[np.minimum(np.searchsorted(large, small), large.size - 1)]
+                last = self._partners[role] = (other, bool(np.any(nearest == small)))
+        return last[1]
 
     def check_writable(self, which: str) -> None:
         """Raise ``ValueError`` naming the first entry of operand *which* that is read-only.
@@ -250,9 +273,15 @@ def owner_ids(buffers) -> np.ndarray | None:
     owners = [buffer if buffer.base is None else buffer.base for buffer in buffers]
     if not all(map(isinstance, owners, repeat(np.ndarray))):
         return None
-    if not all(map(attrgetter("flags.owndata"), owners)):
+    if not all(map(_OWNDATA, owners)):
         return None
     return _read_only(np.fromiter(map(id, owners), np.intp, len(owners)))
+
+
+def owner_id(buffer) -> int | None:
+    """:func:`owner_ids` of the one *buffer*, as a Python int; no numpy call."""
+    owner = buffer if buffer.base is None else buffer.base
+    return id(owner) if isinstance(owner, np.ndarray) and _OWNDATA(owner) else None
 
 
 def _read_only(fact):

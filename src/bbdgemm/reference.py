@@ -40,9 +40,10 @@ class GemmScalars:
 
 
 def _dgemm_flat(col_major, n, m, k, alpha, a, lda, b, ldb, beta, c, ldc):
-    # Triple loop, accumulators visited column-outer and summed in ascending
-    # k, matching the unroll order of the generated kernels. beta == 0 never
-    # reads C (overwrite semantics).
+    # Triple loop.  Each output element gets the generated kernels' sequence:
+    # zero, one multiply-add per t in ascending t, alpha, then the beta
+    # combine; the order across elements does not change any bit.  beta == 0
+    # never reads C (overwrite semantics).
     for col in range(m):
         for row in range(n):
             acc = 0.0

@@ -32,10 +32,13 @@ since a flag can be flipped between calls.  ``run_batched`` marks that C
 table in :data:`~bbdgemm.core.checked_c` for the kernel call it makes, so
 the kernel wrapper does not scan it again.  The rest is O(1) or numpy on
 cached facts: a Strided C's own layout is an arithmetic progression, decided
-by one comparison, and A's and B's owners (or extents) are searched against
-C's.  A table built afresh for each call costs what it did before tables
-were values: one scan of its entries, and no address read while every entry
-has an allocation of its own.
+by one comparison, and A's and B's owners are compared with C's without a
+numpy call (a flat buffer's owner is bisected into a table's sorted owners,
+and C's table keeps its verdict on A's and B's tables), or, where owners
+are shared, their extents searched against C's.  A table built afresh for
+each call costs what it did before tables were values: one scan of its
+entries, and no address read while every entry has an allocation of its
+own.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ from .core import (
     kernel_name,
     matrix_span,
     operand_dims,
-    owner_ids,
+    owner_id,
     sort_extents,
 )
 from .reference import GemmScalars, batched_ref
@@ -335,25 +338,36 @@ def _check_disjoint(E: int, operands: Sequence[BatchedOperand], spans: Sequence[
             raise ValueError(f"operand C overlaps operand {which}")
 
 
+def _owner(operand: BatchedOperand) -> PointerTable | int | None:
+    """A flat buffer's :func:`~bbdgemm.core.owner_id`, or an Indexed operand's table; None if unknown."""
+    if operand.kind is not AccessKind.Indexed:
+        return owner_id(operand.data)
+    return operand.table if operand.table.sorted_owners() is not None else None
+
+
 def _c_has_own_allocations(operands: Sequence[BatchedOperand]) -> bool:
     """True when every C buffer has a numpy allocation to itself that A and B do not use.
 
-    Reads cached table facts: C's duplicate-owner verdict, and the sorted
-    owners into which the smaller of the two owner sets compared is searched.
+    Reads cached facts and makes no numpy call on reused operands: C's
+    duplicate-owner verdict, and for each of A and B against C, a comparison
+    of two owner ids, a bisection of one owner id into a table's sorted
+    owners, or C's table's cached verdict on the other table
+    (:meth:`~bbdgemm.core.PointerTable.shares_owner`).
     """
-    owners = [
-        op.table.sorted_owners() if op.kind is AccessKind.Indexed else owner_ids((op.data,))
-        for op in operands
-    ]
-    c = operands[2]
-    if owners[2] is None or (c.kind is AccessKind.Indexed and not c.table.distinct_owners()):
+    owners = [_owner(operand) for operand in operands]
+    c_owner = owners[2]
+    if c_owner is None or (isinstance(c_owner, PointerTable) and not c_owner.distinct_owners()):
         return False
-    for ids in owners[:2]:
-        if ids is None:
+    for which, owner in zip("AB", owners):
+        if owner is None:
             return False
-        small, large = sorted((ids, owners[2]), key=len)
-        nearest = large[np.minimum(np.searchsorted(large, small), large.size - 1)]
-        if np.any(nearest == small):
+        if isinstance(c_owner, PointerTable):
+            shared = c_owner.shares_owner(owner, which)
+        elif isinstance(owner, PointerTable):
+            shared = owner.shares_owner(c_owner)
+        else:
+            shared = owner == c_owner
+        if shared:
             return False
     return True
 

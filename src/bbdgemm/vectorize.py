@@ -8,7 +8,10 @@ counts each call under the path that served it:
 * ``compiled``: when a C compiler (``cc``) is on PATH and the switches
   below allow it, the kernel's C twin (:func:`bbdgemm.codegen.generate_c_source`)
   is built on the kernel's first compiled call and called through
-  ``ctypes``; the compiler vectorizes the batch loop for the host.  A
+  ``ctypes``.  The compiler vectorizes within a batch element, not across
+  the batch loop (whose pointer-table loads it cannot pack): each t step of
+  the kernel is a run of like statements over adjacent elements of C, which
+  it packs into the host's vector operations.  A
   Strided or Constant buffer is passed by its address, and a Strided one's
   own span with it, an Indexed operand by an address array that C reads as
   ``X[e][off]``.  That is the address array of the operand's

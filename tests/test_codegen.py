@@ -1,4 +1,7 @@
+import itertools
 import re
+import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,9 +24,12 @@ from bbdgemm.codegen import (
 from bbdgemm.core import AccessKind, KernelShape, KernelSpec, Layout, matrix_span
 from bbdgemm.reference import GemmScalars, batched_ref
 from bbdgemm.runtime import load_kernel_dir
-from bbdgemm.vectorize import use_jit
+from bbdgemm.vectorize import jit_available, use_jit
 
 from conftest import build_kernel, make_operands
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def spec(layout, n, m, k, access):
@@ -39,6 +45,29 @@ IN_LOOP_LOAD = re.compile(r"^        v([AB])_\d+_\d+ = [AB]\[")
 
 def count_lines(source, pattern):
     return sum(1 for line in source.splitlines() if pattern.match(line))
+
+
+#: Each accumulator statement of the loop body: form, then (r, c) of C and, for a madd, t.
+ACC_FORMS = [
+    ("zero", re.compile(r"^        rC_(\d+)_(\d+) = 0\.0$")),
+    ("madd", re.compile(r"^        rC_(\d+)_(\d+) = vA_\1_(\d+) \* vB_\3_\2 \+ rC_\1_\2$")),
+    ("scale", re.compile(r"^        rC_(\d+)_(\d+) = rC_\1_\2 \* alpha$")),
+    ("read_c", re.compile(r"^        vC_(\d+)_(\d+) = C\[.+\] if beta != 0\.0 else 0\.0$")),
+    ("combine", re.compile(r"^        rC_(\d+)_(\d+) = vC_\1_\2 \* beta \+ rC_\1_\2$")),
+    ("store", re.compile(r"^        C\[.+\] = rC_(\d+)_(\d+)$")),
+]
+
+
+def accumulator_statements(source):
+    """``(form, r, c, t)`` of each accumulator statement, in source order (t is None but for madd)."""
+    found = []
+    for line in source.splitlines():
+        for form, pattern in ACC_FORMS:
+            match = pattern.match(line)
+            if match:
+                r, c, *t = map(int, match.groups())
+                found.append((form, r, c, t[0] if t else None))
+    return found
 
 
 class TestGeneratedSource:
@@ -113,6 +142,55 @@ class TestGeneratedSource:
             respelled.append(line)
         assert respelled == python
         assert c_lines[-2:] == ["    }", "}"]
+
+    @pytest.mark.parametrize("layout", list(Layout))
+    @pytest.mark.parametrize("n,m,k,access", [(3, 2, 4, "cis"), (4, 3, 2, "sci"), (2, 5, 3, "iii"),
+                                              (1, 3, 2, "ccc"), (5, 1, 1, "ssi")])
+    def test_statements_run_along_c_contiguous_dimension(self, layout, n, m, k, access):
+        found = accumulator_statements(generate_kernel_source(spec(layout, n, m, k, access)))
+        assert len(found) == n * m * (k + 5)
+        # Each accumulator: zero, madds in ascending t, alpha, read, combine, store.
+        for r, c in itertools.product(range(n), range(m)):
+            own = [(form, t) for form, rr, cc, t in found if (rr, cc) == (r, c)]
+            assert own == (
+                [("zero", None)] + [("madd", t) for t in range(k)]
+                + [(form, None) for form in ("scale", "read_c", "combine", "store")]
+            )
+        # Across accumulators, each run of like statements walks C's
+        # contiguous dimension: a column's rows (ColMajor), a row's columns
+        # (RowMajor), in ascending order.
+        runs = [list(run) for _, run in itertools.groupby(found, key=lambda s: (s[0], s[3]))]
+        contiguous, other = (n, m) if layout is Layout.ColMajor else (m, n)
+        for run in runs:
+            cells = [(r, c) if layout is Layout.ColMajor else (c, r) for _, r, c, _ in run]
+            assert [inner for inner, _ in cells] == list(range(contiguous))
+            assert len({outer for _, outer in cells}) == 1
+        # Per group: zero, one run per t, alpha; then, group by group, read,
+        # combine, store, all after the last alpha.
+        forms = [(run[0][0], run[0][3]) for run in runs]
+        accumulate = [("zero", None)] + [("madd", t) for t in range(k)] + [("scale", None)]
+        write = [("read_c", None), ("combine", None), ("store", None)]
+        assert forms == accumulate * other + write * other
+
+    @pytest.mark.skipif(not jit_available(), reason="no C compiler (cc) on PATH")
+    def test_c_twins_are_plain_c99(self, tmp_path):
+        # Every manifest kernel, and both layouts x all 27 access triples at
+        # one small shape, compile warning-free as ISO C99.
+        manifest = parse_manifest((ROOT / "manifests" / "default.manifest").read_text())
+        specs = list(manifest.entries) + [
+            spec(layout, 3, 2, 4, "".join(access))
+            for layout, access in itertools.product(Layout, itertools.product("csi", repeat=3))
+        ]
+        files = []
+        for s in specs:
+            files.append(tmp_path / f"{s.name}.c")
+            files[-1].write_text(generate_c_source(s))
+        done = subprocess.run(
+            ["cc", "-std=c99", "-Wall", "-Wextra", "-Wno-unused-parameter", "-Werror",
+             "-fsyntax-only", *map(str, files)],
+            capture_output=True, text=True, stdin=subprocess.DEVNULL, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
 
     def test_shape_bound(self):
         with pytest.raises(ValueError, match="bound"):

@@ -931,6 +931,45 @@ class TestCompiledPath:
         assert kernel.path_elements == {"compiled": 200}
 
 
+class TestProxyChain:
+    """The proxy's two kernels on its operands, bit for bit, on both kernel paths."""
+
+    @pytest.mark.parametrize("path", ["compiled", "lanes"])
+    def test_chain_matches_oracle_bytewise(self, path):
+        # 20_9_10_cis (beta 0) projects separately allocated Indexed entries
+        # into a span-180 Strided scratch of NaN; 10_9_9_sci (beta 1) reads a
+        # 10x9 window of it at lda 20 and accumulates into other Indexed
+        # entries.  Two timesteps, so the compiled path both copies the
+        # tables (first use) and reads them in place (reuse).
+        E = 900
+        project = spec(Layout.ColMajor, 20, 9, 10, "cis")
+        accumulate = spec(Layout.ColMajor, 10, 9, 9, "sci")
+
+        def build():
+            rng = np.random.default_rng(54)
+            qin = BatchedOperand.indexed([rng.uniform(-1.0, 1.0, 90) for _ in range(E)], 10)
+            qout = BatchedOperand.indexed([rng.uniform(-1.0, 1.0, 90) for _ in range(E)], 10)
+            op1 = BatchedOperand.constant(rng.uniform(-1.0, 1.0, 200), 20)
+            op2 = BatchedOperand.constant(rng.uniform(-1.0, 1.0, 81), 9)
+            scratch = BatchedOperand.strided(np.full(E * 180, np.nan), 20, 180)
+            return qin, qout, op1, op2, scratch
+
+        qin, qout, op1, op2, scratch = build()
+        ref_qin, ref_qout, ref_op1, ref_op2, ref_scratch = build()
+        with on_path(path) as registry_for:
+            registry = registry_for(project, accumulate)
+            for _ in range(2):
+                run_batched(project, E, 1.0, op1, qin, 0.0, scratch, registry=registry)
+                run_batched(accumulate, E, 1.0, scratch, op2, 1.0, qout, registry=registry)
+                batched_ref(project, E, GemmScalars(1.0, 0.0), ref_op1, ref_qin, ref_scratch)
+                batched_ref(accumulate, E, GemmScalars(1.0, 1.0), ref_scratch, ref_op2, ref_qout)
+                assert scratch.data.tobytes() == ref_scratch.data.tobytes()
+                assert [m.tobytes() for m in qout.table] == [m.tobytes() for m in ref_qout.table]
+        served = {"compiled": 2} if path == "compiled" else {"lanes": 2}
+        assert [registry.lookup(s.name).path_counts for s in (project, accumulate)] == [served] * 2
+        assert registry.fallback_count == 0
+
+
 class TestPointerTable:
     def make_cells(self, count=3, components=4, rows=2, cols=3):
         rng = np.random.default_rng(10)
@@ -1044,6 +1083,31 @@ class TestTableValue:
         }
         assert kernel.path_counts == {"compiled": 8}
 
+    def test_owner_verdicts_make_no_searchsorted_on_reuse(self, monkeypatch):
+        # With every entry in an allocation of its own, a flat A is bisected
+        # into C's cached owners, and C's table keeps its verdict on A's and
+        # on B's table, so a reused call makes no searchsorted; another
+        # table in A's place is decided afresh.
+        calls = []
+        searchsorted = np.searchsorted
+        monkeypatch.setattr(np, "searchsorted", lambda *args: calls.append(args) or searchsorted(*args))
+        seen = {}
+        for access in ("iii", "sci"):
+            s = spec(Layout.ColMajor, 2, 3, 4, access)
+            operands = [
+                BatchedOperand.indexed([m.copy() for m in op.table], op.ld)
+                if op.kind is AccessKind.Indexed else op
+                for op in make_operands(s, 5, np.random.default_rng(55))
+            ]
+            other_a = clone_operand(operands[0])
+            registry = build_registry(s)
+            seen[access] = []
+            for a in [operands[0], operands[0], other_a, operands[0]]:
+                calls.clear()
+                run_batched(s, 5, 1.5, a, operands[1], 0.5, operands[2], registry=registry)
+                seen[access].append(len(calls))
+        assert seen == {"iii": [2, 0, 1, 1], "sci": [0, 0, 0, 0]}
+
     def test_checked_c_never_outlives_its_call(self):
         # The mark is visible to the kernel run_batched calls, in that
         # thread only, and is gone when the call returns or raises.
@@ -1074,12 +1138,16 @@ class TestTableValue:
     def test_facts_are_computed_once_under_threads(self):
         pool = np.arange(400.0)
         table = PointerTable(pool[o : o + 4] for o in range(0, 400, 4))
+        apart, mixed = PointerTable([np.zeros(4)]), PointerTable([np.zeros(4), pool])
         start = threading.Barrier(4)
         seen = []
+        verdicts = []
 
         def worker():
             start.wait(timeout=30)
             seen.append((table.addresses, table.sorted_extents(4)))
+            verdicts.append([table.shares_owner(other, "A") for other in (apart, mixed, apart)]
+                            + [table.shares_owner(id(pool)), table.shares_owner(id(apart[0]))])
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -1096,6 +1164,7 @@ class TestTableValue:
         assert all(addresses is seen[0][0] and extents is seen[0][1] for addresses, extents in seen)
         assert seen[0][0].tolist() == [pool.ctypes.data + 8 * o for o in range(0, 400, 4)]
         assert seen[0][1][2] is None  # the 100 matrices are pairwise disjoint
+        assert verdicts == [[False, True, False, True, False]] * 4
 
 
 class TestScratch:
