@@ -4,8 +4,8 @@ Every spec is validated against the reference implementation before it may
 be timed; a spec whose outputs differ from the oracle by more than 1e-12
 never produces a benchmark row.  Timing compares one batched call over E
 elements against a loop of E single-pair GEMM calls, using medians over a
-configurable number of repetitions after one warm-up.  Samples shorter than
-one millisecond are automatically inflated by repeating the measured unit.
+configurable number of repetitions after two warm-up calls.  Samples shorter
+than one millisecond are automatically inflated by repeating the measured unit.
 """
 
 from __future__ import annotations
@@ -189,24 +189,28 @@ def run_correctness(
 
 
 def _measure(unit: Callable[[], None], reps: int) -> tuple[list[float], int]:
-    """Median-friendly timing: calibrate the unit to >= 1 ms, then sample."""
-    unit()  # warm-up (also triggers any lazy compilation)
+    """Median-friendly timing: calibrate the unit to >= 1 ms, then take *reps* fresh samples.
+
+    Two warm-up calls run first, so one-time work (a lazy build, a table's
+    first facts) sets neither the repeat count nor a sample, and the
+    calibration runs are discarded.
+    """
+    for _ in range(2):
+        unit()
     inner = 1
     while True:
         start = time.perf_counter_ns()
         for _ in range(inner):
             unit()
-        elapsed = time.perf_counter_ns() - start
-        if elapsed >= _MIN_SAMPLE_NS:
+        if time.perf_counter_ns() - start >= _MIN_SAMPLE_NS:
             break
         inner *= 2
-    samples = [elapsed / inner]
-    for _ in range(reps - 1):
+    samples = []
+    for _ in range(reps):
         start = time.perf_counter_ns()
         for _ in range(inner):
             unit()
-        elapsed = time.perf_counter_ns() - start
-        samples.append(elapsed / inner)
+        samples.append((time.perf_counter_ns() - start) / inner)
     return samples, inner
 
 

@@ -135,10 +135,10 @@ class PointerTable(tuple):
     resized or reshaped in place.  Writability is not among them, since a
     flag can be flipped between calls: :meth:`check_writable` scans it every
     time.  The address array is what a compiled kernel reads as its
-    ``double **`` argument.  Reading it costs about 1 us per entry, more
-    than copying a small matrix out and back, so it pays only for a table
-    that is used again: :meth:`addresses_on_reuse` withholds it on the first
-    request.
+    ``double **`` argument.  Where the compiled path is on, the flags and
+    the addresses are read by one compiled pass over the entries
+    (:func:`bbdgemm.vectorize.table_reader`), about 1 ns per entry, so a
+    compiled kernel reads even a table built for one call in place.
     """
 
     def __new__(cls, entries=()):
@@ -146,7 +146,6 @@ class PointerTable(tuple):
         table._lock = threading.RLock()
         table._facts = {}
         table._partners = {}
-        table._asked = False
         return table
 
     def __reduce__(self):
@@ -211,11 +210,20 @@ class PointerTable(tuple):
     def check_writable(self, which: str) -> None:
         """Raise ``ValueError`` naming the first entry of operand *which* that is read-only.
 
-        One C-level scan of the entries' flags per call, never cached; the
-        entries are walked again only to name the one at fault.
+        One scan of the entries' flags per call, never cached: by the
+        compiled :func:`~bbdgemm.vectorize.table_reader` when every entry is
+        an ndarray and the reader is available, else by ``map`` over the
+        entries, which builds a numpy ``flags`` object per entry (about
+        70 ns each) and walks them again only to name the one at fault.
         """
-        if not all(map(_WRITEABLE, self)):
+        reader = _table_reader() if self.flat_length() >= 0 else None
+        if reader is not None:
+            entry = reader.first_read_only(self)
+        elif all(map(_WRITEABLE, self)):
+            entry = -1
+        else:
             entry = list(map(_WRITEABLE, self)).index(False)
+        if entry >= 0:
             raise ValueError(f"operand {which}: table entry {entry} is read-only")
 
     # The facts below assume flat_length() >= 0: every entry is a flat float64 ndarray.
@@ -223,18 +231,16 @@ class PointerTable(tuple):
     @property
     def addresses(self) -> np.ndarray:
         """intp array: the address of each entry's first element."""
-        return self._fact(
-            "addresses", lambda: _read_only(np.fromiter(map(_ADDRESS, self), np.intp, len(self)))
-        )
 
-    def addresses_on_reuse(self) -> np.ndarray | None:
-        """:attr:`addresses` if they are cached or were asked for before, else None."""
-        if "addresses" not in self._facts:
-            with self._lock:
-                first, self._asked = not self._asked, True
-            if first:
-                return None
-        return self.addresses
+        def compute():
+            reader = _table_reader() if self.flat_length() >= 0 else None
+            if reader is None:
+                return np.fromiter(map(_ADDRESS, self), np.intp, len(self))
+            found = np.empty(len(self), np.intp)
+            reader.addresses(self, found.ctypes.data)
+            return found
+
+        return self._fact("addresses", lambda: _read_only(compute()))
 
     @property
     def strides(self) -> np.ndarray:
@@ -262,6 +268,13 @@ class PointerTable(tuple):
         return self._fact(
             ("sorted_extents", span), lambda: _read_only(sort_extents(*self.extents(span)))
         )
+
+
+def _table_reader():
+    """:func:`bbdgemm.vectorize.table_reader`, imported at call time since that module imports this one."""
+    from .vectorize import table_reader
+
+    return table_reader()
 
 
 def owner_ids(buffers) -> np.ndarray | None:

@@ -26,18 +26,20 @@ value built once: the facts the contract needs (flat float64 entries and
 their shortest length, the allocations holding them and whether they are
 distinct, and where those do not settle disjointness, entry addresses and
 C's sorted extents) are computed on the table's first use and cached.  A
-call on reused operands makes one pass over entries at Python level: the
-C-level scan of an Indexed C's writable flags, which no cache can answer
-since a flag can be flipped between calls.  ``run_batched`` marks that C
-table in :data:`~bbdgemm.core.checked_c` for the kernel call it makes, so
-the kernel wrapper does not scan it again.  The rest is O(1) or numpy on
+call on reused operands makes one pass over entries: the scan of an Indexed
+C's writable flags, which no cache can answer since a flag can be flipped
+between calls.  Where the compiled path is on,
+:func:`~bbdgemm.vectorize.table_reader` makes it in C, with no Python-level
+work per entry.  ``run_batched`` marks that C table in
+:data:`~bbdgemm.core.checked_c` for the kernel call it makes, so the kernel
+wrapper does not scan it again.  The rest is O(1) or numpy on
 cached facts: a Strided C's own layout is an arithmetic progression, decided
 by one comparison, and A's and B's owners are compared with C's without a
 numpy call (a flat buffer's owner is bisected into a table's sorted owners,
 and C's table keeps its verdict on A's and B's tables), or, where owners
 are shared, their extents searched against C's.  A table built afresh for
-each call costs what it did before tables were values: one scan of its
-entries, and no address read while every entry has an allocation of its
+each call costs its facts once: a scan per property of its entries, and no
+address read for the contract while every entry has an allocation of its
 own.
 """
 

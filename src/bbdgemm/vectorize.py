@@ -15,13 +15,13 @@ counts each call under the path that served it:
   Strided or Constant buffer is passed by its address, and a Strided one's
   own span with it, an Indexed operand by an address array that C reads as
   ``X[e][off]``.  That is the address array of the operand's
-  :class:`~bbdgemm.core.PointerTable` from the table's second use on, so a
-  reused table is read and written in place, with no copy.  On a table's
-  first use, whose addresses would cost more to read than its matrices to
-  copy, or when its entries are not all C-contiguous, the matrices are
-  copied into an ``(E, matrix span)`` array, C reads that array's row
-  addresses, and C's rows are copied back.  A batch with a flat buffer that
-  is not C-contiguous, or a read-only flat C, takes the next path.
+  :class:`~bbdgemm.core.PointerTable`, which :func:`table_reader` reads in
+  one compiled pass, once per table, so a table is read and written in
+  place from its first use, with no copy.  When its entries are not all
+  C-contiguous, the matrices are copied into an ``(E, matrix span)`` array,
+  C reads that array's row addresses, and C's rows are copied back.  A
+  batch with a flat buffer that is not C-contiguous, or a read-only flat C,
+  takes the next path.
 * ``lanes``: every Strided or Indexed operand is staged as a ``(matrix
   span, E)`` array whose row ``off`` holds element ``off`` of every matrix,
   and the generated Python function runs once with E == 1 on those arrays.
@@ -48,9 +48,10 @@ calls a kernel; the wrapper assumes it and checks again only what a pointer
 handed to C needs: dtype, rank, contiguity, length (and, for a Strided
 operand, a span no shorter than its matrix) and, for C, writability.
 A table caches all but its writability, so a reused table costs the wrapper
-O(1), plus, for an Indexed C, one C-level scan of its entries' writable
-flags, which the wrapper skips when the table is the one ``run_batched``
-has just checked for this very call (:data:`bbdgemm.core.checked_c`).
+O(1), plus, for an Indexed C, one compiled pass over its entries' writable
+flags (:func:`table_reader`), which the wrapper skips when the table is the
+one ``run_batched`` has just checked for this very call
+(:data:`bbdgemm.core.checked_c`).
 
 Switches: ``BBDGEMM_JIT=0`` (or ``off``/``false``/``no``) turns the compiled
 path off for the process; otherwise :func:`use_jit` turns it off and on
@@ -60,8 +61,13 @@ into a fused multiply-add would change the bits) and cached in
 ``$XDG_CACHE_HOME/bbdgemm`` (default ``~/.cache/bbdgemm``) under the sha256
 of the source, the flags, ``cc --version`` and the target ``-march=native``
 resolves to, so a cache shared between different CPUs never loads another
-CPU's object.  Each build or cache load is recorded in :data:`compile_log`,
-never inside a call's timing once the kernel is loaded.
+CPU's object.  The same switches, flags and cache serve
+:func:`table_reader`, whose key also holds the numpy version and the
+include directories of ``Python.h`` and numpy's headers, since it reads
+numpy's array struct; without those headers pointer tables are read by
+Python-level scans instead.  Each build or cache load is recorded in
+:data:`compile_log`, the reader's as ``table_reader``, never inside a
+call's timing once the kernel is loaded.
 
 Calling the decorated kernel never changes numerics: every path executes
 the same statements in the same order on IEEE doubles, and numpy's
@@ -76,6 +82,7 @@ import hashlib
 import os
 import shutil
 import subprocess
+import sysconfig
 import tempfile
 import threading
 import time
@@ -187,12 +194,15 @@ def _cache_dir() -> Path:
     return path
 
 
-def _load_c_kernel(name: str):
-    """The ctypes function of kernel *name*, built into the cache when missing."""
+def _build_and_load(name: str, source: str, flags, load, *key_extra: str):
+    """Library *load* opens from *source* built with *flags*, built into the cache when missing.
+
+    The cache key is the sha256 of the source, the flags, the toolchain and
+    *key_extra*; the build or load is recorded in :data:`compile_log` as *name*.
+    """
     started = time.perf_counter()
     cc = _find_compiler()
-    source = generate_c_source(parse_kernel_name(name))
-    key = hashlib.sha256("\0".join((source, " ".join(_CFLAGS), _toolchain(cc))).encode())
+    key = hashlib.sha256("\0".join((source, " ".join(flags), _toolchain(cc), *key_extra)).encode())
     directory = _cache_dir()
     target = directory / f"{name}-{key.hexdigest()}.so"
     hit = target.exists()
@@ -200,12 +210,96 @@ def _load_c_kernel(name: str):
         with tempfile.TemporaryDirectory(dir=directory) as tmp:
             c_file, so_file = Path(tmp) / f"{name}.c", Path(tmp) / f"{name}.so"
             c_file.write_text(source, encoding="utf-8")
-            _run(cc, *_CFLAGS, "-o", str(so_file), str(c_file))
+            _run(cc, *flags, "-o", str(so_file), str(c_file))
             os.replace(so_file, target)
-    fn = getattr(ctypes.CDLL(str(target)), name)
-    fn.argtypes, fn.restype = _C_ARGTYPES, None
+    library = load(str(target))
     compile_log.append(CompileEvent(name, time.perf_counter() - started, hit))
+    return library
+
+
+def _load_c_kernel(name: str):
+    """The ctypes function of kernel *name*, built into the cache when missing."""
+    source = generate_c_source(parse_kernel_name(name))
+    fn = getattr(_build_and_load(name, source, _CFLAGS, ctypes.CDLL), name)
+    fn.argtypes, fn.restype = _C_ARGTYPES, None
     return fn
+
+
+#: Reads a PointerTable, a tuple of ndarrays, with the interpreter lock held
+#: (the library is opened with ``ctypes.PyDLL``).  Callers pass only tables
+#: whose entries are all ndarrays.
+_TABLE_READER_SOURCE = """\
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+#define NPY_NO_DEPRECATED_API NPY_1_7_API_VERSION
+#include <numpy/ndarraytypes.h>
+
+#define ENTRY(table, e) ((PyArrayObject *)PyTuple_GET_ITEM(table, e))
+
+Py_ssize_t first_read_only(PyObject *table) {
+    Py_ssize_t count = PyTuple_GET_SIZE(table);
+    for (Py_ssize_t e = 0; e < count; ++e)
+        if (!(PyArray_FLAGS(ENTRY(table, e)) & NPY_ARRAY_WRITEABLE))
+            return e;
+    return -1;
+}
+
+void addresses(PyObject *table, Py_intptr_t *out) {
+    Py_ssize_t count = PyTuple_GET_SIZE(table);
+    for (Py_ssize_t e = 0; e < count; ++e)
+        out[e] = (Py_intptr_t)PyArray_DATA(ENTRY(table, e));
+}
+"""
+
+
+@functools.cache
+def _reader_includes() -> tuple[str, str] | None:
+    """Directories holding ``Python.h`` and ``numpy/ndarraytypes.h``, or None when one is missing."""
+    python, numpy = sysconfig.get_paths().get("include", ""), np.get_include()
+    found = (Path(python) / "Python.h").is_file() and (
+        Path(numpy) / "numpy" / "ndarraytypes.h"
+    ).is_file()
+    return (python, numpy) if found else None
+
+
+def _load_table_reader():
+    """The table reader's library, built into the cache when missing, with its ctypes signatures."""
+    library = _build_and_load(
+        "table_reader",
+        _TABLE_READER_SOURCE,
+        (*_CFLAGS, *(f"-I{include}" for include in _reader_includes())),
+        ctypes.PyDLL,
+        np.__version__,
+    )
+    library.first_read_only.argtypes = (ctypes.py_object,)
+    library.first_read_only.restype = ctypes.c_ssize_t
+    library.addresses.argtypes = (ctypes.py_object, ctypes.c_void_p)
+    library.addresses.restype = None
+    return library
+
+
+_reader: list = []
+_reader_lock = threading.Lock()
+
+
+def table_reader():
+    """The compiled reader of pointer tables, or None where the compiled path may not build it.
+
+    Its ``first_read_only(table)`` returns the index of the first entry
+    whose writable flag is clear, or -1; ``addresses(table, out)`` writes
+    each entry's data address into the intp array at address *out*.  Both
+    read numpy's array struct, so *table* must be a tuple of ndarrays, and
+    the build is keyed on the numpy version and both include directories.
+    None when :func:`jit_enabled` is False or a header is missing; the
+    reader is built or loaded on the first call that may use it.
+    """
+    if not jit_enabled() or _reader_includes() is None:
+        return None
+    if not _reader:
+        with _reader_lock:
+            if not _reader:
+                _reader.append(_load_table_reader())
+    return _reader[0]
 
 
 def _matrices(table, E: int, span: int):
@@ -321,17 +415,18 @@ def vectorize_batch_loop(name: str):
             # for every element the loop touches, (E-1)*span + size for a
             # Strided operand, and writable for C; a flat buffer that is not
             # takes lanes instead.  An Indexed operand goes as an address
-            # array read as X[e][off]: its table's own, or, for a table on
-            # its first use or with entries C cannot read in place, that of
-            # an (E, size) copy, with C copied back after.
+            # array read as X[e][off]: its table's own, or, for a table with
+            # entries C cannot read in place, that of an (E, size) copy, with
+            # C copied back after.
             args, staged = [], {}
             for payload, kind, span, size, which in zip(payloads, kinds, spans, sizes, "ABC"):
                 if kind is AccessKind.Indexed:
                     table = payload if isinstance(payload, PointerTable) else PointerTable(payload)
                     if not (len(table) >= E and table.flat_length() >= size):
                         return False
-                    addresses = table.addresses_on_reuse()
-                    if addresses is None or not table.contiguous:
+                    if table.contiguous:
+                        addresses = table.addresses
+                    else:
                         rows = staged[which] = _gather(table, E, size)
                         addresses = rows.ctypes.data + np.arange(E, dtype=np.intp) * rows.strides[0]
                     args.append(addresses)

@@ -1,6 +1,9 @@
+import time
+
 import numpy as np
 import pytest
 
+from bbdgemm import bench
 from bbdgemm.bench import (
     BenchRecord,
     FallbackDisallowed,
@@ -227,3 +230,22 @@ class TestReport:
     def test_amdahl_line(self):
         report = format_report([record()], gemm_fraction=0.5353)
         assert "2.152" in report
+
+
+def test_measure_keeps_slow_first_calls_out_of_its_samples():
+    # Two slow calls (a lazy build, a table's first facts) set neither the
+    # repeat count nor a sample.
+    calls = []
+
+    def unit():
+        calls.append(None)
+        if len(calls) <= 2:
+            time.sleep(0.005)
+        else:
+            until = time.perf_counter_ns() + 10_000
+            while time.perf_counter_ns() < until:
+                pass
+
+    samples, inner = bench._measure(unit, 5)
+    assert inner > 1
+    assert len(samples) == 5 and max(samples) < 1_000_000

@@ -7,6 +7,7 @@ import sys
 import threading
 from contextlib import contextmanager
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -40,6 +41,11 @@ from bbdgemm.vectorize import jit_available, use_jit
 from conftest import build_kernel, build_registry, make_operands
 
 needs_cc = pytest.mark.skipif(not jit_available(), reason="no C compiler (cc) on PATH")
+has_reader_headers = vectorize._reader_includes() is not None
+needs_reader = pytest.mark.skipif(
+    not (jit_available() and has_reader_headers),
+    reason="no C compiler (cc), Python.h or numpy's headers for the table reader",
+)
 
 
 def spec(layout, n, m, k, access):
@@ -526,7 +532,8 @@ class TestOperandContract:
     def test_direct_call_refuses_a_read_only_c_entry_before_any_write(self, path, uses):
         # Called directly, past run_batched's check, a read-only entry past
         # the first is refused with the contract's message before C is
-        # written, on either kernel path, not when a write reaches it.
+        # written, on either kernel path, not when a write reaches it, with
+        # the table's addresses read before (uses == 2) or not.
         s = spec(Layout.ColMajor, 2, 3, 4, "cii")
         E = 4
         a, b, c = make_operands(s, E, np.random.default_rng(53))
@@ -536,7 +543,7 @@ class TestOperandContract:
         with on_path(path) as registry_for:
             kernel = registry_for(s).lookup(kernel_name(s))
             for _ in range(uses - 1):
-                table.addresses_on_reuse()
+                table.addresses
             with pytest.raises(ValueError, match="^operand C: table entry 2 is read-only$"):
                 kernel(E, 1.0, a.data, a.ld, b.table, b.ld, 1.0, table, c.ld, 8, 12, 6)
         assert [m.tobytes() for m in table] == before
@@ -747,7 +754,7 @@ class TestCompiledPath:
         ["pooled_views", "longer_than_span", "read_only_a_b", "shared_a_b", "non_contiguous"],
     )
     def test_reused_indexed_operands_are_read_in_place(self, entries, monkeypatch):
-        # From a table's second use, C reads every contiguous table through
+        # From a table's first use, C reads every contiguous table through
         # its address array: no staging copy, no write-back, and the oracle's
         # bytes, elements past a matrix included.  Entries that are not
         # C-contiguous are copied on every call, and give the same bytes on
@@ -784,10 +791,9 @@ class TestCompiledPath:
         got, lanes, want = build(), build(), build()
         registry = build_registry(s)
         with use_jit(True):
-            run_batched(s, E, 1.5, got[0], got[1], 0.5, got[2], registry=registry)
-            staged.clear()
-            run_batched(s, E, 1.5, got[0], got[1], 0.5, got[2], registry=registry)
-        copied = ["_gather"] * 3 + ["_scatter"] if entries == "non_contiguous" else []
+            for _ in range(2):
+                run_batched(s, E, 1.5, got[0], got[1], 0.5, got[2], registry=registry)
+        copied = 2 * (["_gather"] * 3 + ["_scatter"]) if entries == "non_contiguous" else []
         assert staged == copied
         assert registry.lookup(kernel_name(s)).path_counts == {"compiled": 2}
         with use_jit(False):
@@ -799,19 +805,27 @@ class TestCompiledPath:
         assert [m.tobytes() for m in buffers_of(*got)] == expected
         assert [m.tobytes() for m in buffers_of(*lanes)] == expected
 
-    def test_a_table_reads_its_addresses_only_when_reused(self, monkeypatch):
-        # Separately allocated entries need no address for the contract, so a
-        # table's first call copies its matrices, as a table built afresh for
-        # every call would; its second reads the addresses, once.
+    @needs_reader
+    def test_a_table_is_read_in_place_from_its_first_use(self, monkeypatch):
+        # The table reader reads each Indexed table's addresses once, on its
+        # first call, in one compiled pass: no entry's address is read in
+        # Python, and no matrix is copied, on that call or later ones.
         s = spec(Layout.RowMajor, 2, 3, 4, "ici")
         E = 6
         rng = np.random.default_rng(47)
         a, b, c = make_operands(s, E, rng)
         a, c = (BatchedOperand.indexed([m.copy() for m in op.table], op.ld) for op in (a, c))
         want = [clone_operand(op) for op in (a, b, c)]
-        reads, copies = [], []
+        reads, python_reads, copies = [], [], []
+        with use_jit(True):
+            reader = vectorize.table_reader()
+        counting = SimpleNamespace(
+            first_read_only=reader.first_read_only,
+            addresses=lambda table, out: reads.append(table) or reader.addresses(table, out),
+        )
+        monkeypatch.setattr(vectorize, "table_reader", lambda: counting)
         read_address = core._ADDRESS
-        monkeypatch.setattr(core, "_ADDRESS", lambda m: reads.append(m) or read_address(m))
+        monkeypatch.setattr(core, "_ADDRESS", lambda m: python_reads.append(m) or read_address(m))
         gather = vectorize._gather
         monkeypatch.setattr(vectorize, "_gather", lambda *args: copies.append(args) or gather(*args))
         registry = build_registry(s)
@@ -819,9 +833,10 @@ class TestCompiledPath:
         with use_jit(True):
             for _ in range(3):
                 run_batched(s, E, 1.5, a, b, 0.5, c, registry=registry)
-                seen.append((len(reads), len(copies)))
+                seen.append((len(reads), len(python_reads), len(copies)))
                 batched_ref(s, E, GemmScalars(1.5, 0.5), *want)
-        assert seen == [(0, 2), (2 * E, 2), (2 * E, 2)]
+        assert seen == [(2, 0, 0)] * 3
+        assert reads[0] is a.table and reads[1] is c.table
         assert registry.lookup(kernel_name(s)).path_counts == {"compiled": 3}
         assert [m.tobytes() for m in c.table] == [m.tobytes() for m in want[2].table]
 
@@ -829,8 +844,8 @@ class TestCompiledPath:
     def test_direct_call_never_writes_a_read_only_c_entry(self, uses):
         # Called directly, past run_batched's contract check, the kernel
         # still refuses to write through a read-only C entry, whether the
-        # compiled path would copy the table (first use) or read it in place
-        # (reuse): before it chooses a path.
+        # table's addresses were read before (uses == 2) or not: before it
+        # chooses a path.
         s = spec(Layout.ColMajor, 2, 3, 4, "cii")
         E = 4
         a, b, c = make_operands(s, E, np.random.default_rng(48))
@@ -839,7 +854,7 @@ class TestCompiledPath:
         kernel = build_registry(s).lookup(kernel_name(s))
         with use_jit(True):
             for _ in range(uses - 1):
-                table.addresses_on_reuse()
+                table.addresses
             with pytest.raises(ValueError, match="read-only"):
                 kernel(E, 1.0, a.data, a.ld, b.table, b.ld, 1.0, table, c.ld, 8, 12, 6)
         assert frozen == bytes(len(frozen))
@@ -883,12 +898,14 @@ class TestCompiledPath:
             assert done.returncode == 0, done.stderr
             runs.append(json.loads(done.stdout.splitlines()[-1]))
         first, second = runs
-        assert [event[2] for event in first["events"]] == [False]
-        assert sum("-shared" in command for command in first["commands"]) == 1
-        assert [event[2] for event in second["events"]] == [True]
+        # The call reads B's table, so the table reader is made ready first.
+        names = ["table_reader"] * has_reader_headers + ["bbdgemm_ColMajor_2_2_2_cis"]
+        assert [event[:3:2] for event in first["events"]] == [[name, False] for name in names]
+        assert sum("-shared" in command for command in first["commands"]) == len(names)
+        assert [event[:3:2] for event in second["events"]] == [[name, True] for name in names]
         assert not any("-shared" in command for command in second["commands"])
         assert first["c"] == second["c"] == [2.0] * 12
-        assert [p.suffix for p in (tmp_path / "bbdgemm").iterdir()] == [".so"]
+        assert [p.suffix for p in (tmp_path / "bbdgemm").iterdir()] == [".so"] * len(names)
         assert (tmp_path / "bbdgemm").stat().st_mode & 0o777 == 0o700
 
     def test_threads_compile_a_fresh_kernel_once(self, tmp_path, monkeypatch):
@@ -931,6 +948,84 @@ class TestCompiledPath:
         assert kernel.path_elements == {"compiled": 200}
 
 
+class _Tagged(np.ndarray):
+    """An ndarray subclass, to stand in a pointer table as an entry."""
+
+
+class TestTableReader:
+    """The compiled reader of a table's writable flags and addresses, and the scans it replaces."""
+
+    @needs_reader
+    def test_reader_loads_where_cc_and_headers_are_present(self):
+        with use_jit(True):
+            assert vectorize.table_reader() is not None
+        with use_jit(False):
+            assert vectorize.table_reader() is None
+        assert "table_reader" in [event.kernel for event in vectorize.compile_log]
+
+    @needs_reader
+    def test_build_cache_is_keyed_on_the_numpy_version(self, tmp_path, monkeypatch):
+        # A second load is a cache hit; another numpy version builds another
+        # object.  Every build or load is logged under the one name.
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        events = len(vectorize.compile_log)
+        table = PointerTable([np.zeros(2), np.zeros(3)])
+        table[1].flags.writeable = False
+        names = []
+        for version in (np.__version__, np.__version__, np.__version__ + "+other"):
+            monkeypatch.setattr(np, "__version__", version)
+            assert vectorize._load_table_reader().first_read_only(table) == 1
+            names.append(sorted(path.name for path in (tmp_path / "bbdgemm").iterdir()))
+        assert len(names[0]) == 1 and names[0][0].startswith("table_reader-")
+        assert names[1] == names[0]
+        assert len(names[2]) == 2 and names[0][0] in names[2]
+        logged = [(event.kernel, event.cache_hit) for event in vectorize.compile_log[events:]]
+        assert logged == [("table_reader", False), ("table_reader", True), ("table_reader", False)]
+
+    @pytest.mark.parametrize("E", [1, 2, 900])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_both_scans_refuse_the_same_entry(self, E, where, monkeypatch):
+        # With and without the reader, a read-only C entry (and the first
+        # of two) is refused with the same message before any byte is
+        # written: by run_batched on each path and by a direct kernel call.
+        # The table holds an entry that owns its data, views of a pool, and
+        # an ndarray subclass.  Its addresses are each entry's either way.
+        s = spec(Layout.RowMajor, 2, 3, 4, "ici")
+        bad = {"first": 0, "middle": E // 2, "last": E - 1}[where]
+        a, b, c = make_operands(s, E, np.random.default_rng(56))
+        entries = list(c.table)
+        entries[0] = entries[0].copy()
+        entries[E // 2] = entries[E // 2].view(_Tagged)
+        for e in {bad, E - 1}:
+            entries[e].flags.writeable = False
+        c = BatchedOperand.indexed(entries, c.ld)
+        calls = [("lanes", False), ("fallback", True)]
+        calls += [("compiled", True), ("direct", True)] if jit_available() else []
+
+        def refusals():
+            messages = []
+            for path, jit in calls:
+                registry = KernelRegistry({}) if path == "fallback" else build_registry(s)
+                before = [m.tobytes() for m in buffers_of(a, b, c)]
+                with use_jit(jit), pytest.raises(ValueError) as refused:
+                    if path == "direct":
+                        kernel = registry.lookup(kernel_name(s))
+                        kernel(E, 1.5, a.table, a.ld, b.data, b.ld, 0.5, c.table, c.ld, 8, 12, 6)
+                    else:
+                        run_batched(s, E, 1.5, a, b, 0.5, c, registry=registry)
+                messages.append(str(refused.value))
+                assert [m.tobytes() for m in buffers_of(a, b, c)] == before
+                assert registry.fallback_count == 0
+            with use_jit(True):
+                assert PointerTable(entries).addresses.tolist() == [e.ctypes.data for e in entries]
+            return messages
+
+        with_reader = refusals()
+        monkeypatch.setattr(vectorize, "table_reader", lambda: None)
+        without_reader = refusals()
+        assert with_reader == without_reader == [f"operand C: table entry {bad} is read-only"] * len(calls)
+
+
 class TestProxyChain:
     """The proxy's two kernels on its operands, bit for bit, on both kernel paths."""
 
@@ -939,8 +1034,8 @@ class TestProxyChain:
         # 20_9_10_cis (beta 0) projects separately allocated Indexed entries
         # into a span-180 Strided scratch of NaN; 10_9_9_sci (beta 1) reads a
         # 10x9 window of it at lda 20 and accumulates into other Indexed
-        # entries.  Two timesteps, so the compiled path both copies the
-        # tables (first use) and reads them in place (reuse).
+        # entries.  Two timesteps, so the tables' facts are both computed
+        # (first use) and reused.
         E = 900
         project = spec(Layout.ColMajor, 20, 9, 10, "cis")
         accumulate = spec(Layout.ColMajor, 10, 9, 9, "sci")
