@@ -6,8 +6,7 @@ one-to-one onto a kernel name such as ``bbdgemm_ColMajor_2_3_4_cis``; the
 name is the key used by manifests, the dispatch table, and the CLI.
 :func:`is_decimal` and :func:`flat_float64_buffers` are the token and buffer
 tests that the parsers, the operand checks and the oracle share;
-:class:`PointerTable` is an Indexed operand's table of buffers as a value,
-and :data:`checked_c` marks the one whose writability a call has checked.
+:class:`PointerTable` is an Indexed operand's table of buffers as a value.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import enum
 import functools
 import threading
 from bisect import bisect_left
-from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import repeat
 from operator import attrgetter
@@ -37,7 +35,6 @@ __all__ = [
     "is_decimal",
     "flat_float64_buffers",
     "PointerTable",
-    "checked_c",
     "owner_ids",
     "owner_id",
     "sort_extents",
@@ -114,13 +111,6 @@ _ADDRESS, _STRIDES, _CONTIGUOUS, _WRITEABLE, _OWNDATA = (
     attrgetter("ctypes.data"), attrgetter("strides"), attrgetter("flags.c_contiguous"),
     attrgetter("flags.writeable"), attrgetter("flags.owndata"),
 )
-
-#: The Indexed C table whose writability ``run_batched`` checked for the
-#: kernel call it is making in this context, else None.  Set around that one
-#: call and reset after it, per thread and task, so it never outlives the call
-#: and survives any plain function wrapped around the kernel.
-checked_c: ContextVar["PointerTable | None"] = ContextVar("checked_c", default=None)
-
 
 class PointerTable(tuple):
     """An Indexed operand's pointer table as a value: a tuple of its entries.
@@ -207,16 +197,24 @@ class PointerTable(tuple):
                 last = self._partners[role] = (other, bool(np.any(nearest == small)))
         return last[1]
 
-    def check_writable(self, which: str) -> None:
+    def _reader(self):
+        """:func:`~bbdgemm.vectorize.table_reader` where every entry is an ndarray, else None."""
+        if self.flat_length() < 0:
+            return None
+        # Imported at call time, since that module imports this one.
+        from .vectorize import table_reader
+
+        return table_reader()
+
+    def check_writable(self, which: str, reader) -> None:
         """Raise ``ValueError`` naming the first entry of operand *which* that is read-only.
 
-        One scan of the entries' flags per call, never cached: by the
-        compiled :func:`~bbdgemm.vectorize.table_reader` when every entry is
-        an ndarray and the reader is available, else by ``map`` over the
-        entries, which builds a numpy ``flags`` object per entry (about
-        70 ns each) and walks them again only to name the one at fault.
+        One scan of the entries' flags per call, never cached: by *reader*,
+        this table's :meth:`_reader` (a prepared call keeps the one it got),
+        or where that is None by ``map`` over the entries, which builds a
+        numpy ``flags`` object per entry (about 70 ns each) and walks them
+        again only to name the one at fault.
         """
-        reader = _table_reader() if self.flat_length() >= 0 else None
         if reader is not None:
             entry = reader.first_read_only(self)
         elif all(map(_WRITEABLE, self)):
@@ -233,7 +231,7 @@ class PointerTable(tuple):
         """intp array: the address of each entry's first element."""
 
         def compute():
-            reader = _table_reader() if self.flat_length() >= 0 else None
+            reader = self._reader()
             if reader is None:
                 return np.fromiter(map(_ADDRESS, self), np.intp, len(self))
             found = np.empty(len(self), np.intp)
@@ -268,13 +266,6 @@ class PointerTable(tuple):
         return self._fact(
             ("sorted_extents", span), lambda: _read_only(sort_extents(*self.extents(span)))
         )
-
-
-def _table_reader():
-    """:func:`bbdgemm.vectorize.table_reader`, imported at call time since that module imports this one."""
-    from .vectorize import table_reader
-
-    return table_reader()
 
 
 def owner_ids(buffers) -> np.ndarray | None:

@@ -11,7 +11,9 @@ interchangeable variants are provided:
   batch dimension of one ``run_batched`` call per chain step per component,
   with scratch grown dynamically to cover all cells.  Cell storage never
   moves, so a state builds its pointer tables (one per tensor binding and
-  component) and its scratch on its first batched timestep and reuses them.
+  component), every other operand of its calls and its scratch on its first
+  batched timestep and reuses them; so from the second timestep on, each
+  call repeats a checked one (see :func:`~bbdgemm.runtime.run_batched`).
 
 Both variants compute identical values; ``dump_state``/``compare_dumps``
 provide the file-based validation used to demonstrate it.
@@ -20,6 +22,7 @@ provide the file-based validation used to demonstrate it.
 from __future__ import annotations
 
 import math
+import operator
 import re
 import struct
 from dataclasses import dataclass, field
@@ -264,8 +267,11 @@ class ProxyState:
 
     ``pointer_tables`` holds one ``(qin, qout)`` pair of Indexed operands per
     component; the first batched timestep builds them and every later one
-    reuses them, as it reuses ``scratch``.  Replacing a cell's matrices after
-    that needs ``pointer_tables`` reset to None.
+    reuses them, as it reuses ``scratch``.  Beside them it builds the
+    operands of every chain step: the Constants, and one Strided operand
+    per component and step over the scratch, built again when the scratch
+    array changes.  Replacing a cell's matrices or a constant after that
+    needs ``pointer_tables`` reset to None.
     """
 
     config: ProxyConfig
@@ -275,6 +281,8 @@ class ProxyState:
     constant_lds: dict[str, int]
     pointer_tables: tuple[tuple[BatchedOperand, BatchedOperand], ...] | None = None
     scratch: ScratchBuffer = field(default_factory=ScratchBuffer)
+    # (config, pointer_tables, scratch array) the step operands were built for, and they.
+    _step_operands: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def build_state(config: ProxyConfig) -> ProxyState:
@@ -380,7 +388,8 @@ def compute_local_integration_batched(
 
     *scratch* must have been sized via :meth:`ScratchBuffer.ensure` for
     E == cells; an undersized buffer is a checked programming error.  The
-    pointer tables are *state*'s, built by the first call.
+    pointer tables and the other operands are *state*'s, built by the first
+    call, the scratch operands again when *scratch*'s array changes.
     """
     per_element = config.scratch_per_element
     needed = config.cells * per_element
@@ -389,32 +398,18 @@ def compute_local_integration_batched(
             f"scratch undersized: capacity {scratch.capacity} < required {needed}; "
             f"call scratch.ensure(cells, per_element) first"
         )
-    scratch_ld = _scratch_ld(config)
-    scratch_flat = scratch.array[:needed] if needed else scratch.array[:0]
     if state.pointer_tables is None:
         state.pointer_tables = tuple(
             (build_pointer_table(state.qin, component), build_pointer_table(state.qout, component))
             for component in range(config.components)
         )
-    for qin_table, qout_table in state.pointer_tables:
-        for step in config.chain:
-            operands = []
-            for which, binding in zip("ABC", step.bindings()):
-                if binding in CONSTANT_BINDINGS:
-                    operands.append(
-                        BatchedOperand.constant(
-                            state.constants[binding], ld=state.constant_lds[binding]
-                        )
-                    )
-                elif binding == "qin":
-                    operands.append(qin_table)
-                elif binding == "qout":
-                    operands.append(qout_table)
-                else:
-                    operands.append(
-                        BatchedOperand.strided(scratch_flat, ld=scratch_ld, span=per_element)
-                    )
-            a, b, c = operands
+    built_for = (config, state.pointer_tables, scratch.array)
+    built = state._step_operands
+    if built is None or any(map(operator.is_not, built[0], built_for)):
+        built = (built_for, _build_step_operands(config, state, scratch.array[:needed]))
+        state._step_operands = built
+    for operands in built[1]:
+        for step, (a, b, c) in zip(config.chain, operands):
             run_batched(
                 step.spec,
                 config.cells,
@@ -425,6 +420,29 @@ def compute_local_integration_batched(
                 c,
                 registry=registry,
             )
+
+
+def _build_step_operands(config: ProxyConfig, state: ProxyState, scratch_flat: np.ndarray):
+    """``(a, b, c)`` of each chain step, per component: the state's tables, and a Constant per constant.
+
+    Each step gets a Strided operand of its own over *scratch_flat*, so
+    every call has a C of its own to keep its checked contract on.
+    """
+    constants = {
+        name: BatchedOperand.constant(data, ld=state.constant_lds[name])
+        for name, data in state.constants.items()
+    }
+    scratch_ld = _scratch_ld(config)
+    per_element = config.scratch_per_element
+    components = []
+    for tables in state.pointer_tables:
+        steps = []
+        for step in config.chain:
+            scratch = BatchedOperand.strided(scratch_flat, ld=scratch_ld, span=per_element)
+            bound = dict(zip(TENSOR_BINDINGS, tables), **constants, scratch=scratch)
+            steps.append(tuple(bound[binding] for binding in step.bindings()))
+        components.append(tuple(steps))
+    return tuple(components)
 
 
 def run_proxy_state(

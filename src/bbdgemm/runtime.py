@@ -25,22 +25,29 @@ An Indexed operand's table is a :class:`~bbdgemm.core.PointerTable`, a
 value built once: the facts the contract needs (flat float64 entries and
 their shortest length, the allocations holding them and whether they are
 distinct, and where those do not settle disjointness, entry addresses and
-C's sorted extents) are computed on the table's first use and cached.  A
-call on reused operands makes one pass over entries: the scan of an Indexed
-C's writable flags, which no cache can answer since a flag can be flipped
-between calls.  Where the compiled path is on,
-:func:`~bbdgemm.vectorize.table_reader` makes it in C, with no Python-level
-work per entry.  ``run_batched`` marks that C table in
-:data:`~bbdgemm.core.checked_c` for the kernel call it makes, so the kernel
-wrapper does not scan it again.  The rest is O(1) or numpy on
-cached facts: a Strided C's own layout is an arithmetic progression, decided
-by one comparison, and A's and B's owners are compared with C's without a
-numpy call (a flat buffer's owner is bisected into a table's sorted owners,
-and C's table keeps its verdict on A's and B's tables), or, where owners
-are shared, their extents searched against C's.  A table built afresh for
-each call costs its facts once: a scan per property of its entries, and no
-address read for the contract while every entry has an allocation of its
-own.
+C's sorted extents) are computed on the table's first use and cached.  The
+check itself is O(1) or numpy on cached facts: a Strided C's own layout is
+an arithmetic progression, decided by one comparison, and A's and B's
+owners are compared with C's without a numpy call (a flat buffer's owner is
+bisected into a table's sorted owners, and C's table keeps its verdict on
+A's and B's tables), or, where owners are shared, their extents searched
+against C's.  A table built afresh for each call costs its facts once: a
+scan per property of its entries, and no address read for the contract
+while every entry has an allocation of its own.
+
+A checked call is kept on its C operand as a prepared call: the verdict,
+and the kernel bound to the operands' addresses, leading dimensions and
+spans (the kernel wrapper's ``bind``), or the fallback.  A call that
+repeats it (the same spec, registry, E, A and B objects, each operand's
+kind, ld, span, table or buffer, a buffer's dtype, shape and strides, and
+the compiled-path switch, all compared as ints) skips the check and makes
+one pass over entries: the scan of C's writable flags, which no cache can
+answer since a flag can be flipped between calls.  For an Indexed C the
+prepared call keeps the :func:`~bbdgemm.vectorize.table_reader` that makes
+that scan in C, with no Python-level work per entry.  alpha and beta are
+never kept: each run takes them from its own call.  Anything else that
+changes prepares the call afresh, and a copy or unpickled C starts with
+none.
 """
 
 from __future__ import annotations
@@ -52,7 +59,7 @@ import sys
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -60,7 +67,6 @@ from .core import (
     AccessKind,
     KernelSpec,
     PointerTable,
-    checked_c,
     flat_float64_buffers,
     kernel_name,
     matrix_span,
@@ -68,6 +74,7 @@ from .core import (
     owner_id,
     sort_extents,
 )
+from . import vectorize
 from .reference import GemmScalars, batched_ref
 
 __all__ = [
@@ -91,7 +98,8 @@ class BatchedOperand:
     at construction is snapshotted into one, so changing that sequence later
     changes neither the operand nor its results.  ``span`` is only
     meaningful for Strided operands and is the element count between
-    consecutive matrices.
+    consecutive matrices.  Once used as C by :func:`run_batched`, an operand
+    keeps that call's prepared form; a copy or an unpickled operand does not.
     """
 
     kind: AccessKind
@@ -103,6 +111,12 @@ class BatchedOperand:
     def __post_init__(self) -> None:
         if self.table is not None and not isinstance(self.table, PointerTable):
             self.table = PointerTable(self.table)
+        # The last checked call with this operand as C (see run_batched).
+        self._prepared = None
+
+    def __getstate__(self):
+        # A copy holds other buffers, or none of these ids: it prepares afresh.
+        return {**self.__dict__, "_prepared": None}
 
     @classmethod
     def constant(cls, data: np.ndarray, ld: int) -> "BatchedOperand":
@@ -177,11 +191,17 @@ class BatchedOperand:
                         f"need {min_span}"
                     )
         if which == "C":
-            if self.kind is AccessKind.Indexed:
-                self.table.check_writable(which)
-            elif not self.data.flags.writeable:
-                raise ValueError(f"operand {which}: buffer is read-only")
+            self._check_writable(
+                which, self.table._reader() if self.kind is AccessKind.Indexed else None
+            )
         return min_span
+
+    def _check_writable(self, which: str, reader) -> None:
+        """Refuse a read-only buffer or table entry; *reader* scans a table (``check_writable``)."""
+        if self.kind is AccessKind.Indexed:
+            self.table.check_writable(which, reader)
+        elif not self.data.flags.writeable:
+            raise ValueError(f"operand {which}: buffer is read-only")
 
 
 def _check_buffer(which: str, buffer, label: str) -> None:
@@ -374,6 +394,71 @@ def _c_has_own_allocations(operands: Sequence[BatchedOperand]) -> bool:
     return True
 
 
+class _Prepared(NamedTuple):
+    """A call whose contract is checked, kept on its C operand for the calls that repeat it."""
+
+    #: :func:`_key` of that call.
+    key: tuple
+    #: Every object whose ``id`` is in the key but C, so no id is reused while the call is kept.
+    held: tuple
+    #: The kernel's call as a function of ``(alpha, beta)``; None for the reference fallback.
+    runner: Callable | None
+    #: The table reader that scans an Indexed C's writable flags, or None for the Python scan.
+    reader: object
+
+
+def _key(spec, E, a, b, c, registry) -> tuple | None:
+    """What a repeat of a checked call must match, with no float in it; None without a flat ndarray.
+
+    The ids of the spec, the registry, A and B; E; each operand's kind, ld,
+    span and the id of its table or buffer, with a buffer's dtype, shape and
+    strides; and whether the compiled path is on.  alpha and beta are not in
+    it: each run takes them from its own call.
+    """
+    key = [id(spec), id(registry), id(a), id(b), E, vectorize.jit_enabled()]
+    for operand in (a, b, c):
+        if operand.kind is AccessKind.Indexed:
+            key += (id(operand.kind), operand.ld, operand.span, id(operand.table))
+            continue
+        data = operand.data
+        if not isinstance(data, np.ndarray):
+            return None
+        key += (id(operand.kind), operand.ld, operand.span, id(data), id(data.dtype))
+        key += (data.shape, data.strides)
+    return tuple(key)
+
+
+def _prepare(spec, E, a, b, c, registry, key) -> _Prepared:
+    """Check the call's whole contract, then bind its kernel: what ``run_batched`` keeps."""
+    operands = (a, b, c)
+    spans = [operand.validate(which, spec, E) for which, operand in zip("ABC", operands)]
+    _check_disjoint(E, operands, spans)
+    payloads = [operand.payload() for operand in operands]
+    dtypes = [payload.dtype for payload in payloads if isinstance(payload, np.ndarray)]
+    held = (spec, registry, a, b, *payloads, *dtypes)
+    reader = c.table._reader() if c.kind is AccessKind.Indexed else None
+    kernel = registry.lookup(kernel_name(spec))
+    if kernel is None:
+        return _Prepared(key, held, None, reader)
+    # Each Strided operand's own span; the others' matrix spans, which kernels ignore.
+    kernel_spans = [
+        operand.span if operand.kind is AccessKind.Strided else span
+        for operand, span in zip(operands, spans)
+    ]
+    (A, B, C), (lda, ldb, ldc) = payloads, (a.ld, b.ld, c.ld)
+    # A kernel's own bind only: another callable in the registry, such as a
+    # function wrapped around a kernel, sees every call with all arguments.
+    bind = getattr(kernel, "bind", None)
+    if bind is not None:
+        runner = bind(E, A, lda, B, ldb, C, ldc, *kernel_spans)
+    else:
+
+        def runner(alpha, beta):
+            kernel(E, alpha, A, lda, B, ldb, beta, C, ldc, *kernel_spans)
+
+    return _Prepared(key, held, runner, reader)
+
+
 def run_batched(
     spec: KernelSpec,
     E: int,
@@ -391,34 +476,27 @@ def run_batched(
     :func:`bbdgemm.reference.batched_ref` (and records the event on the
     registry) when the kernel is absent.  Operand leading dimensions and
     spans travel inside the operands.  E == 0 succeeds without touching
-    memory or counting a fallback.
+    memory or counting a fallback.  A call that repeats the last one on *c*
+    (see :func:`_key`) checks only C's writability before it runs.
     """
     if E < 0:
         raise ValueError(f"batch size must be non-negative, got {E}")
     registry = registry if registry is not None else default_registry()
     if E == 0:
         return
-    operands = (a, b, c)
-    spans = [operand.validate(which, spec, E) for which, operand in zip("ABC", operands)]
-    _check_disjoint(E, operands, spans)
-    kernel = registry.lookup(kernel_name(spec))
-    if kernel is None:
+    key = _key(spec, E, a, b, c, registry)
+    prepared = c._prepared
+    if prepared is None or prepared.key != key:
+        prepared = _prepare(spec, E, a, b, c, registry, key)
+        if key is not None:
+            c._prepared = prepared
+    else:
+        c._check_writable("C", prepared.reader)
+    if prepared.runner is not None:
+        prepared.runner(alpha, beta)
+    else:
         registry.record_fallback()
         batched_ref(spec, E, GemmScalars(alpha, beta), a, b, c)
-        return
-    # Each Strided operand's own span; the others' matrix spans, which kernels ignore.
-    kernel_spans = [
-        operand.span if operand.kind is AccessKind.Strided else span
-        for operand, span in zip(operands, spans)
-    ]
-    # validate has just scanned C's writability: the kernel need not again.
-    token = checked_c.set(c.table)
-    try:
-        kernel(
-            E, alpha, a.payload(), a.ld, b.payload(), b.ld, beta, c.payload(), c.ld, *kernel_spans
-        )
-    finally:
-        checked_c.reset(token)
 
 
 def build_pointer_table(cells: Sequence, component: int) -> BatchedOperand:

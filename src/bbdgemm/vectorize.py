@@ -49,9 +49,13 @@ handed to C needs: dtype, rank, contiguity, length (and, for a Strided
 operand, a span no shorter than its matrix) and, for C, writability.
 A table caches all but its writability, so a reused table costs the wrapper
 O(1), plus, for an Indexed C, one compiled pass over its entries' writable
-flags (:func:`table_reader`), which the wrapper skips when the table is the
-one ``run_batched`` has just checked for this very call
-(:data:`bbdgemm.core.checked_c`).
+flags (:func:`table_reader`).  The wrapper is that scan followed by
+``wrapper.bind(E, A, lda, B, ldb, C, ldc, spanA, spanB, spanC)(alpha,
+beta)``: ``bind`` makes those checks and chooses the path once, and returns
+the call as a function of alpha and beta, which makes no scan of C.  On the
+compiled path that function holds the ctypes function with every other
+argument already converted.  :func:`bbdgemm.runtime.run_batched` keeps it
+for the calls that repeat a checked one, and scans C itself before each.
 
 Switches: ``BBDGEMM_JIT=0`` (or ``off``/``false``/``no``) turns the compiled
 path off for the process; otherwise :func:`use_jit` turns it off and on
@@ -97,7 +101,6 @@ from .codegen import generate_c_source
 from .core import (
     AccessKind,
     PointerTable,
-    checked_c,
     flat_float64_buffers,
     matrix_span,
     parse_kernel_name,
@@ -302,6 +305,11 @@ def table_reader():
     return _reader[0]
 
 
+def _pointer(array: np.ndarray) -> ctypes.c_void_p:
+    """The address of *array*'s data, holding a reference to *array* so the memory outlives it."""
+    return array.ctypes.data_as(ctypes.c_void_p)
+
+
 def _matrices(table, E: int, span: int):
     """``table[e][:span]`` for each of the first E entries; views, not copies."""
     entries = table[:E]
@@ -358,8 +366,10 @@ def vectorize_batch_loop(name: str):
     gives exactly the undecorated one's results.  E <= 0 returns early and
     touches no memory on any path.  The wrapper's ``path_counts`` counts
     completed calls per path, and ``path_elements`` the batch elements
-    those calls handled.  A kernel whose C twin fails to compile raises
-    ``RuntimeError`` carrying the compiler's messages.
+    those calls handled.  Its ``bind`` takes the arguments but alpha and
+    beta and returns the call as a function of ``(alpha, beta)``, its path
+    chosen, with no scan of C's writability.  A kernel whose C twin fails
+    to compile raises ``RuntimeError`` carrying the compiler's messages.
     """
     spec = parse_kernel_name(name)
     kinds = (spec.access_a, spec.access_b, spec.access_c)
@@ -381,74 +391,109 @@ def vectorize_batch_loop(name: str):
         def wrapper(E, alpha, A, lda, B, ldb, beta, C, ldc, spanA, spanB, spanC):
             if E <= 0:
                 return
-            if kinds[2] is AccessKind.Indexed and C is not checked_c.get():
-                # Not the table run_batched has just checked: refuse a
-                # read-only entry before any path writes one.
+            if kinds[2] is AccessKind.Indexed:
+                # Refuse a read-only entry before any path writes one.
                 C = C if isinstance(C, PointerTable) else PointerTable(C)
-                C.check_writable("C")
-            payloads = (A, B, C)
-            lds = (lda, ldb, ldc)
-            spans = (spanA, spanB, spanC)
+                C.check_writable("C", C._reader())
+            bind(E, A, lda, B, ldb, C, ldc, spanA, spanB, spanC)(alpha, beta)
+
+        def bind(E, A, lda, B, ldb, C, ldc, spanA, spanB, spanC):
+            """This call, E >= 1, as a function of ``(alpha, beta)``, its path chosen now.
+
+            It does not scan C's writability: whoever runs it checks C
+            first, and keeps A, B and C alive while it keeps the function.
+            Each run stages what its path needs, writes C back and is
+            counted in ``path_counts`` and ``path_elements``.
+            """
+            payloads, lds, spans = (A, B, C), (lda, ldb, ldc), (spanA, spanB, spanC)
             # Elements one matrix covers; a Strided operand's span may be longer.
             sizes = [matrix_span(spec, which, ld) for which, ld in zip("ABC", lds)]
-            if jit_enabled() and _run_compiled(E, alpha, payloads, lds, beta, spans, sizes):
+            run = _bind_compiled(E, payloads, lds, spans, sizes) if jit_enabled() else None
+            if run is not None:
                 path = "compiled"
             elif kinds[2] is not AccessKind.Constant:
-                _run_lanes(E, alpha, payloads, lds, beta, spans, sizes)
                 path = "lanes"
-            else:
-                # A Constant C accumulates over the batch in order: the plain
-                # loop, on memoryviews, whose items are plain floats, faster
-                # here than numpy scalars.
-                args = [
-                    [memoryview(m) for m in p] if kind is AccessKind.Indexed else memoryview(p)
-                    for p, kind in zip(payloads, kinds)
-                ]
-                py_fn(E, alpha, args[0], lda, args[1], ldb, beta, args[2], ldc, *spans)
-                path = "sequential"
-            with count_lock:
-                path_counts[path] += 1
-                path_elements[path] += E
 
-        def _run_compiled(E, alpha, payloads, lds, beta, spans, sizes) -> bool:
+                def run(alpha, beta):
+                    _run_lanes(E, alpha, payloads, lds, beta, spans, sizes)
+            else:
+                path = "sequential"
+
+                def run(alpha, beta):
+                    # A Constant C accumulates over the batch in order: the
+                    # plain loop, on memoryviews, whose items are plain
+                    # floats, faster here than numpy scalars.
+                    args = [
+                        [memoryview(m) for m in p] if kind is AccessKind.Indexed else memoryview(p)
+                        for p, kind in zip(payloads, kinds)
+                    ]
+                    py_fn(E, alpha, args[0], lda, args[1], ldb, beta, args[2], ldc, *spans)
+
+            def counted(alpha, beta):
+                run(alpha, beta)
+                with count_lock:
+                    path_counts[path] += 1
+                    path_elements[path] += E
+
+            return counted
+
+        def _bind_compiled(E, payloads, lds, spans, sizes):
             # Pointers handed to C must address float64 memory long enough
             # for every element the loop touches, (E-1)*span + size for a
             # Strided operand, and writable for C; a flat buffer that is not
-            # takes lanes instead.  An Indexed operand goes as an address
-            # array read as X[e][off]: its table's own, or, for a table with
-            # entries C cannot read in place, that of an (E, size) copy, with
-            # C copied back after.
-            args, staged = [], {}
-            for payload, kind, span, size, which in zip(payloads, kinds, spans, sizes, "ABC"):
+            # gives None, and the next path serves.  An Indexed operand goes
+            # as an address array read as X[e][off]: its table's own, or, for
+            # a table with entries C cannot read in place, that of an
+            # (E, size) copy made on each run, with C copied back after.
+            pointers, staged = [], {}
+            for index, (payload, kind, span, size) in enumerate(zip(payloads, kinds, spans, sizes)):
                 if kind is AccessKind.Indexed:
                     table = payload if isinstance(payload, PointerTable) else PointerTable(payload)
                     if not (len(table) >= E and table.flat_length() >= size):
-                        return False
+                        return None
                     if table.contiguous:
-                        addresses = table.addresses
+                        pointers.append(_pointer(table.addresses))
                     else:
-                        rows = staged[which] = _gather(table, E, size)
-                        addresses = rows.ctypes.data + np.arange(E, dtype=np.intp) * rows.strides[0]
-                    args.append(addresses)
+                        staged[index] = table
+                        pointers.append(None)
                 elif not (
                     (kind is not AccessKind.Strided or span >= size)
                     and flat_float64_buffers(
                         [payload], (E - 1) * span + size if kind is AccessKind.Strided else size
                     )
                     and payload.flags.c_contiguous
-                    and (which != "C" or payload.flags.writeable)
+                    and (index != 2 or payload.flags.writeable)
                 ):
-                    return False
+                    return None
                 else:
-                    args.append(payload)
-            c_kernel()(
-                int(E), float(alpha), args[0].ctypes.data, int(lds[0]),
-                args[1].ctypes.data, int(lds[1]), float(beta), args[2].ctypes.data, int(lds[2]),
-                *map(int, spans),
+                    pointers.append(_pointer(payload))
+            fn = c_kernel()
+            e, lda, ldb, ldc, spanA, spanB, spanC = (
+                ctypes.c_long(int(x)) for x in (E, *lds, *spans)
             )
-            if "C" in staged:
-                _scatter(payloads[2], staged["C"], sizes[2])
-            return True
+            if not staged:
+                A, B, C = pointers
+
+                def run(alpha, beta):
+                    fn(e, float(alpha), A, lda, B, ldb, float(beta), C, ldc, spanA, spanB, spanC)
+
+                return run
+
+            def run_staged(alpha, beta):
+                rows = {index: _gather(table, E, sizes[index]) for index, table in staged.items()}
+                addresses = {
+                    index: m.ctypes.data + np.arange(E, dtype=np.intp) * m.strides[0]
+                    for index, m in rows.items()
+                }
+                A, B, C = (
+                    _pointer(addresses[index]) if index in addresses else pointer
+                    for index, pointer in enumerate(pointers)
+                )
+                fn(e, float(alpha), A, lda, B, ldb, float(beta), C, ldc, spanA, spanB, spanC)
+                if 2 in rows:
+                    _scatter(staged[2], rows[2], sizes[2])
+
+            return run_staged
 
         def _run_lanes(E, alpha, payloads, lds, beta, spans, sizes) -> None:
             lanes = [
@@ -470,6 +515,7 @@ def vectorize_batch_loop(name: str):
                 _strided_rows(payloads[2], E, spans[2], sizes[2], writeable=True)[...] = lanes[2].T
 
         wrapper.__wrapped__ = py_fn
+        wrapper.bind = bind
         wrapper.spec = spec
         wrapper.kernel_name = name
         wrapper.path_counts = path_counts

@@ -21,8 +21,8 @@ from bbdgemm.proxy import (
     run_proxy_state,
 )
 from bbdgemm.reference import dgemm_ref
-from bbdgemm.runtime import KernelRegistry, ScratchBuffer
-from bbdgemm.vectorize import use_jit
+from bbdgemm.runtime import ScratchBuffer
+from bbdgemm.vectorize import jit_available, use_jit
 
 from conftest import build_registry
 
@@ -176,22 +176,17 @@ class TestBatchedVariant:
         diff = np.max(np.abs(qout_snapshot(ref_state) - qout_snapshot(vec_state)))
         assert diff <= 1e-12
 
-    def test_one_call_per_chain_step_per_component(self):
+    def test_one_call_per_chain_step_per_component(self, monkeypatch):
         calls = []
-
-        class CountingRegistry(KernelRegistry):
-            def lookup(self, name):
-                calls.append(name)
-                return super().lookup(name)
-
-        registry = CountingRegistry(
-            {name: small_registry().lookup(name) for name in small_registry().names()}
+        run_batched = proxy_mod.run_batched
+        monkeypatch.setattr(
+            proxy_mod, "run_batched", lambda *args, **kw: calls.append(args[0]) or run_batched(*args, **kw)
         )
         config = small_config(mode="vector", timesteps=2)
         with use_jit(False):
-            run_proxy(config, registry=registry)
+            run_proxy(config, registry=small_registry())
         expected = config.timesteps * config.components * len(config.chain)
-        assert len(calls) == expected
+        assert calls == [step.spec for step in config.chain] * (expected // len(config.chain))
 
     def test_undersized_scratch_is_checked(self):
         config = small_config(mode="vector")
@@ -214,15 +209,20 @@ class TestBatchedVariant:
 
     def test_state_builds_its_tables_and_scratch_once(self, monkeypatch):
         # Three one-timestep runs of one state build 2 x components pointer
-        # tables and allocate scratch once, and give the bytes of one
-        # three-timestep run and of the scalar mode.
-        built, allocated = [], []
+        # tables, allocate scratch once and prepare one call per chain step
+        # and component, and give the bytes of one three-timestep run and of
+        # the scalar mode.
+        built, allocated, prepared = [], [], []
         build, allocate = proxy_mod.build_pointer_table, runtime_mod._aligned_empty
+        prepare = runtime_mod._prepare
         monkeypatch.setattr(
             proxy_mod, "build_pointer_table", lambda *args: built.append(args) or build(*args)
         )
         monkeypatch.setattr(
             runtime_mod, "_aligned_empty", lambda *args: allocated.append(args) or allocate(*args)
+        )
+        monkeypatch.setattr(
+            runtime_mod, "_prepare", lambda *args: prepared.append(args) or prepare(*args)
         )
         registry = small_registry()
         config = small_config(mode="vector", timesteps=3)
@@ -231,12 +231,48 @@ class TestBatchedVariant:
             run_proxy_state(config, stepped, registry=registry, timesteps=1)
         assert len(built) == 2 * config.components
         assert len(allocated) == 1
+        assert len(prepared) == len(config.chain) * config.components == 2 * config.components
         whole = run_proxy(config, registry=registry)
         scalar = run_proxy(small_config(mode="scalar", timesteps=3))
         assert registry.fallback_count == 0
         assert qout_snapshot(stepped).tobytes() == qout_snapshot(whole).tobytes()
         assert qout_snapshot(stepped).tobytes() == qout_snapshot(scalar).tobytes()
 
+
+    @pytest.mark.parametrize("between", ["flip_use_jit", "grow_scratch"])
+    def test_a_state_prepares_again_when_its_calls_change(self, between, monkeypatch):
+        # Flipping the compiled path, or growing the scratch so that its
+        # array moves, between timesteps of one state makes every call of
+        # the next timestep prepare afresh; the bytes stay the scalar mode's.
+        if between == "flip_use_jit" and not jit_available():
+            pytest.skip("no C compiler (cc) on PATH: the switch cannot flip")
+        prepared = []
+        prepare = runtime_mod._prepare
+        monkeypatch.setattr(
+            runtime_mod, "_prepare", lambda *args: prepared.append(args) or prepare(*args)
+        )
+        registry = small_registry()
+        config = small_config(mode="vector", timesteps=3)
+        state = build_state(config)
+        calls = len(config.chain) * config.components
+        jit = True
+        seen = []
+        for timestep in range(3):
+            if timestep == 1:
+                if between == "flip_use_jit":
+                    jit = False
+                else:
+                    moved = state.scratch.array
+                    state.scratch.ensure(config.cells, 4 * config.scratch_per_element)
+                    assert state.scratch.array is not moved
+            prepared.clear()
+            with use_jit(jit):
+                run_proxy_state(config, state, registry=registry, timesteps=1)
+            seen.append(len(prepared))
+        assert seen == [calls, calls, 0]
+        scalar = run_proxy(small_config(mode="scalar", timesteps=3))
+        assert registry.fallback_count == 0
+        assert qout_snapshot(state).tobytes() == qout_snapshot(scalar).tobytes()
 
     @pytest.mark.parametrize("jit", [False, True])
     def test_narrow_scratch_window_runs_on_kernels(self, jit):

@@ -2,6 +2,7 @@ import copy
 import itertools
 import json
 import os
+import pickle
 import subprocess
 import sys
 import threading
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bbdgemm import core, vectorize
+from bbdgemm import core, runtime as runtime_mod, vectorize
 from bbdgemm.bench import clone_operand, output_elements
 from bbdgemm.core import (
     AccessKind,
@@ -369,7 +370,8 @@ class TestRunBatched:
 
     def test_concurrent_calls_with_disjoint_outputs(self):
         # reentrancy: workers share one registry (and one lazily compiled
-        # kernel) but own their operands
+        # kernel) but own their operands, each used twice, so the second
+        # call runs the one kept on its C
         import threading
 
         registry = build_registry(S_CIS)
@@ -381,8 +383,9 @@ class TestRunBatched:
                 for _ in range(5):
                     a, b, c = make_operands(S_CIS, 32, rng)
                     c_ref = clone_operand(c)
-                    run_batched(S_CIS, 32, 1.0, a, b, 1.0, c, registry=registry)
-                    batched_ref(S_CIS, 32, GemmScalars(1.0, 1.0), a, b, c_ref)
+                    for _ in range(2):
+                        run_batched(S_CIS, 32, 1.0, a, b, 1.0, c, registry=registry)
+                        batched_ref(S_CIS, 32, GemmScalars(1.0, 1.0), a, b, c_ref)
                     got = output_elements(S_CIS, 32, c)
                     want = output_elements(S_CIS, 32, c_ref)
                     if np.max(np.abs(got - want)) > 1e-12:
@@ -1026,6 +1029,210 @@ class TestTableReader:
         assert with_reader == without_reader == [f"operand C: table entry {bad} is read-only"] * len(calls)
 
 
+def padded_sci_operands(E, seed):
+    """Strided A with room for ld 3, Constant B and Indexed C of ColMajor 2x3x4 "sci"."""
+    rng = np.random.default_rng(seed)
+    a = BatchedOperand.strided(rng.uniform(-1.0, 1.0, E * 12), 2, 12)
+    b = BatchedOperand.constant(rng.uniform(-1.0, 1.0, 12), 4)
+    c = BatchedOperand.indexed([rng.uniform(-1.0, 1.0, 6) for _ in range(E)], 2)
+    return [a, b, c]
+
+
+class TestPreparedCall:
+    """A call that repeats the last one on its C reuses its checked contract, and nothing stale."""
+
+    @staticmethod
+    def count(monkeypatch, owner, name):
+        calls = []
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, **kw: calls.append(args) or original(*args, **kw))
+        return calls
+
+    @staticmethod
+    def operands(access, E, seed):
+        if access == "sci":
+            return padded_sci_operands(E, seed)
+        return list(make_operands(spec(Layout.ColMajor, 2, 3, 4, access), E, np.random.default_rng(seed)))
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_a_repeat_makes_no_contract_check_and_reads_the_switch_once(self, path, monkeypatch):
+        s = spec(Layout.RowMajor, 2, 3, 4, "ici")
+        E = 6
+        a, b, c = make_operands(s, E, np.random.default_rng(60))
+        want = [clone_operand(op) for op in (a, b, c)]
+        validated = self.count(monkeypatch, BatchedOperand, "validate")
+        disjoint = self.count(monkeypatch, runtime_mod, "_check_disjoint")
+        prepared = self.count(monkeypatch, runtime_mod, "_prepare")
+        switch = self.count(monkeypatch, vectorize, "jit_enabled")
+        with on_path(path) as registry_for:
+            registry = registry_for(s)
+            run_batched(s, E, 1.5, a, b, 0.5, c, registry=registry)
+            batched_ref(s, E, GemmScalars(1.5, 0.5), *want)
+            assert (len(validated), len(disjoint), len(prepared)) == (3, 1, 1)
+            seen = []
+            for alpha, beta in [(0.5, 1.0), (-1.0, 0.0), (2.0, 0.25)]:
+                validated.clear(), disjoint.clear(), prepared.clear(), switch.clear()
+                run_batched(s, E, alpha, a, b, beta, c, registry=registry)
+                batched_ref(s, E, GemmScalars(alpha, beta), *want)
+                seen.append((len(validated), len(disjoint), len(prepared), len(switch)))
+        assert seen == [(0, 0, 0, 1)] * 3
+        assert [m.tobytes() for m in c.table] == [m.tobytes() for m in want[2].table]
+        if path == "fallback":
+            assert registry.fallback_count == 4
+        else:
+            assert registry.lookup(kernel_name(s)).path_counts == {path: 4}
+
+    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize(
+        "change",
+        [
+            "a_ld", "a_data", "c_table", "fewer_elements", "registry", "use_jit",
+            "a_shape_in_place", "a_dtype_in_place",
+        ],
+    )
+    def test_a_change_prepares_afresh(self, path, change, monkeypatch):
+        # After a first call, each change makes the next call check the
+        # contract again: it gives batched_ref's bytes, or today's refusal
+        # with nothing written.
+        if change == "use_jit" and not jit_available():
+            pytest.skip("no C compiler (cc) on PATH: the switch cannot flip")
+        access = "scs" if change == "fewer_elements" else "sci"
+        s = spec(Layout.ColMajor, 2, 3, 4, access)
+        E = 5
+        got, want = self.operands(access, E, 61), self.operands(access, E, 61)
+        prepared = self.count(monkeypatch, runtime_mod, "_prepare")
+        jit = path == "compiled"
+        with on_path(path) as registry_for:
+            registry = registry_for(s)
+            run_batched(s, E, 1.5, *got[:2], 0.5, got[2], registry=registry)
+            batched_ref(s, E, GemmScalars(1.5, 0.5), *want)
+            refusal = None
+            if change == "a_ld":
+                for operands in (got, want):
+                    operands[0].ld = 3
+            elif change == "a_data":
+                for operands in (got, want):
+                    operands[0].data = operands[0].data[::-1].copy()
+            elif change == "c_table":
+                for operands in (got, want):
+                    operands[2].table = PointerTable(m.copy() for m in operands[2].table)
+            elif change == "fewer_elements":
+                E -= 2
+            elif change == "registry":
+                registry = registry_for(s)
+            elif change == "use_jit":
+                jit = not jit
+            else:
+                refusal = "operand A: buffer must be a flat float64 ndarray, got ndarray"
+                if change == "a_shape_in_place":
+                    got[0].data.shape = (2, -1)
+                else:
+                    got[0].data.dtype = np.int64
+            before = [m.tobytes() for m in buffers_of(*got)]
+            fallbacks = registry.fallback_count
+            with use_jit(jit):
+                if refusal:
+                    with pytest.raises(ValueError, match=f"^{refusal}$"):
+                        run_batched(s, E, 0.5, *got[:2], 1.0, got[2], registry=registry)
+                else:
+                    run_batched(s, E, 0.5, *got[:2], 1.0, got[2], registry=registry)
+                    batched_ref(s, E, GemmScalars(0.5, 1.0), *want)
+        assert len(prepared) == 2
+        if refusal:
+            assert [m.tobytes() for m in buffers_of(*got)] == before
+            assert registry.fallback_count == fallbacks
+        else:
+            assert [m.tobytes() for m in buffers_of(*got)] == [m.tobytes() for m in buffers_of(*want)]
+
+    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize("access", ["cis", "cii"])
+    def test_c_made_read_only_after_a_call_is_refused(self, path, access, monkeypatch):
+        # The one check a repeat makes: C's writable flags, read again
+        # on every call, before any write and without counting a fallback.
+        s = spec(Layout.ColMajor, 2, 3, 4, access)
+        E = 5
+        a, b, c = make_operands(s, E, np.random.default_rng(62))
+        prepared = self.count(monkeypatch, runtime_mod, "_prepare")
+        with on_path(path) as registry_for:
+            registry = registry_for(s)
+            for _ in range(2):
+                run_batched(s, E, 1.5, a, b, 0.5, c, registry=registry)
+            if access == "cis":
+                c.data.flags.writeable = False
+                message = "operand C: buffer is read-only"
+            else:
+                c.table[E - 1].flags.writeable = False
+                message = f"operand C: table entry {E - 1} is read-only"
+            before = [m.tobytes() for m in buffers_of(a, b, c)]
+            fallbacks = registry.fallback_count
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                run_batched(s, E, 1.5, a, b, 0.5, c, registry=registry)
+        assert len(prepared) == 1
+        assert [m.tobytes() for m in buffers_of(a, b, c)] == before
+        assert registry.fallback_count == fallbacks
+
+    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize(
+        "calls",
+        [[(0.0, 0.0), (0.0, -0.0)], [(0.0, -0.0), (-0.0, -0.0)]],
+        ids=["beta", "alpha"],
+    )
+    def test_a_negative_zero_after_zero_is_its_own(self, path, calls):
+        # 0.0 == -0.0, so a scalar kept with the call would pass for the
+        # other: each run takes alpha and beta from its own call.  With
+        # alpha 0 every element is a signed zero, and the second call's
+        # signs differ from the first's.
+        s = spec(Layout.ColMajor, 2, 3, 4, "cii")
+        E = 4
+        got = make_operands(s, E, np.random.default_rng(63))
+        want = [clone_operand(op) for op in got]
+        seen = []
+        with on_path(path) as registry_for:
+            registry = registry_for(s)
+            for alpha, beta in calls:
+                run_batched(s, E, alpha, *got[:2], beta, got[2], registry=registry)
+                batched_ref(s, E, GemmScalars(alpha, beta), *want)
+                seen.append([m.tobytes() for m in want[2].table])
+                assert [m.tobytes() for m in got[2].table] == seen[-1]
+        assert seen[0] != seen[1]
+
+    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize("duplicate", ["pickle", "deepcopy"])
+    def test_a_copy_of_c_prepares_afresh(self, path, duplicate, monkeypatch):
+        s = spec(Layout.ColMajor, 2, 3, 4, "sci")
+        E = 5
+        a, b, c = padded_sci_operands(E, 64)
+        prepared = self.count(monkeypatch, runtime_mod, "_prepare")
+        with on_path(path) as registry_for:
+            registry = registry_for(s)
+            run_batched(s, E, 1.5, a, b, 0.5, c, registry=registry)
+            copied = pickle.loads(pickle.dumps(c)) if duplicate == "pickle" else copy.deepcopy(c)
+            want = clone_operand(copied)
+            assert copied._prepared is None and c._prepared is not None
+            run_batched(s, E, 0.5, a, b, 1.0, copied, registry=registry)
+            run_batched(s, E, 0.5, a, b, 1.0, c, registry=registry)
+        batched_ref(s, E, GemmScalars(0.5, 1.0), a, b, want)
+        assert len(prepared) == 2
+        assert [m.tobytes() for m in copied.table] == [m.tobytes() for m in want.table]
+        assert [m.tobytes() for m in copied.table] == [m.tobytes() for m in c.table]
+
+    def test_a_kernel_without_bind_sees_every_call(self):
+        # A function wrapped around a kernel, such as a tracer's, is called
+        # with every argument on each run, the current alpha and beta too.
+        s = spec(Layout.ColMajor, 2, 3, 4, "cii")
+        E = 4
+        a, b, c = make_operands(s, E, np.random.default_rng(65))
+        kernel = build_registry(s).lookup(kernel_name(s))
+        calls = []
+        registry = KernelRegistry({kernel_name(s): lambda *args: calls.append(args) or kernel(*args)})
+        for alpha in (1.0, 2.0, 3.0):
+            run_batched(s, E, alpha, a, b, 0.5, c, registry=registry)
+        assert [(args[0], args[1], args[6], len(args)) for args in calls] == [
+            (E, alpha, 0.5, 12) for alpha in (1.0, 2.0, 3.0)
+        ]
+        assert sum(kernel.path_counts.values()) == 3
+
+
 class TestProxyChain:
     """The proxy's two kernels on its operands, bit for bit, on both kernel paths."""
 
@@ -1134,10 +1341,12 @@ class TestTableValue:
         assert [scanned is b.table for scanned in scans] == [True]
 
     def test_c_writability_is_scanned_once_per_call(self, monkeypatch):
-        # validate scans an Indexed C's writable flags on every call, and the
-        # compiled path does not scan them again for the table run_batched
-        # has just checked, even behind a plain function wrapped around the
-        # kernel.  A direct kernel call scans them itself.
+        # run_batched scans an Indexed C's writable flags once on every
+        # call: in validate on the first, with the prepared call's reader on
+        # repeats, and the kernel's bound call does not scan them again.  A
+        # plain function wrapped around the kernel has no bind of its own,
+        # so it is called with every argument and the kernel scans C again,
+        # as a direct kernel call does.
         s = spec(Layout.RowMajor, 2, 3, 4, "ici")
         E = 6
         a, b, c = make_operands(s, E, np.random.default_rng(51))
@@ -1174,7 +1383,7 @@ class TestTableValue:
             ]
         assert seen == {
             "compiled": [1, 1, 1], "lanes": [1, 1, 1], "fallback": [1, 1, 1],
-            "wrapped": [1, 1, 1], "direct": [1, 1],
+            "wrapped": [2, 2, 2], "direct": [1, 1],
         }
         assert kernel.path_counts == {"compiled": 8}
 
@@ -1203,24 +1412,24 @@ class TestTableValue:
                 seen[access].append(len(calls))
         assert seen == {"iii": [2, 0, 1, 1], "sci": [0, 0, 0, 0]}
 
-    def test_checked_c_never_outlives_its_call(self):
-        # The mark is visible to the kernel run_batched calls, in that
-        # thread only, and is gone when the call returns or raises.
+    @pytest.mark.parametrize("path", ["lanes", "compiled"])
+    def test_direct_call_after_run_batched_scans_c_itself(self, path):
+        # A table run_batched has just checked and run is, called directly
+        # with an entry flipped read-only in between, refused before any
+        # write: the kernel scans C on every direct call.
         s = spec(Layout.RowMajor, 2, 3, 4, "ici")
-        a, b, c = make_operands(s, 4, np.random.default_rng(52))
-        seen = []
-
-        def kernel(*args):
-            other = threading.Thread(target=lambda: seen.append(core.checked_c.get()))
-            other.start()
-            other.join(timeout=30)
-            seen.append(core.checked_c.get())
-            raise RuntimeError("stop")
-
-        with pytest.raises(RuntimeError, match="stop"):
-            run_batched(s, 4, 1.0, a, b, 0.0, c, registry=KernelRegistry({kernel_name(s): kernel}))
-        assert len(seen) == 2 and seen[0] is None and seen[1] is c.table
-        assert core.checked_c.get() is None
+        E = 5
+        a, b, c = make_operands(s, E, np.random.default_rng(52))
+        with on_path(path) as registry_for:
+            registry = registry_for(s)
+            kernel = registry.lookup(kernel_name(s))
+            run_batched(s, E, 1.0, a, b, 0.0, c, registry=registry)
+            c.table[3].flags.writeable = False
+            before = [m.tobytes() for m in buffers_of(a, b, c)]
+            with pytest.raises(ValueError, match="^operand C: table entry 3 is read-only$"):
+                kernel(E, 1.0, a.table, a.ld, b.data, b.ld, 0.0, c.table, c.ld, 8, 12, 6)
+        assert [m.tobytes() for m in buffers_of(a, b, c)] == before
+        assert kernel.path_counts == {path: 1}
 
     def test_a_deep_copy_computes_its_own_facts(self):
         table = PointerTable([np.zeros(4), np.ones(4)])
