@@ -8,20 +8,20 @@ counts each call under the path that served it:
 * ``compiled``: when a C compiler (``cc``) is on PATH and the switches
   below allow it, the kernel's C twin (:func:`bbdgemm.codegen.generate_c_source`)
   is built on the kernel's first compiled call and called through
-  ``ctypes``.  The compiler vectorizes within a batch element, not across
-  the batch loop (whose pointer-table loads it cannot pack): each t step of
-  the kernel is a run of like statements over adjacent elements of C, which
-  it packs into the host's vector operations.  A
-  Strided or Constant buffer is passed by its address, and a Strided one's
-  own span with it, an Indexed operand by an address array that C reads as
-  ``X[e][off]``.  That is the address array of the operand's
-  :class:`~bbdgemm.core.PointerTable`, which :func:`table_reader` reads in
-  one compiled pass, once per table, so a table is read and written in
-  place from its first use, with no copy.  When its entries are not all
-  C-contiguous, the matrices are copied into an ``(E, matrix span)`` array,
-  C reads that array's row addresses, and C's rows are copied back.  A
-  batch with a flat buffer that is not C-contiguous, or a read-only flat C,
-  takes the next path.
+  ``ctypes``.  The twin is vectorised within a batch element, not across
+  the batch loop: it is printed as GNU C vector statements along C's
+  contiguous dimension (a column of A, or a row of B, loaded as a vector
+  and the other operand broadcast), so ``cc`` must accept GNU vector
+  extensions, as gcc and clang do.  A Strided or Constant buffer is
+  passed by its address, and a Strided one's own span with it, an Indexed
+  operand by an address array that C reads as ``X[e][off]``.  That is the
+  address array of the operand's :class:`~bbdgemm.core.PointerTable`, which
+  :func:`table_reader` reads in one compiled pass, once per table, so a
+  table is read and written in place from its first use, with no copy.
+  When its entries are not all C-contiguous, the matrices are copied into
+  an ``(E, matrix span)`` array, C reads that array's row addresses, and
+  C's rows are copied back.  A batch with a flat buffer that is not
+  C-contiguous, or a read-only flat C, takes the next path.
 * ``lanes``: every Strided or Indexed operand is staged as a ``(matrix
   span, E)`` array whose row ``off`` holds element ``off`` of every matrix,
   and the generated Python function runs once with E == 1 on those arrays.

@@ -1,5 +1,6 @@
 import itertools
 import re
+import shutil
 import subprocess
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from bbdgemm.codegen import (
 from bbdgemm.core import AccessKind, KernelShape, KernelSpec, Layout, matrix_span
 from bbdgemm.reference import GemmScalars, batched_ref
 from bbdgemm.runtime import load_kernel_dir
-from bbdgemm.vectorize import jit_available, use_jit
+from bbdgemm.vectorize import use_jit
 
 from conftest import build_kernel, make_operands
 
@@ -67,6 +68,73 @@ def accumulator_statements(source):
             if match:
                 r, c, *t = map(int, match.groups())
                 found.append((form, r, c, t[0] if t else None))
+    return found
+
+
+#: Statements of a C twin's loop body, each on one chunk of C's elements.
+C_TYPE = r"(?P<type>v[248]|double)"
+C_ZERO = r"(?:\(v[248]\)\{0\.0\}|0\.0)"
+C_STATEMENTS = [
+    ("zero", rf"^{C_TYPE} (?P<acc>rC_\d+_\d+) = {C_ZERO};$"),
+    ("read_c", rf"^const {C_TYPE} (?P<old>vC_\d+_\d+) = beta != 0\.0 \? (?P<x>.+) : {C_ZERO};$"),
+    ("scale", r"^(?P<acc>rC_\d+_\d+) = (?P=acc) \* alpha;$"),
+    ("combine", r"^(?P<acc>rC_\d+_\d+) = (?P<old>vC_\d+_\d+) \* beta \+ (?P=acc);$"),
+    ("madd", r"^(?P<acc>rC_\d+_\d+) = (?P<a>.+) \* (?P<b>.+) \+ (?P=acc);$"),
+    ("store", r"^(?P<x>.+) = (?P<acc>rC_\d+_\d+);$"),
+]
+#: One operand expression: a double, or a vector read from that element's address on.
+C_ELEMENT = re.compile(
+    r"^(?:\*\((?:const )?v(?P<width>[248]) \*\)&)?(?P<operand>[ABC])"
+    r"(?:\[e\*span(?P=operand)\+|\[e\]\[|\[)\((?P<outer>\d+)\*ld[abc]\+(?P<inner>\d+)\)\]$"
+)
+
+
+def c_twin_accumulator_statements(source, layout):
+    """Each accumulator's statements in a C twin, expanded from its chunks' lanes.
+
+    Returns ``{(r, c): [entry, ...]}`` in source order.  ``("madd", (A, r, t),
+    (B, t, c))`` names the elements a multiply-add reads, in its order;
+    ``("read_c", (C, r, c))`` and ``("store", (C, r, c))`` the element of C.
+    Every loop-body line must be one of :data:`C_STATEMENTS`.
+    """
+    body = source.split("for (long e = 0; e < E; e++) {\n", 1)[1].split("\n    }\n}", 1)[0]
+    widths, found = {}, {}
+
+    def cells(r, c, width):
+        # Lane i sits i elements on along C's contiguous dimension.
+        return [(r + i, c) if layout is Layout.ColMajor else (r, c + i) for i in range(width)]
+
+    def elements(expr, width):
+        x = C_ELEMENT.match(expr)
+        outer, inner = int(x["outer"]), int(x["inner"])
+        first = (inner, outer) if layout is Layout.ColMajor else (outer, inner)
+        if x["width"] is None:
+            return [(x["operand"], *first)] * width
+        assert int(x["width"]) == width, expr
+        return [(x["operand"], *cell) for cell in cells(*first, width)]
+
+    for line in body.splitlines():
+        form, match = next(
+            (form, match) for form, pattern in C_STATEMENTS
+            if (match := re.match(pattern, line.strip()))
+        )
+        fields = match.groupdict()
+        name = fields.get("acc") or fields["old"]
+        if fields.get("type"):
+            widths[name] = 1 if fields["type"] == "double" else int(fields["type"][1])
+        width = widths[name]
+        if form == "combine":
+            assert fields["old"] == name.replace("rC", "vC") and widths[fields["old"]] == width
+        if form == "madd":
+            entries = [("madd", a, b) for a, b in zip(elements(fields["a"], width),
+                                                      elements(fields["b"], width))]
+        elif form in ("read_c", "store"):
+            entries = [(form, x) for x in elements(fields["x"], width)]
+        else:
+            entries = [(form,)] * width
+        r, c = map(int, name.split("_")[1:])
+        for cell, entry in zip(cells(r, c, width), entries, strict=True):
+            found.setdefault(cell, []).append(entry)
     return found
 
 
@@ -126,22 +194,23 @@ class TestGeneratedSource:
         loops = [line for line in source.splitlines() if "for " in line]
         assert loops == ["    for e in range(E):"]
 
-    @pytest.mark.parametrize("layout,access", [(Layout.ColMajor, "cis"), (Layout.RowMajor, "sic")])
-    def test_c_twin_prints_the_same_statements(self, layout, access):
-        # Line by line, the C function is the Python kernel with C spelling:
-        # declarations on first assignment and a ternary for the beta test.
-        # Elements are addressed alike, a Strided one through its spanX.
-        s = spec(layout, 3, 2, 4, access)
-        python = generate_kernel_source(s).split(":\n", 1)[1].splitlines()
-        c_lines = generate_c_source(s).split("{\n", 1)[1].splitlines()
-        respelled = []
-        for line in c_lines[:-2]:
-            line = re.sub(r"^(\s+)(const )?double ", r"\1", line.rstrip(";"))
-            line = re.sub(r"= beta != 0\.0 \? (.+) : 0\.0$", r"= \1 if beta != 0.0 else 0.0", line)
-            line = line.replace("for (long e = 0; e < E; e++) {", "for e in range(E):")
-            respelled.append(line)
-        assert respelled == python
-        assert c_lines[-2:] == ["    }", "}"]
+    @pytest.mark.parametrize("layout", list(Layout))
+    @pytest.mark.parametrize("length,access", [(1, "cis"), (3, "sic"), (7, "ics"), (10, "ssi"),
+                                               (20, "iii")])
+    def test_c_twin_gives_each_accumulator_the_python_sequence(self, layout, length, access):
+        # C's contiguous dimension is *length* long, so every chunk width
+        # (8, 4, 2, 1) and tail occurs; three groups make one pair and one
+        # group on its own.  Each C statement, expanded to its lanes, must
+        # give every accumulator the Python kernel's sequence.
+        n, m, k = (length, 3, 4) if layout is Layout.ColMajor else (3, length, 4)
+        s = spec(layout, n, m, k, access)
+        found = c_twin_accumulator_statements(generate_c_source(s), layout)
+        assert sorted(found) == sorted(itertools.product(range(n), range(m)))
+        for (r, c), own in found.items():
+            assert own == (
+                [("zero",)] + [("madd", ("A", r, t), ("B", t, c)) for t in range(k)]
+                + [("scale",), ("read_c", ("C", r, c)), ("combine",), ("store", ("C", r, c))]
+            ), (r, c)
 
     @pytest.mark.parametrize("layout", list(Layout))
     @pytest.mark.parametrize("n,m,k,access", [(3, 2, 4, "cis"), (4, 3, 2, "sci"), (2, 5, 3, "iii"),
@@ -172,10 +241,13 @@ class TestGeneratedSource:
         write = [("read_c", None), ("combine", None), ("store", None)]
         assert forms == accumulate * other + write * other
 
-    @pytest.mark.skipif(not jit_available(), reason="no C compiler (cc) on PATH")
-    def test_c_twins_are_plain_c99(self, tmp_path):
+    @pytest.mark.parametrize("compiler", ["cc", "gcc", "clang"])
+    def test_c_twins_are_plain_c99(self, compiler, tmp_path):
         # Every manifest kernel, and both layouts x all 27 access triples at
-        # one small shape, compile warning-free as ISO C99.
+        # one small shape, compile warning-free as C99 with GNU vector
+        # extensions, under each compiler found on PATH.
+        if shutil.which(compiler) is None:
+            pytest.skip(f"no {compiler} on PATH")
         manifest = parse_manifest((ROOT / "manifests" / "default.manifest").read_text())
         specs = list(manifest.entries) + [
             spec(layout, 3, 2, 4, "".join(access))
@@ -186,7 +258,7 @@ class TestGeneratedSource:
             files.append(tmp_path / f"{s.name}.c")
             files[-1].write_text(generate_c_source(s))
         done = subprocess.run(
-            ["cc", "-std=c99", "-Wall", "-Wextra", "-Wno-unused-parameter", "-Werror",
+            [compiler, "-std=c99", "-Wall", "-Wextra", "-Wno-unused-parameter", "-Werror",
              "-fsyntax-only", *map(str, files)],
             capture_output=True, text=True, stdin=subprocess.DEVNULL, timeout=300,
         )

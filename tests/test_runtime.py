@@ -951,6 +951,110 @@ class TestCompiledPath:
         assert kernel.path_elements == {"compiled": 200}
 
 
+#: Lengths of C's contiguous dimension the edge tests cover: every chunk of
+#: the C twin's vector statements (8, 4, 2, 1) and every tail after them.
+GROUP_LENGTHS = [*range(1, 18), 20]
+#: Values mixed into the edge tests' operands.  The one NaN is the one this
+#: machine's arithmetic makes (inf * 0), so every NaN a path computes has the
+#: same bits: IEEE 754 leaves open which NaN operand a result carries, and
+#: neither numpy nor the C compiler fixes the operand order of ``a * b``.
+SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.inf * 0.0])
+
+
+def with_specials(operands, rng):
+    """*operands* with about one element in eight of each buffer replaced by a special value."""
+    for buffer in buffers_of(*operands):
+        hit = rng.random(buffer.shape) < 0.125
+        buffer[hit] = rng.choice(SPECIALS, int(hit.sum()))
+    return operands
+
+
+def one_double_past_a_line(values):
+    """A copy of *values* whose first element sits 8 bytes past a 64-byte boundary."""
+    raw = np.empty(values.size + 16)
+    skip = (-raw.ctypes.data % 64) // 8 + 1
+    out = raw[skip : skip + values.size]
+    out[...] = values
+    assert out.ctypes.data % 64 == 8
+    return out
+
+
+@needs_cc
+class TestExplicitVectors:
+    """The C twin's vector statements: every chunk and tail, IEEE edge values, unaligned operands."""
+
+    def run_both(self, s, E, alpha, beta, a, b, c, registry):
+        c_ref = clone_operand(c)
+        with use_jit(True):
+            run_batched(s, E, alpha, a, b, beta, c, registry=registry)
+        batched_ref(s, E, GemmScalars(alpha, beta), a, b, c_ref)
+        assert [m.tobytes() for m in buffers_of(c)] == [m.tobytes() for m in buffers_of(c_ref)], (
+            f"{kernel_name(s)} alpha={alpha} beta={beta}"
+        )
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("c_kind", list("csi"))
+    @pytest.mark.parametrize("layout", list(Layout))
+    @pytest.mark.parametrize("length", GROUP_LENGTHS)
+    def test_every_group_length_gives_the_oracle_bytes(self, length, layout, c_kind):
+        # Three groups of *length* elements (a pair and one alone); A and B
+        # take each access kind in turn.  A Constant C accumulates over the
+        # batch in order.  Each alpha and beta, on operands holding signed
+        # zeros, infinities and NaN.
+        a_kind, b_kind = "csi"[length % 3], "csi"[length // 3 % 3]
+        n, m = (length, 3) if layout is Layout.ColMajor else (3, length)
+        s = spec(layout, n, m, 2, a_kind + b_kind + c_kind)
+        registry = build_registry(s)
+        rng = np.random.default_rng(length)
+        calls = list(itertools.product((1.0, -0.0), (0.0, -0.0, 1.0, 0.37)))
+        for alpha, beta in calls:
+            self.run_both(s, 3, alpha, beta, *with_specials(make_operands(s, 3, rng), rng), registry)
+        assert registry.lookup(kernel_name(s)).path_counts == {"compiled": len(calls)}
+
+    @pytest.mark.parametrize("layout", list(Layout))
+    def test_strided_buffers_one_double_past_a_line(self, layout):
+        s = spec(layout, 10, 9, 9, "sss")
+        E = 5
+        a, b, c = (
+            BatchedOperand.strided(one_double_past_a_line(op.data), op.ld, op.span)
+            for op in make_operands(s, E, np.random.default_rng(61))
+        )
+        registry = build_registry(s)
+        self.run_both(s, E, 1.5, 0.5, a, b, c, registry)
+        assert registry.lookup(kernel_name(s)).path_counts == {"compiled": 1}
+
+    @pytest.mark.parametrize("lda, span", [(10, 91), (21, 191)], ids=["odd_span", "odd_ld"])
+    def test_odd_padded_strided_a(self, lda, span):
+        # The proxy's 10x9x9 sci kernel: batch element e of A starts e*span
+        # elements in, and each column of A lda elements after the last.
+        s = spec(Layout.ColMajor, 10, 9, 9, "sci")
+        E = 6
+        rng = np.random.default_rng(62)
+        a = BatchedOperand.strided(rng.uniform(-1.0, 1.0, (E - 1) * span + matrix_span(s, "A", lda)),
+                                   lda, span)
+        _, b, c = make_operands(s, E, rng)
+        registry = build_registry(s)
+        self.run_both(s, E, 1.0, 1.0, a, b, c, registry)
+        assert registry.lookup(kernel_name(s)).path_counts == {"compiled": 1}
+
+    @pytest.mark.parametrize("layout", list(Layout))
+    def test_indexed_views_at_odd_offsets(self, layout):
+        s = spec(layout, 20, 9, 10, "iii")
+        E = 7
+        rng = np.random.default_rng(63)
+        operands = []
+        for which in "ABC":
+            ld = operand_dims(s, which).min_ld
+            size = matrix_span(s, which, ld)
+            pool = rng.uniform(-1.0, 1.0, 2 * E * (size + 1) + size)
+            table = [pool[start : start + size] for start in range(1, 2 * E * (size + 1), 2 * (size + 1))]
+            assert all(entry.ctypes.data % 16 == 8 for entry in table)
+            operands.append(BatchedOperand.indexed(table, ld))
+        registry = build_registry(s)
+        self.run_both(s, E, 1.5, 0.5, *operands, registry)
+        assert registry.lookup(kernel_name(s)).path_counts == {"compiled": 1}
+
+
 class _Tagged(np.ndarray):
     """An ndarray subclass, to stand in a pointer table as an entry."""
 
