@@ -294,7 +294,7 @@ def run_benchmark(
     counts = getattr(registry.lookup(kernel_name(spec)), "path_counts", Counter())
     counts_before = Counter(counts)
     batched_samples, batched_inner = _measure(batched_unit, reps)
-    paths = sorted(counts - counts_before)
+    paths = sorted(Counter(counts) - counts_before)
     c_base = clone_operand(c)
     percall_samples, percall_inner = _measure(
         _percall_unit(spec, E, scalars, a, b, c_base, baseline), reps

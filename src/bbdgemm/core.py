@@ -37,6 +37,7 @@ __all__ = [
     "PointerTable",
     "owner_ids",
     "owner_id",
+    "read_only_error",
     "sort_extents",
     "OPERANDS",
 ]
@@ -222,7 +223,7 @@ class PointerTable(tuple):
         else:
             entry = list(map(_WRITEABLE, self)).index(False)
         if entry >= 0:
-            raise ValueError(f"operand {which}: table entry {entry} is read-only")
+            raise read_only_error(which, entry)
 
     # The facts below assume flat_length() >= 0: every entry is a flat float64 ndarray.
 
@@ -266,6 +267,12 @@ class PointerTable(tuple):
         return self._fact(
             ("sorted_extents", span), lambda: _read_only(sort_extents(*self.extents(span)))
         )
+
+
+def read_only_error(which: str, entry: int | None = None) -> ValueError:
+    """The refusal of operand *which*: its table entry *entry*, or its flat buffer if None, is read-only."""
+    where = "buffer" if entry is None else f"table entry {entry}"
+    return ValueError(f"operand {which}: {where} is read-only")
 
 
 def owner_ids(buffers) -> np.ndarray | None:

@@ -21,6 +21,7 @@ provide the file-based validation used to demonstrate it.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import re
@@ -181,7 +182,10 @@ class ProxyConfig:
     def tensor_ld(self) -> int:
         return self.rows if self.layout is Layout.ColMajor else self.cols
 
-    @property
+    # Derived once per config, on first use, as a value kept beside the
+    # fields: equality, repr and dataclasses.replace see the fields only.
+
+    @functools.cached_property
     def scratch_per_element(self) -> int:
         """Scratch slots one cell needs: the widest scratch write in the chain."""
         spans = [
@@ -190,6 +194,14 @@ class ProxyConfig:
             if step.c_binding == SCRATCH_BINDING
         ]
         return max(spans, default=0)
+
+    @functools.cached_property
+    def scratch_ld(self) -> int:
+        """Leading dimension of the scratch: that of the chain's first scratch write, else 1."""
+        for step in self.chain:
+            if step.c_binding == SCRATCH_BINDING:
+                return operand_dims(step.spec, "C").min_ld
+        return 1
 
     def constant_dims(self) -> dict[str, tuple[int, int, int]]:
         """(rows, cols, ld) of each constant binding used by the chain."""
@@ -343,7 +355,7 @@ def _resolve_ref_operand(
 def compute_local_integration_ref(config: ProxyConfig, state: ProxyState) -> None:
     """Reference loop nest: per cell, per component, run the chain's GEMMs."""
     scratch = np.zeros(max(config.scratch_per_element, 1), dtype=np.float64)
-    scratch_ld = _scratch_ld(config)
+    scratch_ld = config.scratch_ld
     for cell in range(config.cells):
         for component in range(config.components):
             for step in config.chain:
@@ -369,13 +381,6 @@ def compute_local_integration_ref(config: ProxyConfig, state: ProxyState) -> Non
                     c,
                     ldc,
                 )
-
-
-def _scratch_ld(config: ProxyConfig) -> int:
-    for step in config.chain:
-        if step.c_binding == SCRATCH_BINDING:
-            return operand_dims(step.spec, "C").min_ld
-    return 1
 
 
 def compute_local_integration_batched(
@@ -432,8 +437,7 @@ def _build_step_operands(config: ProxyConfig, state: ProxyState, scratch_flat: n
         name: BatchedOperand.constant(data, ld=state.constant_lds[name])
         for name, data in state.constants.items()
     }
-    scratch_ld = _scratch_ld(config)
-    per_element = config.scratch_per_element
+    scratch_ld, per_element = config.scratch_ld, config.scratch_per_element
     components = []
     for tables in state.pointer_tables:
         steps = []

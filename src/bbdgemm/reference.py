@@ -6,6 +6,15 @@ resolves each batch element according to its operand's access kind and runs
 beta combine mirrors the generated kernels exactly, so a generated kernel and
 the oracle produce bitwise-identical outputs when nothing reorders the sums.
 
+Bitwise equality stops at NaNs that meet: when an input NaN meets a NaN the
+arithmetic makes (``inf * 0`` or ``inf - inf``), which of the two the
+result carries is not fixed by IEEE 754.  x86 returns the first operand's,
+and neither numpy nor a C compiler keeps the source order of a commutative
+``*`` or ``+``, so this oracle and a compiled kernel may give NaNs of
+different sign.  All other bits agree, and NaNs too when every NaN has one
+payload, which is why the edge tests (``tests/test_runtime.py``,
+``TestExplicitVectors``) use only the machine's own ``inf * 0``.
+
 This module is deliberately simple; its only job is to be obviously correct,
 so it uses numpy and plain Python only, never compiled kernels.
 ``_dgemm_flat`` is the definition of one GEMM.  So that large validation

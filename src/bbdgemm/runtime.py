@@ -40,12 +40,17 @@ and the kernel bound to the operands' addresses, leading dimensions and
 spans (the kernel wrapper's ``bind``), or the fallback.  A call that
 repeats it (the same spec, registry, E, A and B objects, each operand's
 kind, ld, span, table or buffer, a buffer's dtype, shape and strides, and
-the compiled-path switch, all compared as ints) skips the check and makes
-one pass over entries: the scan of C's writable flags, which no cache can
-answer since a flag can be flipped between calls.  For an Indexed C the
-prepared call keeps the :func:`~bbdgemm.vectorize.table_reader` that makes
-that scan in C, with no Python-level work per entry.  alpha and beta are
-never kept: each run takes them from its own call.  Anything else that
+the compiled-path switch, compared against the objects the prepared call
+holds, up to the first that differs, with no key built) skips the check
+and makes one pass over entries: the scan of C's writable flags, which no
+cache can answer since a flag can be flipped between calls.  On the
+compiled path with the :func:`~bbdgemm.vectorize.table_reader`, a repeat is
+one C call, the reader's ``run_prepared``: it checks the flat buffers'
+dtype, shape and strides, scans C, runs the kernel and counts the run,
+and the refusal of a read-only C is the same as on any other path.  On
+the other paths the prepared call keeps the reader, where there is one,
+that makes the scan of an Indexed C in C, and then runs.  alpha and beta
+are never kept: each run takes them from its own call.  Anything else that
 changes prepares the call afresh, and a copy or unpickled C starts with
 none.
 """
@@ -72,9 +77,11 @@ from .core import (
     matrix_span,
     operand_dims,
     owner_id,
+    read_only_error,
     sort_extents,
 )
 from . import vectorize
+from .vectorize import RAN
 from .reference import GemmScalars, batched_ref
 
 __all__ = [
@@ -201,7 +208,7 @@ class BatchedOperand:
         if self.kind is AccessKind.Indexed:
             self.table.check_writable(which, reader)
         elif not self.data.flags.writeable:
-            raise ValueError(f"operand {which}: buffer is read-only")
+            raise read_only_error(which)
 
 
 def _check_buffer(which: str, buffer, label: str) -> None:
@@ -395,57 +402,92 @@ def _c_has_own_allocations(operands: Sequence[BatchedOperand]) -> bool:
 
 
 class _Prepared(NamedTuple):
-    """A call whose contract is checked, kept on its C operand for the calls that repeat it."""
+    """A call whose contract is checked, kept on its C operand for the calls that repeat it.
 
-    #: :func:`_key` of that call.
-    key: tuple
-    #: Every object whose ``id`` is in the key but C, so no id is reused while the call is kept.
-    held: tuple
+    It holds every object a repeat is matched against (:func:`_repeats`), so
+    none is freed, and its id reused, while the call is kept.
+    """
+
+    spec: KernelSpec
+    registry: KernelRegistry
+    a: BatchedOperand
+    b: BatchedOperand
+    E: int
+    #: ``vectorize.jit_enabled()`` when the call was prepared.
+    jit: bool
+    #: Per operand, A, B, C: kind, ld, span, and its table or buffer.
+    operands: tuple
+    #: Per operand: a flat buffer's dtype, shape and strides; None for a table.
+    buffers: tuple
     #: The kernel's call as a function of ``(alpha, beta)``; None for the reference fallback.
     runner: Callable | None
     #: The table reader that scans an Indexed C's writable flags, or None for the Python scan.
     reader: object
+    #: ``(run_prepared, record)`` of a compiled runner that makes its whole run in one C call, or None.
+    in_c: tuple | None
 
 
-def _key(spec, E, a, b, c, registry) -> tuple | None:
-    """What a repeat of a checked call must match, with no float in it; None without a flat ndarray.
+def _repeats(prepared: _Prepared, spec, E, a, b, c, registry) -> bool:
+    """True when this call repeats *prepared*, compared fact by fact up to the first mismatch.
 
-    The ids of the spec, the registry, A and B; E; each operand's kind, ld,
-    span and the id of its table or buffer, with a buffer's dtype, shape and
-    strides; and whether the compiled path is on.  alpha and beta are not in
-    it: each run takes them from its own call.
+    The same spec, registry, A and B objects; E; whether the compiled path
+    is on; each operand's kind, ld, span and table or buffer object, and a
+    buffer's dtype object, shape and strides.  A prepared call that runs in
+    C compares those last three itself, first thing in its C call.  alpha
+    and beta are not compared: each run takes them from its own call.
     """
-    key = [id(spec), id(registry), id(a), id(b), E, vectorize.jit_enabled()]
-    for operand in (a, b, c):
-        if operand.kind is AccessKind.Indexed:
-            key += (id(operand.kind), operand.ld, operand.span, id(operand.table))
-            continue
-        data = operand.data
-        if not isinstance(data, np.ndarray):
-            return None
-        key += (id(operand.kind), operand.ld, operand.span, id(data), id(data.dtype))
-        key += (data.shape, data.strides)
-    return tuple(key)
+    facts_a, facts_b, facts_c = prepared.operands
+    return (
+        prepared.spec is spec and prepared.registry is registry
+        and prepared.a is a and prepared.b is b and prepared.E == E
+        and prepared.jit == vectorize.jit_enabled()
+        and _same_operand(a, facts_a) and _same_operand(b, facts_b) and _same_operand(c, facts_c)
+        and (prepared.in_c is not None or all(map(_same_buffer, (a, b, c), prepared.buffers)))
+    )
 
 
-def _prepare(spec, E, a, b, c, registry, key) -> _Prepared:
+def _operand_facts(operand: BatchedOperand) -> tuple:
+    return operand.kind, operand.ld, operand.span, operand.payload()
+
+
+def _same_operand(operand: BatchedOperand, facts: tuple) -> bool:
+    kind, ld, span, payload = facts
+    return (
+        operand.kind is kind and operand.ld == ld and operand.span == span
+        and (operand.table if kind is AccessKind.Indexed else operand.data) is payload
+    )
+
+
+def _buffer_facts(operand: BatchedOperand) -> tuple | None:
+    if operand.kind is AccessKind.Indexed:
+        return None
+    return operand.data.dtype, operand.data.shape, operand.data.strides
+
+
+def _same_buffer(operand: BatchedOperand, facts: tuple | None) -> bool:
+    if facts is None:
+        return True
+    data = operand.data
+    return data.dtype is facts[0] and data.shape == facts[1] and data.strides == facts[2]
+
+
+def _prepare(spec, E, a, b, c, registry) -> _Prepared:
     """Check the call's whole contract, then bind its kernel: what ``run_batched`` keeps."""
     operands = (a, b, c)
+    jit = vectorize.jit_enabled()
     spans = [operand.validate(which, spec, E) for which, operand in zip("ABC", operands)]
     _check_disjoint(E, operands, spans)
-    payloads = [operand.payload() for operand in operands]
-    dtypes = [payload.dtype for payload in payloads if isinstance(payload, np.ndarray)]
-    held = (spec, registry, a, b, *payloads, *dtypes)
+    facts = tuple(map(_operand_facts, operands)), tuple(map(_buffer_facts, operands))
     reader = c.table._reader() if c.kind is AccessKind.Indexed else None
     kernel = registry.lookup(kernel_name(spec))
     if kernel is None:
-        return _Prepared(key, held, None, reader)
+        return _Prepared(spec, registry, a, b, E, jit, *facts, None, reader, None)
     # Each Strided operand's own span; the others' matrix spans, which kernels ignore.
     kernel_spans = [
         operand.span if operand.kind is AccessKind.Strided else span
         for operand, span in zip(operands, spans)
     ]
-    (A, B, C), (lda, ldb, ldc) = payloads, (a.ld, b.ld, c.ld)
+    (A, B, C), (lda, ldb, ldc) = (operand.payload() for operand in operands), (a.ld, b.ld, c.ld)
     # A kernel's own bind only: another callable in the registry, such as a
     # function wrapped around a kernel, sees every call with all arguments.
     bind = getattr(kernel, "bind", None)
@@ -456,7 +498,8 @@ def _prepare(spec, E, a, b, c, registry, key) -> _Prepared:
         def runner(alpha, beta):
             kernel(E, alpha, A, lda, B, ldb, beta, C, ldc, *kernel_spans)
 
-    return _Prepared(key, held, runner, reader)
+    in_c = getattr(runner, "prepared", None)
+    return _Prepared(spec, registry, a, b, E, jit, *facts, runner, reader, in_c)
 
 
 def run_batched(
@@ -477,21 +520,31 @@ def run_batched(
     registry) when the kernel is absent.  Operand leading dimensions and
     spans travel inside the operands.  E == 0 succeeds without touching
     memory or counting a fallback.  A call that repeats the last one on *c*
-    (see :func:`_key`) checks only C's writability before it runs.
+    (see :func:`_repeats`) checks only C's writability before it runs; on
+    the compiled path with the table reader, that check and the run are
+    one C call.
     """
     if E < 0:
         raise ValueError(f"batch size must be non-negative, got {E}")
     registry = registry if registry is not None else default_registry()
     if E == 0:
         return
-    key = _key(spec, E, a, b, c, registry)
     prepared = c._prepared
-    if prepared is None or prepared.key != key:
-        prepared = _prepare(spec, E, a, b, c, registry, key)
-        if key is not None:
-            c._prepared = prepared
+    if prepared is not None and _repeats(prepared, spec, E, a, b, c, registry):
+        if prepared.in_c is None:
+            c._check_writable("C", prepared.reader)
+        else:
+            run_prepared, record = prepared.in_c
+            entry = run_prepared(record, alpha, beta)
+            if entry == RAN:
+                return
+            if entry >= 0:
+                raise read_only_error("C", entry if c.kind is AccessKind.Indexed else None)
+            prepared = None  # BUFFER_CHANGED: check the call afresh
     else:
-        c._check_writable("C", prepared.reader)
+        prepared = None
+    if prepared is None:
+        prepared = c._prepared = _prepare(spec, E, a, b, c, registry)
     if prepared.runner is not None:
         prepared.runner(alpha, beta)
     else:

@@ -52,10 +52,15 @@ O(1), plus, for an Indexed C, one compiled pass over its entries' writable
 flags (:func:`table_reader`).  The wrapper is that scan followed by
 ``wrapper.bind(E, A, lda, B, ldb, C, ldc, spanA, spanB, spanC)(alpha,
 beta)``: ``bind`` makes those checks and chooses the path once, and returns
-the call as a function of alpha and beta, which makes no scan of C.  On the
-compiled path that function holds the ctypes function with every other
-argument already converted.  :func:`bbdgemm.runtime.run_batched` keeps it
-for the calls that repeat a checked one, and scans C itself before each.
+the call as a function of alpha and beta.  On the compiled path with the
+table reader, that function is one call of the reader's ``run_prepared`` on
+a record of the kernel's address and every other argument: in C, it
+checks that no flat operand changed its dtype, shape or strides, scans C's
+writable flags, runs the kernel with the interpreter lock released and
+counts the run.  :func:`bbdgemm.runtime.run_batched` keeps it for the calls
+that repeat a checked one and makes that C call itself.  Without the
+reader, the function holds the ctypes function with every other argument
+already converted, makes no scan of C, and ``run_batched`` scans C first.
 
 Switches: ``BBDGEMM_JIT=0`` (or ``off``/``false``/``no``) turns the compiled
 path off for the process; otherwise :func:`use_jit` turns it off and on
@@ -91,6 +96,7 @@ import tempfile
 import threading
 import time
 from collections import Counter
+from collections.abc import Mapping
 from contextlib import contextmanager
 from pathlib import Path
 from typing import NamedTuple
@@ -104,6 +110,7 @@ from .core import (
     flat_float64_buffers,
     matrix_span,
     parse_kernel_name,
+    read_only_error,
 )
 
 __all__ = [
@@ -150,19 +157,26 @@ def jit_available() -> bool:
     return _find_compiler() is not None
 
 
+#: ``BBDGEMM_JIT`` as a key of ``os.environ``'s own store.  ``os.environ.get``
+#: of an unset variable raises and catches a ``KeyError`` (about 2.4 us); a
+#: lookup in the store that ``os.environ`` reads and writes takes 0.05 us.
+_JIT_VARIABLE = os.environ.encodekey("BBDGEMM_JIT")
+_OFF = ("0", "off", "false", "no")
+
+
 def jit_enabled() -> bool:
     """True when decorated kernels will take the compiled path.
 
     ``BBDGEMM_JIT`` set to ``0``, ``off``, ``false`` or ``no`` is the master
     switch: it turns the path off for the process.  Otherwise
     :func:`use_jit` decides, and outside it the path is on.  Without a
-    compiler it is off whatever the switches say.
+    compiler it is off whatever the switches say.  The variable is read on
+    every call, so a change through ``os.environ`` takes effect at once.
     """
-    if not jit_available():
+    switch = os.environ._data.get(_JIT_VARIABLE)
+    if switch is not None and os.environ.decodevalue(switch).strip().lower() in _OFF:
         return False
-    if os.environ.get("BBDGEMM_JIT", "").strip().lower() in ("0", "off", "false", "no"):
-        return False
-    return _override is not False
+    return _override is not False and _find_compiler() is not None
 
 
 @contextmanager
@@ -230,7 +244,7 @@ def _load_c_kernel(name: str):
 
 #: Reads a PointerTable, a tuple of ndarrays, with the interpreter lock held
 #: (the library is opened with ``ctypes.PyDLL``).  Callers pass only tables
-#: whose entries are all ndarrays.
+#: whose entries are all ndarrays.  ``prepared_call`` is :class:`_PreparedCall`.
 _TABLE_READER_SOURCE = """\
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -252,7 +266,92 @@ void addresses(PyObject *table, Py_intptr_t *out) {
     for (Py_ssize_t e = 0; e < count; ++e)
         out[e] = (Py_intptr_t)PyArray_DATA(ENTRY(table, e));
 }
+
+/* Every C twin has this signature, with each operand's pointer as void. */
+typedef void (*kernel_fn)(long, double, const void *, long, const void *, long,
+                          double, void *, long, long, long, long);
+
+/* A flat operand's ndarray and its dtype, length and stride when bound;
+   array is NULL for a table. */
+typedef struct {
+    PyObject *array, *dtype;
+    npy_intp length, stride;
+} flat_buffer;
+
+typedef struct {
+    kernel_fn kernel;
+    long E;
+    const void *A, *B;
+    void *C;
+    long lda, ldb, ldc, spanA, spanB, spanC;
+    flat_buffer flat[3];
+    PyObject *writable; /* C's table, or a 1-tuple of C's buffer */
+    long long *counts;  /* the kernel's compiled calls and elements */
+} prepared_call;
+
+static int changed(const flat_buffer *flat) {
+    const PyArrayObject *array = (const PyArrayObject *)flat->array;
+    return array != NULL
+        && ((PyObject *)PyArray_DESCR(array) != flat->dtype || PyArray_NDIM(array) != 1
+            || PyArray_DIMS(array)[0] != flat->length
+            || PyArray_STRIDES(array)[0] != flat->stride);
+}
+
+Py_ssize_t run_prepared(prepared_call *call, double alpha, double beta) {
+    for (int i = 0; i < 3; ++i)
+        if (changed(&call->flat[i]))
+            return -2;
+    Py_ssize_t entry = first_read_only(call->writable);
+    if (entry >= 0)
+        return entry;
+    Py_BEGIN_ALLOW_THREADS
+    call->kernel(call->E, alpha, call->A, call->lda, call->B, call->ldb,
+                 beta, call->C, call->ldc, call->spanA, call->spanB, call->spanC);
+    Py_END_ALLOW_THREADS
+    call->counts[0] += 1;
+    call->counts[1] += call->E;
+    return -1;
+}
 """
+
+
+class _FlatBuffer(ctypes.Structure):
+    """A flat operand's ndarray, dtype, length and stride as bound; no array for a table."""
+
+    _fields_ = [
+        ("array", ctypes.py_object),
+        ("dtype", ctypes.py_object),
+        ("length", ctypes.c_ssize_t),
+        ("stride", ctypes.c_ssize_t),
+    ]
+
+
+#: What ``run_prepared`` returns: a run made, or a flat buffer whose dtype,
+#: shape or strides changed in place since ``bind``, with nothing run.
+RAN, BUFFER_CHANGED = -1, -2
+
+
+class _PreparedCall(ctypes.Structure):
+    """A compiled call bound once, which the table reader's ``run_prepared`` runs.
+
+    The C twin's address and every argument but alpha and beta; each flat
+    operand's buffer with the dtype, length and stride it had; the buffers
+    whose writable flags each run checks (C's table, or a 1-tuple of C's
+    flat buffer); and the address of the kernel's two counters of compiled
+    calls and elements, which each run bumps with the interpreter lock held.
+    """
+
+    _fields_ = [
+        ("kernel", ctypes.c_void_p),
+        ("E", ctypes.c_long),
+        ("A", ctypes.c_void_p),
+        ("B", ctypes.c_void_p),
+        ("C", ctypes.c_void_p),
+        *((name, ctypes.c_long) for name in ("lda", "ldb", "ldc", "spanA", "spanB", "spanC")),
+        ("flat", _FlatBuffer * 3),
+        ("writable", ctypes.py_object),
+        ("counts", ctypes.POINTER(ctypes.c_longlong)),
+    ]
 
 
 @functools.cache
@@ -278,6 +377,8 @@ def _load_table_reader():
     library.first_read_only.restype = ctypes.c_ssize_t
     library.addresses.argtypes = (ctypes.py_object, ctypes.c_void_p)
     library.addresses.restype = None
+    library.run_prepared.argtypes = (ctypes.POINTER(_PreparedCall), ctypes.c_double, ctypes.c_double)
+    library.run_prepared.restype = ctypes.c_ssize_t
     return library
 
 
@@ -293,6 +394,14 @@ def table_reader():
     each entry's data address into the intp array at address *out*.  Both
     read numpy's array struct, so *table* must be a tuple of ndarrays, and
     the build is keyed on the numpy version and both include directories.
+    ``run_prepared(record, alpha, beta)`` is a whole compiled run of a
+    :class:`_PreparedCall` that a kernel's ``bind`` built.  It returns
+    :data:`BUFFER_CHANGED` if a flat operand's dtype, shape or strides
+    changed since, then scans the record's C as ``first_read_only`` does and
+    returns the first read-only entry's index; either way it has written
+    nothing.  Otherwise it calls the C twin with the interpreter lock
+    released, as ``ctypes.CDLL`` does, bumps the kernel's compiled counters
+    with the lock held again, and returns :data:`RAN`.
     None when :func:`jit_enabled` is False or a header is missing; the
     reader is built or loaded on the first call that may use it.
     """
@@ -355,6 +464,36 @@ def _stage_lanes(payload, kind: AccessKind, E: int, span: int, size: int) -> np.
     return rows.T.copy()
 
 
+class _PathCounts(Mapping):
+    """A kernel's completed calls, or batch elements, per path, read live.
+
+    The runs counted in Python, plus the compiled runs that the table
+    reader's ``run_prepared`` counted in C, under ``"compiled"``.
+    """
+
+    def __init__(self, counted: Counter, compiled_counts, index: int):
+        self._counted, self._compiled, self._index = counted, compiled_counts, index
+
+    def _now(self) -> dict:
+        now = dict(self._counted)
+        in_c = self._compiled[self._index]
+        if in_c:
+            now["compiled"] = now.get("compiled", 0) + in_c
+        return now
+
+    def __getitem__(self, path: str) -> int:
+        return self._now()[path]
+
+    def __iter__(self):
+        return iter(self._now())
+
+    def __len__(self) -> int:
+        return len(self._now())
+
+    def __repr__(self) -> str:
+        return repr(self._now())
+
+
 def vectorize_batch_loop(name: str):
     """Decorator marking a generated kernel's batch loop for acceleration.
 
@@ -366,10 +505,11 @@ def vectorize_batch_loop(name: str):
     gives exactly the undecorated one's results.  E <= 0 returns early and
     touches no memory on any path.  The wrapper's ``path_counts`` counts
     completed calls per path, and ``path_elements`` the batch elements
-    those calls handled.  Its ``bind`` takes the arguments but alpha and
-    beta and returns the call as a function of ``(alpha, beta)``, its path
-    chosen, with no scan of C's writability.  A kernel whose C twin fails
-    to compile raises ``RuntimeError`` carrying the compiler's messages.
+    those calls handled; both are read-only mappings that read the counts
+    live.  Its ``bind`` takes the arguments but alpha and beta and returns
+    the call as a function of ``(alpha, beta)``, its path chosen.  A kernel
+    whose C twin fails to compile raises ``RuntimeError`` carrying the
+    compiler's messages.
     """
     spec = parse_kernel_name(name)
     kinds = (spec.access_a, spec.access_b, spec.access_c)
@@ -377,9 +517,11 @@ def vectorize_batch_loop(name: str):
     def decorate(py_fn):
         compiled = []
         compile_lock = threading.Lock()
-        path_counts = Counter()
-        path_elements = Counter()
+        # Runs counted in Python, under count_lock; run_prepared counts the
+        # compiled runs it makes in compiled_counts, [calls, elements].
+        counted_calls, counted_elements = Counter(), Counter()
         count_lock = threading.Lock()
+        compiled_counts = (ctypes.c_longlong * 2)()
 
         def c_kernel():
             with compile_lock:
@@ -400,15 +542,22 @@ def vectorize_batch_loop(name: str):
         def bind(E, A, lda, B, ldb, C, ldc, spanA, spanB, spanC):
             """This call, E >= 1, as a function of ``(alpha, beta)``, its path chosen now.
 
-            It does not scan C's writability: whoever runs it checks C
-            first, and keeps A, B and C alive while it keeps the function.
-            Each run stages what its path needs, writes C back and is
-            counted in ``path_counts`` and ``path_elements``.
+            Whoever runs it keeps A, B and C alive while it keeps the
+            function, and checks C's writability first, except on the
+            compiled path with the table reader: there each run is one call
+            of the reader's ``run_prepared`` on a :class:`_PreparedCall`
+            built here, which scans C itself and refuses a read-only buffer
+            or entry, naming it, before any write.  That function carries
+            ``prepared = (run_prepared, record)`` for callers that make the
+            call themselves.  Each run stages what its path needs, writes C
+            back and is counted in ``path_counts`` and ``path_elements``.
             """
             payloads, lds, spans = (A, B, C), (lda, ldb, ldc), (spanA, spanB, spanC)
             # Elements one matrix covers; a Strided operand's span may be longer.
             sizes = [matrix_span(spec, which, ld) for which, ld in zip("ABC", lds)]
             run = _bind_compiled(E, payloads, lds, spans, sizes) if jit_enabled() else None
+            if hasattr(run, "prepared"):
+                return run  # counted in C
             if run is not None:
                 path = "compiled"
             elif kinds[2] is not AccessKind.Constant:
@@ -432,8 +581,8 @@ def vectorize_batch_loop(name: str):
             def counted(alpha, beta):
                 run(alpha, beta)
                 with count_lock:
-                    path_counts[path] += 1
-                    path_elements[path] += E
+                    counted_calls[path] += 1
+                    counted_elements[path] += E
 
             return counted
 
@@ -468,6 +617,31 @@ def vectorize_batch_loop(name: str):
                 else:
                     pointers.append(_pointer(payload))
             fn = c_kernel()
+            reader = None if staged else table_reader()
+            if reader is not None:
+                indexed_c = kinds[2] is AccessKind.Indexed
+                # C is the last operand, so table is C's table when C is Indexed.
+                flat = [
+                    _FlatBuffer() if kind is AccessKind.Indexed
+                    else _FlatBuffer(payload, payload.dtype, len(payload), payload.strides[0])
+                    for payload, kind in zip(payloads, kinds)
+                ]
+                record = _PreparedCall(
+                    ctypes.cast(fn, ctypes.c_void_p), int(E), *pointers,
+                    *(int(x) for x in (*lds, *spans)), (_FlatBuffer * 3)(*flat),
+                    table if indexed_c else (payloads[2],), compiled_counts,
+                )
+                run_prepared = reader.run_prepared
+
+                def run_in_c(alpha, beta):
+                    entry = run_prepared(record, alpha, beta)
+                    if entry >= 0:
+                        raise read_only_error("C", entry if indexed_c else None)
+                    if entry == BUFFER_CHANGED:
+                        raise ValueError("a flat operand's dtype, shape or strides changed after bind")
+
+                run_in_c.prepared = (run_prepared, record)
+                return run_in_c
             e, lda, ldb, ldc, spanA, spanB, spanC = (
                 ctypes.c_long(int(x)) for x in (E, *lds, *spans)
             )
@@ -518,8 +692,8 @@ def vectorize_batch_loop(name: str):
         wrapper.bind = bind
         wrapper.spec = spec
         wrapper.kernel_name = name
-        wrapper.path_counts = path_counts
-        wrapper.path_elements = path_elements
+        wrapper.path_counts = _PathCounts(counted_calls, compiled_counts, 0)
+        wrapper.path_elements = _PathCounts(counted_elements, compiled_counts, 1)
         return wrapper
 
     return decorate

@@ -1,3 +1,4 @@
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -64,6 +65,26 @@ class TestConfigValidation:
         assert config.cells == 10000 and config.timesteps == 6
         assert config.components == 4 and (config.rows, config.cols) == (10, 9)
         assert config.scratch_per_element == 180
+
+    def test_scratch_facts_are_derived_once_per_config(self, monkeypatch):
+        # scratch_per_element and scratch_ld are computed on first use and
+        # kept; equality, hashing and replace see the fields only, and a
+        # pickled copy is equal and gives the same values.
+        calls = []
+        dims = proxy_mod.operand_dims
+        monkeypatch.setattr(proxy_mod, "operand_dims", lambda *args: calls.append(args) or dims(*args))
+        config = small_config()
+        twin = small_config()
+        calls.clear()
+        facts = [(config.scratch_per_element, config.scratch_ld) for _ in range(3)]
+        assert facts == [(8, 4)] * 3
+        assert len(calls) == 2
+        assert config == twin and hash(config) == hash(twin) and repr(config) == repr(twin)
+        first, second = small_chain()
+        wider = replace(config, chain=(replace(first, spec=spec(Layout.ColMajor, 5, 2, 3, "cis")), second))
+        assert (wider.scratch_per_element, wider.scratch_ld) == (10, 5)
+        copied = pickle.loads(pickle.dumps(config))
+        assert copied == config and (copied.scratch_per_element, copied.scratch_ld) == (8, 4)
 
     def test_unknown_binding(self):
         bad = (ChainStep(spec(Layout.ColMajor, 3, 2, 3, "cii"), "op1", "qin", "bogus", 1.0, 0.0),)

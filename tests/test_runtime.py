@@ -3,6 +3,7 @@ import itertools
 import json
 import os
 import pickle
+import shutil
 import subprocess
 import sys
 import threading
@@ -371,35 +372,44 @@ class TestRunBatched:
     def test_concurrent_calls_with_disjoint_outputs(self):
         # reentrancy: workers share one registry (and one lazily compiled
         # kernel) but own their operands, each used twice, so the second
-        # call runs the one kept on its C
-        import threading
-
+        # call runs the one kept on its C.  The compiled path releases the
+        # interpreter lock around each kernel, and its counts stay exact.
         registry = build_registry(S_CIS)
+        served = "compiled" if vectorize.jit_enabled() else "lanes"
+        start = threading.Barrier(4)
         failures = []
 
         def worker(seed):
             try:
                 rng = np.random.default_rng(seed)
+                start.wait(timeout=30)
                 for _ in range(5):
                     a, b, c = make_operands(S_CIS, 32, rng)
                     c_ref = clone_operand(c)
                     for _ in range(2):
                         run_batched(S_CIS, 32, 1.0, a, b, 1.0, c, registry=registry)
                         batched_ref(S_CIS, 32, GemmScalars(1.0, 1.0), a, b, c_ref)
-                    got = output_elements(S_CIS, 32, c)
-                    want = output_elements(S_CIS, 32, c_ref)
-                    if np.max(np.abs(got - want)) > 1e-12:
+                    if c.data.tobytes() != c_ref.data.tobytes():
                         failures.append(seed)
             except Exception as error:  # surfaced below; threads must not die silently
                 failures.append((seed, error))
 
-        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
         assert not failures
         assert registry.fallback_count == 0
+        kernel = registry.lookup(kernel_name(S_CIS))
+        assert kernel.path_counts == {served: 40}
+        assert kernel.path_elements == {served: 40 * 32}
 
     @needs_cc
     @pytest.mark.parametrize("access", ["ccc", "cci", "cic", "cii", "icc", "ici", "iic", "iii"])
@@ -825,6 +835,7 @@ class TestCompiledPath:
         counting = SimpleNamespace(
             first_read_only=reader.first_read_only,
             addresses=lambda table, out: reads.append(table) or reader.addresses(table, out),
+            run_prepared=reader.run_prepared,
         )
         monkeypatch.setattr(vectorize, "table_reader", lambda: counting)
         read_address = core._ADDRESS
@@ -1089,6 +1100,25 @@ class TestTableReader:
         logged = [(event.kernel, event.cache_hit) for event in vectorize.compile_log[events:]]
         assert logged == [("table_reader", False), ("table_reader", True), ("table_reader", False)]
 
+    @pytest.mark.parametrize("compiler", ["cc", "gcc", "clang"])
+    def test_reader_source_compiles_warning_free(self, compiler, tmp_path):
+        # The reader's source, run_prepared included, builds with every
+        # warning an error, with the package's flags and against both
+        # include directories, under each compiler found on PATH.
+        if shutil.which(compiler) is None:
+            pytest.skip(f"no {compiler} on PATH")
+        if not has_reader_headers:
+            pytest.skip("no Python.h or numpy's headers")
+        source = tmp_path / "table_reader.c"
+        source.write_text(vectorize._TABLE_READER_SOURCE)
+        includes = [f"-I{directory}" for directory in vectorize._reader_includes()]
+        done = subprocess.run(
+            [compiler, "-Wall", "-Wextra", "-Werror", *vectorize._CFLAGS, *includes,
+             "-o", str(tmp_path / "table_reader.so"), str(source)],
+            capture_output=True, text=True, stdin=subprocess.DEVNULL, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+
     @pytest.mark.parametrize("E", [1, 2, 900])
     @pytest.mark.parametrize("where", ["first", "middle", "last"])
     def test_both_scans_refuse_the_same_entry(self, E, where, monkeypatch):
@@ -1247,6 +1277,37 @@ class TestPreparedCall:
             assert registry.fallback_count == fallbacks
         else:
             assert [m.tobytes() for m in buffers_of(*got)] == [m.tobytes() for m in buffers_of(*want)]
+
+    @needs_reader
+    @pytest.mark.parametrize("access", ["cis", "cii"])
+    def test_a_compiled_repeat_is_one_c_call(self, access, monkeypatch):
+        # With the table reader, a compiled repeat makes one ctypes call,
+        # the reader's run_prepared, with this call's alpha and beta: no
+        # contract check and no Python-level scan of C.  That call runs
+        # and counts the kernel.
+        s = spec(Layout.ColMajor, 2, 3, 4, access)
+        E = 5
+        a, b, c = make_operands(s, E, np.random.default_rng(66))
+        want = [clone_operand(op) for op in (a, b, c)]
+        registry = build_registry(s)
+        calls = []
+        with use_jit(True):
+            run_batched(s, E, 1.5, a, b, 0.5, c, registry=registry)
+            batched_ref(s, E, GemmScalars(1.5, 0.5), *want)
+            run_prepared, record = c._prepared.in_c
+            counting = lambda *args: calls.append(args[1:]) or run_prepared(*args)  # noqa: E731
+            c._prepared = c._prepared._replace(in_c=(counting, record))
+            prepared = self.count(monkeypatch, runtime_mod, "_prepare")
+            scans = self.count(monkeypatch, PointerTable, "check_writable")
+            flat_scans = self.count(monkeypatch, BatchedOperand, "_check_writable")
+            for alpha, beta in [(0.5, 1.0), (-1.0, 0.0)]:
+                run_batched(s, E, alpha, a, b, beta, c, registry=registry)
+                batched_ref(s, E, GemmScalars(alpha, beta), *want)
+        assert calls == [(0.5, 1.0), (-1.0, 0.0)]
+        assert (len(prepared), len(scans), len(flat_scans)) == (0, 0, 0)
+        assert [m.tobytes() for m in buffers_of(c)] == [m.tobytes() for m in buffers_of(want[2])]
+        assert registry.lookup(kernel_name(s)).path_counts == {"compiled": 3}
+        assert registry.lookup(kernel_name(s)).path_elements == {"compiled": 3 * E}
 
     @pytest.mark.parametrize("path", PATHS)
     @pytest.mark.parametrize("access", ["cis", "cii"])
@@ -1446,11 +1507,13 @@ class TestTableValue:
 
     def test_c_writability_is_scanned_once_per_call(self, monkeypatch):
         # run_batched scans an Indexed C's writable flags once on every
-        # call: in validate on the first, with the prepared call's reader on
-        # repeats, and the kernel's bound call does not scan them again.  A
-        # plain function wrapped around the kernel has no bind of its own,
-        # so it is called with every argument and the kernel scans C again,
-        # as a direct kernel call does.
+        # call: in validate on the first, and on repeats with the prepared
+        # call's reader, or, on the compiled path with that reader, inside
+        # the repeat's one C call (no Python-level scan; see the next test),
+        # and the kernel's bound call does not scan them again.  A plain
+        # function wrapped around the kernel has no bind of its own, so it
+        # is called with every argument and the kernel scans C again, as a
+        # direct kernel call does.
         s = spec(Layout.RowMajor, 2, 3, 4, "ici")
         E = 6
         a, b, c = make_operands(s, E, np.random.default_rng(51))
@@ -1486,10 +1549,43 @@ class TestTableValue:
                 for _ in range(2)
             ]
         assert seen == {
-            "compiled": [1, 1, 1], "lanes": [1, 1, 1], "fallback": [1, 1, 1],
-            "wrapped": [2, 2, 2], "direct": [1, 1],
+            "compiled": [1, 0, 0] if has_reader_headers else [1, 1, 1],
+            "lanes": [1, 1, 1], "fallback": [1, 1, 1], "wrapped": [2, 2, 2], "direct": [1, 1],
         }
         assert kernel.path_counts == {"compiled": 8}
+
+    @needs_reader
+    def test_a_compiled_repeat_refuses_a_read_only_entry_in_its_one_c_call(self, monkeypatch):
+        # A compiled repeat scans C's writable flags in the same C call that
+        # runs the kernel.  An entry flipped read-only before a repeat (the
+        # first, a middle one, the last) is refused by name, with every C
+        # byte as it was and no call counted; flipped back, the next repeat
+        # runs and gives batched_ref's bytes.  No repeat prepares again.
+        s = spec(Layout.RowMajor, 2, 3, 4, "ici")
+        E = 7
+        a, b, c = make_operands(s, E, np.random.default_rng(54))
+        want = [clone_operand(op) for op in (a, b, c)]
+        registry = build_registry(s)
+        kernel = registry.lookup(kernel_name(s))
+        prepared = TestPreparedCall.count(monkeypatch, runtime_mod, "_prepare")
+        with use_jit(True):
+            run_batched(s, E, 1.5, a, b, 0.5, c, registry=registry)
+            batched_ref(s, E, GemmScalars(1.5, 0.5), *want)
+            for entry in (0, E // 2, E - 1):
+                c.table[entry].flags.writeable = False
+                before = [m.tobytes() for m in c.table]
+                counts = (dict(kernel.path_counts), dict(kernel.path_elements))
+                with pytest.raises(ValueError, match=f"^operand C: table entry {entry} is read-only$"):
+                    run_batched(s, E, 0.5, a, b, 1.0, c, registry=registry)
+                assert [m.tobytes() for m in c.table] == before
+                assert (dict(kernel.path_counts), dict(kernel.path_elements)) == counts
+                c.table[entry].flags.writeable = True
+                run_batched(s, E, 0.5, a, b, 1.0, c, registry=registry)
+                batched_ref(s, E, GemmScalars(0.5, 1.0), *want)
+                assert [m.tobytes() for m in c.table] == [m.tobytes() for m in want[2].table]
+        assert len(prepared) == 1
+        assert kernel.path_counts == {"compiled": 4}
+        assert kernel.path_elements == {"compiled": 4 * E}
 
     def test_owner_verdicts_make_no_searchsorted_on_reuse(self, monkeypatch):
         # With every entry in an allocation of its own, a flat A is bisected

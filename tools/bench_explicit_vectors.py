@@ -28,10 +28,8 @@ import re
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 import time
-from io import BytesIO
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +39,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from bbdgemm.core import AccessKind, matrix_span, operand_dims, parse_kernel_name  # noqa: E402
 from bbdgemm.vectorize import _C_ARGTYPES, _CFLAGS  # noqa: E402
+from perfbench_pairs import perfbench_pairs, store, summarise, unpack_revision  # noqa: E402
 
 #: (kernel, E, operands): the proxy's two kernels on proxy-shaped operands
 #: (900 separately allocated Indexed matrices, a Strided scratch of span 180
@@ -190,39 +189,6 @@ def cold_builds(old: dict, new: dict, workdir: Path, repeats: int) -> dict:
     return out
 
 
-def perfbench_pairs(old_tree: Path, new_tree: Path, pairs: int, run_args: list[str]) -> list[dict]:
-    """Metrics of ``perfbench/run.py *run_args*``, *pairs* times per tree, first tree alternating."""
-    out = []
-    for index in range(pairs):
-        pair = {"first": "old" if index % 2 == 0 else "new"}
-        for side in ("old", "new") if index % 2 == 0 else ("new", "old"):
-            tree = old_tree if side == "old" else new_tree
-            done = subprocess.run([sys.executable, "perfbench/run.py", *run_args], cwd=tree,
-                                  capture_output=True, text=True)
-            summary = json.loads(done.stdout.strip().splitlines()[-1])
-            pair[side] = {"exit": done.returncode, "failed": summary["failed"],
-                          "metrics": {k: v["value"] for k, v in summary["metrics"].items()}}
-        out.append(pair)
-        print(json.dumps(pair), flush=True)
-    return out
-
-
-def summarise(pairs: list[dict]) -> dict:
-    """Per metric: each side's median and quartiles, and in how many pairs the new tree read lower."""
-    out = {}
-    for metric in pairs[0]["old"]["metrics"]:
-        old = [p["old"]["metrics"][metric] for p in pairs]
-        new = [p["new"]["metrics"][metric] for p in pairs]
-        q_old, q_new = statistics.quantiles(old, n=4), statistics.quantiles(new, n=4)
-        out[metric] = {
-            "old": {"median": round(statistics.median(old), 4), "q1": round(q_old[0], 4), "q3": round(q_old[2], 4)},
-            "new": {"median": round(statistics.median(new), 4), "q1": round(q_new[0], 4), "q3": round(q_new[2], 4)},
-            "new_over_old_median": round(statistics.median(new) / statistics.median(old), 4),
-            "new_lower_in_pairs": f"{sum(n < o for o, n in zip(old, new))} of {len(pairs)}",
-        }
-    return out
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision of the old tree")
@@ -237,11 +203,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
-        old_tree = workdir / "old"
-        old_tree.mkdir()
-        archive = subprocess.run(["git", "archive", args.parent], cwd=ROOT,
-                                 capture_output=True, check=True).stdout
-        tarfile.open(fileobj=BytesIO(archive)).extractall(old_tree)
+        old_tree = unpack_revision(args.parent, workdir / "old")
         old, new = c_sources(old_tree), c_sources(ROOT)
         cc = subprocess.run(["cc", "--version"], capture_output=True, text=True).stdout.splitlines()[0]
         result = {
@@ -264,10 +226,7 @@ def main(argv=None) -> int:
             pairs = perfbench_pairs(old_tree, ROOT, args.pairs, args.run_args.split())
             result["perfbench_summary"] = summarise(pairs)
             result["perfbench_pairs"] = pairs
-    out = Path(args.out)
-    runs = json.loads(out.read_text()) if out.exists() else {}
-    runs[args.label] = result
-    out.write_text(json.dumps(runs, indent=1) + "\n")
+    store(Path(args.out), args.label, result)
     return 0
 
 
