@@ -81,7 +81,6 @@ from .core import (
     sort_extents,
 )
 from . import vectorize
-from .vectorize import RAN
 from .reference import GemmScalars, batched_ref
 
 __all__ = [
@@ -415,60 +414,41 @@ class _Prepared(NamedTuple):
     E: int
     #: ``vectorize.jit_enabled()`` when the call was prepared.
     jit: bool
-    #: Per operand, A, B, C: kind, ld, span, and its table or buffer.
+    #: Per operand, A, B, C: kind, ld, span, table, buffer, and the buffer's
+    #: ``(dtype, shape, strides)``, None for a table or when the runner
+    #: checks them itself.
     operands: tuple
-    #: Per operand: a flat buffer's dtype, shape and strides; None for a table.
-    buffers: tuple
     #: The kernel's call as a function of ``(alpha, beta)``; None for the reference fallback.
     runner: Callable | None
     #: The table reader that scans an Indexed C's writable flags, or None for the Python scan.
     reader: object
-    #: ``(run_prepared, record)`` of a compiled runner that makes its whole run in one C call, or None.
-    in_c: tuple | None
+    #: True when the runner scans C and checks the flat buffers itself, in
+    #: its one C call (a kernel's ``bind`` with ``scans_c``).
+    scans_c: bool
 
 
 def _repeats(prepared: _Prepared, spec, E, a, b, c, registry) -> bool:
     """True when this call repeats *prepared*, compared fact by fact up to the first mismatch.
 
     The same spec, registry, A and B objects; E; whether the compiled path
-    is on; each operand's kind, ld, span and table or buffer object, and a
-    buffer's dtype object, shape and strides.  A prepared call that runs in
-    C compares those last three itself, first thing in its C call.  alpha
-    and beta are not compared: each run takes them from its own call.
+    is on; each operand's kind, ld, span, table and buffer objects, and a
+    buffer's dtype, shape and strides where the runner does not compare
+    those itself.  alpha and beta are not compared: each run takes them
+    from its own call.  One expression, with no loop or helper call: it
+    runs before every repeat, so its cost is per call.
     """
-    facts_a, facts_b, facts_c = prepared.operands
+    (ka, la, sa, ta, da, ba), (kb, lb, sb, tb, db, bb), (kc, lc, sc, tc, dc, bc) = prepared.operands
     return (
         prepared.spec is spec and prepared.registry is registry
         and prepared.a is a and prepared.b is b and prepared.E == E
         and prepared.jit == vectorize.jit_enabled()
-        and _same_operand(a, facts_a) and _same_operand(b, facts_b) and _same_operand(c, facts_c)
-        and (prepared.in_c is not None or all(map(_same_buffer, (a, b, c), prepared.buffers)))
+        and a.kind is ka and a.ld == la and a.span == sa and a.table is ta and a.data is da
+        and b.kind is kb and b.ld == lb and b.span == sb and b.table is tb and b.data is db
+        and c.kind is kc and c.ld == lc and c.span == sc and c.table is tc and c.data is dc
+        and (ba is None or (da.dtype, da.shape, da.strides) == ba)
+        and (bb is None or (db.dtype, db.shape, db.strides) == bb)
+        and (bc is None or (dc.dtype, dc.shape, dc.strides) == bc)
     )
-
-
-def _operand_facts(operand: BatchedOperand) -> tuple:
-    return operand.kind, operand.ld, operand.span, operand.payload()
-
-
-def _same_operand(operand: BatchedOperand, facts: tuple) -> bool:
-    kind, ld, span, payload = facts
-    return (
-        operand.kind is kind and operand.ld == ld and operand.span == span
-        and (operand.table if kind is AccessKind.Indexed else operand.data) is payload
-    )
-
-
-def _buffer_facts(operand: BatchedOperand) -> tuple | None:
-    if operand.kind is AccessKind.Indexed:
-        return None
-    return operand.data.dtype, operand.data.shape, operand.data.strides
-
-
-def _same_buffer(operand: BatchedOperand, facts: tuple | None) -> bool:
-    if facts is None:
-        return True
-    data = operand.data
-    return data.dtype is facts[0] and data.shape == facts[1] and data.strides == facts[2]
 
 
 def _prepare(spec, E, a, b, c, registry) -> _Prepared:
@@ -477,29 +457,36 @@ def _prepare(spec, E, a, b, c, registry) -> _Prepared:
     jit = vectorize.jit_enabled()
     spans = [operand.validate(which, spec, E) for which, operand in zip("ABC", operands)]
     _check_disjoint(E, operands, spans)
-    facts = tuple(map(_operand_facts, operands)), tuple(map(_buffer_facts, operands))
     reader = c.table._reader() if c.kind is AccessKind.Indexed else None
     kernel = registry.lookup(kernel_name(spec))
-    if kernel is None:
-        return _Prepared(spec, registry, a, b, E, jit, *facts, None, reader, None)
-    # Each Strided operand's own span; the others' matrix spans, which kernels ignore.
-    kernel_spans = [
-        operand.span if operand.kind is AccessKind.Strided else span
-        for operand, span in zip(operands, spans)
-    ]
-    (A, B, C), (lda, ldb, ldc) = (operand.payload() for operand in operands), (a.ld, b.ld, c.ld)
-    # A kernel's own bind only: another callable in the registry, such as a
-    # function wrapped around a kernel, sees every call with all arguments.
-    bind = getattr(kernel, "bind", None)
-    if bind is not None:
-        runner = bind(E, A, lda, B, ldb, C, ldc, *kernel_spans)
-    else:
+    runner = None
+    if kernel is not None:
+        # Each Strided operand's own span; the others' matrix spans, which kernels ignore.
+        kernel_spans = [
+            operand.span if operand.kind is AccessKind.Strided else span
+            for operand, span in zip(operands, spans)
+        ]
+        (A, B, C), (lda, ldb, ldc) = (operand.payload() for operand in operands), (a.ld, b.ld, c.ld)
+        # A kernel's own bind only: another callable in the registry, such as a
+        # function wrapped around a kernel, sees every call with all arguments.
+        bind = getattr(kernel, "bind", None)
+        if bind is not None:
+            runner = bind(E, A, lda, B, ldb, C, ldc, *kernel_spans)
+        else:
 
-        def runner(alpha, beta):
-            kernel(E, alpha, A, lda, B, ldb, beta, C, ldc, *kernel_spans)
+            def runner(alpha, beta):
+                kernel(E, alpha, A, lda, B, ldb, beta, C, ldc, *kernel_spans)
 
-    in_c = getattr(runner, "prepared", None)
-    return _Prepared(spec, registry, a, b, E, jit, *facts, runner, reader, in_c)
+    scans_c = getattr(runner, "scans_c", False)
+    facts = tuple(
+        (
+            operand.kind, operand.ld, operand.span, operand.table, operand.data,
+            None if scans_c or operand.kind is AccessKind.Indexed
+            else (operand.data.dtype, operand.data.shape, operand.data.strides),
+        )
+        for operand in operands
+    )
+    return _Prepared(spec, registry, a, b, E, jit, facts, runner, reader, scans_c)
 
 
 def run_batched(
@@ -531,16 +518,12 @@ def run_batched(
         return
     prepared = c._prepared
     if prepared is not None and _repeats(prepared, spec, E, a, b, c, registry):
-        if prepared.in_c is None:
+        if not prepared.scans_c:
             c._check_writable("C", prepared.reader)
+        elif prepared.runner(alpha, beta):
+            return
         else:
-            run_prepared, record = prepared.in_c
-            entry = run_prepared(record, alpha, beta)
-            if entry == RAN:
-                return
-            if entry >= 0:
-                raise read_only_error("C", entry if c.kind is AccessKind.Indexed else None)
-            prepared = None  # BUFFER_CHANGED: check the call afresh
+            prepared = None  # a flat buffer changed in place: check the call afresh
     else:
         prepared = None
     if prepared is None:

@@ -57,8 +57,10 @@ table reader, that function is one call of the reader's ``run_prepared`` on
 a record of the kernel's address and every other argument: in C, it
 checks that no flat operand changed its dtype, shape or strides, scans C's
 writable flags, runs the kernel with the interpreter lock released and
-counts the run.  :func:`bbdgemm.runtime.run_batched` keeps it for the calls
-that repeat a checked one and makes that C call itself.  Without the
+counts the run; it raises the refusal of a read-only C itself, and
+returns False, with nothing run, when a flat operand changed since ``bind``.
+:func:`bbdgemm.runtime.run_batched` keeps it for the calls that repeat a
+checked one, and binds afresh on False.  Without the
 reader, the function holds the ctypes function with every other argument
 already converted, makes no scan of C, and ``run_batched`` scans C first.
 
@@ -157,10 +159,12 @@ def jit_available() -> bool:
     return _find_compiler() is not None
 
 
-#: ``BBDGEMM_JIT`` as a key of ``os.environ``'s own store.  ``os.environ.get``
-#: of an unset variable raises and catches a ``KeyError`` (about 2.4 us); a
-#: lookup in the store that ``os.environ`` reads and writes takes 0.05 us.
-_JIT_VARIABLE = os.environ.encodekey("BBDGEMM_JIT")
+#: ``BBDGEMM_JIT`` as a key of the store behind CPython's ``os.environ``,
+#: ``_data``.  ``os.environ.get`` of an unset variable raises and catches a
+#: ``KeyError`` (about 2.4 us between kernels); a lookup in that store takes
+#: 0.05 us.  The store is not public, so a mapping without it (another
+#: Python, or a stand-in put in place of ``os.environ``) is read by ``get``.
+_JIT_KEY = getattr(os.environ, "encodekey", str)("BBDGEMM_JIT")
 _OFF = ("0", "off", "false", "no")
 
 
@@ -173,8 +177,13 @@ def jit_enabled() -> bool:
     compiler it is off whatever the switches say.  The variable is read on
     every call, so a change through ``os.environ`` takes effect at once.
     """
-    switch = os.environ._data.get(_JIT_VARIABLE)
-    if switch is not None and os.environ.decodevalue(switch).strip().lower() in _OFF:
+    environ = os.environ
+    try:
+        switch = environ._data.get(_JIT_KEY)
+        switch = None if switch is None else environ.decodevalue(switch)
+    except AttributeError:
+        switch = environ.get("BBDGEMM_JIT")
+    if switch is not None and switch.strip().lower() in _OFF:
         return False
     return _override is not False and _find_compiler() is not None
 
@@ -537,26 +546,31 @@ def vectorize_batch_loop(name: str):
                 # Refuse a read-only entry before any path writes one.
                 C = C if isinstance(C, PointerTable) else PointerTable(C)
                 C.check_writable("C", C._reader())
-            bind(E, A, lda, B, ldb, C, ldc, spanA, spanB, spanC)(alpha, beta)
+            if bind(E, A, lda, B, ldb, C, ldc, spanA, spanB, spanC)(alpha, beta) is False:
+                raise ValueError("a flat operand's dtype, shape or strides changed during the call")
 
         def bind(E, A, lda, B, ldb, C, ldc, spanA, spanB, spanC):
             """This call, E >= 1, as a function of ``(alpha, beta)``, its path chosen now.
 
             Whoever runs it keeps A, B and C alive while it keeps the
-            function, and checks C's writability first, except on the
-            compiled path with the table reader: there each run is one call
-            of the reader's ``run_prepared`` on a :class:`_PreparedCall`
-            built here, which scans C itself and refuses a read-only buffer
-            or entry, naming it, before any write.  That function carries
-            ``prepared = (run_prepared, record)`` for callers that make the
-            call themselves.  Each run stages what its path needs, writes C
-            back and is counted in ``path_counts`` and ``path_elements``.
+            function (the address arrays of tables made here for plain
+            lists are kept by the function), and checks C's writability
+            first, except on the compiled path with the table reader: there
+            each run is one call of the reader's ``run_prepared`` on a
+            :class:`_PreparedCall` built here, which scans C itself and
+            refuses a read-only buffer or entry, naming it, before any
+            write.  Such a function carries ``scans_c = True`` and returns
+            True when it ran, or False, with nothing run, when a flat
+            operand's dtype, shape or strides changed since the bind, so
+            its caller binds afresh.  Each run stages what its path needs,
+            writes C back and is counted in ``path_counts`` and
+            ``path_elements``.
             """
             payloads, lds, spans = (A, B, C), (lda, ldb, ldc), (spanA, spanB, spanC)
             # Elements one matrix covers; a Strided operand's span may be longer.
             sizes = [matrix_span(spec, which, ld) for which, ld in zip("ABC", lds)]
             run = _bind_compiled(E, payloads, lds, spans, sizes) if jit_enabled() else None
-            if hasattr(run, "prepared"):
+            if hasattr(run, "scans_c"):
                 return run  # counted in C
             if run is not None:
                 path = "compiled"
@@ -594,10 +608,11 @@ def vectorize_batch_loop(name: str):
             # as an address array read as X[e][off]: its table's own, or, for
             # a table with entries C cannot read in place, that of an
             # (E, size) copy made on each run, with C copied back after.
-            pointers, staged = [], {}
+            pointers, staged, tables = [], {}, []
             for index, (payload, kind, span, size) in enumerate(zip(payloads, kinds, spans, sizes)):
                 if kind is AccessKind.Indexed:
                     table = payload if isinstance(payload, PointerTable) else PointerTable(payload)
+                    tables.append(table)
                     if not (len(table) >= E and table.flat_length() >= size):
                         return None
                     if table.contiguous:
@@ -631,16 +646,21 @@ def vectorize_batch_loop(name: str):
                     *(int(x) for x in (*lds, *spans)), (_FlatBuffer * 3)(*flat),
                     table if indexed_c else (payloads[2],), compiled_counts,
                 )
+                # The record holds C's table or buffer and flat buffers, but
+                # only the values of A's and B's pointers: it keeps what they
+                # point into, the address arrays, and the tables made here.
+                record.keep = pointers, tables
                 run_prepared = reader.run_prepared
 
                 def run_in_c(alpha, beta):
-                    entry = run_prepared(record, alpha, beta)
-                    if entry >= 0:
-                        raise read_only_error("C", entry if indexed_c else None)
-                    if entry == BUFFER_CHANGED:
-                        raise ValueError("a flat operand's dtype, shape or strides changed after bind")
+                    code = run_prepared(record, alpha, beta)
+                    if code == RAN:
+                        return True
+                    if code == BUFFER_CHANGED:
+                        return False
+                    raise read_only_error("C", code if indexed_c else None)
 
-                run_in_c.prepared = (run_prepared, record)
+                run_in_c.scans_c = True
                 return run_in_c
             e, lda, ldb, ldc, spanA, spanB, spanC = (
                 ctypes.c_long(int(x)) for x in (E, *lds, *spans)

@@ -1,4 +1,5 @@
 import copy
+import gc
 import itertools
 import json
 import os
@@ -874,6 +875,34 @@ class TestCompiledPath:
         assert frozen == bytes(len(frozen))
         assert kernel.path_counts == {}
 
+    @needs_reader
+    @pytest.mark.parametrize("how", ["direct", "bound"])
+    def test_plain_list_operands_stay_readable_until_the_run(self, how):
+        # Indexed operands given as plain lists are wrapped in tables made
+        # for the call; the call keeps the address arrays it hands to C.
+        # A bound call is run after a collection and after small arrays that
+        # would reuse freed address arrays' memory, each pointing at zeros.
+        s = spec(Layout.ColMajor, 2, 3, 4, "iii")
+        E = 6
+        a, b, c = make_operands(s, E, np.random.default_rng(49))
+        want = [clone_operand(op) for op in (a, b, c)]
+        A, B, C = (list(op.table) for op in (a, b, c))
+        spans = [matrix_span(s, which, op.ld) for which, op in zip("ABC", (a, b, c))]
+        kernel = build_registry(s).lookup(kernel_name(s))
+        with use_jit(True):
+            if how == "direct":
+                kernel(E, 1.5, A, a.ld, B, b.ld, 0.5, C, c.ld, *spans)
+            else:
+                run = kernel.bind(E, A, a.ld, B, b.ld, C, c.ld, *spans)
+                gc.collect()
+                zeros = np.zeros(max(spans))
+                decoys = [np.full(E, zeros.ctypes.data, dtype=np.intp) for _ in range(64)]
+                run(1.5, 0.5)
+                del decoys
+        batched_ref(s, E, GemmScalars(1.5, 0.5), *want)
+        assert [m.tobytes() for m in C] == [m.tobytes() for m in want[2].table]
+        assert kernel.path_counts == {"compiled": 1}
+
     def test_no_compiler_takes_lanes_with_the_same_bytes(self, monkeypatch):
         s = spec(Layout.RowMajor, 2, 3, 4, "ici")
         got = make_operands(s, 9, np.random.default_rng(45))
@@ -897,6 +926,27 @@ class TestCompiledPath:
         assert vectorize.jit_enabled()
         with use_jit(False):
             assert not vectorize.jit_enabled()
+
+    def test_the_switch_is_read_on_every_call(self, monkeypatch):
+        # Setting and deleting BBDGEMM_JIT through os.environ takes effect
+        # on the next call, and so does a plain mapping put in its place.
+        monkeypatch.delenv("BBDGEMM_JIT", raising=False)
+        seen = [vectorize.jit_enabled()]
+        os.environ["BBDGEMM_JIT"] = " False "
+        try:
+            seen.append(vectorize.jit_enabled())
+            os.environ["BBDGEMM_JIT"] = "1"
+            seen.append(vectorize.jit_enabled())
+            os.environ["BBDGEMM_JIT"] = "no"
+            seen.append(vectorize.jit_enabled())
+        finally:
+            del os.environ["BBDGEMM_JIT"]
+        seen.append(vectorize.jit_enabled())
+        assert seen == [True, False, True, False, True]
+        monkeypatch.setattr(os, "environ", {"BBDGEMM_JIT": "off"})
+        assert not vectorize.jit_enabled()
+        del os.environ["BBDGEMM_JIT"]
+        assert vectorize.jit_enabled()
 
     def test_second_process_loads_from_the_cache(self, tmp_path):
         env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path), BBDGEMM_JIT="1")
@@ -1278,13 +1328,60 @@ class TestPreparedCall:
         else:
             assert [m.tobytes() for m in buffers_of(*got)] == [m.tobytes() for m in buffers_of(*want)]
 
+    @pytest.mark.parametrize("access", ["sci", "ics"])
+    def test_each_fact_is_matched_alone(self, access):
+        # Changing any one fact a repeat is matched on fails the match, and
+        # restoring it matches again: the call's spec, E, A, B and registry;
+        # each operand's kind, ld, span, table and buffer; and, where Python
+        # matches them (the lanes path), a flat buffer's shape changed in place.
+        s = spec(Layout.ColMajor, 2, 3, 4, access)
+        E = 5
+        a, b, c = operands = self.operands(access, E, 67)
+        registry = build_registry(s)
+        with use_jit(False):
+            run_batched(s, E, 1.5, a, b, 0.5, c, registry=registry)
+            prepared = c._prepared
+
+            def repeats(*call):
+                return runtime_mod._repeats(prepared, *(call or (s, E, a, b, c, registry)))
+
+            missed = [
+                index for index, call in enumerate([
+                    (spec(Layout.RowMajor, 2, 3, 4, access), E, a, b, c, registry),
+                    (s, E - 1, a, b, c, registry),
+                    (s, E, copy.copy(a), b, c, registry),
+                    (s, E, a, copy.copy(b), c, registry),
+                    (s, E, a, b, c, build_registry(s)),
+                ]) if repeats(*call)
+            ]
+            for which, operand in zip("ABC", operands):
+                other_kind = next(kind for kind in AccessKind if kind is not operand.kind)
+                changes = [
+                    ("kind", other_kind), ("ld", operand.ld + 1), ("span", (operand.span or 0) + 1),
+                    ("table", object()), ("data", object()),
+                ]
+                for field, value in changes:
+                    kept = getattr(operand, field)
+                    setattr(operand, field, value)
+                    if repeats():
+                        missed.append((which, field))
+                    setattr(operand, field, kept)
+                if operand.kind is not AccessKind.Indexed:
+                    shape = operand.data.shape
+                    operand.data.shape = (1, -1)
+                    if repeats():
+                        missed.append((which, "shape"))
+                    operand.data.shape = shape
+            assert missed == []
+            assert repeats()
+
     @needs_reader
     @pytest.mark.parametrize("access", ["cis", "cii"])
     def test_a_compiled_repeat_is_one_c_call(self, access, monkeypatch):
         # With the table reader, a compiled repeat makes one ctypes call,
         # the reader's run_prepared, with this call's alpha and beta: no
-        # contract check and no Python-level scan of C.  That call runs
-        # and counts the kernel.
+        # other call of the reader, no contract check and no Python-level
+        # scan of C.  That call runs and counts the kernel.
         s = spec(Layout.ColMajor, 2, 3, 4, access)
         E = 5
         a, b, c = make_operands(s, E, np.random.default_rng(66))
@@ -1292,18 +1389,27 @@ class TestPreparedCall:
         registry = build_registry(s)
         calls = []
         with use_jit(True):
+            reader = vectorize.table_reader()
+
+        def counted(name):
+            function = getattr(reader, name)
+            return lambda *args: calls.append((name, *args[1:])) or function(*args)
+
+        counting = SimpleNamespace(
+            **{name: counted(name) for name in ("first_read_only", "addresses", "run_prepared")}
+        )
+        monkeypatch.setattr(vectorize, "table_reader", lambda: counting)
+        with use_jit(True):
             run_batched(s, E, 1.5, a, b, 0.5, c, registry=registry)
             batched_ref(s, E, GemmScalars(1.5, 0.5), *want)
-            run_prepared, record = c._prepared.in_c
-            counting = lambda *args: calls.append(args[1:]) or run_prepared(*args)  # noqa: E731
-            c._prepared = c._prepared._replace(in_c=(counting, record))
+            del calls[:]
             prepared = self.count(monkeypatch, runtime_mod, "_prepare")
             scans = self.count(monkeypatch, PointerTable, "check_writable")
             flat_scans = self.count(monkeypatch, BatchedOperand, "_check_writable")
             for alpha, beta in [(0.5, 1.0), (-1.0, 0.0)]:
                 run_batched(s, E, alpha, a, b, beta, c, registry=registry)
                 batched_ref(s, E, GemmScalars(alpha, beta), *want)
-        assert calls == [(0.5, 1.0), (-1.0, 0.0)]
+        assert calls == [("run_prepared", 0.5, 1.0), ("run_prepared", -1.0, 0.0)]
         assert (len(prepared), len(scans), len(flat_scans)) == (0, 0, 0)
         assert [m.tobytes() for m in buffers_of(c)] == [m.tobytes() for m in buffers_of(want[2])]
         assert registry.lookup(kernel_name(s)).path_counts == {"compiled": 3}

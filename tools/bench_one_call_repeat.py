@@ -15,7 +15,8 @@ in a timestep:
 * ``match``: deciding that the call repeats the prepared one (building the
   old tree's key and comparing it, or the new tree's ``_repeats``);
 * ``c_call``: what runs after the match (the old tree's scan of C and the
-  bound run, or the new tree's one ``run_prepared`` call);
+  bound run, or the new tree's runner, which makes one ``run_prepared``
+  call);
 * ``kernel``: the C twin alone, called through ctypes with the same arguments.
 
 The parts are timed in turn, their order rotating by round.  The script then
@@ -76,8 +77,7 @@ if hasattr(runtime, "_repeats"):
         runtime._repeats(c._prepared, step.spec, E, a, b, c, registry)
 
     def c_call(step, a, b, c, *_):
-        run_prepared, record = c._prepared.in_c
-        run_prepared(record, step.alpha, step.beta)
+        c._prepared.runner(step.alpha, step.beta)
 else:
     def match(step, a, b, c, *_):
         runtime._key(step.spec, E, a, b, c, registry) == c._prepared.key
