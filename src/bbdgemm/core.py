@@ -6,7 +6,8 @@ one-to-one onto a kernel name such as ``bbdgemm_ColMajor_2_3_4_cis``; the
 name is the key used by manifests, the dispatch table, and the CLI.
 :func:`is_decimal` and :func:`flat_float64_buffers` are the token and buffer
 tests that the parsers, the operand checks and the oracle share;
-:class:`PointerTable` is an Indexed operand's table of buffers as a value.
+:class:`PointerTable` is an Indexed operand's table of buffers as a value;
+:func:`sort_extents` finds overlap in byte extents, the contract's one rule.
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ from __future__ import annotations
 import enum
 import functools
 import threading
-from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from operator import attrgetter
 
 import numpy as np
@@ -35,8 +35,6 @@ __all__ = [
     "is_decimal",
     "flat_float64_buffers",
     "PointerTable",
-    "owner_ids",
-    "owner_id",
     "read_only_error",
     "sort_extents",
     "OPERANDS",
@@ -108,9 +106,9 @@ def flat_float64_buffers(buffers, size: int = 0) -> bool:
     )
 
 
-_ADDRESS, _STRIDES, _CONTIGUOUS, _WRITEABLE, _OWNDATA = (
+_ADDRESS, _STRIDES, _CONTIGUOUS, _WRITEABLE = (
     attrgetter("ctypes.data"), attrgetter("strides"), attrgetter("flags.c_contiguous"),
-    attrgetter("flags.writeable"), attrgetter("flags.owndata"),
+    attrgetter("flags.writeable"),
 )
 
 class PointerTable(tuple):
@@ -119,15 +117,14 @@ class PointerTable(tuple):
     Building one snapshots any sequence of buffers; a later change to that
     sequence does not reach the table.  Facts about the entries are computed
     on first use, once, under a lock, and cached on the value: the shortest
-    length if every entry is a flat float64 ndarray, the allocations that
-    hold the entries and whether no two share one, and then each entry's
-    address and stride, whether all are C-contiguous, and the sorted byte
+    length if every entry is a flat float64 ndarray, then each entry's
+    address and stride and whether all are C-contiguous, and the sorted byte
     extents of its matrices per span.  They stay true as long as no entry is
     resized or reshaped in place.  Writability is not among them, since a
     flag can be flipped between calls: :meth:`check_writable` scans it every
     time.  The address array is what a compiled kernel reads as its
-    ``double **`` argument.  Where the compiled path is on, the flags and
-    the addresses are read by one compiled pass over the entries
+    ``double **`` argument.  Where the compiled path is on, the flags, the
+    addresses and the strides are read by one compiled pass over the entries
     (:func:`bbdgemm.vectorize.table_reader`), about 1 ns per entry, so a
     compiled kernel reads even a table built for one call in place.
     """
@@ -136,7 +133,6 @@ class PointerTable(tuple):
         table = super().__new__(cls, entries)
         table._lock = threading.RLock()
         table._facts = {}
-        table._partners = {}
         return table
 
     def __reduce__(self):
@@ -158,45 +154,6 @@ class PointerTable(tuple):
             "flat_length",
             lambda: min(map(len, self), default=0) if flat_float64_buffers(self) else -1,
         )
-
-    def sorted_owners(self) -> np.ndarray | None:
-        """:func:`owner_ids` of the entries, in ascending order."""
-
-        def compute():
-            owners = owner_ids(self)
-            return owners if owners is None else _read_only(np.sort(owners))
-
-        return self._fact("sorted_owners", compute)
-
-    def distinct_owners(self) -> bool:
-        """True when the owners are known and no two entries share one."""
-        owners = self.sorted_owners()
-        return self._fact(
-            "distinct_owners",
-            lambda: owners is not None and not np.any(owners[1:] == owners[:-1]),
-        )
-
-    def shares_owner(self, other: "PointerTable | int", role: str = "") -> bool:
-        """True when an allocation holding an entry also holds *other*, a table or an owner id.
-
-        Both sides' owners must be known.  An owner id (:func:`owner_id` of
-        a flat buffer) is looked up by bisection in the cached sorted owners,
-        with no numpy call.  Against a table, the verdict depends on the two
-        tables' cached owners only, so it is kept per *role* (the operand
-        *other* plays) together with the last table asked about, which this
-        table then keeps alive.
-        """
-        if not isinstance(other, PointerTable):
-            owners = self._fact("owner_view", lambda: memoryview(self.sorted_owners()))
-            found = bisect_left(owners, other)
-            return found < len(owners) and owners[found] == other
-        last = self._partners.get(role)
-        if last is None or last[0] is not other:
-            with self._lock:
-                small, large = sorted((other.sorted_owners(), self.sorted_owners()), key=len)
-                nearest = large[np.minimum(np.searchsorted(large, small), large.size - 1)]
-                last = self._partners[role] = (other, bool(np.any(nearest == small)))
-        return last[1]
 
     def _reader(self):
         """:func:`~bbdgemm.vectorize.table_reader` where every entry is an ndarray, else None."""
@@ -227,34 +184,37 @@ class PointerTable(tuple):
 
     # The facts below assume flat_length() >= 0: every entry is a flat float64 ndarray.
 
-    @property
-    def addresses(self) -> np.ndarray:
-        """intp array: the address of each entry's first element."""
+    def _entries(self) -> tuple[np.ndarray, np.ndarray, bool]:
+        """``(addresses, strides, contiguous)``: the reader's one pass, else a Python scan per fact."""
 
         def compute():
             reader = self._reader()
             if reader is None:
-                return np.fromiter(map(_ADDRESS, self), np.intp, len(self))
-            found = np.empty(len(self), np.intp)
-            reader.addresses(self, found.ctypes.data)
-            return found
+                return (
+                    np.fromiter(map(_ADDRESS, self), np.intp, len(self)),
+                    np.fromiter(chain.from_iterable(map(_STRIDES, self)), np.intp, len(self)),
+                    all(map(_CONTIGUOUS, self)),
+                )
+            addresses, strides = np.empty(len(self), np.intp), np.empty(len(self), np.intp)
+            contiguous = reader.entries(self, addresses.ctypes.data, strides.ctypes.data)
+            return addresses, strides, bool(contiguous)
 
-        return self._fact("addresses", lambda: _read_only(compute()))
+        return self._fact("entries", lambda: _read_only(compute()))
+
+    @property
+    def addresses(self) -> np.ndarray:
+        """intp array: the address of each entry's first element."""
+        return self._entries()[0]
 
     @property
     def strides(self) -> np.ndarray:
         """intp array: each entry's stride in bytes."""
-        return self._fact(
-            "strides",
-            lambda: _read_only(
-                np.array(list(map(_STRIDES, self)), dtype=np.intp).reshape(len(self))
-            ),
-        )
+        return self._entries()[1]
 
     @property
     def contiguous(self) -> bool:
         """True when every entry is C-contiguous, so ``entry[off]`` is at ``address + 8*off``."""
-        return self._fact("contiguous", lambda: all(map(_CONTIGUOUS, self)))
+        return self._entries()[2]
 
     def extents(self, span: int) -> tuple[np.ndarray, np.ndarray]:
         """``(lo, hi)``: the bytes ``entry[:span]`` spans, per entry, in table order."""
@@ -273,26 +233,6 @@ def read_only_error(which: str, entry: int | None = None) -> ValueError:
     """The refusal of operand *which*: its table entry *entry*, or its flat buffer if None, is read-only."""
     where = "buffer" if entry is None else f"table entry {entry}"
     return ValueError(f"operand {which}: {where} is read-only")
-
-
-def owner_ids(buffers) -> np.ndarray | None:
-    """intp ids of the ndarrays whose own allocations hold *buffers*; None if one is unknown.
-
-    Buffers in different allocations cannot overlap, so disjoint owners
-    prove disjoint memory without reading an address.
-    """
-    owners = [buffer if buffer.base is None else buffer.base for buffer in buffers]
-    if not all(map(isinstance, owners, repeat(np.ndarray))):
-        return None
-    if not all(map(_OWNDATA, owners)):
-        return None
-    return _read_only(np.fromiter(map(id, owners), np.intp, len(owners)))
-
-
-def owner_id(buffer) -> int | None:
-    """:func:`owner_ids` of the one *buffer*, as a Python int; no numpy call."""
-    owner = buffer if buffer.base is None else buffer.base
-    return id(owner) if isinstance(owner, np.ndarray) and _OWNDATA(owner) else None
 
 
 def _read_only(fact):

@@ -23,17 +23,15 @@ operand at fault) before any byte is written or a fallback is counted.
 
 An Indexed operand's table is a :class:`~bbdgemm.core.PointerTable`, a
 value built once: the facts the contract needs (flat float64 entries and
-their shortest length, the allocations holding them and whether they are
-distinct, and where those do not settle disjointness, entry addresses and
-C's sorted extents) are computed on the table's first use and cached.  The
-check itself is O(1) or numpy on cached facts: a Strided C's own layout is
-an arithmetic progression, decided by one comparison, and A's and B's
-owners are compared with C's without a numpy call (a flat buffer's owner is
-bisected into a table's sorted owners, and C's table keeps its verdict on
-A's and B's tables), or, where owners are shared, their extents searched
-against C's.  A table built afresh for each call costs its facts once: a
-scan per property of its entries, and no address read for the contract
-while every entry has an allocation of its own.
+their shortest length, each entry's address and stride, and C's sorted
+extents) are computed on the table's first use and cached.  The check
+itself is O(1) or numpy on cached facts: a Strided C's own layout is an
+arithmetic progression, decided by one comparison, and A's and B's extents
+are searched against C's.  A table built afresh for each call costs its
+facts once: a scan per property of its entries, and one pass for the
+addresses, strides and contiguity, compiled where the
+:func:`~bbdgemm.vectorize.table_reader` is (about 1 ns per entry) and
+Python-level scans elsewhere (about 2-3 us per entry).
 
 A checked call is kept on its C operand as a prepared call: the verdict,
 and the kernel bound to the operands' addresses, leading dimensions and
@@ -76,7 +74,6 @@ from .core import (
     kernel_name,
     matrix_span,
     operand_dims,
-    owner_id,
     read_only_error,
     sort_extents,
 )
@@ -339,21 +336,17 @@ def _refuse_clash(clash: tuple[int, int] | None) -> None:
 def _check_disjoint(E: int, operands: Sequence[BatchedOperand], spans: Sequence[int]) -> None:
     """Refuse a C whose matrices overlap each other, A or B, in byte extents.
 
-    A Strided C's own layout is decided in O(1) by :func:`_strided_clash`.
-    Buffers held by different numpy allocations cannot overlap, so when every
-    C buffer has an allocation to itself that A and B do not use, nothing is
-    left to check; a table's owners are cached on it, and no entry address is
-    read.  Otherwise C's extents are sorted, and an Indexed C's must not
-    overlap each other (its table caches them, and the verdict, per span);
-    then each A or B extent must miss the highest C extent that starts below
-    its end (lower ones end earlier): one ``searchsorted`` per operand.  A
-    Constant C is a single extent.
+    The one rule, whatever allocations hold the buffers.  A Strided C's own
+    layout is decided in O(1) by :func:`_strided_clash`; an Indexed C's
+    sorted extents must not overlap each other (its table caches them, and
+    the verdict, per span, from the addresses and strides one pass read).
+    Then each A or B matrix's extent must miss the highest C extent that
+    starts below its end (lower ones end earlier): one ``searchsorted`` per
+    operand.  A Constant C is a single extent.
     """
     c = operands[2]
     if c.kind is AccessKind.Strided:
         _refuse_clash(_strided_clash(c.data.strides[0], c.span, spans[2], E))
-    if _c_has_own_allocations(operands):
-        return
     if c.kind is AccessKind.Indexed:
         c_lo, c_hi, clash = c.table.sorted_extents(spans[2])
         _refuse_clash(clash)
@@ -364,40 +357,6 @@ def _check_disjoint(E: int, operands: Sequence[BatchedOperand], spans: Sequence[
         below = np.searchsorted(c_lo, hi) - 1
         if np.any((below >= 0) & (c_hi[below] > lo)):
             raise ValueError(f"operand C overlaps operand {which}")
-
-
-def _owner(operand: BatchedOperand) -> PointerTable | int | None:
-    """A flat buffer's :func:`~bbdgemm.core.owner_id`, or an Indexed operand's table; None if unknown."""
-    if operand.kind is not AccessKind.Indexed:
-        return owner_id(operand.data)
-    return operand.table if operand.table.sorted_owners() is not None else None
-
-
-def _c_has_own_allocations(operands: Sequence[BatchedOperand]) -> bool:
-    """True when every C buffer has a numpy allocation to itself that A and B do not use.
-
-    Reads cached facts and makes no numpy call on reused operands: C's
-    duplicate-owner verdict, and for each of A and B against C, a comparison
-    of two owner ids, a bisection of one owner id into a table's sorted
-    owners, or C's table's cached verdict on the other table
-    (:meth:`~bbdgemm.core.PointerTable.shares_owner`).
-    """
-    owners = [_owner(operand) for operand in operands]
-    c_owner = owners[2]
-    if c_owner is None or (isinstance(c_owner, PointerTable) and not c_owner.distinct_owners()):
-        return False
-    for which, owner in zip("AB", owners):
-        if owner is None:
-            return False
-        if isinstance(c_owner, PointerTable):
-            shared = c_owner.shares_owner(owner, which)
-        elif isinstance(owner, PointerTable):
-            shared = owner.shares_owner(c_owner)
-        else:
-            shared = owner == c_owner
-        if shared:
-            return False
-    return True
 
 
 class _Prepared(NamedTuple):

@@ -21,7 +21,7 @@ counts each call under the path that served it:
   When its entries are not all C-contiguous, the matrices are copied into
   an ``(E, matrix span)`` array, C reads that array's row addresses, and
   C's rows are copied back.  A batch with a flat buffer that is not
-  C-contiguous, or a read-only flat C, takes the next path.
+  C-contiguous takes the next path.
 * ``lanes``: every Strided or Indexed operand is staged as a ``(matrix
   span, E)`` array whose row ``off`` holds element ``off`` of every matrix,
   and the generated Python function runs once with E == 1 on those arrays.
@@ -37,8 +37,8 @@ counts each call under the path that served it:
 Every path reads a Strided operand's matrix e at ``e*span``, with the span
 the caller passes, and needs no more than ``(E-1)*span + matrix span``
 elements of its buffer, the length :func:`bbdgemm.runtime.run_batched`
-checks.  An Indexed C with a read-only entry is refused with ``ValueError``
-before any path writes anything.
+checks.  A C with a read-only buffer or entry is refused with
+``ValueError`` before any path stages or writes anything.
 
 Lanes read operands as they were on entry, and the C loop lets element e
 write C before element e+1 reads; both give the sequential loop's answer
@@ -48,12 +48,12 @@ calls a kernel; the wrapper assumes it and checks again only what a pointer
 handed to C needs: dtype, rank, contiguity, length (and, for a Strided
 operand, a span no shorter than its matrix) and, for C, writability.
 A table caches all but its writability, so a reused table costs the wrapper
-O(1), plus, for an Indexed C, one compiled pass over its entries' writable
-flags (:func:`table_reader`).  The wrapper is that scan followed by
-``wrapper.bind(E, A, lda, B, ldb, C, ldc, spanA, spanB, spanC)(alpha,
-beta)``: ``bind`` makes those checks and chooses the path once, and returns
-the call as a function of alpha and beta.  On the compiled path with the
-table reader, that function is one call of the reader's ``run_prepared`` on
+O(1), plus one scan of C's writable flags (:func:`table_reader` for a table).
+The wrapper is ``wrapper.bind(E, A, lda, B, ldb, C, ldc, spanA, spanB,
+spanC)``, then that scan unless the bound call makes it, then the call:
+``bind`` writes nothing, makes those checks and chooses the path once, and
+returns the call as a function of alpha and beta.  On the compiled path
+with the table reader, that function is one call of ``run_prepared`` on
 a record of the kernel's address and every other argument: in C, it
 checks that no flat operand changed its dtype, shape or strides, scans C's
 writable flags, runs the kernel with the interpreter lock released and
@@ -270,10 +270,18 @@ Py_ssize_t first_read_only(PyObject *table) {
     return -1;
 }
 
-void addresses(PyObject *table, Py_intptr_t *out) {
+/* Entries are 1-D: each one's data address and byte stride, and whether
+   every entry is C-contiguous by numpy's flag. */
+int entries(PyObject *table, npy_intp *addresses, npy_intp *strides) {
     Py_ssize_t count = PyTuple_GET_SIZE(table);
-    for (Py_ssize_t e = 0; e < count; ++e)
-        out[e] = (Py_intptr_t)PyArray_DATA(ENTRY(table, e));
+    int contiguous = 1;
+    for (Py_ssize_t e = 0; e < count; ++e) {
+        PyArrayObject *entry = ENTRY(table, e);
+        addresses[e] = (npy_intp)PyArray_DATA(entry);
+        strides[e] = PyArray_STRIDES(entry)[0];
+        contiguous &= (PyArray_FLAGS(entry) & NPY_ARRAY_C_CONTIGUOUS) != 0;
+    }
+    return contiguous;
 }
 
 /* Every C twin has this signature, with each operand's pointer as void. */
@@ -384,8 +392,8 @@ def _load_table_reader():
     )
     library.first_read_only.argtypes = (ctypes.py_object,)
     library.first_read_only.restype = ctypes.c_ssize_t
-    library.addresses.argtypes = (ctypes.py_object, ctypes.c_void_p)
-    library.addresses.restype = None
+    library.entries.argtypes = (ctypes.py_object, ctypes.c_void_p, ctypes.c_void_p)
+    library.entries.restype = ctypes.c_int
     library.run_prepared.argtypes = (ctypes.POINTER(_PreparedCall), ctypes.c_double, ctypes.c_double)
     library.run_prepared.restype = ctypes.c_ssize_t
     return library
@@ -399,10 +407,14 @@ def table_reader():
     """The compiled reader of pointer tables, or None where the compiled path may not build it.
 
     Its ``first_read_only(table)`` returns the index of the first entry
-    whose writable flag is clear, or -1; ``addresses(table, out)`` writes
-    each entry's data address into the intp array at address *out*.  Both
-    read numpy's array struct, so *table* must be a tuple of ndarrays, and
-    the build is keyed on the numpy version and both include directories.
+    whose writable flag is clear, or -1.  ``entries(table, addresses,
+    strides)`` writes each entry's data address and byte stride into the
+    intp arrays at those addresses, and returns 1 when every entry is
+    C-contiguous by numpy's flag, else 0: every fact of
+    :class:`~bbdgemm.core.PointerTable` but the shortest length, in one
+    pass.  Both read numpy's array struct, so *table* must be a tuple of
+    1-D ndarrays, and the build is keyed on the numpy version and both
+    include directories.
     ``run_prepared(record, alpha, beta)`` is a whole compiled run of a
     :class:`_PreparedCall` that a kernel's ``bind`` built.  It returns
     :data:`BUFFER_CHANGED` if a flat operand's dtype, shape or strides
@@ -542,11 +554,16 @@ def vectorize_batch_loop(name: str):
         def wrapper(E, alpha, A, lda, B, ldb, beta, C, ldc, spanA, spanB, spanC):
             if E <= 0:
                 return
-            if kinds[2] is AccessKind.Indexed:
-                # Refuse a read-only entry before any path writes one.
-                C = C if isinstance(C, PointerTable) else PointerTable(C)
-                C.check_writable("C", C._reader())
-            if bind(E, A, lda, B, ldb, C, ldc, spanA, spanB, spanC)(alpha, beta) is False:
+            if kinds[2] is AccessKind.Indexed and not isinstance(C, PointerTable):
+                C = PointerTable(C)
+            run = bind(E, A, lda, B, ldb, C, ldc, spanA, spanB, spanC)
+            if not getattr(run, "scans_c", False):
+                # Refuse a read-only buffer or entry before the run stages or writes anything.
+                if kinds[2] is AccessKind.Indexed:
+                    C.check_writable("C", C._reader())
+                elif not C.flags.writeable:
+                    raise read_only_error("C")
+            if run(alpha, beta) is False:
                 raise ValueError("a flat operand's dtype, shape or strides changed during the call")
 
         def bind(E, A, lda, B, ldb, C, ldc, spanA, spanB, spanC):

@@ -542,25 +542,32 @@ class TestOperandContract:
         assert registry.fallback_count == fallbacks
 
     @pytest.mark.parametrize("path", ["lanes", "compiled"])
-    @pytest.mark.parametrize("uses", [1, 2])
-    def test_direct_call_refuses_a_read_only_c_entry_before_any_write(self, path, uses):
+    @pytest.mark.parametrize("c_kind, uses", [("i", 1), ("i", 2), ("s", 1), ("c", 1)])
+    def test_direct_call_refuses_a_read_only_c_entry_before_any_write(self, path, c_kind, uses):
         # Called directly, past run_batched's check, a read-only entry past
-        # the first is refused with the contract's message before C is
-        # written, on either kernel path, not when a write reaches it, with
-        # the table's addresses read before (uses == 2) or not.
-        s = spec(Layout.ColMajor, 2, 3, 4, "cii")
+        # the first, or a read-only Strided or Constant buffer, is refused
+        # with the contract's message before C is staged or written, on
+        # either kernel path, not when a write reaches it, with the table's
+        # addresses read before (uses == 2) or not.
+        s = spec(Layout.ColMajor, 2, 3, 4, "ci" + c_kind)
         E = 4
         a, b, c = make_operands(s, E, np.random.default_rng(53))
-        table = PointerTable(m.copy() for m in c.table)
-        table[2].flags.writeable = False
-        before = [m.tobytes() for m in table]
+        if c_kind == "i":
+            C = PointerTable(m.copy() for m in c.table)
+            C[2].flags.writeable = False
+            message = "table entry 2"
+        else:
+            C = c.data.copy()
+            C.flags.writeable = False
+            message = "buffer"
+        before = [m.tobytes() for m in (C if c_kind == "i" else [C])]
         with on_path(path) as registry_for:
             kernel = registry_for(s).lookup(kernel_name(s))
             for _ in range(uses - 1):
-                table.addresses
-            with pytest.raises(ValueError, match="^operand C: table entry 2 is read-only$"):
-                kernel(E, 1.0, a.data, a.ld, b.table, b.ld, 1.0, table, c.ld, 8, 12, 6)
-        assert [m.tobytes() for m in table] == before
+                C.addresses
+            with pytest.raises(ValueError, match=f"^operand C: {message} is read-only$"):
+                kernel(E, 1.0, a.data, a.ld, b.table, b.ld, 1.0, C, c.ld, 8, 12, 6)
+        assert [m.tobytes() for m in (C if c_kind == "i" else [C])] == before
         assert kernel.path_counts == {}
 
     @pytest.mark.parametrize("E", [1, 2, 7])
@@ -594,53 +601,89 @@ class TestOperandContract:
         assert got == want
         assert (got is None) == (E == 1 or (padding + 1) * abs(step) >= 8)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(
         E=st.integers(1, 5),
         offsets=st.lists(st.integers(0, 60), min_size=10, max_size=10),
+        own=st.lists(st.booleans(), min_size=11, max_size=11),
+        b_offset=st.integers(0, 32),
         read_only=st.sets(st.integers(0, 9), max_size=1),
         padding=st.one_of(st.none(), st.integers(0, 3)),
     )
-    def test_paths_agree_or_refuse_alike(self, E, offsets, read_only, padding):
-        # A and C tables index one pool at random offsets, so C may overlap
-        # itself or A; one C entry may be read-only.  B is Constant (padding
-        # None) or Strided, its span padded past its matrix, in a buffer
-        # that ends at its last matrix.
+    def test_paths_agree_or_refuse_alike(self, E, offsets, own, b_offset, read_only, padding):
+        # Each A and C entry is a view of one pool at a random offset, or an
+        # allocation of its own (own[e] for A, own[5 + e] for C), so C may
+        # overlap itself or A; one C entry may be read-only.  B is Constant
+        # (padding None) or Strided, its span padded past its matrix, in a
+        # buffer that ends at its last matrix, from the pool at b_offset or
+        # of its own (own[10]).  Every path runs the call, or refuses it with
+        # the same message, exactly when a pairwise comparison of byte
+        # extents finds C overlapping itself, A or B, or C is read-only.
         s = spec(Layout.ColMajor, 2, 2, 2, "ici" if padding is None else "isi")
+        b_length = 4 if padding is None else (E - 1) * (4 + padding) + 4
 
         def build():
             rng = np.random.default_rng(36)
             pool = rng.uniform(-1.0, 1.0, 64)
-            a = BatchedOperand.indexed([pool[o : o + 4] for o in offsets[:E]], 2)
+
+            def take(index, offset, length=4):
+                return rng.uniform(-1.0, 1.0, length) if own[index] else pool[offset : offset + length]
+
+            a = BatchedOperand.indexed([take(e, offsets[e]) for e in range(E)], 2)
+            b_data = take(10, b_offset, b_length)
             if padding is None:
-                b = BatchedOperand.constant(rng.uniform(-1.0, 1.0, 4), 2)
+                b = BatchedOperand.constant(b_data, 2)
             else:
-                b_span = 4 + padding
-                b = BatchedOperand.strided(rng.uniform(-1.0, 1.0, (E - 1) * b_span + 4), 2, b_span)
-            c_table = [pool[o : o + 4] for o in offsets[5 : 5 + E]]
+                b = BatchedOperand.strided(b_data, 2, 4 + padding)
+            c_table = [take(5 + e, offsets[5 + e]) for e in range(E)]
             for e in read_only & set(range(E)):
                 c_table[e].flags.writeable = False
-            return (a, b, BatchedOperand.indexed(c_table, 2)), pool
+            operands = (a, b, BatchedOperand.indexed(c_table, 2))
+            return operands, [pool, *buffers_of(*operands)]
+
+        def extents(operand):
+            if operand.kind is AccessKind.Indexed:
+                starts = [m.ctypes.data for m in operand.table]
+            elif operand.kind is AccessKind.Strided:
+                starts = [operand.data.ctypes.data + 8 * e * operand.span for e in range(E)]
+            else:
+                starts = [operand.data.ctypes.data]
+            return [(start, start + 32) for start in starts]
+
+        def overlap(first, second):
+            return any(lo < other_hi and other_lo < hi for lo, hi in first for other_lo, other_hi in second)
 
         outcomes = []
         paths = PATHS if jit_available() else ["lanes", "fallback"]
         for path in paths:
-            operands, pool = build()
+            operands, buffers = build()
             with on_path(path) as registry_for:
                 try:
                     run_batched(s, E, 1.5, *operands[:2], 0.5, operands[2], registry=registry_for(s))
                 except ValueError as error:
-                    outcomes.append(("refused", str(error), pool.tobytes()))
+                    outcomes.append(("refused", str(error), [m.tobytes() for m in buffers]))
                 else:
-                    outcomes.append(("ran", "", pool.tobytes()))
+                    outcomes.append(("ran", "", [m.tobytes() for m in buffers]))
         assert outcomes[1:] == outcomes[:1] * (len(paths) - 1)
-        kind, _, got = outcomes[0]
-        operands, pool = build()
-        if kind == "refused":
-            assert got == pool.tobytes()
+        kind, message, got = outcomes[0]
+        (a, b, c), buffers = build()
+        c_extents = extents(c)
+        if read_only & set(range(E)):
+            want = f"operand C: table entry {min(read_only)} is read-only"
+        elif any(overlap([x], c_extents[e + 1 :]) for e, x in enumerate(c_extents)):
+            want = "operand C: the matrices of batch elements"
+        elif overlap(extents(a), c_extents):
+            want = "operand C overlaps operand A"
+        elif overlap(extents(b), c_extents):
+            want = "operand C overlaps operand B"
         else:
-            batched_ref(s, E, GemmScalars(1.5, 0.5), *operands)
-            assert got == pool.tobytes()
+            want = ""
+        assert message.startswith(want) and (kind == "ran") == (want == "")
+        if kind == "refused":
+            assert got == [m.tobytes() for m in buffers]
+        else:
+            batched_ref(s, E, GemmScalars(1.5, 0.5), a, b, c)
+            assert got == [m.tobytes() for m in buffers]
 
     @pytest.mark.parametrize("access", [a + b + c for a in "csi" for b in "csi" for c in "csi"])
     def test_generated_loop_runs_sequentially_only_for_constant_c(self, access, monkeypatch):
@@ -835,7 +878,7 @@ class TestCompiledPath:
             reader = vectorize.table_reader()
         counting = SimpleNamespace(
             first_read_only=reader.first_read_only,
-            addresses=lambda table, out: reads.append(table) or reader.addresses(table, out),
+            entries=lambda table, *out: reads.append(table) or reader.entries(table, *out),
             run_prepared=reader.run_prepared,
         )
         monkeypatch.setattr(vectorize, "table_reader", lambda: counting)
@@ -851,7 +894,8 @@ class TestCompiledPath:
                 seen.append((len(reads), len(python_reads), len(copies)))
                 batched_ref(s, E, GemmScalars(1.5, 0.5), *want)
         assert seen == [(2, 0, 0)] * 3
-        assert reads[0] is a.table and reads[1] is c.table
+        # The overlap rule reads C's table first, then A's.
+        assert reads[0] is c.table and reads[1] is a.table
         assert registry.lookup(kernel_name(s)).path_counts == {"compiled": 3}
         assert [m.tobytes() for m in c.table] == [m.tobytes() for m in want[2].table]
 
@@ -1169,6 +1213,40 @@ class TestTableReader:
         )
         assert done.returncode == 0, done.stderr
 
+    @needs_reader
+    @pytest.mark.parametrize(
+        "kind", ["contiguous", "every_other", "reversed", "one_wide_stride", "subclass", "own_data", "mixed"]
+    )
+    def test_both_sources_of_table_facts_agree(self, kind, monkeypatch):
+        # The reader's one pass and the Python-level scans give the same
+        # addresses, strides and contiguity: numpy's c_contiguous flag, so
+        # a length-1 entry is contiguous whatever its stride.
+        pool = np.arange(64.0)
+        kinds = {
+            "contiguous": (lambda o: pool[o : o + 4], [8] * 3, True),
+            "every_other": (lambda o: pool[o : o + 8 : 2], [16] * 3, False),
+            "reversed": (lambda o: pool[o + 3 : o - 1 if o else None : -1], [-8] * 3, False),
+            "one_wide_stride": (lambda o: pool[o : o + 2 : 2], [16] * 3, True),
+            "subclass": (lambda o: pool[o : o + 4].view(_Tagged), [8] * 3, True),
+            "own_data": (lambda o: pool[o : o + 4].copy(), [8] * 3, True),
+        }
+        if kind == "mixed":
+            entries = [kinds[name][0](8 * i) for i, name in enumerate(kinds)]
+            strides, contiguous = [8, 16, -8, 16, 8, 8], False
+        else:
+            build, strides, contiguous = kinds[kind]
+            entries = [build(o) for o in (0, 20, 40)]
+
+        def facts():
+            table = PointerTable(entries)
+            return table.addresses.tolist(), table.strides.tolist(), table.contiguous
+
+        with use_jit(True):
+            compiled = facts()
+            monkeypatch.setattr(vectorize, "table_reader", lambda: None)
+            scanned = facts()
+        assert compiled == scanned == ([e.ctypes.data for e in entries], strides, contiguous)
+
     @pytest.mark.parametrize("E", [1, 2, 900])
     @pytest.mark.parametrize("where", ["first", "middle", "last"])
     def test_both_scans_refuse_the_same_entry(self, E, where, monkeypatch):
@@ -1226,10 +1304,10 @@ class TestPreparedCall:
     """A call that repeats the last one on its C reuses its checked contract, and nothing stale."""
 
     @staticmethod
-    def count(monkeypatch, owner, name):
+    def count(monkeypatch, target, name):
         calls = []
-        original = getattr(owner, name)
-        monkeypatch.setattr(owner, name, lambda *args, **kw: calls.append(args) or original(*args, **kw))
+        original = getattr(target, name)
+        monkeypatch.setattr(target, name, lambda *args, **kw: calls.append(args) or original(*args, **kw))
         return calls
 
     @staticmethod
@@ -1396,7 +1474,7 @@ class TestPreparedCall:
             return lambda *args: calls.append((name, *args[1:])) or function(*args)
 
         counting = SimpleNamespace(
-            **{name: counted(name) for name in ("first_read_only", "addresses", "run_prepared")}
+            **{name: counted(name) for name in ("first_read_only", "entries", "run_prepared")}
         )
         monkeypatch.setattr(vectorize, "table_reader", lambda: counting)
         with use_jit(True):
@@ -1619,7 +1697,8 @@ class TestTableValue:
         # and the kernel's bound call does not scan them again.  A plain
         # function wrapped around the kernel has no bind of its own, so it
         # is called with every argument and the kernel scans C again, as a
-        # direct kernel call does.
+        # direct kernel call does: in its one C call where the reader is
+        # there, else once in Python.
         s = spec(Layout.RowMajor, 2, 3, 4, "ici")
         E = 6
         a, b, c = make_operands(s, E, np.random.default_rng(51))
@@ -1656,7 +1735,9 @@ class TestTableValue:
             ]
         assert seen == {
             "compiled": [1, 0, 0] if has_reader_headers else [1, 1, 1],
-            "lanes": [1, 1, 1], "fallback": [1, 1, 1], "wrapped": [2, 2, 2], "direct": [1, 1],
+            "lanes": [1, 1, 1], "fallback": [1, 1, 1],
+            "wrapped": [1, 1, 1] if has_reader_headers else [2, 2, 2],
+            "direct": [0, 0] if has_reader_headers else [1, 1],
         }
         assert kernel.path_counts == {"compiled": 8}
 
@@ -1693,31 +1774,6 @@ class TestTableValue:
         assert kernel.path_counts == {"compiled": 4}
         assert kernel.path_elements == {"compiled": 4 * E}
 
-    def test_owner_verdicts_make_no_searchsorted_on_reuse(self, monkeypatch):
-        # With every entry in an allocation of its own, a flat A is bisected
-        # into C's cached owners, and C's table keeps its verdict on A's and
-        # on B's table, so a reused call makes no searchsorted; another
-        # table in A's place is decided afresh.
-        calls = []
-        searchsorted = np.searchsorted
-        monkeypatch.setattr(np, "searchsorted", lambda *args: calls.append(args) or searchsorted(*args))
-        seen = {}
-        for access in ("iii", "sci"):
-            s = spec(Layout.ColMajor, 2, 3, 4, access)
-            operands = [
-                BatchedOperand.indexed([m.copy() for m in op.table], op.ld)
-                if op.kind is AccessKind.Indexed else op
-                for op in make_operands(s, 5, np.random.default_rng(55))
-            ]
-            other_a = clone_operand(operands[0])
-            registry = build_registry(s)
-            seen[access] = []
-            for a in [operands[0], operands[0], other_a, operands[0]]:
-                calls.clear()
-                run_batched(s, 5, 1.5, a, operands[1], 0.5, operands[2], registry=registry)
-                seen[access].append(len(calls))
-        assert seen == {"iii": [2, 0, 1, 1], "sci": [0, 0, 0, 0]}
-
     @pytest.mark.parametrize("path", ["lanes", "compiled"])
     def test_direct_call_after_run_batched_scans_c_itself(self, path):
         # A table run_batched has just checked and run is, called directly
@@ -1745,24 +1801,30 @@ class TestTableValue:
         assert [m.tobytes() for m in copied] == [m.tobytes() for m in table]
         assert not table.addresses.flags.writeable
 
-    def test_facts_are_computed_once_under_threads(self):
+    def test_facts_are_computed_once_under_threads(self, monkeypatch):
+        # Threads that ask for the table's facts at once, each in its own
+        # order, share one pass over the entries, and one array per fact.
         pool = np.arange(400.0)
         table = PointerTable(pool[o : o + 4] for o in range(0, 400, 4))
-        apart, mixed = PointerTable([np.zeros(4)]), PointerTable([np.zeros(4), pool])
+        passes = TestPreparedCall.count(monkeypatch, PointerTable, "_reader")
+        facts = {
+            "addresses": lambda: table.addresses,
+            "strides": lambda: table.strides,
+            "contiguous": lambda: table.contiguous,
+            "extents": lambda: table.sorted_extents(4),
+        }
         start = threading.Barrier(4)
         seen = []
-        verdicts = []
 
-        def worker():
+        def worker(turn):
             start.wait(timeout=30)
-            seen.append((table.addresses, table.sorted_extents(4)))
-            verdicts.append([table.shares_owner(other, "A") for other in (apart, mixed, apart)]
-                            + [table.shares_owner(id(pool)), table.shares_owner(id(apart[0]))])
+            order = list(facts)[turn:] + list(facts)[:turn]
+            seen.append({name: facts[name]() for name in order})
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            threads = [threading.Thread(target=worker) for _ in range(4)]
+            threads = [threading.Thread(target=worker, args=(turn,)) for turn in range(4)]
             for thread in threads:
                 thread.start()
             for thread in threads:
@@ -1771,10 +1833,12 @@ class TestTableValue:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert len(seen) == 4
-        assert all(addresses is seen[0][0] and extents is seen[0][1] for addresses, extents in seen)
-        assert seen[0][0].tolist() == [pool.ctypes.data + 8 * o for o in range(0, 400, 4)]
-        assert seen[0][1][2] is None  # the 100 matrices are pairwise disjoint
-        assert verdicts == [[False, True, False, True, False]] * 4
+        assert len(passes) == 1
+        assert all(got[name] is seen[0][name] for got in seen for name in ("addresses", "strides", "extents"))
+        assert [got["contiguous"] for got in seen] == [True] * 4
+        assert seen[0]["addresses"].tolist() == [pool.ctypes.data + 8 * o for o in range(0, 400, 4)]
+        assert seen[0]["strides"].tolist() == [8] * 100
+        assert seen[0]["extents"][2] is None  # the 100 matrices are pairwise disjoint
 
 
 class TestScratch:
