@@ -18,11 +18,13 @@ payload, which is why the edge tests (``tests/test_runtime.py``,
 This module is deliberately simple; its only job is to be obviously correct,
 so it uses numpy and plain Python only, never compiled kernels.
 ``_dgemm_flat`` is the definition of one GEMM.  So that large validation
-runs finish in reasonable time, contiguous float64 buffers take
-``_dgemm_rank1``, which runs the same ascending-k sum as k rank-1 updates
-on (n, m) numpy views.  Every output element sees the same multiply-then-add
-sequence on both, so they agree bit for bit.  Other buffer types run
-``_dgemm_flat`` itself.
+runs finish in reasonable time, C-contiguous float64 ndarrays take
+``_dgemm_products``: one broadcast multiply forms all k*n*m products on
+numpy views, and k adds sum them into a zeroed (n, m) accumulator in
+ascending k, each as ``product + acc``.  Every output element sees the same
+multiplies and the same adds, with the same operands in the same order, as
+on ``_dgemm_flat``, so the two agree bit for bit.  Other buffer types
+(memoryviews, strided views) run ``_dgemm_flat`` itself.
 """
 
 from __future__ import annotations
@@ -51,7 +53,8 @@ class GemmScalars:
 def _dgemm_flat(col_major, n, m, k, alpha, a, lda, b, ldb, beta, c, ldc):
     # Triple loop.  Each output element gets the generated kernels' sequence:
     # zero, one multiply-add per t in ascending t, alpha, then the beta
-    # combine; the order across elements does not change any bit.  beta == 0
+    # combine; the order across elements does not change any bit, which is
+    # what lets _dgemm_products form all products before any add.  beta == 0
     # never reads C (overwrite semantics).
     for col in range(m):
         for row in range(n):
@@ -73,16 +76,19 @@ def _dgemm_flat(col_major, n, m, k, alpha, a, lda, b, ldb, beta, c, ldc):
             c[idx] = cv * beta + acc
 
 
-def _dgemm_rank1(col_major, n, m, k, alpha, a, lda, b, ldb, beta, c, ldc):
+def _dgemm_products(col_major, n, m, k, alpha, a, lda, b, ldb, beta, c, ldc):
     # _dgemm_flat's arithmetic on (rows, cols) views of contiguous buffers
-    # that dgemm_ref has bounds-checked: the ascending-k loop becomes k
-    # rank-1 updates, each one multiply and one add per output element.
+    # that dgemm_ref has bounds-checked: one broadcast multiply forms every
+    # product, products[t, row, col] = A[row, t] * B[t, col], and the slabs
+    # are then added into a zeroed accumulator in ascending t, each as
+    # ``product + acc`` like the triple loop's ``av * bv + acc``.
     A = _matrix_view(a, n, k, lda, col_major)
     B = _matrix_view(b, k, m, ldb, col_major)
     C = _matrix_view(c, n, m, ldc, col_major)
-    acc = 0.0
-    for t in range(k):
-        acc = A[:, t : t + 1] * B[t : t + 1, :] + acc
+    products = A.T[:, :, None] * B[:, None, :]
+    acc = np.zeros((n, m))
+    for product in products:
+        np.add(product, acc, out=acc)
     acc = acc * alpha
     cv = C if beta != 0.0 else 0.0
     C[...] = cv * beta + acc
@@ -139,7 +145,7 @@ def dgemm_ref(
                 f"{layout.value} matrix at ld={ld} addresses {last + 1}"
             )
     if flat_float64_buffers((a, b, c)) and all(buf.flags.c_contiguous for buf in (a, b, c)):
-        fn = _dgemm_rank1
+        fn = _dgemm_products
     else:
         fn = _dgemm_flat
     fn(col_major, n, m, k, float(alpha), a, lda, b, ldb, float(beta), c, ldc)

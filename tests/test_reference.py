@@ -2,10 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from bbdgemm import reference
 from bbdgemm.bench import clone_operand, output_elements
 from bbdgemm.core import AccessKind, KernelShape, KernelSpec, Layout
-from bbdgemm.reference import GemmScalars, _dgemm_flat, _dgemm_rank1, batched_ref, dgemm_ref
+from bbdgemm.reference import GemmScalars, _dgemm_flat, _dgemm_products, batched_ref, dgemm_ref
 from bbdgemm.runtime import BatchedOperand
 
 from conftest import make_operands
@@ -108,8 +110,33 @@ def gemm_buffers(rng, col_major, n, m, k, pad):
     return buffers, (lda, ldb, ldc)
 
 
-class TestRank1Loop:
-    """The oracle's numpy loop against the triple loop it stands in for."""
+# Operand values of the property below: with these, inf * 0, overflow
+# (1e308 * 1e308) and inf - inf all occur.  Every NaN is then the machine's
+# own, so NaN bits must agree too (see the reference module docstring).
+EDGE_VALUES = np.array([0.0, -0.0, np.inf, -np.inf, 1e308, -1e308])
+
+
+def edge_buffers(rng, col_major, n, m, k, pad, share):
+    """gemm_buffers with each element replaced by an EDGE_VALUES one at rate *share*."""
+    buffers, lds = gemm_buffers(rng, col_major, n, m, k, pad)
+    for buf in buffers:
+        edge = rng.random(len(buf)) < share
+        buf[edge] = rng.choice(EDGE_VALUES, int(edge.sum()))
+    return buffers, lds
+
+
+def run_both(col_major, n, m, k, alpha, buffers, lds, beta):
+    """C after _dgemm_products and after _dgemm_flat, as bytes."""
+    (a, b, c), (lda, ldb, ldc) = buffers, lds
+    c_flat = c.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        _dgemm_products(col_major, n, m, k, alpha, a, lda, b, ldb, beta, c, ldc)
+        _dgemm_flat(col_major, n, m, k, alpha, a, lda, b, ldb, beta, c_flat, ldc)
+    return c.tobytes(), c_flat.tobytes()
+
+
+class TestDgemmProducts:
+    """The oracle's one-multiply product pass against the triple loop it stands in for."""
 
     SHAPES = sorted(itertools.product(range(1, 5), repeat=3)) + [(10, 9, 9), (20, 9, 10)]
     SCALARS = ((1.3, 0.7), (1.0, 1.0), (0.0, 1.0), (0.0, 0.0), (-1.0, 0.0), (0.5, -0.0))
@@ -120,13 +147,63 @@ class TestRank1Loop:
         for (n, m, k), pad, (alpha, beta) in itertools.product(
             self.SHAPES, (0, 2), self.SCALARS
         ):
-            (a, b, c), (lda, ldb, ldc) = gemm_buffers(rng, col_major, n, m, k, pad)
+            (a, b, c), lds = gemm_buffers(rng, col_major, n, m, k, pad)
             if beta == 0.0:
                 c[:] = np.nan  # must be overwritten without being read
-            c_flat = c.copy()
-            _dgemm_rank1(col_major, n, m, k, alpha, a, lda, b, ldb, beta, c, ldc)
-            _dgemm_flat(col_major, n, m, k, alpha, a, lda, b, ldb, beta, c_flat, ldc)
-            assert c.tobytes() == c_flat.tobytes(), (n, m, k, pad, alpha, beta)
+            products, flat = run_both(col_major, n, m, k, alpha, (a, b, c), lds, beta)
+            assert products == flat, (n, m, k, pad, alpha, beta)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        dims=st.tuples(*(st.integers(1, 20),) * 3),
+        col_major=st.booleans(),
+        pad=st.sampled_from((0, 2)),
+        share=st.sampled_from((0.0, 0.05, 0.3, 1.0)),
+        alpha=st.sampled_from((1.3, -1.0, 0.0, -0.0, np.inf, 1e308)),
+        beta=st.sampled_from((0.7, 1.0, 0.0, -0.0, -np.inf, 1e308)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_edge_values_bytewise_equal_to_flat_loop(
+        self, dims, col_major, pad, share, alpha, beta, seed
+    ):
+        n, m, k = dims
+        rng = np.random.default_rng(seed)
+        buffers, lds = edge_buffers(rng, col_major, n, m, k, pad, share)
+        products, flat = run_both(col_major, n, m, k, alpha, buffers, lds, beta)
+        assert products == flat
+
+    @pytest.mark.parametrize("a, b, want", [
+        ([np.inf], [0.0], np.nan),  # inf * 0
+        ([1e308], [1e308], np.inf),  # overflow
+        ([1e308, -np.inf], [1e308, 1.0], np.nan),  # inf - inf
+    ], ids=["inf-times-zero", "overflow", "inf-minus-inf"])
+    def test_each_edge_of_the_property_occurs(self, a, b, want):
+        # one row of A against one column of B, so C is the dot product
+        k, c = len(a), np.zeros(1)
+        products, flat = run_both(True, 1, 1, k, 1.0, (np.array(a), np.array(b), c), (1, k, 1), 0.0)
+        assert products == flat
+        assert np.array_equal(c, [want], equal_nan=True)
+
+    @pytest.mark.parametrize("as_view, path", [
+        (lambda buf: buf, "_dgemm_products"),
+        (lambda buf: memoryview(buf), "_dgemm_flat"),
+        (lambda buf: np.repeat(buf, 2)[::2], "_dgemm_flat"),
+    ], ids=["contiguous", "memoryview", "every-other"])
+    def test_dgemm_ref_picks_the_path_by_buffer(self, monkeypatch, as_view, path):
+        calls = []
+        for name in ("_dgemm_products", "_dgemm_flat"):
+            fn = getattr(reference, name)
+            monkeypatch.setattr(
+                reference, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args)
+            )
+        rng = np.random.default_rng(44)
+        (a, b, c), lds = gemm_buffers(rng, True, 3, 4, 2, pad=0)
+        want = c.copy()
+        _dgemm_flat(True, 3, 4, 2, 1.5, a, lds[0], b, lds[1], 0.5, want, lds[2])
+        a, b, c_in = as_view(a), as_view(b), as_view(c)
+        dgemm_ref(Layout.ColMajor, 3, 4, 2, 1.5, a, lds[0], b, lds[1], 0.5, c_in, lds[2])
+        assert calls == [path]
+        assert np.asarray(c_in).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("layout", list(Layout))
     def test_buffers_ending_at_last_addressed_element_accepted(self, layout):

@@ -1,18 +1,37 @@
-"""Helpers the tools share: an old tree from git, and alternating ``perfbench/run.py`` pairs.
+"""Alternating ``perfbench/run.py`` pairs: a git revision against this checkout.
 
-Import it from a script in this directory (``tools/`` is on ``sys.path``
-when such a script runs).
+Run from the repository root::
+
+    python3 tools/perfbench_pairs.py --parent <rev> --out BENCH_<label>.json
+
+The old tree is ``git archive <rev>`` unpacked into a temporary directory and
+the new tree is this checkout.  ``perfbench/run.py`` (at its defaults, or
+with ``--run-args``) runs ``--pairs`` times in each tree, the trees
+alternating which goes first.  With ``--bench-args``, ``bench`` (the
+package's command-line benchmark) first runs once in each tree with those
+arguments, and its CSV rows are kept.  The run is stored in ``--out`` under
+its ``--label``, beside the labels already there.
+
+The helpers are shared: other scripts in this directory import them
+(``tools/`` is on ``sys.path`` when such a script runs).
 """
 
 from __future__ import annotations
 
+import argparse
+import csv
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
 import tarfile
+import tempfile
 from io import BytesIO
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -63,3 +82,67 @@ def store(out: Path, label: str, result: dict) -> None:
     runs = json.loads(out.read_text()) if out.exists() else {}
     runs[label] = result
     out.write_text(json.dumps(runs, indent=1) + "\n")
+
+
+def bench_rows(tree: Path, bench_args: list[str]) -> list[dict]:
+    """CSV rows of ``bench *bench_args*`` run on *tree*'s source."""
+    with tempfile.TemporaryDirectory() as tmp:
+        rows = Path(tmp) / "bench.csv"
+        run = "import sys; from bbdgemm.cli import bench_main; sys.exit(bench_main(sys.argv[1:]))"
+        subprocess.run([sys.executable, "-c", run, *bench_args, "--csv", str(rows)], cwd=tree,
+                       env={**os.environ, "PYTHONPATH": str(tree / "src")}, check=True,
+                       stdout=subprocess.DEVNULL)
+        with rows.open(newline="") as handle:
+            return [{key: value if key == "name" else json.loads(value) for key, value in row.items()}
+                    for row in csv.DictReader(handle)]
+
+
+def bench_summary(bench: dict) -> dict:
+    """Per kernel: the per-call baseline's and the batched call's new/old time, and both speedups."""
+    out = {}
+    for old, new in zip(bench["old"], bench["new"]):
+        out[old["name"]] = {
+            "percall_new_over_old": round(new["median_ns_percall"] / old["median_ns_percall"], 4),
+            "batched_new_over_old": round(new["median_ns_batched"] / old["median_ns_batched"], 4),
+            "speedup": {"old": round(old["speedup"], 1), "new": round(new["speedup"], 1)},
+        }
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="git revision of the old tree")
+    parser.add_argument("--out", required=True,
+                        help="JSON file that holds each run under its --label; other labels are kept")
+    parser.add_argument("--label", default="main")
+    parser.add_argument("--run-args", default="", help="arguments for perfbench/run.py, e.g. '--seed 7'")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--bench-args", default="",
+                        help="arguments for bench, run once per tree, e.g. '--manifest manifests/default.manifest'")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        old_tree = unpack_revision(args.parent, Path(tmp) / "old")
+        result = {
+            "command": (
+                f"python3 tools/perfbench_pairs.py --parent {args.parent} --pairs {args.pairs}"
+                f" --label {args.label} --run-args '{args.run_args}' --bench-args '{args.bench_args}'"
+            ),
+            "parent": args.parent,
+            "host": {"machine": platform.machine(), "python": platform.python_version(),
+                     "numpy": np.__version__, "nproc": len(os.sched_getaffinity(0))},
+        }
+        if args.bench_args:
+            result["bench"] = {side: bench_rows(tree, args.bench_args.split())
+                               for side, tree in (("old", old_tree), ("new", ROOT))}
+            result["bench_summary"] = bench_summary(result["bench"])
+            print(json.dumps(result["bench_summary"]), flush=True)
+        if args.pairs:
+            pairs = perfbench_pairs(old_tree, ROOT, args.pairs, args.run_args.split())
+            result["perfbench_summary"] = summarise(pairs)
+            result["perfbench_pairs"] = pairs
+    store(Path(args.out), args.label, result)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
