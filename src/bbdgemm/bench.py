@@ -24,7 +24,6 @@ from .core import (
     AccessKind,
     KernelNameError,
     KernelSpec,
-    Layout,
     kernel_name,
     matrix_span,
     operand_dims,
@@ -214,61 +213,15 @@ def _measure(unit: Callable[[], None], reps: int) -> tuple[list[float], int]:
     return samples, inner
 
 
-def _percall_unit(
-    spec: KernelSpec,
-    E: int,
-    scalars: GemmScalars,
-    a: BatchedOperand,
-    b: BatchedOperand,
-    c: BatchedOperand,
-    baseline: str,
-) -> Callable[[], None]:
-    if baseline == "naive":
-        return lambda: batched_ref(spec, E, scalars, a, b, c)
-    if baseline != "external":
-        raise ValueError(f"baseline must be 'naive' or 'external', got {baseline!r}")
-    views_a = _matrix_views(spec, "A", E, a)
-    views_b = _matrix_views(spec, "B", E, b)
-    views_c = _matrix_views(spec, "C", E, c)
-
-    def unit() -> None:
-        for e in range(E):
-            ve = views_c[e]
-            ve[...] = scalars.alpha * (views_a[e] @ views_b[e]) + scalars.beta * ve
-
-    return unit
-
-
-def _matrix_views(spec: KernelSpec, which: str, E: int, operand: BatchedOperand):
-    """2-D views of every batch element, shaped (rows, cols)."""
-    dims = operand_dims(spec, which)
-    span = matrix_span(spec, which, operand.ld)
-
-    def as_2d(flat: np.ndarray) -> np.ndarray:
-        if spec.layout is Layout.ColMajor:
-            return flat[:span].reshape(dims.cols, operand.ld)[:, : dims.rows].T
-        return flat[:span].reshape(dims.rows, operand.ld)[:, : dims.cols]
-
-    if operand.kind is AccessKind.Constant:
-        view = as_2d(operand.data)
-        return [view] * E
-    if operand.kind is AccessKind.Strided:
-        return [
-            as_2d(operand.data[e * operand.span : e * operand.span + span]) for e in range(E)
-        ]
-    return [as_2d(operand.table[e]) for e in range(E)]
-
-
 def run_benchmark(
     spec: KernelSpec,
     E: int,
     reps: int,
     registry: KernelRegistry | None = None,
-    baseline: str = "naive",
     seed: int = 42,
     allow_fallback: bool = False,
 ) -> tuple[BenchRecord, TimingDetail]:
-    """Time the batched kernel against a loop of per-pair GEMM calls.
+    """Time the batched kernel against the oracle's loop of per-pair GEMM calls (``batched_ref``).
 
     Correctness is checked first and gates the row: a diff above 1e-12
     raises instead of producing a record.  ``fallback_used`` reports whether
@@ -297,7 +250,7 @@ def run_benchmark(
     paths = sorted(Counter(counts) - counts_before)
     c_base = clone_operand(c)
     percall_samples, percall_inner = _measure(
-        _percall_unit(spec, E, scalars, a, b, c_base, baseline), reps
+        lambda: batched_ref(spec, E, scalars, a, b, c_base), reps
     )
     median_batched = max(1, int(round(statistics.median(batched_samples))))
     median_percall = max(1, int(round(statistics.median(percall_samples))))

@@ -165,7 +165,6 @@ def bench_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--manifest", required=True, help="manifest of specs to benchmark")
     parser.add_argument("--batch", type=int, default=10000, help="batch size E (default %(default)s)")
     parser.add_argument("--reps", type=int, default=5, help="samples per timing (default %(default)s)")
-    parser.add_argument("--baseline", choices=["naive", "external"], default="naive")
     parser.add_argument("--csv", metavar="PATH", help="write records to PATH")
     parser.add_argument(
         "--allow-fallback",
@@ -198,7 +197,6 @@ def bench_main(argv: list[str] | None = None) -> int:
                 args.batch,
                 args.reps,
                 registry=registry,
-                baseline=args.baseline,
                 seed=args.seed,
                 allow_fallback=args.allow_fallback,
             )

@@ -33,24 +33,23 @@ addresses, strides and contiguity, compiled where the
 :func:`~bbdgemm.vectorize.table_reader` is (about 1 ns per entry) and
 Python-level scans elsewhere (about 2-3 us per entry).
 
-A checked call is kept on its C operand as a prepared call: the verdict,
-and the kernel bound to the operands' addresses, leading dimensions and
-spans (the kernel wrapper's ``bind``), or the fallback.  A call that
-repeats it (the same spec, registry, E, A and B objects, each operand's
-kind, ld, span, table or buffer, a buffer's dtype, shape and strides, and
-the compiled-path switch, compared against the objects the prepared call
-holds, up to the first that differs, with no key built) skips the check
-and makes one pass over entries: the scan of C's writable flags, which no
-cache can answer since a flag can be flipped between calls.  On the
-compiled path with the :func:`~bbdgemm.vectorize.table_reader`, a repeat is
-one C call, the reader's ``run_prepared``: it checks the flat buffers'
-dtype, shape and strides, scans C, runs the kernel and counts the run,
-and the refusal of a read-only C is the same as on any other path.  On
-the other paths the prepared call keeps the reader, where there is one,
-that makes the scan of an Indexed C in C, and then runs.  alpha and beta
-are never kept: each run takes them from its own call.  Anything else that
-changes prepares the call afresh, and a copy or unpickled C starts with
-none.
+An operand is a frozen value: to change one, build a new one
+(``dataclasses.replace``).  A checked call is kept on its C operand as a
+prepared call: the verdict, and the kernel bound to the operands'
+addresses, leading dimensions and spans (the kernel wrapper's ``bind``), or
+the fallback.  A call that repeats it (the same spec, registry, E, A and B
+objects and compiled-path switch, and each flat buffer's dtype, shape and
+strides, which numpy lets change in place) skips the check and makes one
+pass over entries: the scan of C's writable flags, which no cache can
+answer since a flag can be flipped between calls.  On the compiled path
+with the :func:`~bbdgemm.vectorize.table_reader`, a repeat is one C call,
+the reader's ``run_prepared``: it checks the flat buffers' dtype, shape and
+strides, scans C, runs the kernel and counts the run, and the refusal of a
+read-only C is the same as on any other path.  On the other paths the
+prepared call keeps the reader, where there is one, that makes the scan of
+an Indexed C in C, and then runs.  alpha and beta are never kept: each run
+takes them from its own call.  Anything else that changes prepares the
+call afresh, and a copy or unpickled C starts with none.
 """
 
 from __future__ import annotations
@@ -91,9 +90,9 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class BatchedOperand:
-    """One batched matrix operand: how its E matrices are addressed.
+    """One batched matrix operand, a frozen value: how its E matrices are addressed.
 
     Constant and Strided operands carry a flat float64 buffer; Indexed
     operands carry a pointer table, one flat buffer per batch element, held
@@ -101,8 +100,10 @@ class BatchedOperand:
     at construction is snapshotted into one, so changing that sequence later
     changes neither the operand nor its results.  ``span`` is only
     meaningful for Strided operands and is the element count between
-    consecutive matrices.  Once used as C by :func:`run_batched`, an operand
-    keeps that call's prepared form; a copy or an unpickled operand does not.
+    consecutive matrices.  No field can be assigned; ``dataclasses.replace``
+    builds a changed operand.  Once used as C by :func:`run_batched`, an
+    operand keeps that call's prepared form; a replaced, copied or
+    unpickled operand does not.
     """
 
     kind: AccessKind
@@ -113,9 +114,9 @@ class BatchedOperand:
 
     def __post_init__(self) -> None:
         if self.table is not None and not isinstance(self.table, PointerTable):
-            self.table = PointerTable(self.table)
+            object.__setattr__(self, "table", PointerTable(self.table))
         # The last checked call with this operand as C (see run_batched).
-        self._prepared = None
+        object.__setattr__(self, "_prepared", None)
 
     def __getstate__(self):
         # A copy holds other buffers, or none of these ids: it prepares afresh.
@@ -373,10 +374,9 @@ class _Prepared(NamedTuple):
     E: int
     #: ``vectorize.jit_enabled()`` when the call was prepared.
     jit: bool
-    #: Per operand, A, B, C: kind, ld, span, table, buffer, and the buffer's
-    #: ``(dtype, shape, strides)``, None for a table or when the runner
-    #: checks them itself.
-    operands: tuple
+    #: Per operand, A, B, C: its flat buffer's ``(dtype, shape, strides)``,
+    #: None for a table or when the runner checks them itself.
+    buffers: tuple
     #: The kernel's call as a function of ``(alpha, beta)``; None for the reference fallback.
     runner: Callable | None
     #: The table reader that scans an Indexed C's writable flags, or None for the Python scan.
@@ -389,24 +389,22 @@ class _Prepared(NamedTuple):
 def _repeats(prepared: _Prepared, spec, E, a, b, c, registry) -> bool:
     """True when this call repeats *prepared*, compared fact by fact up to the first mismatch.
 
-    The same spec, registry, A and B objects; E; whether the compiled path
-    is on; each operand's kind, ld, span, table and buffer objects, and a
-    buffer's dtype, shape and strides where the runner does not compare
-    those itself.  alpha and beta are not compared: each run takes them
-    from its own call.  One expression, with no loop or helper call: it
-    runs before every repeat, so its cost is per call.
+    The same spec, registry, A and B objects (C holds *prepared*); E;
+    whether the compiled path is on; and each flat buffer's dtype, shape and
+    strides where the runner does not compare those itself, since numpy
+    changes them in place.  Operands are frozen, so nothing else of theirs
+    can differ.  alpha and beta are not compared: each run takes them from
+    its own call.  One expression, with no loop or helper call: it runs
+    before every repeat, so its cost is per call.
     """
-    (ka, la, sa, ta, da, ba), (kb, lb, sb, tb, db, bb), (kc, lc, sc, tc, dc, bc) = prepared.operands
+    ba, bb, bc = prepared.buffers
     return (
         prepared.spec is spec and prepared.registry is registry
         and prepared.a is a and prepared.b is b and prepared.E == E
         and prepared.jit == vectorize.jit_enabled()
-        and a.kind is ka and a.ld == la and a.span == sa and a.table is ta and a.data is da
-        and b.kind is kb and b.ld == lb and b.span == sb and b.table is tb and b.data is db
-        and c.kind is kc and c.ld == lc and c.span == sc and c.table is tc and c.data is dc
-        and (ba is None or (da.dtype, da.shape, da.strides) == ba)
-        and (bb is None or (db.dtype, db.shape, db.strides) == bb)
-        and (bc is None or (dc.dtype, dc.shape, dc.strides) == bc)
+        and (ba is None or (a.data.dtype, a.data.shape, a.data.strides) == ba)
+        and (bb is None or (b.data.dtype, b.data.shape, b.data.strides) == bb)
+        and (bc is None or (c.data.dtype, c.data.shape, c.data.strides) == bc)
     )
 
 
@@ -437,15 +435,12 @@ def _prepare(spec, E, a, b, c, registry) -> _Prepared:
                 kernel(E, alpha, A, lda, B, ldb, beta, C, ldc, *kernel_spans)
 
     scans_c = getattr(runner, "scans_c", False)
-    facts = tuple(
-        (
-            operand.kind, operand.ld, operand.span, operand.table, operand.data,
-            None if scans_c or operand.kind is AccessKind.Indexed
-            else (operand.data.dtype, operand.data.shape, operand.data.strides),
-        )
+    buffers = tuple(
+        None if scans_c or operand.kind is AccessKind.Indexed
+        else (operand.data.dtype, operand.data.shape, operand.data.strides)
         for operand in operands
     )
-    return _Prepared(spec, registry, a, b, E, jit, facts, runner, reader, scans_c)
+    return _Prepared(spec, registry, a, b, E, jit, buffers, runner, reader, scans_c)
 
 
 def run_batched(
@@ -486,7 +481,8 @@ def run_batched(
     else:
         prepared = None
     if prepared is None:
-        prepared = c._prepared = _prepare(spec, E, a, b, c, registry)
+        prepared = _prepare(spec, E, a, b, c, registry)
+        object.__setattr__(c, "_prepared", prepared)
     if prepared.runner is not None:
         prepared.runner(alpha, beta)
     else:
@@ -513,16 +509,13 @@ def build_pointer_table(cells: Sequence, component: int) -> BatchedOperand:
 
 
 class ScratchBuffer:
-    """Grow-only aligned scratch storage shared across timesteps.
+    """Grow-only scratch storage shared across timesteps, aligned to 64 bytes.
 
     Capacity is in float64 slots.  ``ensure`` grows geometrically and never
     shrinks; after a growth the contents are unspecified.
     """
 
-    def __init__(self, alignment: int = 64):
-        if alignment < 8 or alignment % 8:
-            raise ValueError(f"alignment must be a positive multiple of 8, got {alignment}")
-        self.alignment = alignment
+    def __init__(self):
         self._array = np.empty(0, dtype=np.float64)
 
     @property
@@ -544,10 +537,11 @@ class ScratchBuffer:
         new_capacity = max(self.capacity, 1)
         while new_capacity < needed:
             new_capacity *= 2
-        self._array = _aligned_empty(new_capacity, self.alignment)
+        self._array = _aligned_empty(new_capacity)
 
 
-def _aligned_empty(count: int, alignment: int) -> np.ndarray:
-    raw = np.empty(count * 8 + alignment, dtype=np.uint8)
-    offset = (-raw.ctypes.data) % alignment
+def _aligned_empty(count: int) -> np.ndarray:
+    """*count* float64 slots starting on a 64-byte boundary."""
+    raw = np.empty(count * 8 + 64, dtype=np.uint8)
+    offset = (-raw.ctypes.data) % 64
     return raw[offset : offset + count * 8].view(np.float64)

@@ -18,11 +18,10 @@ counts each call under the path that served it:
   address array of the operand's :class:`~bbdgemm.core.PointerTable`, which
   :func:`table_reader` reads in one compiled pass, once per table, so a
   table is read and written in place from its first use, with no copy.
-  When its entries are not all C-contiguous, the matrices are copied into
-  an ``(E, matrix span)`` array, C reads that array's row addresses, and
-  C's rows are copied back.  A batch with a flat buffer that is not
-  C-contiguous takes the next path.
-* ``lanes``: every Strided or Indexed operand is staged as a ``(matrix
+  The path runs only on memory it reads in place: a batch with a table
+  whose entries are not all C-contiguous, or a flat buffer that is not
+  C-contiguous, takes the next path.
+* ``lanes``: every Strided or Indexed operand is copied into a ``(matrix
   span, E)`` array whose row ``off`` holds element ``off`` of every matrix,
   and the generated Python function runs once with E == 1 on those arrays.
   Each unrolled statement then computes all E batch elements as one numpy
@@ -618,25 +617,23 @@ def vectorize_batch_loop(name: str):
             return counted
 
         def _bind_compiled(E, payloads, lds, spans, sizes):
-            # Pointers handed to C must address float64 memory long enough
-            # for every element the loop touches, (E-1)*span + size for a
-            # Strided operand, and writable for C; a flat buffer that is not
-            # gives None, and the next path serves.  An Indexed operand goes
-            # as an address array read as X[e][off]: its table's own, or, for
-            # a table with entries C cannot read in place, that of an
-            # (E, size) copy made on each run, with C copied back after.
-            pointers, staged, tables = [], {}, []
+            """``run_in_c`` with the table reader, else the plain ctypes call; None for lanes.
+
+            Pointers handed to C must address float64 memory long enough for
+            every element the loop touches, (E-1)*span + size for a Strided
+            operand, and writable for C, read in place: a flat buffer that
+            is not, or a table whose entries are not all C-contiguous, gives
+            None, and the next path serves.  An Indexed operand goes as its
+            table's address array, read as X[e][off].
+            """
+            pointers, tables = [], []
             for index, (payload, kind, span, size) in enumerate(zip(payloads, kinds, spans, sizes)):
                 if kind is AccessKind.Indexed:
                     table = payload if isinstance(payload, PointerTable) else PointerTable(payload)
                     tables.append(table)
-                    if not (len(table) >= E and table.flat_length() >= size):
+                    if not (len(table) >= E and table.flat_length() >= size and table.contiguous):
                         return None
-                    if table.contiguous:
-                        pointers.append(_pointer(table.addresses))
-                    else:
-                        staged[index] = table
-                        pointers.append(None)
+                    pointers.append(_pointer(table.addresses))
                 elif not (
                     (kind is not AccessKind.Strided or span >= size)
                     and flat_float64_buffers(
@@ -649,7 +646,7 @@ def vectorize_batch_loop(name: str):
                 else:
                     pointers.append(_pointer(payload))
             fn = c_kernel()
-            reader = None if staged else table_reader()
+            reader = table_reader()
             if reader is not None:
                 indexed_c = kinds[2] is AccessKind.Indexed
                 # C is the last operand, so table is C's table when C is Indexed.
@@ -682,29 +679,12 @@ def vectorize_batch_loop(name: str):
             e, lda, ldb, ldc, spanA, spanB, spanC = (
                 ctypes.c_long(int(x)) for x in (E, *lds, *spans)
             )
-            if not staged:
-                A, B, C = pointers
+            A, B, C = pointers
 
-                def run(alpha, beta):
-                    fn(e, float(alpha), A, lda, B, ldb, float(beta), C, ldc, spanA, spanB, spanC)
-
-                return run
-
-            def run_staged(alpha, beta):
-                rows = {index: _gather(table, E, sizes[index]) for index, table in staged.items()}
-                addresses = {
-                    index: m.ctypes.data + np.arange(E, dtype=np.intp) * m.strides[0]
-                    for index, m in rows.items()
-                }
-                A, B, C = (
-                    _pointer(addresses[index]) if index in addresses else pointer
-                    for index, pointer in enumerate(pointers)
-                )
+            def run(alpha, beta):
                 fn(e, float(alpha), A, lda, B, ldb, float(beta), C, ldc, spanA, spanB, spanC)
-                if 2 in rows:
-                    _scatter(staged[2], rows[2], sizes[2])
 
-            return run_staged
+            return run
 
         def _run_lanes(E, alpha, payloads, lds, beta, spans, sizes) -> None:
             lanes = [
@@ -712,12 +692,12 @@ def vectorize_batch_loop(name: str):
                 for payload, kind, span, size in zip(payloads, kinds, spans, sizes)
             ]
             # With E == 1 the kernel's A[e*spanA+off] and B[e][off] address
-            # row off of the staged arrays, so each statement runs on E lanes.
+            # row off of the lane arrays, so each statement runs on E lanes.
             args = [
                 memoryview(payload) if kind is AccessKind.Constant
-                else [staged] if kind is AccessKind.Indexed
-                else staged
-                for payload, kind, staged in zip(payloads, kinds, lanes)
+                else [rows] if kind is AccessKind.Indexed
+                else rows
+                for payload, kind, rows in zip(payloads, kinds, lanes)
             ]
             py_fn(1, alpha, args[0], lds[0], args[1], lds[1], beta, args[2], lds[2], *spans)
             if kinds[2] is AccessKind.Indexed:

@@ -133,19 +133,6 @@ class TestBenchmark:
             )
         assert rec.fallback_used is True
 
-    def test_external_baseline(self):
-        registry = build_registry(S222)
-        with use_jit(False):
-            rec, _ = run_benchmark(
-                S222, 32, reps=2, registry=registry, baseline="external"
-            )
-        assert rec.median_ns_percall > 0
-
-    def test_unknown_baseline(self):
-        registry = build_registry(S222)
-        with pytest.raises(ValueError, match="baseline"):
-            run_benchmark(S222, 8, reps=2, registry=registry, baseline="fastest")
-
     def test_reps_must_be_positive(self):
         with pytest.raises(ValueError, match="reps"):
             run_benchmark(S222, 8, reps=0, registry=build_registry(S222))

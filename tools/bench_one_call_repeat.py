@@ -5,18 +5,16 @@ Run from the repository root::
     python3 tools/bench_one_call_repeat.py --parent <rev> --out BENCH_one_call_repeat.json
 
 The old tree is ``git archive <rev>`` unpacked into a temporary directory and
-the new tree is this checkout.  In each tree, a subprocess builds the
+the new tree is this checkout; both must define ``runtime._repeats``.  In each tree, a subprocess builds the
 proxy_vector state (900 cells, seed 42), runs two timesteps so that every
 call repeats a prepared one, and then times the parts of each of a
 timestep's 8 calls, each right after the previous call's kernel has run, as
 in a timestep:
 
 * ``repeat``: the whole ``run_batched`` call;
-* ``match``: deciding that the call repeats the prepared one (building the
-  old tree's key and comparing it, or the new tree's ``_repeats``);
-* ``c_call``: what runs after the match (the old tree's scan of C and the
-  bound run, or the new tree's runner, which makes one ``run_prepared``
-  call);
+* ``match``: deciding that the call repeats the prepared one (``_repeats``);
+* ``c_call``: what runs after the match, the prepared runner, which makes
+  one ``run_prepared`` call;
 * ``kernel``: the C twin alone, called through ctypes with the same arguments.
 
 The parts are timed in turn, their order rotating by round.  The script then
@@ -72,19 +70,13 @@ def repeat(step, a, b, c, *_):
     runtime.run_batched(step.spec, E, step.alpha, a, b, step.beta, c, registry=registry)
 
 
-if hasattr(runtime, "_repeats"):
-    def match(step, a, b, c, *_):
-        runtime._repeats(c._prepared, step.spec, E, a, b, c, registry)
+def match(step, a, b, c, *_):
+    runtime._repeats(c._prepared, step.spec, E, a, b, c, registry)
 
-    def c_call(step, a, b, c, *_):
-        c._prepared.runner(step.alpha, step.beta)
-else:
-    def match(step, a, b, c, *_):
-        runtime._key(step.spec, E, a, b, c, registry) == c._prepared.key
 
-    def c_call(step, a, b, c, *_):
-        c._check_writable("C", c._prepared.reader)
-        c._prepared.runner(step.alpha, step.beta)
+def c_call(step, a, b, c, *_):
+    c._prepared.runner(step.alpha, step.beta)
+
 
 parts = {"repeat": repeat, "match": match, "c_call": c_call, "kernel": kernel}
 names = list(parts)
