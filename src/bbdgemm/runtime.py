@@ -90,7 +90,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BatchedOperand:
     """One batched matrix operand, a frozen value: how its E matrices are addressed.
 
@@ -101,7 +101,8 @@ class BatchedOperand:
     changes neither the operand nor its results.  ``span`` is only
     meaningful for Strided operands and is the element count between
     consecutive matrices.  No field can be assigned; ``dataclasses.replace``
-    builds a changed operand.  Once used as C by :func:`run_batched`, an
+    builds a changed operand.  Operands compare and hash by identity, as a
+    repeated call matches them.  Once used as C by :func:`run_batched`, an
     operand keeps that call's prepared form; a replaced, copied or
     unpickled operand does not.
     """

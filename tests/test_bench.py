@@ -133,6 +133,22 @@ class TestBenchmark:
             )
         assert rec.fallback_used is True
 
+    def test_percall_baseline_is_the_oracle_loop(self, monkeypatch):
+        # The per-call figure times batched_ref alone, on one copy of C:
+        # after the correctness check's call come two warm-ups, the
+        # calibration runs (1 + 2 + ... + inner) and reps * inner samples.
+        oracle = bench.batched_ref
+        outputs = []
+        def counting_ref(spec, E, scalars, a, b, c):
+            outputs.append(c)
+            return oracle(spec, E, scalars, a, b, c)
+        monkeypatch.setattr(bench, "batched_ref", counting_ref)
+        with use_jit(False):
+            _, detail = run_benchmark(S222, 8, reps=3, registry=build_registry(S222))
+        inner = detail.percall_inner_iters
+        assert len(outputs) == 1 + 2 + (2 * inner - 1) + 3 * inner
+        assert len({id(c) for c in outputs[1:]}) == 1
+
     def test_reps_must_be_positive(self):
         with pytest.raises(ValueError, match="reps"):
             run_benchmark(S222, 8, reps=0, registry=build_registry(S222))

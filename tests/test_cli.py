@@ -154,6 +154,15 @@ class TestBenchCli:
         assert rc == 1
         assert "dispatch table" in capsys.readouterr().err
 
+    def test_baseline_flag_is_refused(self, tmp_path, capsys):
+        # The oracle's per-call loop is the only baseline; there is no flag.
+        manifest = tmp_path / "m.manifest"
+        manifest.write_text("ColMajor 2 2 2 cis\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as exited:
+            bench_main(["--manifest", str(manifest), "--baseline", "external"])
+        assert exited.value.code == 2
+        assert "--baseline" in capsys.readouterr().err
+
     def test_allow_fallback_flag(self, tmp_path):
         manifest = tmp_path / "m.manifest"
         manifest.write_text("ColMajor 3 3 3 ccc\n", encoding="utf-8")

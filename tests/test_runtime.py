@@ -1561,6 +1561,16 @@ class TestPreparedCall:
         assert [m.tobytes() for m in copied.table] == [m.tobytes() for m in want.table]
         assert [m.tobytes() for m in copied.table] == [m.tobytes() for m in c.table]
 
+    def test_operands_compare_by_identity(self):
+        # An operand equals only itself and hashes by identity, as a repeat
+        # is matched; a replaced operand, even with every field kept, is
+        # another value.
+        a, b, c = make_operands(S_CIS, 3, np.random.default_rng(68))
+        for operand in (a, b, c):
+            kept = replace(operand)
+            assert operand == operand and operand != kept
+            assert {operand: 1}[operand] == 1 and hash(operand) != hash(kept)
+
     def test_a_kernel_without_bind_sees_every_call(self):
         # A function wrapped around a kernel, such as a tracer's, is called
         # with every argument on each run, the current alpha and beta too.
@@ -1874,3 +1884,11 @@ class TestScratch:
         buf = ScratchBuffer()
         buf.ensure(100, 7)
         assert buf.array.ctypes.data % 64 == 0
+
+    def test_alignment_holds_across_growth(self):
+        buf = ScratchBuffer()
+        for E in (1, 3, 100, 1000):
+            buf.ensure(E, 7)
+            assert buf.array.ctypes.data % 64 == 0
+        with pytest.raises(TypeError):
+            ScratchBuffer(alignment=64)
