@@ -12,14 +12,16 @@ storage whose size depends on the runtime batch size.
 
 The contract makes the batch elements independent, so every path may run
 them as lanes.  :meth:`BatchedOperand.validate` checks each operand's kind,
-leading dimension and flat float64 buffers, and that C is writable.  Then,
-in byte extents (a matrix spans the bytes from the first to the last
-element of ``buffer[:span]``), a Strided or Indexed C's matrices must be
-pairwise disjoint and every C matrix disjoint from every A and B matrix; so
-strided views interleaved in one pool are refused as C.  A Constant C is the
+leading dimension and flat float64 buffers.  Then, in byte extents (a
+matrix spans the bytes from the first to the last element of
+``buffer[:span]``), a Strided or Indexed C's matrices must be pairwise
+disjoint and every C matrix disjoint from every A and B matrix; so strided
+views interleaved in one pool are refused as C.  A Constant C is the
 one matrix all E elements accumulate into, in order; A and B may overlap,
-being only read.  A breach raises ``ValueError`` naming operand C (or the
-operand at fault) before any byte is written or a fallback is counted.
+being only read.  Last, C must be writable, which the run checks, so a C
+that is read-only and overlapping is refused as overlapping.  A breach
+raises ``ValueError`` naming operand C (or the operand at fault) before any
+byte is written or a fallback is counted.
 
 An Indexed operand's table is a :class:`~bbdgemm.core.PointerTable`, a
 value built once: the facts the contract needs (flat float64 entries and
@@ -35,21 +37,22 @@ Python-level scans elsewhere (about 2-3 us per entry).
 
 An operand is a frozen value: to change one, build a new one
 (``dataclasses.replace``).  A checked call is kept on its C operand as a
-prepared call: the verdict, and the kernel bound to the operands'
-addresses, leading dimensions and spans (the kernel wrapper's ``bind``), or
-the fallback.  A call that repeats it (the same spec, registry, E, A and B
-objects and compiled-path switch, and each flat buffer's dtype, shape and
-strides, which numpy lets change in place) skips the check and makes one
-pass over entries: the scan of C's writable flags, which no cache can
-answer since a flag can be flipped between calls.  On the compiled path
-with the :func:`~bbdgemm.vectorize.table_reader`, a repeat is one C call,
-the reader's ``run_prepared``: it checks the flat buffers' dtype, shape and
-strides, scans C, runs the kernel and counts the run, and the refusal of a
-read-only C is the same as on any other path.  On the other paths the
-prepared call keeps the reader, where there is one, that makes the scan of
-an Indexed C in C, and then runs.  alpha and beta are never kept: each run
-takes them from its own call.  Anything else that changes prepares the
-call afresh, and a copy or unpickled C starts with none.
+prepared call: the verdict, and its runner, the call as a function of alpha
+and beta.  That is the kernel bound to the operands' addresses, leading
+dimensions and spans (the kernel wrapper's ``bind``), or, for the fallback
+or a registry entry without ``bind``, the call kept by
+:func:`~bbdgemm.vectorize.checked`.  Every runner keeps one contract: it
+returns False, with nothing run, when a flat buffer's dtype, shape or
+strides changed in place since the bind; it refuses a read-only C, naming
+it, before any write (a flag can be flipped between calls, so no cache can
+answer); otherwise it runs, is counted, and returns True.  A call that
+repeats the prepared one (the same spec, registry, E, A and B objects and
+compiled-path switch) skips the check and runs the runner; on False the
+call is prepared afresh.  On the compiled path with the
+:func:`~bbdgemm.vectorize.table_reader`, a run is one C call, the reader's
+``run_prepared``.  alpha and beta are never kept: each run takes them from
+its own call.  Anything else that changes prepares the call afresh, and a
+copy or unpickled C starts with none.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ import importlib.util
 import re
 import sys
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -73,7 +76,6 @@ from .core import (
     kernel_name,
     matrix_span,
     operand_dims,
-    read_only_error,
     sort_extents,
 )
 from . import vectorize
@@ -144,9 +146,9 @@ class BatchedOperand:
         """Check this operand alone against the contract for role *which* of *spec*.
 
         Raises ``ValueError`` naming the operand, and the first bad table
-        entry where there is one.  C must also be writable.  A table's
-        entries are checked once, on its first use; after that only C's
-        writability is scanned again.  Returns the operand's matrix span.
+        entry where there is one.  A table's entries are checked once, on
+        its first use.  C's writability is not checked here but on every
+        run (see :func:`run_batched`).  Returns the operand's matrix span.
         """
         dims = operand_dims(spec, which)
         if spec.access(which) is not self.kind:
@@ -195,18 +197,7 @@ class BatchedOperand:
                         f"operand {which}: buffer holds {len(self.data)} elements, "
                         f"need {min_span}"
                     )
-        if which == "C":
-            self._check_writable(
-                which, self.table._reader() if self.kind is AccessKind.Indexed else None
-            )
         return min_span
-
-    def _check_writable(self, which: str, reader) -> None:
-        """Refuse a read-only buffer or table entry; *reader* scans a table (``check_writable``)."""
-        if self.kind is AccessKind.Indexed:
-            self.table.check_writable(which, reader)
-        elif not self.data.flags.writeable:
-            raise read_only_error(which)
 
 
 def _check_buffer(which: str, buffer, label: str) -> None:
@@ -375,73 +366,65 @@ class _Prepared(NamedTuple):
     E: int
     #: ``vectorize.jit_enabled()`` when the call was prepared.
     jit: bool
-    #: Per operand, A, B, C: its flat buffer's ``(dtype, shape, strides)``,
-    #: None for a table or when the runner checks them itself.
-    buffers: tuple
-    #: The kernel's call as a function of ``(alpha, beta)``; None for the reference fallback.
-    runner: Callable | None
-    #: The table reader that scans an Indexed C's writable flags, or None for the Python scan.
-    reader: object
-    #: True when the runner scans C and checks the flat buffers itself, in
-    #: its one C call (a kernel's ``bind`` with ``scans_c``).
-    scans_c: bool
+    #: The call as a function of ``(alpha, beta)``: it returns False, with
+    #: nothing run, when a flat buffer changed its dtype, shape or strides
+    #: since, refuses a read-only C, and otherwise runs and returns True.
+    runner: Callable
 
 
-def _repeats(prepared: _Prepared, spec, E, a, b, c, registry) -> bool:
+def _repeats(prepared: _Prepared, spec, E, a, b, registry) -> bool:
     """True when this call repeats *prepared*, compared fact by fact up to the first mismatch.
 
-    The same spec, registry, A and B objects (C holds *prepared*); E;
-    whether the compiled path is on; and each flat buffer's dtype, shape and
-    strides where the runner does not compare those itself, since numpy
-    changes them in place.  Operands are frozen, so nothing else of theirs
-    can differ.  alpha and beta are not compared: each run takes them from
-    its own call.  One expression, with no loop or helper call: it runs
-    before every repeat, so its cost is per call.
+    The same spec, registry, A and B objects (C holds *prepared*); E; and
+    whether the compiled path is on.  Operands are frozen, so nothing else
+    of theirs can differ but what numpy changes in place, which the runner
+    checks.  alpha and beta are not compared: each run takes them from its
+    own call.  One expression, with no loop or helper call: it runs before
+    every repeat, so its cost is per call.
     """
-    ba, bb, bc = prepared.buffers
     return (
         prepared.spec is spec and prepared.registry is registry
         and prepared.a is a and prepared.b is b and prepared.E == E
         and prepared.jit == vectorize.jit_enabled()
-        and (ba is None or (a.data.dtype, a.data.shape, a.data.strides) == ba)
-        and (bb is None or (b.data.dtype, b.data.shape, b.data.strides) == bb)
-        and (bc is None or (c.data.dtype, c.data.shape, c.data.strides) == bc)
     )
 
 
 def _prepare(spec, E, a, b, c, registry) -> _Prepared:
-    """Check the call's whole contract, then bind its kernel: what ``run_batched`` keeps."""
+    """Check the call's whole contract, then bind its kernel: what ``run_batched`` keeps.
+
+    The runner is the kernel's own ``bind``; else, for a registry entry
+    without one (such as a function wrapped around a kernel, which then
+    sees every call with all arguments) or the reference fallback, the call
+    kept to the same contract by :func:`~bbdgemm.vectorize.checked`.
+    """
     operands = (a, b, c)
     jit = vectorize.jit_enabled()
     spans = [operand.validate(which, spec, E) for which, operand in zip("ABC", operands)]
     _check_disjoint(E, operands, spans)
-    reader = c.table._reader() if c.kind is AccessKind.Indexed else None
     kernel = registry.lookup(kernel_name(spec))
-    runner = None
-    if kernel is not None:
-        # Each Strided operand's own span; the others' matrix spans, which kernels ignore.
-        kernel_spans = [
-            operand.span if operand.kind is AccessKind.Strided else span
-            for operand, span in zip(operands, spans)
-        ]
-        (A, B, C), (lda, ldb, ldc) = (operand.payload() for operand in operands), (a.ld, b.ld, c.ld)
-        # A kernel's own bind only: another callable in the registry, such as a
-        # function wrapped around a kernel, sees every call with all arguments.
-        bind = getattr(kernel, "bind", None)
-        if bind is not None:
-            runner = bind(E, A, lda, B, ldb, C, ldc, *kernel_spans)
-        else:
+    # Each Strided operand's own span; the others' matrix spans, which kernels ignore.
+    kernel_spans = [
+        operand.span if operand.kind is AccessKind.Strided else span
+        for operand, span in zip(operands, spans)
+    ]
+    payloads = [operand.payload() for operand in operands]
+    (A, B, C), (lda, ldb, ldc) = payloads, (a.ld, b.ld, c.ld)
+    bind = getattr(kernel, "bind", None)
+    if bind is not None:
+        runner = bind(E, A, lda, B, ldb, C, ldc, *kernel_spans)
+    else:
+        # C's fields as a new operand: C will hold this call, so the call must not hold C.
+        kept_c = replace(c)
 
-            def runner(alpha, beta):
+        def run(alpha, beta):
+            if kernel is None:
+                registry.record_fallback()
+                batched_ref(spec, E, GemmScalars(alpha, beta), a, b, kept_c)
+            else:
                 kernel(E, alpha, A, lda, B, ldb, beta, C, ldc, *kernel_spans)
 
-    scans_c = getattr(runner, "scans_c", False)
-    buffers = tuple(
-        None if scans_c or operand.kind is AccessKind.Indexed
-        else (operand.data.dtype, operand.data.shape, operand.data.strides)
-        for operand in operands
-    )
-    return _Prepared(spec, registry, a, b, E, jit, buffers, runner, reader, scans_c)
+        runner = vectorize.checked(run, payloads, [operand.kind for operand in operands])
+    return _Prepared(spec, registry, a, b, E, jit, runner)
 
 
 def run_batched(
@@ -462,9 +445,9 @@ def run_batched(
     registry) when the kernel is absent.  Operand leading dimensions and
     spans travel inside the operands.  E == 0 succeeds without touching
     memory or counting a fallback.  A call that repeats the last one on *c*
-    (see :func:`_repeats`) checks only C's writability before it runs; on
-    the compiled path with the table reader, that check and the run are
-    one C call.
+    (see :func:`_repeats`) is one run of the kept runner, which checks only
+    what can change in place; on the compiled path with the table reader,
+    that is one C call.
     """
     if E < 0:
         raise ValueError(f"batch size must be non-negative, got {E}")
@@ -472,23 +455,15 @@ def run_batched(
     if E == 0:
         return
     prepared = c._prepared
-    if prepared is not None and _repeats(prepared, spec, E, a, b, c, registry):
-        if not prepared.scans_c:
-            c._check_writable("C", prepared.reader)
-        elif prepared.runner(alpha, beta):
-            return
-        else:
-            prepared = None  # a flat buffer changed in place: check the call afresh
-    else:
-        prepared = None
-    if prepared is None:
-        prepared = _prepare(spec, E, a, b, c, registry)
-        object.__setattr__(c, "_prepared", prepared)
-    if prepared.runner is not None:
-        prepared.runner(alpha, beta)
-    else:
-        registry.record_fallback()
-        batched_ref(spec, E, GemmScalars(alpha, beta), a, b, c)
+    if (
+        prepared is not None and _repeats(prepared, spec, E, a, b, registry)
+        and prepared.runner(alpha, beta)
+    ):
+        return
+    prepared = _prepare(spec, E, a, b, c, registry)
+    object.__setattr__(c, "_prepared", prepared)
+    if not prepared.runner(alpha, beta):
+        raise ValueError("a flat operand's dtype, shape or strides changed during the call")
 
 
 def build_pointer_table(cells: Sequence, component: int) -> BatchedOperand:

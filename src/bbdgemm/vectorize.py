@@ -49,19 +49,18 @@ operand, a span no shorter than its matrix) and, for C, writability.
 A table caches all but its writability, so a reused table costs the wrapper
 O(1), plus one scan of C's writable flags (:func:`table_reader` for a table).
 The wrapper is ``wrapper.bind(E, A, lda, B, ldb, C, ldc, spanA, spanB,
-spanC)``, then that scan unless the bound call makes it, then the call:
-``bind`` writes nothing, makes those checks and chooses the path once, and
-returns the call as a function of alpha and beta.  On the compiled path
-with the table reader, that function is one call of ``run_prepared`` on
-a record of the kernel's address and every other argument: in C, it
-checks that no flat operand changed its dtype, shape or strides, scans C's
-writable flags, runs the kernel with the interpreter lock released and
-counts the run; it raises the refusal of a read-only C itself, and
-returns False, with nothing run, when a flat operand changed since ``bind``.
-:func:`bbdgemm.runtime.run_batched` keeps it for the calls that repeat a
-checked one, and binds afresh on False.  Without the
-reader, the function holds the ctypes function with every other argument
-already converted, makes no scan of C, and ``run_batched`` scans C first.
+spanC)(alpha, beta)``: ``bind`` writes nothing, makes those checks and
+chooses the path once, and returns the call as a function of alpha and
+beta.  Each run of that function keeps one contract: it returns False,
+with nothing run, when a flat operand changed its dtype, shape or strides
+since ``bind``; it refuses a read-only C, naming it, before any write;
+otherwise it runs, is counted, and returns True.  On the compiled path
+with the table reader, the function is one call of ``run_prepared`` on a
+record of the kernel's address and every other argument, which keeps the
+contract in C and runs the kernel with the interpreter lock released.  On
+every other path :func:`checked` keeps it around the run.
+:func:`bbdgemm.runtime.run_batched` keeps the function for the calls that
+repeat a checked one, and binds afresh on False.
 
 Switches: ``BBDGEMM_JIT=0`` (or ``off``/``false``/``no``) turns the compiled
 path off for the process; otherwise :func:`use_jit` turns it off and on
@@ -484,6 +483,38 @@ def _stage_lanes(payload, kind: AccessKind, E: int, span: int, size: int) -> np.
     return rows.T.copy()
 
 
+def checked(run, payloads, kinds):
+    """*run*, the call as a function of ``(alpha, beta)``, kept to a bound call's contract.
+
+    *payloads* are A, B and C as a kernel takes them (a table as a
+    :class:`~bbdgemm.core.PointerTable`), *kinds* their access kinds.  Each
+    run returns False, with nothing run, when a flat operand's dtype, shape
+    or strides changed in place since this call; refuses a read-only C,
+    naming it, before *run* writes; otherwise runs *run* and returns True,
+    as the table reader's ``run_prepared`` does in C.
+    """
+    flat = [
+        (payload, (payload.dtype, payload.shape, payload.strides))
+        for payload, kind in zip(payloads, kinds)
+        if kind is not AccessKind.Indexed
+    ]
+    C, indexed_c = payloads[2], kinds[2] is AccessKind.Indexed
+    reader = C._reader() if indexed_c else None
+
+    def run_checked(alpha, beta):
+        for buffer, bound in flat:
+            if (buffer.dtype, buffer.shape, buffer.strides) != bound:
+                return False
+        if indexed_c:
+            C.check_writable("C", reader)
+        elif not C.flags.writeable:
+            raise read_only_error("C")
+        run(alpha, beta)
+        return True
+
+    return run_checked
+
+
 class _PathCounts(Mapping):
     """A kernel's completed calls, or batch elements, per path, read live.
 
@@ -551,46 +582,35 @@ def vectorize_batch_loop(name: str):
 
         @functools.wraps(py_fn)
         def wrapper(E, alpha, A, lda, B, ldb, beta, C, ldc, spanA, spanB, spanC):
-            if E <= 0:
-                return
-            if kinds[2] is AccessKind.Indexed and not isinstance(C, PointerTable):
-                C = PointerTable(C)
-            run = bind(E, A, lda, B, ldb, C, ldc, spanA, spanB, spanC)
-            if not getattr(run, "scans_c", False):
-                # Refuse a read-only buffer or entry before the run stages or writes anything.
-                if kinds[2] is AccessKind.Indexed:
-                    C.check_writable("C", C._reader())
-                elif not C.flags.writeable:
-                    raise read_only_error("C")
-            if run(alpha, beta) is False:
+            if E > 0 and not bind(E, A, lda, B, ldb, C, ldc, spanA, spanB, spanC)(alpha, beta):
                 raise ValueError("a flat operand's dtype, shape or strides changed during the call")
 
         def bind(E, A, lda, B, ldb, C, ldc, spanA, spanB, spanC):
             """This call, E >= 1, as a function of ``(alpha, beta)``, its path chosen now.
 
             Whoever runs it keeps A, B and C alive while it keeps the
-            function (the address arrays of tables made here for plain
-            lists are kept by the function), and checks C's writability
-            first, except on the compiled path with the table reader: there
-            each run is one call of the reader's ``run_prepared`` on a
-            :class:`_PreparedCall` built here, which scans C itself and
-            refuses a read-only buffer or entry, naming it, before any
-            write.  Such a function carries ``scans_c = True`` and returns
-            True when it ran, or False, with nothing run, when a flat
-            operand's dtype, shape or strides changed since the bind, so
-            its caller binds afresh.  Each run stages what its path needs,
-            writes C back and is counted in ``path_counts`` and
-            ``path_elements``.
+            function (tables made here for plain lists, and their address
+            arrays, are kept by the function).  Each run keeps the contract
+            of :func:`checked`: it returns False, with nothing run, when a
+            flat operand's dtype, shape or strides changed since the bind;
+            it refuses a read-only C buffer or entry, naming it, before any
+            write; otherwise it stages what its path needs, writes C back,
+            is counted in ``path_counts`` and ``path_elements``, and returns
+            True.  On the compiled path with the table reader, each run is
+            one call of the reader's ``run_prepared`` on a
+            :class:`_PreparedCall` built here, which keeps that contract in C.
             """
-            payloads, lds, spans = (A, B, C), (lda, ldb, ldc), (spanA, spanB, spanC)
+            payloads = tuple(
+                PointerTable(p) if kind is AccessKind.Indexed and not isinstance(p, PointerTable) else p
+                for p, kind in zip((A, B, C), kinds)
+            )
+            lds, spans = (lda, ldb, ldc), (spanA, spanB, spanC)
             # Elements one matrix covers; a Strided operand's span may be longer.
             sizes = [matrix_span(spec, which, ld) for which, ld in zip("ABC", lds)]
             run = _bind_compiled(E, payloads, lds, spans, sizes) if jit_enabled() else None
-            if hasattr(run, "scans_c"):
-                return run  # counted in C
             if run is not None:
-                path = "compiled"
-            elif kinds[2] is not AccessKind.Constant:
+                return run
+            if kinds[2] is not AccessKind.Constant:
                 path = "lanes"
 
                 def run(alpha, beta):
@@ -608,39 +628,41 @@ def vectorize_batch_loop(name: str):
                     ]
                     py_fn(E, alpha, args[0], lda, args[1], ldb, beta, args[2], ldc, *spans)
 
+            return _kept(path, E, run, payloads)
+
+        def _kept(path, E, run, payloads):
+            """*run* counted under *path* after each run, and checked first (:func:`checked`)."""
+
             def counted(alpha, beta):
                 run(alpha, beta)
                 with count_lock:
                     counted_calls[path] += 1
                     counted_elements[path] += E
 
-            return counted
+            return checked(counted, payloads, kinds)
 
         def _bind_compiled(E, payloads, lds, spans, sizes):
-            """``run_in_c`` with the table reader, else the plain ctypes call; None for lanes.
+            """``run_in_c`` with the table reader, else the checked ctypes call; None for lanes.
 
             Pointers handed to C must address float64 memory long enough for
             every element the loop touches, (E-1)*span + size for a Strided
-            operand, and writable for C, read in place: a flat buffer that
-            is not, or a table whose entries are not all C-contiguous, gives
-            None, and the next path serves.  An Indexed operand goes as its
-            table's address array, read as X[e][off].
+            operand, read in place: a flat buffer that is not, or a table
+            whose entries are not all C-contiguous, gives None, and the next
+            path serves.  An Indexed operand goes as its table's address
+            array, read as X[e][off].
             """
-            pointers, tables = [], []
-            for index, (payload, kind, span, size) in enumerate(zip(payloads, kinds, spans, sizes)):
+            pointers = []
+            for payload, kind, span, size in zip(payloads, kinds, spans, sizes):
                 if kind is AccessKind.Indexed:
-                    table = payload if isinstance(payload, PointerTable) else PointerTable(payload)
-                    tables.append(table)
-                    if not (len(table) >= E and table.flat_length() >= size and table.contiguous):
+                    if not (len(payload) >= E and payload.flat_length() >= size and payload.contiguous):
                         return None
-                    pointers.append(_pointer(table.addresses))
+                    pointers.append(_pointer(payload.addresses))
                 elif not (
                     (kind is not AccessKind.Strided or span >= size)
                     and flat_float64_buffers(
                         [payload], (E - 1) * span + size if kind is AccessKind.Strided else size
                     )
                     and payload.flags.c_contiguous
-                    and (index != 2 or payload.flags.writeable)
                 ):
                     return None
                 else:
@@ -649,7 +671,6 @@ def vectorize_batch_loop(name: str):
             reader = table_reader()
             if reader is not None:
                 indexed_c = kinds[2] is AccessKind.Indexed
-                # C is the last operand, so table is C's table when C is Indexed.
                 flat = [
                     _FlatBuffer() if kind is AccessKind.Indexed
                     else _FlatBuffer(payload, payload.dtype, len(payload), payload.strides[0])
@@ -658,12 +679,12 @@ def vectorize_batch_loop(name: str):
                 record = _PreparedCall(
                     ctypes.cast(fn, ctypes.c_void_p), int(E), *pointers,
                     *(int(x) for x in (*lds, *spans)), (_FlatBuffer * 3)(*flat),
-                    table if indexed_c else (payloads[2],), compiled_counts,
+                    payloads[2] if indexed_c else (payloads[2],), compiled_counts,
                 )
                 # The record holds C's table or buffer and flat buffers, but
                 # only the values of A's and B's pointers: it keeps what they
-                # point into, the address arrays, and the tables made here.
-                record.keep = pointers, tables
+                # point into, the address arrays, and the tables.
+                record.keep = pointers, payloads
                 run_prepared = reader.run_prepared
 
                 def run_in_c(alpha, beta):
@@ -674,7 +695,6 @@ def vectorize_batch_loop(name: str):
                         return False
                     raise read_only_error("C", code if indexed_c else None)
 
-                run_in_c.scans_c = True
                 return run_in_c
             e, lda, ldb, ldc, spanA, spanB, spanC = (
                 ctypes.c_long(int(x)) for x in (E, *lds, *spans)
@@ -684,7 +704,7 @@ def vectorize_batch_loop(name: str):
             def run(alpha, beta):
                 fn(e, float(alpha), A, lda, B, ldb, float(beta), C, ldc, spanA, spanB, spanC)
 
-            return run
+            return _kept("compiled", E, run, payloads)
 
         def _run_lanes(E, alpha, payloads, lds, beta, spans, sizes) -> None:
             lanes = [

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import weakref
 from contextlib import contextmanager
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
@@ -470,6 +471,12 @@ def c_overlapping_b():
     return s, E, a, b, BatchedOperand.strided(pool[: E * span], 2, span)
 
 
+def read_only_c_overlapping_a():
+    s, E, a, b, c = c_overlapping_a(False)()
+    c.data.flags.writeable = False
+    return s, E, a, b, c
+
+
 def read_only_strided_c():
     s = spec(Layout.ColMajor, 2, 3, 4, "cis")
     a, b, c = make_operands(s, 5, np.random.default_rng(34))
@@ -490,6 +497,8 @@ class TestOperandContract:
     Each would compute differently on lanes than in the sequential loop (or,
     read-only, fail part-way through it), so every path refuses it the same
     way: ``ValueError`` naming operand C, no byte changed, no fallback counted.
+    The overlap rule comes first: a C that is also read-only is refused as
+    overlapping.
     """
 
     @pytest.mark.parametrize("path", PATHS)
@@ -500,6 +509,7 @@ class TestOperandContract:
             (c_overlapping_a(False), "operand C overlaps operand A"),
             (c_overlapping_a(True), "operand C overlaps operand A"),
             (c_overlapping_b, "operand C overlaps operand B"),
+            (read_only_c_overlapping_a, "operand C overlaps operand A"),
             (read_only_strided_c, "operand C: buffer is read-only"),
             (read_only_indexed_c_entry_3, "operand C: table entry 3 is read-only"),
         ],
@@ -508,6 +518,7 @@ class TestOperandContract:
             "c_overlapping_a_view",
             "c_overlapping_a_memoryview",
             "c_overlapping_b",
+            "read_only_c_overlapping_a",
             "read_only_strided_c",
             "read_only_indexed_c_entry_3",
         ],
@@ -619,7 +630,8 @@ class TestOperandContract:
         # buffer that ends at its last matrix, from the pool at b_offset or
         # of its own (own[10]).  Every path runs the call, or refuses it with
         # the same message, exactly when a pairwise comparison of byte
-        # extents finds C overlapping itself, A or B, or C is read-only.
+        # extents finds C overlapping itself, A or B, or else C is read-only:
+        # the overlap rule is checked first, writability by the run.
         s = spec(Layout.ColMajor, 2, 2, 2, "ici" if padding is None else "isi")
         b_length = 4 if padding is None else (E - 1) * (4 + padding) + 4
 
@@ -669,14 +681,14 @@ class TestOperandContract:
         kind, message, got = outcomes[0]
         (a, b, c), buffers = build()
         c_extents = extents(c)
-        if read_only & set(range(E)):
-            want = f"operand C: table entry {min(read_only)} is read-only"
-        elif any(overlap([x], c_extents[e + 1 :]) for e, x in enumerate(c_extents)):
+        if any(overlap([x], c_extents[e + 1 :]) for e, x in enumerate(c_extents)):
             want = "operand C: the matrices of batch elements"
         elif overlap(extents(a), c_extents):
             want = "operand C overlaps operand A"
         elif overlap(extents(b), c_extents):
             want = "operand C overlaps operand B"
+        elif read_only & set(range(E)):
+            want = f"operand C: table entry {min(read_only)} is read-only"
         else:
             want = ""
         assert message.startswith(want) and (kind == "ran") == (want == "")
@@ -1412,10 +1424,10 @@ class TestPreparedCall:
     @pytest.mark.parametrize("access", ["sci", "ics"])
     def test_each_fact_is_matched_alone(self, access):
         # Changing any one fact a repeat is matched on fails the match, and
-        # restoring it matches again: the call's spec, E, A, B and registry,
-        # and, where Python matches them (the lanes path), a flat buffer's
-        # shape changed in place.  No operand field can change: each
-        # assignment is refused.
+        # restoring it matches again: the call's spec, E, A, B and registry.
+        # A flat buffer's shape changed in place is the kept runner's to
+        # find: it returns False and writes nothing.  No operand field can
+        # change: each assignment is refused.
         s = spec(Layout.ColMajor, 2, 3, 4, access)
         E = 5
         a, b, c = operands = self.operands(access, E, 67)
@@ -1425,15 +1437,15 @@ class TestPreparedCall:
             prepared = c._prepared
 
             def repeats(*call):
-                return runtime_mod._repeats(prepared, *(call or (s, E, a, b, c, registry)))
+                return runtime_mod._repeats(prepared, *(call or (s, E, a, b, registry)))
 
             missed = [
                 index for index, call in enumerate([
-                    (spec(Layout.RowMajor, 2, 3, 4, access), E, a, b, c, registry),
-                    (s, E - 1, a, b, c, registry),
-                    (s, E, copy.copy(a), b, c, registry),
-                    (s, E, a, copy.copy(b), c, registry),
-                    (s, E, a, b, c, build_registry(s)),
+                    (spec(Layout.RowMajor, 2, 3, 4, access), E, a, b, registry),
+                    (s, E - 1, a, b, registry),
+                    (s, E, copy.copy(a), b, registry),
+                    (s, E, a, copy.copy(b), registry),
+                    (s, E, a, b, build_registry(s)),
                 ]) if repeats(*call)
             ]
             for which, operand in zip("ABC", operands):
@@ -1443,11 +1455,92 @@ class TestPreparedCall:
                 if operand.kind is not AccessKind.Indexed:
                     shape = operand.data.shape
                     operand.data.shape = (1, -1)
-                    if repeats():
+                    before = [m.tobytes() for m in buffers_of(*operands)]
+                    if prepared.runner(0.5, 1.0) is not False:
                         missed.append((which, "shape"))
+                    if [m.tobytes() for m in buffers_of(*operands)] != before:
+                        missed.append((which, "written"))
                     operand.data.shape = shape
             assert missed == []
             assert repeats()
+
+    @pytest.mark.parametrize(
+        "served",
+        ["lanes", "sequential", "compiled", "compiled_without_reader", "without_bind", "fallback"],
+    )
+    def test_every_kept_runner_keeps_one_contract(self, served, monkeypatch):
+        # Whatever serves the call, the runner run_batched keeps returns
+        # True with batched_ref's bytes; returns False, with nothing written
+        # or counted, after a flat A is reshaped in place; and refuses a
+        # read-only C by name, with nothing written and no call or fallback
+        # counted.  The same runner then runs again once C is writable.
+        if served.startswith("compiled") and not jit_available():
+            pytest.skip("no C compiler (cc) on PATH")
+        if served == "compiled_without_reader":
+            monkeypatch.setattr(vectorize, "table_reader", lambda: None)
+        access = "sic" if served == "sequential" else "sci"
+        s = spec(Layout.ColMajor, 2, 3, 4, access)
+        E = 5
+        got, want = self.operands(access, E, 69), self.operands(access, E, 69)
+        kernel = build_registry(s).lookup(kernel_name(s))
+        registry = KernelRegistry(
+            {} if served == "fallback"
+            else {kernel_name(s): (lambda *args: kernel(*args)) if served == "without_bind" else kernel}
+        )
+
+        def state():
+            return [m.tobytes() for m in buffers_of(*got)], dict(kernel.path_counts), registry.fallback_count
+
+        with use_jit(served not in ("lanes", "sequential")):
+            run = runtime_mod._prepare(s, E, *got[:2], got[2], registry).runner
+            assert run(1.5, 0.5) is True
+            batched_ref(s, E, GemmScalars(1.5, 0.5), *want)
+            after_first = state()
+            assert after_first[0] == [m.tobytes() for m in buffers_of(*want)]
+            shape = got[0].data.shape
+            got[0].data.shape = (1, -1)
+            assert run(0.5, 1.0) is False
+            assert state() == after_first
+            got[0].data.shape = shape
+            if access == "sci":
+                flags, message = got[2].table[E - 1].flags, f"table entry {E - 1}"
+            else:
+                flags, message = got[2].data.flags, "buffer"
+            flags.writeable = False
+            with pytest.raises(ValueError, match=f"^operand C: {message} is read-only$"):
+                run(0.5, 1.0)
+            assert state() == after_first
+            flags.writeable = True
+            assert run(-1.0, 0.25) is True
+            batched_ref(s, E, GemmScalars(-1.0, 0.25), *want)
+        path = {
+            "compiled_without_reader": "compiled",
+            "without_bind": "compiled" if jit_available() else "lanes",
+        }.get(served, served)
+        assert state() == (
+            [m.tobytes() for m in buffers_of(*want)],
+            {} if served == "fallback" else {path: 2},
+            2 if served == "fallback" else 0,
+        )
+
+    @pytest.mark.parametrize("served", ["bind", "without_bind", "fallback"])
+    def test_a_kept_call_does_not_keep_its_c(self, served):
+        # C holds its kept call, so the call must not hold C: once the
+        # caller drops C it is freed by reference counting alone, with the
+        # cycle collector off.
+        s = spec(Layout.ColMajor, 2, 3, 4, "cii")
+        kernel = build_registry(s).lookup(kernel_name(s))
+        entry = {"bind": kernel, "without_bind": lambda *args: kernel(*args)}.get(served)
+        registry = KernelRegistry({} if entry is None else {kernel_name(s): entry})
+        a, b, c = make_operands(s, 4, np.random.default_rng(70))
+        run_batched(s, 4, 1.0, a, b, 0.0, c, registry=registry)
+        kept = weakref.ref(c)
+        gc.disable()
+        try:
+            del c
+            assert kept() is None
+        finally:
+            gc.enable()
 
     @needs_reader
     @pytest.mark.parametrize("access", ["cis", "cii"])
@@ -1455,7 +1548,8 @@ class TestPreparedCall:
         # With the table reader, a compiled repeat makes one ctypes call,
         # the reader's run_prepared, with this call's alpha and beta: no
         # other call of the reader, no contract check and no Python-level
-        # scan of C.  That call runs and counts the kernel.
+        # scan of C.  That call runs and counts the kernel.  The call is
+        # never kept by vectorize.checked, whose runs check in Python.
         s = spec(Layout.ColMajor, 2, 3, 4, access)
         E = 5
         a, b, c = make_operands(s, E, np.random.default_rng(66))
@@ -1473,18 +1567,18 @@ class TestPreparedCall:
             **{name: counted(name) for name in ("first_read_only", "entries", "run_prepared")}
         )
         monkeypatch.setattr(vectorize, "table_reader", lambda: counting)
+        kept = self.count(monkeypatch, vectorize, "checked")
         with use_jit(True):
             run_batched(s, E, 1.5, a, b, 0.5, c, registry=registry)
             batched_ref(s, E, GemmScalars(1.5, 0.5), *want)
             del calls[:]
             prepared = self.count(monkeypatch, runtime_mod, "_prepare")
             scans = self.count(monkeypatch, PointerTable, "check_writable")
-            flat_scans = self.count(monkeypatch, BatchedOperand, "_check_writable")
             for alpha, beta in [(0.5, 1.0), (-1.0, 0.0)]:
                 run_batched(s, E, alpha, a, b, beta, c, registry=registry)
                 batched_ref(s, E, GemmScalars(alpha, beta), *want)
         assert calls == [("run_prepared", 0.5, 1.0), ("run_prepared", -1.0, 0.0)]
-        assert (len(prepared), len(scans), len(flat_scans)) == (0, 0, 0)
+        assert (len(prepared), len(scans), len(kept)) == (0, 0, 0)
         assert [m.tobytes() for m in buffers_of(c)] == [m.tobytes() for m in buffers_of(want[2])]
         assert registry.lookup(kernel_name(s)).path_counts == {"compiled": 3}
         assert registry.lookup(kernel_name(s)).path_elements == {"compiled": 3 * E}
@@ -1697,10 +1791,10 @@ class TestTableValue:
 
     def test_c_writability_is_scanned_once_per_call(self, monkeypatch):
         # run_batched scans an Indexed C's writable flags once on every
-        # call: in validate on the first, and on repeats with the prepared
-        # call's reader, or, on the compiled path with that reader, inside
-        # the repeat's one C call (no Python-level scan; see the next test),
-        # and the kernel's bound call does not scan them again.  A plain
+        # call, in the kept runner: in Python with the table reader's scan
+        # where there is one, or, on the compiled path with that reader,
+        # inside the run's one C call (no Python-level scan; see the next
+        # test), and the kernel's bound call does not scan them again.  A plain
         # function wrapped around the kernel has no bind of its own, so it
         # is called with every argument and the kernel scans C again, as a
         # direct kernel call does: in its one C call where the reader is
@@ -1740,7 +1834,7 @@ class TestTableValue:
                 for _ in range(2)
             ]
         assert seen == {
-            "compiled": [1, 0, 0] if has_reader_headers else [1, 1, 1],
+            "compiled": [0, 0, 0] if has_reader_headers else [1, 1, 1],
             "lanes": [1, 1, 1], "fallback": [1, 1, 1],
             "wrapped": [1, 1, 1] if has_reader_headers else [2, 2, 2],
             "direct": [0, 0] if has_reader_headers else [1, 1],
