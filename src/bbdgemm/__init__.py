@@ -32,7 +32,7 @@ from .codegen import (
     parse_manifest,
     write_kernel_package,
 )
-from .reference import GemmScalars, batched_ref, dgemm_ref
+from .reference import GemmScalars, batched_ref, bind_dgemm, dgemm_ref
 from .runtime import (
     BatchedOperand,
     KernelRegistry,
@@ -63,6 +63,7 @@ __all__ = [
     "PressureReport",
     "ScratchBuffer",
     "batched_ref",
+    "bind_dgemm",
     "build_pointer_table",
     "default_registry",
     "dgemm_ref",

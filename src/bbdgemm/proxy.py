@@ -6,7 +6,10 @@ and each timestep runs a short chain of GEMMs per tensor component.  Two
 interchangeable variants are provided:
 
 * ``scalar``  - the reference loop nest: cells outermost, components inner,
-  one naive GEMM call per chain step, per-cell fixed-size scratch.
+  one naive GEMM per chain step, one cell's worth of scratch.  A state
+  binds each of these GEMMs once, on its first scalar timestep
+  (:func:`~bbdgemm.reference.bind_dgemm`), and every timestep runs the
+  bound calls with the step's alpha and beta.
 * ``vector``  - the loop-interchanged variant: the cell loop becomes the
   batch dimension of one ``run_batched`` call per chain step per component,
   with scratch grown dynamically to cover all cells.  Cell storage never
@@ -40,7 +43,9 @@ from .core import (
     matrix_span,
     operand_dims,
 )
-from .reference import dgemm_ref
+# dgemm_ref stays importable here: the benchmark's trace (perfbench/spans.py)
+# wraps ``proxy.dgemm_ref`` by name.
+from .reference import bind_dgemm, dgemm_ref
 from .runtime import (
     BatchedOperand,
     KernelRegistry,
@@ -277,13 +282,16 @@ def _validate_chain(config: ProxyConfig) -> None:
 class ProxyState:
     """Mutable run state: input/output tensors per cell plus shared constants.
 
-    ``pointer_tables`` holds one ``(qin, qout)`` pair of Indexed operands per
-    component; the first batched timestep builds them and every later one
-    reuses them, as it reuses ``scratch``.  Beside them it builds the
-    operands of every chain step: the Constants, and one Strided operand
-    per component and step over the scratch, built again when the scratch
-    array changes.  Replacing a cell's matrices or a constant after that
-    needs ``pointer_tables`` reset to None.
+    Each mode binds its calls over the cells' matrices and the constants on
+    its first timestep and reuses them on every later one.  Vector mode
+    keeps ``pointer_tables``, one ``(qin, qout)`` pair of Indexed operands
+    per component, the operands of every chain step beside them (the
+    Constants, and one Strided operand per component and step over
+    ``scratch``, built again when the scratch array changes) and ``scratch``.
+    Scalar mode keeps each GEMM bound by
+    :func:`~bbdgemm.reference.bind_dgemm`, with its scratch.  After
+    replacing a cell's matrices or a constant, call :meth:`unbind`, in
+    either mode; the next timestep then binds afresh.
     """
 
     config: ProxyConfig
@@ -295,6 +303,14 @@ class ProxyState:
     scratch: ScratchBuffer = field(default_factory=ScratchBuffer)
     # (config, pointer_tables, scratch array) the step operands were built for, and they.
     _step_operands: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # (config, its (run, alpha, beta) list): scalar mode's bound GEMMs.
+    _ref_runs: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def unbind(self) -> None:
+        """Drop every table, operand and run bound over the cells' matrices and the constants."""
+        self.pointer_tables = None
+        self._step_operands = None
+        self._ref_runs = None
 
 
 def build_state(config: ProxyConfig) -> ProxyState:
@@ -341,46 +357,63 @@ def build_state(config: ProxyConfig) -> ProxyState:
 
 
 def _resolve_ref_operand(
-    state: ProxyState, binding: str, cell: int, component: int, scratch: np.ndarray
+    config: ProxyConfig,
+    state: ProxyState,
+    binding: str,
+    cell: int,
+    component: int,
+    scratch: np.ndarray,
 ):
+    """``(buffer, ld)`` of *binding* for one cell and component."""
     if binding in CONSTANT_BINDINGS:
         return state.constants[binding], state.constant_lds[binding]
     if binding == "qin":
         return state.qin[cell].component(component), state.qin[cell].ld
     if binding == "qout":
         return state.qout[cell].component(component), state.qout[cell].ld
-    return scratch, None  # ld filled in by the caller from the writing step
+    return scratch, config.scratch_ld
 
 
 def compute_local_integration_ref(config: ProxyConfig, state: ProxyState) -> None:
-    """Reference loop nest: per cell, per component, run the chain's GEMMs."""
+    """Reference loop nest: per cell, per component, run the chain's GEMMs.
+
+    The first call on *state* for *config* binds every GEMM once
+    (:func:`~bbdgemm.reference.bind_dgemm`) over a scratch of its own, and
+    keeps the runs on *state*; each call runs them in cell, component, step
+    order.
+    """
+    built = state._ref_runs
+    if built is None or built[0] is not config:
+        built = (config, _bind_ref_runs(config, state))
+        state._ref_runs = built
+    for run, alpha, beta in built[1]:
+        run(alpha, beta)
+
+
+def _bind_ref_runs(config: ProxyConfig, state: ProxyState) -> list:
+    """``(run, alpha, beta)`` of every GEMM of the loop nest, in the order it runs them.
+
+    All binds share one dict of views, so the GEMMs of every cell share one
+    view of each constant and of the scratch; only those of a cell's own
+    matrices are the cell's.
+    """
     scratch = np.zeros(max(config.scratch_per_element, 1), dtype=np.float64)
-    scratch_ld = config.scratch_ld
+    views: dict = {}
+    runs = []
     for cell in range(config.cells):
         for component in range(config.components):
             for step in config.chain:
                 shape = step.spec.shape
-                buffers = []
-                for which, binding in zip("ABC", step.bindings()):
-                    buf, ld = _resolve_ref_operand(state, binding, cell, component, scratch)
-                    if ld is None:
-                        ld = scratch_ld
-                    buffers.append((buf, ld))
-                (a, lda), (b, ldb), (c, ldc) = buffers
-                dgemm_ref(
-                    step.spec.layout,
-                    shape.n,
-                    shape.m,
-                    shape.k,
-                    step.alpha,
-                    a,
-                    lda,
-                    b,
-                    ldb,
-                    step.beta,
-                    c,
-                    ldc,
+                (a, lda), (b, ldb), (c, ldc) = (
+                    _resolve_ref_operand(config, state, binding, cell, component, scratch)
+                    for binding in step.bindings()
                 )
+                run = bind_dgemm(
+                    step.spec.layout, shape.n, shape.m, shape.k, a, lda, b, ldb, c, ldc,
+                    views=views,
+                )
+                runs.append((run, step.alpha, step.beta))
+    return runs
 
 
 def compute_local_integration_batched(

@@ -17,14 +17,17 @@ payload, which is why the edge tests (``tests/test_runtime.py``,
 
 This module is deliberately simple; its only job is to be obviously correct,
 so it uses numpy and plain Python only, never compiled kernels.
-``_dgemm_flat`` is the definition of one GEMM.  So that large validation
-runs finish in reasonable time, C-contiguous float64 ndarrays take
-``_dgemm_products``: one broadcast multiply forms all k*n*m products on
-numpy views, and k adds sum them into a zeroed (n, m) accumulator in
-ascending k, each as ``product + acc``.  Every output element sees the same
-multiplies and the same adds, with the same operands in the same order, as
-on ``_dgemm_flat``, so the two agree bit for bit.  Other buffer types
-(memoryviews, strided views) run ``_dgemm_flat`` itself.
+``_dgemm_flat`` is the definition of one GEMM.  ``bind_dgemm`` checks one
+GEMM and returns it as a function of ``(alpha, beta)``; ``dgemm_ref`` is
+that function called once, and a caller that repeats a GEMM (the proxy's
+scalar loop nest) binds it once and runs it many times.  So that large
+validation runs finish in reasonable time, C-contiguous float64 ndarrays
+take ``_DgemmProducts`` on numpy views built at bind time: one broadcast
+multiply forms all k*n*m products, and k adds sum them into a zeroed
+(n, m) accumulator in ascending k, each as ``product + acc``.  Every output
+element sees the same multiplies and the same adds, with the same operands
+in the same order, as on ``_dgemm_flat``, so the two agree bit for bit.
+Other buffer types (memoryviews, strided views) run ``_dgemm_flat`` itself.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .core import AccessKind, KernelSpec, Layout, flat_float64_buffers, matrix_s
 if TYPE_CHECKING:
     from .runtime import BatchedOperand
 
-__all__ = ["GemmScalars", "dgemm_ref", "batched_ref"]
+__all__ = ["GemmScalars", "bind_dgemm", "dgemm_ref", "batched_ref"]
 
 
 @dataclass(frozen=True)
@@ -54,7 +57,7 @@ def _dgemm_flat(col_major, n, m, k, alpha, a, lda, b, ldb, beta, c, ldc):
     # Triple loop.  Each output element gets the generated kernels' sequence:
     # zero, one multiply-add per t in ascending t, alpha, then the beta
     # combine; the order across elements does not change any bit, which is
-    # what lets _dgemm_products form all products before any add.  beta == 0
+    # what lets _DgemmProducts form all products before any add.  beta == 0
     # never reads C (overwrite semantics).
     for col in range(m):
         for row in range(n):
@@ -76,32 +79,114 @@ def _dgemm_flat(col_major, n, m, k, alpha, a, lda, b, ldb, beta, c, ldc):
             c[idx] = cv * beta + acc
 
 
-def _dgemm_products(col_major, n, m, k, alpha, a, lda, b, ldb, beta, c, ldc):
-    # _dgemm_flat's arithmetic on (rows, cols) views of contiguous buffers
-    # that dgemm_ref has bounds-checked: one broadcast multiply forms every
-    # product, products[t, row, col] = A[row, t] * B[t, col], and the slabs
-    # are then added into a zeroed accumulator in ascending t, each as
-    # ``product + acc`` like the triple loop's ``av * bv + acc``.
-    A = _matrix_view(a, n, k, lda, col_major)
-    B = _matrix_view(b, k, m, ldb, col_major)
-    C = _matrix_view(c, n, m, ldc, col_major)
-    products = A.T[:, :, None] * B[:, None, :]
-    acc = np.zeros((n, m))
-    for product in products:
-        np.add(product, acc, out=acc)
-    acc = acc * alpha
-    cv = C if beta != 0.0 else 0.0
-    C[...] = cv * beta + acc
+class _DgemmProducts:
+    """_dgemm_flat's arithmetic on views that bind_dgemm built over checked, contiguous buffers.
+
+    A is viewed as (k, n, 1), B as (k, 1, m) and C as (n, m).  Each call
+    forms every product in one broadcast multiply, products[t, row, col] =
+    A[row, t] * B[t, col], and adds the slabs into a zeroed accumulator in
+    ascending t, each as ``product + acc`` like the triple loop's
+    ``av * bv + acc``; alpha scales the sums in place, and the beta combine
+    writes C, in the loop's operand order.  A class with slots, not a
+    closure: a caller may keep one per GEMM of a large loop nest.
+    """
+
+    __slots__ = ("A", "B", "C")
+
+    def __init__(self, A, B, C):
+        self.A, self.B, self.C = A, B, C
+
+    def __call__(self, alpha, beta):
+        C = self.C
+        products = self.A * self.B
+        acc = np.zeros(C.shape)
+        for product in products:
+            np.add(product, acc, acc)
+        np.multiply(acc, float(alpha), acc)
+        beta = float(beta)
+        cv = C if beta != 0.0 else 0.0
+        np.add(cv * beta, acc, C)
 
 
-def _matrix_view(buf, rows, cols, ld, col_major):
-    step = buf.itemsize
-    strides = (step, ld * step) if col_major else (ld * step, step)
-    return np.ndarray((rows, cols), buf.dtype, buf, 0, strides)
+def _view(views, buf, shape, strides):
+    """View of flat float64 *buf* at byte *strides*: the one *views* holds when it views *buf*."""
+    if views is None:
+        return np.ndarray(shape, np.float64, buf, 0, strides)
+    key = (shape, strides)
+    kept = views.get(key)
+    if kept is None or kept[0] is not buf:
+        kept = views[key] = (buf, np.ndarray(shape, np.float64, buf, 0, strides))
+    return kept[1]
 
 
 def _last_offset(rows, cols, ld, col_major):
     return (cols - 1) * ld + rows - 1 if col_major else (rows - 1) * ld + cols - 1
+
+
+def bind_dgemm(
+    layout: Layout,
+    n: int,
+    m: int,
+    k: int,
+    a,
+    lda: int,
+    b,
+    ldb: int,
+    c,
+    ldc: int,
+    *,
+    views: dict | None = None,
+):
+    """Check one GEMM over flat buffers and return it as a function of ``(alpha, beta)``.
+
+    The checks are :func:`dgemm_ref`'s, made here, before any element is
+    read or written.  Each call of the returned run computes
+    C := alpha*A@B + beta*C on these buffers with its own alpha and beta,
+    converted by ``float()``, and keeps nothing between calls but the
+    buffers and views bound here.  The buffers must keep their length while
+    the run is kept.
+
+    *views* is a dict a caller binding many GEMMs passes to every bind: for
+    each view shape it holds the last buffer viewed so and the view, which
+    the next bind over that same buffer reuses, so GEMMs that share a buffer
+    share one view of it.  It changes no result.
+    """
+    if n < 1 or m < 1 or k < 1:
+        raise ValueError(f"dimensions must be positive, got n={n} m={m} k={k}")
+    col_major = layout is Layout.ColMajor
+    min_lda, min_ldb, min_ldc = (n, k, n) if col_major else (k, m, m)
+    if lda < min_lda or ldb < min_ldb or ldc < min_ldc:
+        raise ValueError(
+            f"leading dimensions (lda={lda}, ldb={ldb}, ldc={ldc}) below minima "
+            f"({min_lda}, {min_ldb}, {min_ldc}) for {layout.value} n={n} m={m} k={k}"
+        )
+    for which, buf, rows, cols, ld in (
+        ("a", a, n, k, lda), ("b", b, k, m, ldb), ("c", c, n, m, ldc)
+    ):
+        last = _last_offset(rows, cols, ld, col_major)
+        if len(buf) <= last:
+            raise IndexError(
+                f"buffer {which} holds {len(buf)} elements, a {rows}x{cols} "
+                f"{layout.value} matrix at ld={ld} addresses {last + 1}"
+            )
+    if not (
+        flat_float64_buffers((a, b, c)) and all(buf.flags.c_contiguous for buf in (a, b, c))
+    ):
+
+        def run(alpha, beta):
+            _dgemm_flat(col_major, n, m, k, float(alpha), a, lda, b, ldb, float(beta), c, ldc)
+
+        return run
+    # Byte strides of each matrix's row and column steps.
+    if col_major:
+        ar, ac, br, bc, cr, cc = 8, 8 * lda, 8, 8 * ldb, 8, 8 * ldc
+    else:
+        ar, ac, br, bc, cr, cc = 8 * lda, 8, 8 * ldb, 8, 8 * ldc, 8
+    return _DgemmProducts(
+        _view(views, a, (k, n, 1), (ac, ar, 0)),
+        _view(views, b, (k, 1, m), (br, 0, bc)),
+        _view(views, c, (n, m), (cr, cc)),
+    )
 
 
 def dgemm_ref(
@@ -124,31 +209,9 @@ def dgemm_ref(
     ``c`` must not alias ``a`` or ``b``.  With beta == 0, C is overwritten
     without being read.  A buffer may end right after the last element it
     addresses; one shorter than that raises ``IndexError`` before any
-    element is read or written.
+    element is read or written.  It is :func:`bind_dgemm`'s run, called once.
     """
-    if n < 1 or m < 1 or k < 1:
-        raise ValueError(f"dimensions must be positive, got n={n} m={m} k={k}")
-    col_major = layout is Layout.ColMajor
-    min_lda, min_ldb, min_ldc = (n, k, n) if col_major else (k, m, m)
-    if lda < min_lda or ldb < min_ldb or ldc < min_ldc:
-        raise ValueError(
-            f"leading dimensions (lda={lda}, ldb={ldb}, ldc={ldc}) below minima "
-            f"({min_lda}, {min_ldb}, {min_ldc}) for {layout.value} n={n} m={m} k={k}"
-        )
-    for which, buf, rows, cols, ld in (
-        ("a", a, n, k, lda), ("b", b, k, m, ldb), ("c", c, n, m, ldc)
-    ):
-        last = _last_offset(rows, cols, ld, col_major)
-        if len(buf) <= last:
-            raise IndexError(
-                f"buffer {which} holds {len(buf)} elements, a {rows}x{cols} "
-                f"{layout.value} matrix at ld={ld} addresses {last + 1}"
-            )
-    if flat_float64_buffers((a, b, c)) and all(buf.flags.c_contiguous for buf in (a, b, c)):
-        fn = _dgemm_products
-    else:
-        fn = _dgemm_flat
-    fn(col_major, n, m, k, float(alpha), a, lda, b, ldb, float(beta), c, ldc)
+    bind_dgemm(layout, n, m, k, a, lda, b, ldb, c, ldc)(alpha, beta)
 
 
 def _resolve(operand: "BatchedOperand", kind: AccessKind, e: int, span: int):

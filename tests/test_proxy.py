@@ -10,6 +10,7 @@ from bbdgemm.core import AccessKind, KernelShape, KernelSpec, Layout
 from bbdgemm.proxy import (
     ChainStep,
     ProxyConfig,
+    ProxyState,
     build_state,
     compare_dumps,
     compute_local_integration_batched,
@@ -56,6 +57,19 @@ def small_registry():
 def qout_snapshot(state):
     return np.stack(
         [np.stack([np.array(c) for c in cell.matrices]) for cell in state.qout]
+    )
+
+
+def unbound_copy(state):
+    """A state holding copies of *state*'s matrices and constants, with nothing bound."""
+
+    def cells(batches):
+        return [replace(cell, matrices=[m.copy() for m in cell.matrices]) for cell in batches]
+
+    return ProxyState(
+        config=state.config, qin=cells(state.qin), qout=cells(state.qout),
+        constants={name: data.copy() for name, data in state.constants.items()},
+        constant_lds=dict(state.constant_lds),
     )
 
 
@@ -169,6 +183,63 @@ class TestReferenceVariant:
         run_proxy_state(config1, carried)
         run_proxy_state(config1, carried)
         assert np.array_equal(qout_snapshot(double), qout_snapshot(carried))
+
+    def test_a_state_binds_each_gemm_once(self, monkeypatch):
+        # build_state binds nothing; the first of three one-timestep runs
+        # binds each (cell, component, step) GEMM once, the others none, and
+        # the bytes are one three-timestep run's and the vector mode's.
+        bound = []
+        bind = proxy_mod.bind_dgemm
+        monkeypatch.setattr(
+            proxy_mod, "bind_dgemm", lambda *args, **kw: bound.append(args) or bind(*args, **kw)
+        )
+        config = small_config(timesteps=3)
+        stepped = build_state(config)
+        seen = [len(bound)]
+        for _ in range(3):
+            run_proxy_state(config, stepped, timesteps=1)
+            seen.append(len(bound))
+        gemms = config.cells * config.components * len(config.chain)
+        assert seen == [0, gemms, gemms, gemms]
+        # One view of each constant and of the scratch serves every cell;
+        # each cell's own matrices have views of their own.
+        first, second = (
+            [run for run, _, _ in stepped._ref_runs[1][step::2]] for step in range(2)
+        )
+        for runs, shared, own in ((first, "AC", "B"), (second, "AB", "C")):
+            for which in shared:
+                assert len({id(getattr(run, which)) for run in runs}) == 1
+            assert len({id(getattr(run, own)) for run in runs}) == len(runs) == gemms // 2
+        whole = run_proxy(config)
+        with use_jit(False):
+            vector = run_proxy(small_config(mode="vector", timesteps=3), registry=small_registry())
+        assert qout_snapshot(stepped).tobytes() == qout_snapshot(whole).tobytes()
+        assert qout_snapshot(stepped).tobytes() == qout_snapshot(vector).tobytes()
+
+    @pytest.mark.parametrize("mode", ["scalar", "vector"])
+    @pytest.mark.parametrize("replaced", ["cell_matrix", "constant"])
+    def test_unbind_after_replacing_data_gives_the_new_bytes(self, mode, replaced):
+        # After a timestep, a cell's matrix or a constant is replaced by a
+        # new array and the state unbound: the next timestep gives the bytes
+        # of a never-bound state holding the new data, not those of the old.
+        config = small_config(mode=mode, timesteps=1)
+        registry = small_registry()
+        state = build_state(config)
+        rng = np.random.default_rng(8)
+        with use_jit(False):
+            run_proxy_state(config, state, registry=registry)
+            old = unbound_copy(state)
+            if replaced == "cell_matrix":
+                state.qin[5].matrices[1] = rng.uniform(-1.0, 1.0, state.qin[5].matrices[1].size)
+            else:
+                state.constants["op1"] = rng.uniform(-1.0, 1.0, state.constants["op1"].size)
+            new = unbound_copy(state)
+            state.unbind()
+            for advanced in (state, new, old):
+                run_proxy_state(config, advanced, registry=registry)
+        assert registry.fallback_count == 0
+        assert qout_snapshot(state).tobytes() == qout_snapshot(new).tobytes()
+        assert qout_snapshot(state).tobytes() != qout_snapshot(old).tobytes()
 
 
 class TestBatchedVariant:

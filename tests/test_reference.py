@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 from bbdgemm import reference
 from bbdgemm.bench import clone_operand, output_elements
 from bbdgemm.core import AccessKind, KernelShape, KernelSpec, Layout
-from bbdgemm.reference import GemmScalars, _dgemm_flat, _dgemm_products, batched_ref, dgemm_ref
+from bbdgemm.reference import (
+    GemmScalars, _DgemmProducts, _dgemm_flat, batched_ref, bind_dgemm, dgemm_ref,
+)
 from bbdgemm.runtime import BatchedOperand
 
 from conftest import make_operands
@@ -126,11 +128,14 @@ def edge_buffers(rng, col_major, n, m, k, pad, share):
 
 
 def run_both(col_major, n, m, k, alpha, buffers, lds, beta):
-    """C after _dgemm_products and after _dgemm_flat, as bytes."""
+    """C after bind_dgemm's product pass and after _dgemm_flat, as bytes."""
     (a, b, c), (lda, ldb, ldc) = buffers, lds
     c_flat = c.copy()
+    layout = Layout.ColMajor if col_major else Layout.RowMajor
+    run = bind_dgemm(layout, n, m, k, a, lda, b, ldb, c, ldc)
+    assert type(run) is _DgemmProducts
     with np.errstate(over="ignore", invalid="ignore"):
-        _dgemm_products(col_major, n, m, k, alpha, a, lda, b, ldb, beta, c, ldc)
+        run(alpha, beta)
         _dgemm_flat(col_major, n, m, k, alpha, a, lda, b, ldb, beta, c_flat, ldc)
     return c.tobytes(), c_flat.tobytes()
 
@@ -185,13 +190,13 @@ class TestDgemmProducts:
         assert np.array_equal(c, [want], equal_nan=True)
 
     @pytest.mark.parametrize("as_view, path", [
-        (lambda buf: buf, "_dgemm_products"),
+        (lambda buf: buf, "_DgemmProducts"),
         (lambda buf: memoryview(buf), "_dgemm_flat"),
         (lambda buf: np.repeat(buf, 2)[::2], "_dgemm_flat"),
     ], ids=["contiguous", "memoryview", "every-other"])
     def test_dgemm_ref_picks_the_path_by_buffer(self, monkeypatch, as_view, path):
         calls = []
-        for name in ("_dgemm_products", "_dgemm_flat"):
+        for name in ("_DgemmProducts", "_dgemm_flat"):
             fn = getattr(reference, name)
             monkeypatch.setattr(
                 reference, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args)
@@ -239,6 +244,82 @@ class TestDgemmProducts:
             dgemm_ref(layout, n, m, k, 1.0, views[0], lds[0], views[1], lds[1], 1.0,
                       views[2], lds[2])
         assert [parent.tobytes() for parent in parents] == before
+
+
+class TestBindDgemm:
+    """One check and bind, then any number of runs, each with its own alpha and beta."""
+
+    @pytest.mark.parametrize("as_view", [
+        lambda buf: buf, lambda buf: memoryview(buf), lambda buf: np.repeat(buf, 2)[::2],
+    ], ids=["contiguous", "memoryview", "every-other"])
+    @pytest.mark.parametrize("layout", list(Layout))
+    def test_each_run_takes_its_own_scalars(self, layout, as_view):
+        # One bound call run in turn with beta 0 over a NaN-filled C, beta
+        # 0.0 then -0.0 (alpha -1 turns an all-zero row's sums into -0.0,
+        # which only the sign of beta's zero then sets), and alpha 0; each
+        # run gives _dgemm_flat's bytes for its own pair.
+        col_major = layout is Layout.ColMajor
+        n, m, k = 3, 4, 5
+        rng = np.random.default_rng(45)
+        (a, b, c), (lda, ldb, ldc) = gemm_buffers(rng, col_major, n, m, k, pad=1)
+        a[0 :: lda if col_major else 1][:k] = 0.0  # row 0 of A
+        a_in, b_in, c_in = as_view(a), as_view(b), as_view(c)
+        run = bind_dgemm(layout, n, m, k, a_in, lda, b_in, ldb, c_in, ldc)
+        seen = []
+        for alpha, beta in ((1.3, 0.0), (-1.0, 0.0), (-1.0, -0.0), (0.0, 0.7)):
+            if not seen:
+                np.asarray(c_in)[:] = np.nan
+            want = np.array(c_in)
+            _dgemm_flat(col_major, n, m, k, alpha, a, lda, b, ldb, beta, want, ldc)
+            run(alpha, beta)
+            seen.append(np.asarray(c_in).tobytes())
+            assert seen[-1] == want.tobytes(), (alpha, beta)
+        assert seen[1] != seen[2]
+
+    @pytest.mark.parametrize("refusal, error, message", [
+        (dict(n=0), ValueError, "dimensions must be positive"),
+        (dict(m=-1), ValueError, "dimensions must be positive"),
+        (dict(lda=1), ValueError, "leading dimensions"),
+        (dict(ldc=2), ValueError, "leading dimensions"),
+        (dict(a=slice(1, None)), IndexError, "buffer a holds 11 elements"),
+        (dict(b=slice(1, None)), IndexError, "buffer b holds 7 elements"),
+        (dict(c=slice(0, -1)), IndexError, "buffer c holds 5 elements"),
+    ], ids=["n", "m", "lda", "ldc", "short_a", "short_b", "short_c"])
+    def test_every_refusal_is_the_binds(self, refusal, error, message):
+        # dgemm_ref's refusals, each raised by bind_dgemm with the same type
+        # and message, before any byte of C changes.
+        rng = np.random.default_rng(46)
+        (a, b, c), lds = gemm_buffers(rng, True, 3, 2, 4, pad=0)
+        args = dict(n=3, m=2, k=4, a=a, lda=lds[0], b=b, ldb=lds[1], c=c, ldc=lds[2])
+        for name, value in refusal.items():
+            args[name] = args[name][value] if isinstance(value, slice) else value
+        before = c.tobytes()
+        with pytest.raises(error, match=message) as bound:
+            bind_dgemm(Layout.ColMajor, **args)
+        with pytest.raises(error) as called:
+            dgemm_ref(Layout.ColMajor, alpha=1.0, beta=1.0, **args)
+        assert str(bound.value) == str(called.value)
+        assert c.tobytes() == before
+
+    def test_shared_views_dict_keeps_one_view_per_shape(self):
+        # Binds that pass one views dict share the view of a buffer they
+        # share, hold only the last buffer per view shape, and run as binds
+        # without it.
+        rng = np.random.default_rng(47)
+        a = rng.uniform(-1, 1, 6)
+        bs = [rng.uniform(-1, 1, 6) for _ in range(3)]
+        cs, alone = [np.zeros(4) for _ in bs], [np.zeros(4) for _ in bs]
+        views = {}
+        runs = [bind_dgemm(Layout.ColMajor, 2, 2, 3, a, 2, b, 3, c, 2, views=views)
+                for b, c in zip(bs, cs)]
+        assert all(run.A is runs[0].A for run in runs)
+        assert len({id(run.B) for run in runs}) == len(bs)
+        assert len(views) == 3 and all(views[key][0] is buf for key, buf in
+                                        zip(views, (a, bs[-1], cs[-1])))
+        for run, b, c in zip(runs, bs, alone):
+            run(1.5, 0.0)
+            dgemm_ref(Layout.ColMajor, 2, 2, 3, 1.5, a, 2, b, 3, 0.0, c, 2)
+        assert [c.tobytes() for c in cs] == [c.tobytes() for c in alone]
 
 
 class TestBatchedRef:

@@ -1542,6 +1542,32 @@ class TestPreparedCall:
         finally:
             gc.enable()
 
+    @pytest.mark.parametrize("caller", ["run_batched", "direct"])
+    def test_a_run_refused_right_after_its_bind_raises(self, caller, monkeypatch):
+        # A runner returns False when a flat operand changed since its bind,
+        # which between a bind and its first run only another thread can
+        # cause; both callers that bind and run at once then raise, with
+        # nothing written and no run or fallback counted.
+        s = spec(Layout.ColMajor, 2, 3, 4, "cis")
+        kernel = build_registry(s).lookup(kernel_name(s))
+        a, b, c = make_operands(s, 5, np.random.default_rng(71))
+        before = [m.tobytes() for m in buffers_of(a, b, c)]
+
+        def refused(alpha, beta):
+            return False
+
+        # A registry entry whose bind gives that runner; the kernel's own
+        # bind gives it when vectorize.checked, which keeps its runs, does.
+        registry = KernelRegistry({kernel_name(s): SimpleNamespace(bind=lambda *args: refused)})
+        with use_jit(False), pytest.raises(ValueError, match="changed during the call"):
+            if caller == "run_batched":
+                run_batched(s, 5, 1.0, a, b, 0.5, c, registry=registry)
+            else:
+                monkeypatch.setattr(vectorize, "checked", lambda run, payloads, kinds: refused)
+                kernel(5, 1.0, a.data, a.ld, b.table, b.ld, 0.5, c.data, c.ld, 8, 12, 6)
+        assert [m.tobytes() for m in buffers_of(a, b, c)] == before
+        assert dict(kernel.path_counts) == {} and registry.fallback_count == 0
+
     @needs_reader
     @pytest.mark.parametrize("access", ["cis", "cii"])
     def test_a_compiled_repeat_is_one_c_call(self, access, monkeypatch):
