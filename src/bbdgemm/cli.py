@@ -22,12 +22,6 @@ def genkernels_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--manifest", required=True, help="manifest file, one spec per line")
     parser.add_argument("--out-dir", required=True, help="directory for the generated package")
     parser.add_argument(
-        "--max-dim",
-        type=int,
-        default=codegen.DEFAULT_MAX_DIM,
-        help="per-dimension shape bound (default %(default)s)",
-    )
-    parser.add_argument(
         "--emit-report",
         metavar="CSV-PATH",
         help="also write a per-kernel register-pressure report",
@@ -37,7 +31,7 @@ def genkernels_main(argv: list[str] | None = None) -> int:
     text = Path(args.manifest).read_text(encoding="utf-8")
     try:
         manifest = codegen.parse_manifest(text, source=args.manifest)
-        written = codegen.write_kernel_package(manifest, args.out_dir, max_dim=args.max_dim)
+        written = codegen.write_kernel_package(manifest, args.out_dir)
     except ValueError as error:
         print(f"genkernels: {error}", file=sys.stderr)
         return 1

@@ -32,11 +32,11 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .core import (
     AccessKind,
-    KernelShape,
+    KernelNameError,
     KernelSpec,
     Layout,
-    is_decimal,
     kernel_name,
+    parse_spec_fields,
 )
 
 __all__ = [
@@ -57,7 +57,8 @@ __all__ = [
     "pressure_report_rows",
 ]
 
-#: Per-dimension cap on generated shapes; unbounded unrolling is unusable.
+#: Per-dimension bound on generated shapes, the same for the Python kernel
+#: and its C twin; unbounded unrolling is unusable.
 DEFAULT_MAX_DIM = 64
 
 _GENERATED_HEADER = "# Generated by genkernels. Do not edit by hand.\n"
@@ -122,35 +123,14 @@ def spec_lines(text: str, fields: str) -> Iterator[tuple[int, list[re.Match]]]:
 def parse_spec_tokens(tokens: Sequence[re.Match], lineno: int) -> KernelSpec:
     """The :class:`KernelSpec` named by a line's ``<Layout> <N> <M> <K> <abc>`` tokens.
 
-    Dimensions are ASCII decimal integers >= 1.  Raises :class:`ManifestError`
-    at the offending token's line and column.
+    The grammar is :func:`~bbdgemm.core.parse_spec_fields`, the one kernel
+    names follow.  Raises :class:`ManifestError` at the offending token's
+    line and column.
     """
-    layout_tok, n_tok, m_tok, k_tok, access_tok = tokens
     try:
-        layout = Layout(layout_tok.group())
-    except ValueError:
-        raise ManifestError(
-            f"unknown layout {layout_tok.group()!r}", lineno, layout_tok.start() + 1
-        ) from None
-    dims = []
-    for label, tok in (("N", n_tok), ("M", m_tok), ("K", k_tok)):
-        value_text = tok.group()
-        if not is_decimal(value_text):
-            raise ManifestError(
-                f"{label} is not a decimal integer: {value_text!r}", lineno, tok.start() + 1
-            )
-        value = int(value_text)
-        if value < 1:
-            raise ManifestError(f"{label} must be >= 1", lineno, tok.start() + 1)
-        dims.append(value)
-    access_text = access_tok.group()
-    if len(access_text) != 3 or any(ch not in "csi" for ch in access_text):
-        raise ManifestError(
-            f"access string must be three of c/s/i, got {access_text!r}",
-            lineno,
-            access_tok.start() + 1,
-        )
-    return KernelSpec(layout, KernelShape(*dims), *(AccessKind(ch) for ch in access_text))
+        return parse_spec_fields([tok.group() for tok in tokens])
+    except KernelNameError as error:
+        raise ManifestError(str(error), lineno, tokens[error.field].start() + 1) from None
 
 
 def parse_manifest(text: str, source: str = "<memory>") -> KernelManifest:
@@ -268,9 +248,7 @@ def _c_parameter(spec: KernelSpec, operand: str) -> str:
     return f"{const}double *restrict {operand}"
 
 
-def _kernel_statements(
-    spec: KernelSpec, max_dim: int
-) -> tuple[list[_Statement], list[_Statement], list[_Group]]:
+def _kernel_statements(spec: KernelSpec) -> tuple[list[_Statement], list[_Statement], list[_Group]]:
     """*spec*'s arithmetic: ``(loads before the batch loop, loads in it, groups)``.
 
     This is the one definition of a kernel.  Each accumulator ``rC_r_c``
@@ -282,13 +260,13 @@ def _kernel_statements(
     the columns of one row for RowMajor), so each run of a group's like
     statements reads one operand along contiguous memory (a column of A
     for ColMajor, a row of B for RowMajor) and the other at one element.
-    A constant A is loaded once, before the loop.
+    A constant A is loaded once, before the loop.  A dimension above
+    :data:`DEFAULT_MAX_DIM` raises ``ValueError``.
     """
     shape = spec.shape
-    if max(shape.n, shape.m, shape.k) > max_dim:
+    if max(shape.n, shape.m, shape.k) > DEFAULT_MAX_DIM:
         raise ValueError(
-            f"shape {shape.n}x{shape.m}x{shape.k} exceeds the per-dimension bound {max_dim}; "
-            f"raise max_dim only if the unrolled output size is acceptable"
+            f"shape {shape.n}x{shape.m}x{shape.k} exceeds the per-dimension bound {DEFAULT_MAX_DIM}"
         )
     layout = spec.layout
     n, m, k = shape.n, shape.m, shape.k
@@ -333,7 +311,7 @@ def _print(statement: _Statement, spec: KernelSpec) -> str:
     return _PYTHON_FORMS[statement.form].format(statement.var, *statement.args, x=x)
 
 
-def generate_kernel_source(spec: KernelSpec, max_dim: int = DEFAULT_MAX_DIM) -> str:
+def generate_kernel_source(spec: KernelSpec) -> str:
     """Emit the Python module implementing *spec* as one unrolled kernel.
 
     Its signature is ``(E, alpha, A, lda, B, ldb, beta, C, ldc, spanA,
@@ -343,7 +321,7 @@ def generate_kernel_source(spec: KernelSpec, max_dim: int = DEFAULT_MAX_DIM) -> 
     group, zeroes, multiply-adds for each t and applies alpha; then, group
     by group, reads C, combines and stores.
     """
-    before, body_loads, groups = _kernel_statements(spec, max_dim)
+    before, body_loads, groups = _kernel_statements(spec)
     body = (
         body_loads
         + [s for group in groups for run in group.accumulate for s in run]
@@ -403,7 +381,7 @@ def _print_chunk(chunk: _Run, located: dict[str, _Statement], spec: KernelSpec) 
     return _C_FORMS[first.form].format(first.var, *args, x=x, t=t, z=z)
 
 
-def generate_c_source(spec: KernelSpec, max_dim: int = DEFAULT_MAX_DIM) -> str:
+def generate_c_source(spec: KernelSpec) -> str:
     """Emit *spec*'s kernel as one C function, explicitly vectorised within a batch element.
 
     The function has the Python kernel's arguments::
@@ -431,7 +409,7 @@ def generate_c_source(spec: KernelSpec, max_dim: int = DEFAULT_MAX_DIM) -> str:
     contraction and fast-math off the bits are the same.  It needs a
     compiler that accepts GNU vector extensions (gcc or clang).
     """
-    before, body_loads, groups = _kernel_statements(spec, max_dim)
+    before, body_loads, groups = _kernel_statements(spec)
     located = {s.var: s for s in before + body_loads}
     a, b, c = (_c_parameter(spec, operand) for operand in "ABC")
     out = [
@@ -485,9 +463,7 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def write_kernel_package(
-    manifest: KernelManifest, out_dir: str | Path, max_dim: int = DEFAULT_MAX_DIM
-) -> list[Path]:
+def write_kernel_package(manifest: KernelManifest, out_dir: str | Path) -> list[Path]:
     """Write one module per kernel plus the dispatch ``__init__.py``.
 
     Files are written atomically (temp file + rename) so a crashed run never
@@ -498,7 +474,7 @@ def write_kernel_package(
     written: list[Path] = []
     for spec in manifest.entries:
         module_path = out_path / f"{kernel_name(spec)}.py"
-        _write_atomic(module_path, generate_kernel_source(spec, max_dim=max_dim))
+        _write_atomic(module_path, generate_kernel_source(spec))
         written.append(module_path)
     init_path = out_path / "__init__.py"
     _write_atomic(init_path, generate_dispatch_source(manifest))

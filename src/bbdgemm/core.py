@@ -3,9 +3,10 @@
 A batched kernel is fully identified by a :class:`KernelSpec`: memory layout,
 the (N, M, K) problem shape, and one access kind per operand.  The spec maps
 one-to-one onto a kernel name such as ``bbdgemm_ColMajor_2_3_4_cis``; the
-name is the key used by manifests, the dispatch table, and the CLI.
-:func:`is_decimal` and :func:`flat_float64_buffers` are the token and buffer
-tests that the parsers, the operand checks and the oracle share;
+name is the key used by manifests, the dispatch table, and the CLI, and
+:func:`parse_spec_fields` is the one grammar of its fields, which names,
+manifests and chain files share.  :func:`flat_float64_buffers` is the
+buffer test that the operand checks and the oracle share;
 :class:`PointerTable` is an Indexed operand's table of buffers as a value;
 :func:`sort_extents` finds overlap in byte extents, the contract's one rule.
 """
@@ -18,6 +19,7 @@ import threading
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import attrgetter
+from typing import Sequence
 
 import numpy as np
 
@@ -30,9 +32,9 @@ __all__ = [
     "KernelNameError",
     "kernel_name",
     "parse_kernel_name",
+    "parse_spec_fields",
     "operand_dims",
     "matrix_span",
-    "is_decimal",
     "flat_float64_buffers",
     "PointerTable",
     "read_only_error",
@@ -66,25 +68,6 @@ class AccessKind(enum.Enum):
     Constant = "c"
     Strided = "s"
     Indexed = "i"
-
-    @property
-    def suffix(self) -> str:
-        return self.value
-
-    @classmethod
-    def from_suffix(cls, letter: str) -> "AccessKind":
-        try:
-            return cls(letter)
-        except ValueError:
-            raise KernelNameError(f"unknown access suffix letter {letter!r}") from None
-
-
-def is_decimal(token: str) -> bool:
-    """True when *token* is ASCII decimal digits ``[0-9]+``, the one spelling of a dimension.
-
-    ``str.isdigit`` alone also accepts digits such as ``²`` and ``４``.
-    """
-    return token.isascii() and token.isdigit()
 
 
 _FLOAT64, _FLAT = {np.dtype(np.float64)}, {1}
@@ -258,7 +241,15 @@ def sort_extents(lo: np.ndarray, hi: np.ndarray):
 
 
 class KernelNameError(ValueError):
-    """Raised when a kernel name does not follow the naming grammar."""
+    """Raised when a kernel name or a spec's fields do not follow the naming grammar.
+
+    *field* is the index (0-4) of the offending field among ``<Layout> <N>
+    <M> <K> <abc>``, or None when the error covers the whole name.
+    """
+
+    def __init__(self, message: str, field: int | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 @dataclass(frozen=True)
@@ -303,7 +294,7 @@ class KernelSpec:
     @property
     def access_string(self) -> str:
         """Three suffix letters, always in A, B, C order."""
-        return self.access_a.suffix + self.access_b.suffix + self.access_c.suffix
+        return self.access_a.value + self.access_b.value + self.access_c.value
 
     def access(self, which: str) -> AccessKind:
         _check_operand(which)
@@ -348,10 +339,41 @@ def kernel_name(spec: KernelSpec) -> str:
     return f"bbdgemm_{spec.layout.value}_{s.n}_{s.m}_{s.k}_{spec.access_string}"
 
 
-def parse_kernel_name(name: str) -> KernelSpec:
-    """Inverse of :func:`kernel_name`.
+def parse_spec_fields(fields: Sequence[str]) -> KernelSpec:
+    """The :class:`KernelSpec` of the five fields ``<Layout> <N> <M> <K> <abc>``.
 
-    Raises :class:`KernelNameError` identifying the offending token when the
+    This is the one grammar of a spec: kernel names, manifest lines and
+    chain file lines all read their fields here.  The layout is a
+    :class:`Layout`; each dimension is ASCII decimal, at least 1 and not
+    zero-padded, so that every spec has one spelling; the access is three
+    of ``c``/``s``/``i``, for A, B and C.  Raises :class:`KernelNameError`
+    whose ``field`` is the index of the first offending field.
+    """
+    layout_token, n_token, m_token, k_token, access_token = fields
+    try:
+        layout = Layout(layout_token)
+    except ValueError:
+        raise KernelNameError(f"unknown layout {layout_token!r}", 0) from None
+    dims = []
+    for field, (label, token) in enumerate(zip("NMK", (n_token, m_token, k_token)), start=1):
+        # ASCII digits only: str.isdigit alone also accepts digits such as ² and ４.
+        if not (token.isascii() and token.isdigit()):
+            raise KernelNameError(f"dimension {label} is not a decimal integer: {token!r}", field)
+        value = int(token)
+        if value < 1:
+            raise KernelNameError(f"dimension {label} must be >= 1, got {token!r}", field)
+        if token != str(value):
+            raise KernelNameError(f"dimension {label} is zero-padded: {token!r}", field)
+        dims.append(value)
+    if len(access_token) != 3 or not set(access_token) <= {"c", "s", "i"}:
+        raise KernelNameError(f"access string must be three of c/s/i, got {access_token!r}", 4)
+    return KernelSpec(layout, KernelShape(*dims), *map(AccessKind, access_token))
+
+
+def parse_kernel_name(name: str) -> KernelSpec:
+    """Inverse of :func:`kernel_name`: the prefix, then :func:`parse_spec_fields`.
+
+    Raises :class:`KernelNameError` identifying the offending field when the
     name does not follow the grammar.
     """
     parts = name.split("_")
@@ -359,32 +381,9 @@ def parse_kernel_name(name: str) -> KernelSpec:
         raise KernelNameError(
             f"expected 6 underscore-separated fields in kernel name, got {len(parts)} in {name!r}"
         )
-    prefix, layout_token, n_token, m_token, k_token, access_token = parts
-    if prefix != "bbdgemm":
-        raise KernelNameError(f"bad kernel name prefix {prefix!r} (expected 'bbdgemm')")
-    try:
-        layout = Layout(layout_token)
-    except ValueError:
-        raise KernelNameError(f"unknown layout {layout_token!r}") from None
-
-    dims = []
-    for label, token in (("N", n_token), ("M", m_token), ("K", k_token)):
-        if not is_decimal(token):
-            raise KernelNameError(f"dimension {label} is not a decimal integer: {token!r}")
-        value = int(token)
-        if value < 1:
-            raise KernelNameError(f"dimension {label} must be >= 1, got {token!r}")
-        if token != str(value):
-            # Reject zero-padded forms like "07": they would break round-tripping.
-            raise KernelNameError(f"dimension {label} is zero-padded: {token!r}")
-        dims.append(value)
-
-    if len(access_token) != 3:
-        raise KernelNameError(
-            f"access suffix must be exactly 3 letters for A, B, C, got {access_token!r}"
-        )
-    kinds = [AccessKind.from_suffix(letter) for letter in access_token]
-    return KernelSpec(layout, KernelShape(*dims), *kinds)
+    if parts[0] != "bbdgemm":
+        raise KernelNameError(f"bad kernel name prefix {parts[0]!r} (expected 'bbdgemm')")
+    return parse_spec_fields(parts[1:])
 
 
 def operand_dims(spec: KernelSpec, which: str) -> OperandDims:

@@ -258,22 +258,18 @@ def default_registry() -> KernelRegistry:
         return _default_registry
 
 
-def load_kernel_dir(path: str | Path, package_name: str | None = None) -> KernelRegistry:
+def load_kernel_dir(path: str | Path) -> KernelRegistry:
     """Import a generated kernel directory and wrap it in a registry.
 
     *path* must contain the dispatch ``__init__.py`` written by
-    ``genkernels``.  The directory is imported under *package_name*
-    (derived from the directory name by default), so distinct directories
-    need distinct names within one process.
+    ``genkernels``.  The directory is imported under a package name derived
+    from its resolved path, so each directory is imported once per process.
     """
     directory = Path(path)
     init_file = directory / "__init__.py"
     if not init_file.exists():
         raise FileNotFoundError(f"no dispatch module at {init_file}")
-    if package_name is None:
-        sanitized = re.sub(r"[^0-9A-Za-z_]", "_", str(directory.resolve()))
-        package_name = f"_bbdgemm_kernels{sanitized}"
-    name = package_name
+    name = "_bbdgemm_kernels" + re.sub(r"[^0-9A-Za-z_]", "_", str(directory.resolve()))
     if name in sys.modules:
         return KernelRegistry(sys.modules[name].KERNELS)
     spec = importlib.util.spec_from_file_location(

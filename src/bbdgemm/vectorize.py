@@ -725,10 +725,7 @@ def vectorize_batch_loop(name: str):
             else:
                 _strided_rows(payloads[2], E, spans[2], sizes[2], writeable=True)[...] = lanes[2].T
 
-        wrapper.__wrapped__ = py_fn
         wrapper.bind = bind
-        wrapper.spec = spec
-        wrapper.kernel_name = name
         wrapper.path_counts = _PathCounts(counted_calls, compiled_counts, 0)
         wrapper.path_elements = _PathCounts(counted_elements, compiled_counts, 1)
         return wrapper

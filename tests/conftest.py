@@ -3,16 +3,16 @@ from bbdgemm.core import AccessKind, matrix_span, operand_dims
 from bbdgemm.runtime import BatchedOperand, KernelRegistry
 
 
-def build_kernel(spec, max_dim=64):
+def build_kernel(spec):
     """Compile the generated source for *spec* and return the kernel callable."""
-    source = generate_kernel_source(spec, max_dim=max_dim)
+    source = generate_kernel_source(spec)
     namespace = {}
     exec(compile(source, f"<generated {kernel_name(spec)}>", "exec"), namespace)
     return namespace[kernel_name(spec)]
 
 
-def build_registry(*specs, max_dim=64):
-    return KernelRegistry({kernel_name(s): build_kernel(s, max_dim) for s in specs})
+def build_registry(*specs):
+    return KernelRegistry({kernel_name(s): build_kernel(s) for s in specs})
 
 
 def make_operands(spec, E, rng):

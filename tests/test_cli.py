@@ -45,14 +45,19 @@ class TestGenkernels:
         assert "K must be >= 1" in capsys.readouterr().err
 
     def test_max_dim_enforced(self, tmp_path, capsys):
+        # The bound is fixed at 64, for the Python kernel and its C twin
+        # alike: a larger shape is refused, and there is no option to raise it.
         manifest = tmp_path / "big.manifest"
         manifest.write_text("ColMajor 65 1 1 ccc\n", encoding="utf-8")
         rc = genkernels_main(["--manifest", str(manifest), "--out-dir", str(tmp_path / "out")])
         assert rc == 1
-        rc = genkernels_main(
-            ["--manifest", str(manifest), "--out-dir", str(tmp_path / "out"), "--max-dim", "65"]
-        )
-        assert rc == 0
+        assert "exceeds the per-dimension bound 64" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as caught:
+            genkernels_main(
+                ["--manifest", str(manifest), "--out-dir", str(tmp_path / "out"), "--max-dim", "65"]
+            )
+        assert caught.value.code == 2
+        assert "--max-dim" in capsys.readouterr().err
 
 
 class TestProxyCli:

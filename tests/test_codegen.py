@@ -22,7 +22,15 @@ from bbdgemm.codegen import (
     pressure_report_rows,
     write_kernel_package,
 )
-from bbdgemm.core import AccessKind, KernelShape, KernelSpec, Layout, matrix_span
+from bbdgemm.core import (
+    AccessKind,
+    KernelNameError,
+    KernelShape,
+    KernelSpec,
+    Layout,
+    matrix_span,
+    parse_kernel_name,
+)
 from bbdgemm.reference import GemmScalars, batched_ref
 from bbdgemm.runtime import load_kernel_dir
 from bbdgemm.vectorize import use_jit
@@ -42,6 +50,18 @@ ALPHA_LINE = re.compile(r"^\s+rC_(\d+)_(\d+) = rC_\1_\2 \* alpha$")
 STORE_LINE = re.compile(r"^\s+C\[[^\]]+\](\[[^\]]+\])? = rC_\d+_\d+$")
 COND_LOAD_LINE = re.compile(r"^\s+vC_\d+_\d+ = C\[.+\] if beta != 0\.0 else 0\.0$")
 IN_LOOP_LOAD = re.compile(r"^        v([AB])_\d+_\d+ = [AB]\[")
+
+
+#: Valid tokens of each of a spec's five fields, and tokens no field takes.
+#: None holds an underscore, whitespace or ``#``.
+FIELD_TOKENS = (["ColMajor", "RowMajor"], *[["1", "2", "9", "64"]] * 3, ["cis", "sss", "ici"])
+BAD_TOKENS = ["DiagMajor", "colmajor", "0", "00", "07", "-4", "+4", "x", "\u00b2", "\uff14", "1e1",
+              "cix", "ci", "cisc", "CIS", "c"]
+#: Five fields, each a valid token of its own field or any token at all.
+spec_fields = st.tuples(*(
+    st.one_of(st.sampled_from(valid), st.sampled_from(sum(FIELD_TOKENS, BAD_TOKENS)))
+    for valid in FIELD_TOKENS
+))
 
 
 def count_lines(source, pattern):
@@ -265,11 +285,12 @@ class TestGeneratedSource:
         assert done.returncode == 0, done.stderr
 
     def test_shape_bound(self):
-        with pytest.raises(ValueError, match="bound"):
-            generate_kernel_source(spec(Layout.ColMajor, DEFAULT_MAX_DIM + 1, 1, 1, "ccc"))
-        generate_kernel_source(
-            spec(Layout.ColMajor, DEFAULT_MAX_DIM + 1, 1, 1, "ccc"), max_dim=DEFAULT_MAX_DIM + 1
-        )
+        # One bound for both printers: a Python kernel never lacks its C twin.
+        for generate in (generate_kernel_source, generate_c_source):
+            for dims in itertools.permutations((DEFAULT_MAX_DIM + 1, 1, 1)):
+                with pytest.raises(ValueError, match=f"per-dimension bound {DEFAULT_MAX_DIM}$"):
+                    generate(spec(Layout.ColMajor, *dims, "ccc"))
+            generate(spec(Layout.ColMajor, DEFAULT_MAX_DIM, 1, 1, "ccc"))
 
     @pytest.mark.parametrize(
         "layout,access",
@@ -334,6 +355,32 @@ class TestManifest:
     def test_non_integer_dimension(self):
         with pytest.raises(ManifestError, match="decimal"):
             parse_manifest("ColMajor 2 three 4 cis")
+
+    def test_zero_padded_dimension(self):
+        with pytest.raises(ManifestError, match="line 1, column 12: dimension M is zero-padded: '07'"):
+            parse_manifest("ColMajor 2 07 4 cis")
+
+    @given(spec_fields)
+    @settings(max_examples=300, deadline=None)
+    def test_names_and_manifests_share_one_grammar(self, fields):
+        # The same five fields as a kernel name and as a manifest line give
+        # the same spec, or both are refused at the same field.
+        try:
+            named = parse_kernel_name("bbdgemm_" + "_".join(fields))
+        except KernelNameError as error:
+            named = error
+        line = " ".join(fields)
+        try:
+            listed = parse_manifest(line).entries[0]
+        except ManifestError as error:
+            listed = error
+        if isinstance(named, KernelSpec):
+            assert listed == named
+        else:
+            assert isinstance(listed, ManifestError), listed
+            columns = [token.start() + 1 for token in re.finditer(r"\S+", line)]
+            assert listed.column == columns[named.field]
+            assert str(listed).endswith(str(named))
 
     def test_duplicate_reports_both_lines(self):
         with pytest.raises(ManifestError, match="first on line 1"):

@@ -64,8 +64,9 @@ class TestParseKernelName:
         assert s == spec(Layout.ColMajor, 2, 3, 4, "cis")
 
     def test_unknown_suffix_letter(self):
-        with pytest.raises(KernelNameError, match="'x'"):
+        with pytest.raises(KernelNameError, match="three of c/s/i, got 'cix'") as caught:
             parse_kernel_name("bbdgemm_ColMajor_2_3_4_cix")
+        assert caught.value.field == 4
 
     def test_bad_prefix(self):
         with pytest.raises(KernelNameError, match="prefix"):
@@ -94,12 +95,14 @@ class TestParseKernelName:
             parse_kernel_name("bbdgemm_ColMajor_02_3_4_cis")
 
     def test_wrong_field_count(self):
-        with pytest.raises(KernelNameError, match="fields"):
+        with pytest.raises(KernelNameError, match="fields") as caught:
             parse_kernel_name("bbdgemm_ColMajor_2_3_cis")
+        assert caught.value.field is None
 
     def test_access_length(self):
-        with pytest.raises(KernelNameError, match="3 letters"):
+        with pytest.raises(KernelNameError, match="three of c/s/i, got 'cisc'") as caught:
             parse_kernel_name("bbdgemm_ColMajor_2_3_4_cisc")
+        assert caught.value.field == 4
 
     def test_round_trip_100_random_specs(self):
         rng = random.Random(42)

@@ -489,6 +489,7 @@ class TestChainFile:
             ("ColMajor \uff14 2 3 cis op1 qin scratch 1.0 0.0", 1, 10, "decimal integer"),
             ("ColMajor 0 2 3 cis op1 qin scratch 1.0 0.0", 1, 10, "N must be >= 1"),
             ("ColMajor -4 2 3 cis op1 qin scratch 1.0 0.0", 1, 10, "decimal integer"),
+            ("ColMajor 4 02 3 cis op1 qin scratch 1.0 0.0", 1, 12, "zero-padded"),
             ("# head\n\nColMajor 4 2 3 cxs op1 qin scratch 1.0 0.0", 3, 16, "three of c/s/i"),
             ("ColMajor 4 2 3 cis op1 qin scratch 1_0 0.0", 1, 36, "alpha/beta must be numbers"),
             ("ColMajor 4 2 3 cis op1 qin scratch \uff11 0.0", 1, 36, "alpha/beta must be numbers"),
@@ -501,6 +502,7 @@ class TestChainFile:
             "full-width",
             "zero",
             "negative",
+            "zero-padded",
             "line-3",
             "alpha-underscore",
             "alpha-full-width",

@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from bbdgemm import core, runtime as runtime_mod, vectorize
 from bbdgemm.bench import clone_operand, output_elements
+from bbdgemm.codegen import DEFAULT_MAX_DIM
 from bbdgemm.core import (
     AccessKind,
     KernelShape,
@@ -47,9 +48,9 @@ from conftest import build_kernel, build_registry, make_operands
 
 needs_cc = pytest.mark.skipif(not jit_available(), reason="no C compiler (cc) on PATH")
 has_reader_headers = vectorize._reader_includes() is not None
+has_reader = jit_available() and has_reader_headers
 needs_reader = pytest.mark.skipif(
-    not (jit_available() and has_reader_headers),
-    reason="no C compiler (cc), Python.h or numpy's headers for the table reader",
+    not has_reader, reason="no C compiler (cc), Python.h or numpy's headers for the table reader"
 )
 
 
@@ -1129,6 +1130,14 @@ class TestExplicitVectors:
             self.run_both(s, 3, alpha, beta, *with_specials(make_operands(s, 3, rng), rng), registry)
         assert registry.lookup(kernel_name(s)).path_counts == {"compiled": len(calls)}
 
+    def test_a_kernel_at_the_shape_bound(self):
+        # N = 64, the one per-dimension bound: the Python kernel and its C
+        # twin are generated under the same bound, so the twin builds and runs.
+        s = spec(Layout.ColMajor, DEFAULT_MAX_DIM, 2, 1, "sis")
+        registry = build_registry(s)
+        self.run_both(s, 5, 1.5, 0.5, *make_operands(s, 5, np.random.default_rng(64)), registry)
+        assert registry.lookup(kernel_name(s)).path_counts == {"compiled": 1}
+
     @pytest.mark.parametrize("layout", list(Layout))
     def test_strided_buffers_one_double_past_a_line(self, layout):
         s = spec(layout, 10, 9, 9, "sss")
@@ -1860,12 +1869,13 @@ class TestTableValue:
                 for _ in range(2)
             ]
         assert seen == {
-            "compiled": [0, 0, 0] if has_reader_headers else [1, 1, 1],
+            "compiled": [0, 0, 0] if has_reader else [1, 1, 1],
             "lanes": [1, 1, 1], "fallback": [1, 1, 1],
-            "wrapped": [1, 1, 1] if has_reader_headers else [2, 2, 2],
-            "direct": [0, 0] if has_reader_headers else [1, 1],
+            "wrapped": [1, 1, 1] if has_reader else [2, 2, 2],
+            "direct": [0, 0] if has_reader else [1, 1],
         }
-        assert kernel.path_counts == {"compiled": 8}
+        # Without a C compiler the JIT-enabled calls fall through to lanes.
+        assert kernel.path_counts == {"compiled" if jit_available() else "lanes": 8}
 
     @needs_reader
     def test_a_compiled_repeat_refuses_a_read_only_entry_in_its_one_c_call(self, monkeypatch):
