@@ -47,9 +47,6 @@ __all__ = [
     "format_report",
 ]
 
-#: Hard correctness bound for emitting a benchmark row.
-CORRECTNESS_TOL = 1e-12
-
 _MIN_SAMPLE_NS = 1_000_000  # inflate timed units until one sample takes >= 1 ms
 
 CSV_HEADER = (
@@ -171,6 +168,11 @@ def run_correctness(
     Raises :class:`FallbackDisallowed` when the kernel is missing and
     *allow_fallback* is false.
     """
+    return _max_abs_diff(*_outputs(spec, E, seed, registry, allow_fallback, alpha, beta))
+
+
+def _outputs(spec, E, seed, registry, allow_fallback, alpha=1.0, beta=1.0):
+    """``(kernel, oracle)``: every output element of the dispatched kernel and of the oracle."""
     registry = registry if registry is not None else default_registry()
     a, b, c_kernel = random_operands(spec, E, seed)
     c_oracle = clone_operand(c_kernel)
@@ -182,8 +184,10 @@ def run_correctness(
             f"build it or pass allow_fallback"
         )
     batched_ref(spec, E, GemmScalars(alpha, beta), a, b, c_oracle)
-    got = output_elements(spec, E, c_kernel)
-    want = output_elements(spec, E, c_oracle)
+    return output_elements(spec, E, c_kernel), output_elements(spec, E, c_oracle)
+
+
+def _max_abs_diff(got: np.ndarray, want: np.ndarray) -> float:
     return float(np.max(np.abs(got - want))) if got.size else 0.0
 
 
@@ -223,21 +227,21 @@ def run_benchmark(
 ) -> tuple[BenchRecord, TimingDetail]:
     """Time the batched kernel against the oracle's loop of per-pair GEMM calls (``batched_ref``).
 
-    Correctness is checked first and gates the row: a diff above 1e-12
-    raises instead of producing a record.  ``fallback_used`` reports whether
-    the dispatch fallback served any call during the run.
+    Correctness is checked first and gates the row: outputs that are not
+    byte-identical to ``batched_ref``'s raise instead of producing a record.
+    ``fallback_used`` reports whether the dispatch fallback served any call
+    during the run.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     registry = registry if registry is not None else default_registry()
     fallback_before = registry.fallback_count
-    max_abs_diff = run_correctness(
-        spec, E, seed, registry=registry, allow_fallback=allow_fallback
-    )
-    if not max_abs_diff <= CORRECTNESS_TOL:  # NaN fails too
+    got, want = _outputs(spec, E, seed, registry, allow_fallback)
+    max_abs_diff = _max_abs_diff(got, want)
+    if got.tobytes() != want.tobytes():
         raise ValueError(
-            f"{kernel_name(spec)}: correctness diff {max_abs_diff:.3e} exceeds "
-            f"{CORRECTNESS_TOL:.0e}; refusing to benchmark"
+            f"{kernel_name(spec)}: outputs differ from the oracle's bytes "
+            f"(max|diff| {max_abs_diff:.3e}); refusing to benchmark"
         )
     scalars = GemmScalars(1.0, 1.0)
     a, b, c = random_operands(spec, E, seed)

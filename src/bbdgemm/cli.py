@@ -81,15 +81,14 @@ def proxy_main(argv: list[str] | None = None) -> int:
         "--tol", type=float, default=1e-6, help="tolerance for --compare (default %(default)s)"
     )
     args = parser.parse_args(argv)
+    if args.compare and not args.dump:
+        print("proxy: --compare requires --dump", file=sys.stderr)
+        return 1
 
     try:
         kwargs = {}
         if args.chain:
-            chain = proxy_mod.parse_chain(Path(args.chain).read_text(encoding="utf-8"))
-            kwargs["chain"] = chain
-            dims = proxy_mod.infer_tensor_dims(chain)
-            if dims is not None:
-                kwargs["rows"], kwargs["cols"] = dims
+            kwargs["chain"] = proxy_mod.parse_chain(Path(args.chain).read_text(encoding="utf-8"))
         config = proxy_mod.ProxyConfig(
             cells=args.cells,
             timesteps=args.timesteps,
@@ -136,9 +135,6 @@ def proxy_main(argv: list[str] | None = None) -> int:
                 f"(tol {args.tol:g}) {verdict}"
             )
             return 0 if result.passed else 2
-    elif args.compare:
-        print("proxy: --compare requires --dump", file=sys.stderr)
-        return 1
     return 0
 
 

@@ -2,21 +2,24 @@
 
 The proxy mirrors the structure of a cell-based scientific code: every cell
 owns a small tensor (a fixed-size set of independently allocated matrices),
-and each timestep runs a short chain of GEMMs per tensor component.  Two
-interchangeable variants are provided:
+and each timestep runs a short chain of GEMMs per tensor component.  The
+chain is the one description of the data: :func:`chain_shapes` derives the
+layout, the tensor components' shape, each constant's shape and the
+scratch's from it once per config.  Two interchangeable variants are
+provided:
 
 * ``scalar``  - the reference loop nest: cells outermost, components inner,
-  one naive GEMM per chain step, one cell's worth of scratch.  A state
-  binds each of these GEMMs once, on its first scalar timestep
-  (:func:`~bbdgemm.reference.bind_dgemm`), and every timestep runs the
-  bound calls with the step's alpha and beta.
+  one naive GEMM per chain step, one cell's worth of scratch.
 * ``vector``  - the loop-interchanged variant: the cell loop becomes the
   batch dimension of one ``run_batched`` call per chain step per component,
-  with scratch grown dynamically to cover all cells.  Cell storage never
-  moves, so a state builds its pointer tables (one per tensor binding and
-  component), every other operand of its calls and its scratch on its first
-  batched timestep and reuses them; so from the second timestep on, each
-  call repeats a checked one (see :func:`~bbdgemm.runtime.run_batched`).
+  with scratch grown dynamically to cover all cells.
+
+Cell storage never moves, so a :class:`ProxyState` binds the calls of a
+timestep once, on its first timestep in either mode, and reuses them: the
+scalar mode's GEMMs bound by :func:`~bbdgemm.reference.bind_dgemm`, run
+with the step's alpha and beta, or the vector mode's batched calls over
+pointer tables built once, so that from the second timestep on each call
+repeats a checked one (see :func:`~bbdgemm.runtime.run_batched`).
 
 Both variants compute identical values; ``dump_state``/``compare_dumps``
 provide the file-based validation used to demonstrate it.
@@ -24,13 +27,13 @@ provide the file-based validation used to demonstrate it.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 import re
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,6 +60,8 @@ from .runtime import (
 __all__ = [
     "TensorBatch",
     "ChainStep",
+    "ChainShapes",
+    "chain_shapes",
     "ProxyConfig",
     "ProxyState",
     "default_chain",
@@ -157,75 +162,36 @@ def default_chain() -> tuple[ChainStep, ...]:
     return (step1, step2)
 
 
-@dataclass(frozen=True)
-class ProxyConfig:
-    """Full description of one proxy run."""
+class ChainShapes(NamedTuple):
+    """What a chain fixes of the proxy's data (see :func:`chain_shapes`)."""
 
-    cells: int = 10000
-    timesteps: int = 6
-    components: int = 4
-    rows: int = 10
-    cols: int = 9
-    layout: Layout = Layout.ColMajor
-    chain: tuple[ChainStep, ...] = field(default_factory=default_chain)
-    mode: str = "vector"
-    seed: int = 42
-
-    def __post_init__(self) -> None:
-        if self.cells < 1 or self.timesteps < 1 or self.components < 1:
-            raise ValueError("cells, timesteps and components must be positive")
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("tensor dimensions must be positive")
-        if self.mode not in ("scalar", "vector"):
-            raise ValueError(f"mode must be 'scalar' or 'vector', got {self.mode!r}")
-        if not self.chain:
-            raise ValueError("chain must contain at least one step")
-        object.__setattr__(self, "chain", tuple(self.chain))
-        _validate_chain(self)
-
-    @property
-    def tensor_ld(self) -> int:
-        return self.rows if self.layout is Layout.ColMajor else self.cols
-
-    # Derived once per config, on first use, as a value kept beside the
-    # fields: equality, repr and dataclasses.replace see the fields only.
-
-    @functools.cached_property
-    def scratch_per_element(self) -> int:
-        """Scratch slots one cell needs: the widest scratch write in the chain."""
-        spans = [
-            matrix_span(step.spec, "C", operand_dims(step.spec, "C").min_ld)
-            for step in self.chain
-            if step.c_binding == SCRATCH_BINDING
-        ]
-        return max(spans, default=0)
-
-    @functools.cached_property
-    def scratch_ld(self) -> int:
-        """Leading dimension of the scratch: that of the chain's first scratch write, else 1."""
-        for step in self.chain:
-            if step.c_binding == SCRATCH_BINDING:
-                return operand_dims(step.spec, "C").min_ld
-        return 1
-
-    def constant_dims(self) -> dict[str, tuple[int, int, int]]:
-        """(rows, cols, ld) of each constant binding used by the chain."""
-        dims: dict[str, tuple[int, int, int]] = {}
-        for step in self.chain:
-            for which, binding in zip("ABC", step.bindings()):
-                if binding in CONSTANT_BINDINGS:
-                    od = operand_dims(step.spec, which)
-                    dims[binding] = (od.rows, od.cols, od.min_ld)
-        return dims
+    layout: Layout
+    #: Shape of every tensor component.
+    rows: int
+    cols: int
+    #: (rows, cols, ld) of each constant binding the chain uses.
+    constants: dict[str, tuple[int, int, int]]
+    #: Leading dimension of the scratch: that of the chain's scratch writes, else 1.
+    scratch_ld: int
+    #: Scratch slots one cell needs: the widest scratch write in the chain.
+    scratch_per_element: int
 
 
-def _validate_chain(config: ProxyConfig) -> None:
-    constant_dims: dict[str, tuple[int, int]] = {}
-    scratch_shape: tuple[int, int, int] | None = None  # rows, cols, ld written
-    for index, step in enumerate(config.chain):
+def chain_shapes(chain: tuple[ChainStep, ...]) -> ChainShapes:
+    """Check *chain*'s steps against each other and return the shapes they fix.
+
+    The first step fixes the layout and the first ``qin``/``qout`` operand
+    the tensor components' shape; every later step and operand must agree.
+    """
+    layout = chain[0].spec.layout
+    tensor: tuple[int, int] | None = None
+    constants: dict[str, tuple[int, int, int]] = {}
+    written: tuple[int, int, int] | None = None  # rows, cols, ld of the scratch written
+    per_element = 0
+    for index, step in enumerate(chain):
         where = f"chain step {index} ({step.spec.name})"
-        if step.spec.layout is not config.layout:
-            raise ValueError(f"{where}: layout differs from the configured tensor layout")
+        if step.spec.layout is not layout:
+            raise ValueError(f"{where}: layout differs from step 0's {layout.name}")
         for which, binding in zip("ABC", step.bindings()):
             if binding not in ALL_BINDINGS:
                 raise ValueError(
@@ -234,11 +200,12 @@ def _validate_chain(config: ProxyConfig) -> None:
                 )
             kind = step.spec.access(which)
             dims = operand_dims(step.spec, which)
+            shape = (dims.rows, dims.cols)
             if binding in CONSTANT_BINDINGS:
                 if kind is not AccessKind.Constant:
                     raise ValueError(f"{where}: binding {binding} requires a Constant operand")
-                seen = constant_dims.setdefault(binding, (dims.rows, dims.cols))
-                if seen != (dims.rows, dims.cols):
+                seen = constants.setdefault(binding, (*shape, dims.min_ld))
+                if seen[:2] != shape:
                     raise ValueError(
                         f"{where}: constant {binding} used as {dims.rows}x{dims.cols} "
                         f"but earlier as {seen[0]}x{seen[1]}"
@@ -246,52 +213,101 @@ def _validate_chain(config: ProxyConfig) -> None:
             elif binding in TENSOR_BINDINGS:
                 if kind is not AccessKind.Indexed:
                     raise ValueError(f"{where}: binding {binding} requires an Indexed operand")
-                if (dims.rows, dims.cols) != (config.rows, config.cols):
+                if tensor is None:
+                    tensor = shape
+                if shape != tensor:
                     raise ValueError(
                         f"{where}: operand {which} is {dims.rows}x{dims.cols} but tensor "
-                        f"components are {config.rows}x{config.cols}"
+                        f"components are {tensor[0]}x{tensor[1]}"
                     )
             else:  # scratch
                 if kind is not AccessKind.Strided:
                     raise ValueError(f"{where}: binding scratch requires a Strided operand")
                 if which == "C":
-                    if step.beta != 0.0 and scratch_shape is None:
+                    if step.beta != 0.0 and written is None:
                         raise ValueError(f"{where}: scratch accumulated before being written")
-                    if scratch_shape is not None and scratch_shape[2] != dims.min_ld:
+                    if written is not None and written[2] != dims.min_ld:
                         raise ValueError(
                             f"{where}: scratch rewritten with leading dimension "
-                            f"{dims.min_ld}, earlier write used {scratch_shape[2]}"
+                            f"{dims.min_ld}, earlier write used {written[2]}"
                         )
-                    scratch_shape = (dims.rows, dims.cols, dims.min_ld)
+                    written = (*shape, dims.min_ld)
+                    per_element = max(per_element, matrix_span(step.spec, "C", dims.min_ld))
                 else:
-                    if scratch_shape is None:
+                    if written is None:
                         raise ValueError(f"{where}: scratch read before being written")
-                    w_rows, w_cols, _ = scratch_shape
-                    if dims.rows > w_rows or dims.cols > w_cols:
+                    if dims.rows > written[0] or dims.cols > written[1]:
                         raise ValueError(
                             f"{where}: scratch read window {dims.rows}x{dims.cols} exceeds "
-                            f"written {w_rows}x{w_cols}"
+                            f"written {written[0]}x{written[1]}"
                         )
         if step.c_binding != SCRATCH_BINDING and step.c_binding != "qout":
             raise ValueError(f"{where}: output operand C must bind scratch or qout")
         if step.c_binding in step.bindings()[:2]:
             raise ValueError(f"{where}: operand C aliases an input binding {step.c_binding!r}")
+    if tensor is None:
+        raise ValueError("chain binds no qin or qout, so nothing it computes reaches a dump")
+    scratch_ld = written[2] if written else 1
+    return ChainShapes(layout, *tensor, constants, scratch_ld, per_element)
+
+
+@dataclass(frozen=True)
+class ProxyConfig:
+    """Full description of one proxy run.
+
+    The chain is the one description of the data: its layout and every
+    operand's shape are derived from it by :func:`chain_shapes` when the
+    config is built, and kept as ``shapes`` beside the fields.  Equality,
+    repr, pickling and ``dataclasses.replace`` see the fields only.
+    """
+
+    cells: int = 10000
+    timesteps: int = 6
+    components: int = 4
+    chain: tuple[ChainStep, ...] = field(default_factory=default_chain)
+    mode: str = "vector"
+    seed: int = 42
+
+    def __post_init__(self) -> None:
+        if self.cells < 1 or self.timesteps < 1 or self.components < 1:
+            raise ValueError("cells, timesteps and components must be positive")
+        if self.mode not in ("scalar", "vector"):
+            raise ValueError(f"mode must be 'scalar' or 'vector', got {self.mode!r}")
+        if not self.chain:
+            raise ValueError("chain must contain at least one step")
+        object.__setattr__(self, "chain", tuple(self.chain))
+        object.__setattr__(self, "shapes", chain_shapes(self.chain))
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+    layout = property(operator.attrgetter("shapes.layout"))
+    rows = property(operator.attrgetter("shapes.rows"))
+    cols = property(operator.attrgetter("shapes.cols"))
+    scratch_ld = property(operator.attrgetter("shapes.scratch_ld"))
+    scratch_per_element = property(operator.attrgetter("shapes.scratch_per_element"))
+
+    @property
+    def tensor_ld(self) -> int:
+        return self.rows if self.layout is Layout.ColMajor else self.cols
 
 
 @dataclass
 class ProxyState:
     """Mutable run state: input/output tensors per cell plus shared constants.
 
-    Each mode binds its calls over the cells' matrices and the constants on
-    its first timestep and reuses them on every later one.  Vector mode
-    keeps ``pointer_tables``, one ``(qin, qout)`` pair of Indexed operands
-    per component, the operands of every chain step beside them (the
-    Constants, and one Strided operand per component and step over
-    ``scratch``, built again when the scratch array changes) and ``scratch``.
-    Scalar mode keeps each GEMM bound by
-    :func:`~bbdgemm.reference.bind_dgemm`, with its scratch.  After
-    replacing a cell's matrices or a constant, call :meth:`unbind`, in
-    either mode; the next timestep then binds afresh.
+    The state owns what is bound over its data.  Each mode binds the calls
+    of one timestep over the cells' matrices and the constants on its first
+    timestep, keeps them in ``_bound`` with what they were bound for, and
+    reuses them on every later timestep bound for the same.  Vector mode
+    binds ``(spec, a, b, c, alpha, beta)`` per component and chain step for
+    the config and the array of ``scratch``, which it grows itself: a
+    component's two pointer tables, a Constant per constant and a Strided
+    operand per call over the scratch.  Scalar mode binds each GEMM of its
+    loop nest with :func:`~bbdgemm.reference.bind_dgemm`, over a scratch of
+    its own, for the config.  After replacing a cell's matrices or a
+    constant, call :meth:`unbind`; the next timestep of either mode then
+    binds afresh.
     """
 
     config: ProxyConfig
@@ -299,18 +315,20 @@ class ProxyState:
     qout: list[TensorBatch]
     constants: dict[str, np.ndarray]
     constant_lds: dict[str, int]
-    pointer_tables: tuple[tuple[BatchedOperand, BatchedOperand], ...] | None = None
     scratch: ScratchBuffer = field(default_factory=ScratchBuffer)
-    # (config, pointer_tables, scratch array) the step operands were built for, and they.
-    _step_operands: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    # (config, its (run, alpha, beta) list): scalar mode's bound GEMMs.
-    _ref_runs: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # ((bind, *what it bound for), the calls it bound), compared by identity.
+    _bound: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def unbind(self) -> None:
-        """Drop every table, operand and run bound over the cells' matrices and the constants."""
-        self.pointer_tables = None
-        self._step_operands = None
-        self._ref_runs = None
+        """Drop the calls bound over the cells' matrices and the constants."""
+        self._bound = None
+
+    def _calls(self, bind, *key):
+        """The calls ``bind(self, *key)`` returns, bound again only when not bound for *key*."""
+        key = (bind, *key)
+        if self._bound is None or any(map(operator.is_not, self._bound[0], key)):
+            self._bound = (key, bind(self, *key[1:]))
+        return self._bound[1]
 
 
 def build_state(config: ProxyConfig) -> ProxyState:
@@ -325,7 +343,7 @@ def build_state(config: ProxyConfig) -> ProxyState:
     rng = np.random.default_rng(config.seed)
     constants: dict[str, np.ndarray] = {}
     constant_lds: dict[str, int] = {}
-    used_constants = config.constant_dims()
+    used_constants = config.shapes.constants
     for name in CONSTANT_BINDINGS:
         if name not in used_constants:
             continue
@@ -334,9 +352,7 @@ def build_state(config: ProxyConfig) -> ProxyState:
         constant_lds[name] = ld
 
     def tensor_cells() -> list[TensorBatch]:
-        span = config.tensor_ld * (
-            config.cols if config.layout is Layout.ColMajor else config.rows
-        )
+        span = config.rows * config.cols
         return [
             TensorBatch(
                 matrices=[
@@ -377,20 +393,15 @@ def _resolve_ref_operand(
 def compute_local_integration_ref(config: ProxyConfig, state: ProxyState) -> None:
     """Reference loop nest: per cell, per component, run the chain's GEMMs.
 
-    The first call on *state* for *config* binds every GEMM once
-    (:func:`~bbdgemm.reference.bind_dgemm`) over a scratch of its own, and
-    keeps the runs on *state*; each call runs them in cell, component, step
-    order.
+    *state* binds every GEMM once for *config*
+    (:func:`~bbdgemm.reference.bind_dgemm`) over a scratch of its own; each
+    call runs the bound GEMMs in cell, component, step order.
     """
-    built = state._ref_runs
-    if built is None or built[0] is not config:
-        built = (config, _bind_ref_runs(config, state))
-        state._ref_runs = built
-    for run, alpha, beta in built[1]:
+    for run, alpha, beta in state._calls(_bind_ref_runs, config):
         run(alpha, beta)
 
 
-def _bind_ref_runs(config: ProxyConfig, state: ProxyState) -> list:
+def _bind_ref_runs(state: ProxyState, config: ProxyConfig) -> list:
     """``(run, alpha, beta)`` of every GEMM of the loop nest, in the order it runs them.
 
     All binds share one dict of views, so the GEMMs of every cell share one
@@ -419,67 +430,47 @@ def _bind_ref_runs(config: ProxyConfig, state: ProxyState) -> list:
 def compute_local_integration_batched(
     config: ProxyConfig,
     state: ProxyState,
-    scratch: ScratchBuffer,
     registry: KernelRegistry | None = None,
 ) -> None:
     """Loop-interchanged variant: one batched call per chain step per component.
 
-    *scratch* must have been sized via :meth:`ScratchBuffer.ensure` for
-    E == cells; an undersized buffer is a checked programming error.  The
-    pointer tables and the other operands are *state*'s, built by the first
-    call, the scratch operands again when *scratch*'s array changes.
+    Grows ``state.scratch`` to cover every cell (nothing happens once it
+    does), then runs the calls *state* binds for *config* and the scratch's
+    array; so from the second timestep on, each call repeats a checked one.
     """
-    per_element = config.scratch_per_element
-    needed = config.cells * per_element
-    if scratch.capacity < needed:
-        raise ValueError(
-            f"scratch undersized: capacity {scratch.capacity} < required {needed}; "
-            f"call scratch.ensure(cells, per_element) first"
-        )
-    if state.pointer_tables is None:
-        state.pointer_tables = tuple(
-            (build_pointer_table(state.qin, component), build_pointer_table(state.qout, component))
-            for component in range(config.components)
-        )
-    built_for = (config, state.pointer_tables, scratch.array)
-    built = state._step_operands
-    if built is None or any(map(operator.is_not, built[0], built_for)):
-        built = (built_for, _build_step_operands(config, state, scratch.array[:needed]))
-        state._step_operands = built
-    for operands in built[1]:
-        for step, (a, b, c) in zip(config.chain, operands):
-            run_batched(
-                step.spec,
-                config.cells,
-                step.alpha,
-                a,
-                b,
-                step.beta,
-                c,
-                registry=registry,
-            )
+    state.scratch.ensure(config.cells, config.scratch_per_element)
+    calls = state._calls(_bind_batched_calls, config, state.scratch.array)
+    for spec, a, b, c, alpha, beta in calls:
+        run_batched(spec, config.cells, alpha, a, b, beta, c, registry=registry)
 
 
-def _build_step_operands(config: ProxyConfig, state: ProxyState, scratch_flat: np.ndarray):
-    """``(a, b, c)`` of each chain step, per component: the state's tables, and a Constant per constant.
+def _bind_batched_calls(state: ProxyState, config: ProxyConfig, scratch: np.ndarray) -> list:
+    """``(spec, a, b, c, alpha, beta)`` of each batched call, per component and chain step.
 
-    Each step gets a Strided operand of its own over *scratch_flat*, so
-    every call has a C of its own to keep its checked contract on.
+    A component's ``qin`` and ``qout`` are its two pointer tables, built
+    here; the constants are one Constant each, and each call gets a Strided
+    operand of its own over *scratch*, so every call has a C of its own to
+    keep its checked contract on.
     """
     constants = {
         name: BatchedOperand.constant(data, ld=state.constant_lds[name])
         for name, data in state.constants.items()
     }
-    scratch_ld, per_element = config.scratch_ld, config.scratch_per_element
-    components = []
-    for tables in state.pointer_tables:
-        steps = []
+    per_element = config.scratch_per_element
+    flat = scratch[: config.cells * per_element]
+    calls = []
+    for component in range(config.components):
+        tables = (
+            build_pointer_table(state.qin, component), build_pointer_table(state.qout, component)
+        )
         for step in config.chain:
-            scratch = BatchedOperand.strided(scratch_flat, ld=scratch_ld, span=per_element)
-            bound = dict(zip(TENSOR_BINDINGS, tables), **constants, scratch=scratch)
-            steps.append(tuple(bound[binding] for binding in step.bindings()))
-        components.append(tuple(steps))
-    return tuple(components)
+            operand = dict(
+                zip(TENSOR_BINDINGS, tables),
+                **constants,
+                scratch=BatchedOperand.strided(flat, ld=config.scratch_ld, span=per_element),
+            )
+            calls.append((step.spec, *map(operand.get, step.bindings()), step.alpha, step.beta))
+    return calls
 
 
 def run_proxy_state(
@@ -495,9 +486,7 @@ def run_proxy_state(
     steps = config.timesteps if timesteps is None else timesteps
     for _ in range(steps):
         if config.mode == "vector":
-            # Allocation step before each timestep; a no-op once grown.
-            state.scratch.ensure(config.cells, config.scratch_per_element)
-            compute_local_integration_batched(config, state, state.scratch, registry=registry)
+            compute_local_integration_batched(config, state, registry=registry)
         else:
             compute_local_integration_ref(config, state)
 
@@ -581,16 +570,6 @@ def compare_dumps(path_a: str | Path, path_b: str | Path, tol: float) -> DumpCom
         return DumpComparison(max_abs_diff=0.0, passed=True)
     max_abs_diff = float(np.max(np.abs(data_a - data_b)))
     return DumpComparison(max_abs_diff=max_abs_diff, passed=max_abs_diff <= tol)
-
-
-def infer_tensor_dims(chain: tuple[ChainStep, ...]) -> tuple[int, int] | None:
-    """(rows, cols) implied by the chain's tensor bindings, if any."""
-    for step in chain:
-        for which, binding in zip("ABC", step.bindings()):
-            if binding in TENSOR_BINDINGS:
-                dims = operand_dims(step.spec, which)
-                return dims.rows, dims.cols
-    return None
 
 
 #: ASCII decimal float literal; ``float()`` alone also reads ``1_0``, ``４``, ``nan`` and ``inf``.

@@ -27,13 +27,12 @@ An Indexed operand's table is a :class:`~bbdgemm.core.PointerTable`, a
 value built once: the facts the contract needs (flat float64 entries and
 their shortest length, each entry's address and stride, and C's sorted
 extents) are computed on the table's first use and cached.  The check
-itself is O(1) or numpy on cached facts: a Strided C's own layout is an
-arithmetic progression, decided by one comparison, and A's and B's extents
-are searched against C's.  A table built afresh for each call costs its
-facts once: a scan per property of its entries, and one pass for the
-addresses, strides and contiguity, compiled where the
-:func:`~bbdgemm.vectorize.table_reader` is (about 1 ns per entry) and
-Python-level scans elsewhere (about 2-3 us per entry).
+itself is numpy on cached facts: a Strided C's extents are sorted like a
+table's, and A's and B's extents are searched against C's.  A table built
+afresh for each call costs its facts once: a scan per property of its
+entries, and one pass for the addresses, strides and contiguity, compiled
+where the :func:`~bbdgemm.vectorize.table_reader` is (about 1 ns per entry)
+and Python-level scans elsewhere (about 2-3 us per entry).
 
 An operand is a frozen value: to change one, build a new one
 (``dataclasses.replace``).  A checked call is kept on its C operand as a
@@ -301,46 +300,24 @@ def _byte_extents(operand: BatchedOperand, span: int, E: int):
     return np.minimum(first, last), np.maximum(first, last) + 8
 
 
-def _strided_clash(step: int, span: int, min_span: int, E: int) -> tuple[int, int] | None:
-    """The clash :func:`sort_extents` reports for a Strided C's own extents, in O(1).
-
-    *step* is the buffer's stride in bytes, *span* the operand's and
-    *min_span* its matrix span.  Matrix e starts ``e * span * step`` bytes
-    after the first, and all E span ``(min_span - 1) * |step| + 8`` bytes, so
-    consecutive ones overlap iff ``(span - min_span + 1) * |step| < 8``, and
-    when they do not, no pair does.  The first clash in address order is
-    then that of elements 0 and 1, or E-2 and E-1 when the step is negative.
-    """
-    if E < 2 or (span - min_span + 1) * abs(step) >= 8:
-        return None
-    return (E - 2, E - 1) if step < 0 else (0, 1)
-
-
-def _refuse_clash(clash: tuple[int, int] | None) -> None:
-    if clash is not None:
-        first, second = clash
-        raise ValueError(f"operand C: the matrices of batch elements {first} and {second} overlap")
-
-
 def _check_disjoint(E: int, operands: Sequence[BatchedOperand], spans: Sequence[int]) -> None:
     """Refuse a C whose matrices overlap each other, A or B, in byte extents.
 
-    The one rule, whatever allocations hold the buffers.  A Strided C's own
-    layout is decided in O(1) by :func:`_strided_clash`; an Indexed C's
-    sorted extents must not overlap each other (its table caches them, and
-    the verdict, per span, from the addresses and strides one pass read).
-    Then each A or B matrix's extent must miss the highest C extent that
-    starts below its end (lower ones end earlier): one ``searchsorted`` per
-    operand.  A Constant C is a single extent.
+    The one rule, whatever allocations hold the buffers.  C's sorted
+    extents must not overlap each other (an Indexed C's table caches them,
+    and the verdict, per span, from the addresses and strides one pass
+    read; a Constant C is a single extent).  Then each A or B matrix's
+    extent must miss the highest C extent that starts below its end (lower
+    ones end earlier): one ``searchsorted`` per operand.
     """
     c = operands[2]
-    if c.kind is AccessKind.Strided:
-        _refuse_clash(_strided_clash(c.data.strides[0], c.span, spans[2], E))
     if c.kind is AccessKind.Indexed:
         c_lo, c_hi, clash = c.table.sorted_extents(spans[2])
-        _refuse_clash(clash)
-    else:  # a Constant C is one extent; a Strided C's own layout passed above
-        c_lo, c_hi, _ = sort_extents(*_byte_extents(c, spans[2], E))
+    else:
+        c_lo, c_hi, clash = sort_extents(*_byte_extents(c, spans[2], E))
+    if clash is not None:
+        first, second = clash
+        raise ValueError(f"operand C: the matrices of batch elements {first} and {second} overlap")
     for which, operand, span in zip("AB", operands, spans):
         lo, hi = _byte_extents(operand, span, E)
         below = np.searchsorted(c_lo, hi) - 1

@@ -126,6 +126,19 @@ class TestBenchmark:
         with pytest.raises(ValueError, match="refusing to benchmark"):
             run_benchmark(S222, 16, reps=2, registry=registry)
 
+    def test_kernel_one_ulp_off_refused(self):
+        # Rows are gated on bytes: one element one ulp away from the
+        # oracle's is refused, and the message still gives max|diff|.
+        real = build_registry(S222).lookup(kernel_name(S222))
+
+        def one_ulp_off(E, alpha, A, lda, B, ldb, beta, C, ldc, spanA, spanB, spanC):
+            real(E, alpha, A, lda, B, ldb, beta, C, ldc, spanA, spanB, spanC)
+            C[0] = np.nextafter(C[0], np.inf)
+
+        registry = KernelRegistry({kernel_name(S222): one_ulp_off})
+        with pytest.raises(ValueError, match=r"max\|diff\| [0-9.]+e-1[0-9]\); refusing to benchmark"):
+            run_benchmark(S222, 16, reps=2, registry=registry)
+
     def test_fallback_marked_when_allowed(self):
         with use_jit(False):
             rec, _ = run_benchmark(

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from bbdgemm import proxy as proxy_mod
 from bbdgemm.cli import bench_main, genkernels_main, proxy_main
 from bbdgemm.proxy import load_dump
 from bbdgemm.vectorize import jit_available
@@ -108,13 +109,33 @@ class TestProxyCli:
             re.M,
         )
 
-    def test_compare_requires_dump(self, tmp_path, capsys):
+    def test_compare_requires_dump(self, tmp_path, capsys, monkeypatch):
+        # Refused before any timestep runs.
+        def not_run(*args, **kwargs):
+            raise AssertionError("run_proxy called")
+
+        monkeypatch.setattr(proxy_mod, "run_proxy", not_run)
         rc = proxy_main(
             ["--cells", "2", "--timesteps", "1", "--mode", "scalar", "--seed", "1",
              "--compare", str(tmp_path / "x.bin")]
         )
         assert rc == 1
         assert "--compare requires --dump" in capsys.readouterr().err
+
+    def test_row_major_chain_file_runs_in_both_modes(self, tmp_path, capsys):
+        # The chain file alone fixes the layout and the tensor shape.
+        chain = tmp_path / "chain.txt"
+        chain.write_text(CHAIN.replace("ColMajor", "RowMajor"), encoding="utf-8")
+        ref_dump, vec_dump = tmp_path / "ref.bin", tmp_path / "vec.bin"
+        args = ["--cells", "5", "--timesteps", "2", "--seed", "3", "--chain", str(chain)]
+        assert proxy_main(args + ["--mode", "scalar", "--dump", str(ref_dump)]) == 0
+        rc = proxy_main(
+            args + ["--mode", "vector", "--dump", str(vec_dump), "--compare", str(ref_dump),
+                    "--tol", "0"]
+        )
+        assert rc == 0
+        assert re.search(r"max\|diff\| = 0\.000e\+00 \(tol 0\) PASS$", capsys.readouterr().out, re.M)
+        assert load_dump(vec_dump)[:4] == (5, 4, 3, 2)
 
     def test_custom_chain_dims_must_match_tensors(self, tmp_path, capsys):
         chain = tmp_path / "chain.txt"

@@ -23,7 +23,6 @@ from bbdgemm.proxy import (
     run_proxy_state,
 )
 from bbdgemm.reference import dgemm_ref
-from bbdgemm.runtime import ScratchBuffer
 from bbdgemm.vectorize import jit_available, use_jit
 
 from conftest import build_registry
@@ -41,10 +40,16 @@ def small_chain():
     )
 
 
+def row_major_chain():
+    """The small chain in RowMajor: 3x2 tensor components, a 4x2 scratch at ld 2."""
+    return tuple(
+        replace(step, spec=replace(step.spec, layout=Layout.RowMajor)) for step in small_chain()
+    )
+
+
 def small_config(**overrides):
     defaults = dict(
-        cells=23, timesteps=2, components=3, rows=3, cols=2, chain=small_chain(),
-        mode="scalar", seed=7,
+        cells=23, timesteps=2, components=3, chain=small_chain(), mode="scalar", seed=7,
     )
     defaults.update(overrides)
     return ProxyConfig(**defaults)
@@ -81,18 +86,22 @@ class TestConfigValidation:
         assert config.scratch_per_element == 180
 
     def test_scratch_facts_are_derived_once_per_config(self, monkeypatch):
-        # scratch_per_element and scratch_ld are computed on first use and
-        # kept; equality, hashing and replace see the fields only, and a
-        # pickled copy is equal and gives the same values.
+        # The chain's shapes are derived when the config is built and kept;
+        # reading them derives nothing.  Equality, hashing, repr and replace
+        # see the fields only, and a pickled copy is equal and gives the
+        # same values.
         calls = []
         dims = proxy_mod.operand_dims
         monkeypatch.setattr(proxy_mod, "operand_dims", lambda *args: calls.append(args) or dims(*args))
         config = small_config()
         twin = small_config()
         calls.clear()
-        facts = [(config.scratch_per_element, config.scratch_ld) for _ in range(3)]
-        assert facts == [(8, 4)] * 3
-        assert len(calls) == 2
+        facts = [
+            (config.scratch_per_element, config.scratch_ld, config.rows, config.cols, config.layout)
+            for _ in range(3)
+        ]
+        assert facts == [(8, 4, 3, 2, Layout.ColMajor)] * 3
+        assert calls == []
         assert config == twin and hash(config) == hash(twin) and repr(config) == repr(twin)
         first, second = small_chain()
         wider = replace(config, chain=(replace(first, spec=spec(Layout.ColMajor, 5, 2, 3, "cis")), second))
@@ -111,9 +120,33 @@ class TestConfigValidation:
             small_config(chain=bad)
 
     def test_tensor_dims_must_match(self):
-        bad = (ChainStep(spec(Layout.ColMajor, 3, 5, 3, "cii"), "op1", "qin", "qout", 1.0, 0.0),)
-        with pytest.raises(ValueError, match="tensor components are 3x2"):
+        # The first qin/qout operand fixes the tensor components' shape; a
+        # later step binding another shape is refused, in either layout.
+        for layout in Layout:
+            bad = (
+                ChainStep(spec(layout, 3, 2, 3, "cii"), "op1", "qin", "qout", 1.0, 0.0),
+                ChainStep(spec(layout, 3, 5, 3, "cii"), "op1", "qin", "qout", 1.0, 1.0),
+            )
+            with pytest.raises(ValueError, match="chain step 1 .* tensor components are 3x2"):
+                small_config(chain=bad)
+
+    def test_layout_is_the_first_steps(self):
+        first, second = small_chain()
+        bad = (first, replace(second, spec=replace(second.spec, layout=Layout.RowMajor)))
+        with pytest.raises(ValueError, match="chain step 1 .* layout differs from step 0's ColMajor"):
             small_config(chain=bad)
+
+    def test_chain_must_bind_a_tensor(self):
+        # A chain writing only scratch computes nothing that reaches a dump.
+        bad = (ChainStep(spec(Layout.ColMajor, 3, 2, 3, "ccs"), "op1", "op2", "scratch", 1.0, 0.0),)
+        with pytest.raises(ValueError, match="binds no qin or qout"):
+            small_config(chain=bad)
+
+    def test_row_major_chain_fixes_the_tensor_shape(self):
+        config = small_config(chain=row_major_chain())
+        assert (config.layout, config.rows, config.cols, config.tensor_ld) == (Layout.RowMajor, 3, 2, 2)
+        assert (config.scratch_ld, config.scratch_per_element) == (2, 8)
+        assert config.shapes.constants == {"op1": (4, 3, 3), "op2": (2, 2, 2)}
 
     def test_scratch_read_before_write(self):
         bad = (ChainStep(spec(Layout.ColMajor, 3, 2, 2, "sci"), "scratch", "op2", "qout", 1.0, 0.0),)
@@ -156,10 +189,7 @@ class TestConfigValidation:
 class TestReferenceVariant:
     def test_degenerate_single_cell_equals_one_gemm(self):
         chain = (ChainStep(spec(Layout.ColMajor, 2, 2, 2, "cii"), "op1", "qin", "qout", 1.0, 0.0),)
-        config = ProxyConfig(
-            cells=1, timesteps=1, components=1, rows=2, cols=2, chain=chain,
-            mode="scalar", seed=42,
-        )
+        config = ProxyConfig(cells=1, timesteps=1, components=1, chain=chain, mode="scalar", seed=42)
         state = build_state(config)
         expected = np.zeros(4)
         dgemm_ref(
@@ -204,7 +234,7 @@ class TestReferenceVariant:
         # One view of each constant and of the scratch serves every cell;
         # each cell's own matrices have views of their own.
         first, second = (
-            [run for run, _, _ in stepped._ref_runs[1][step::2]] for step in range(2)
+            [run for run, _, _ in stepped._bound[1][step::2]] for step in range(2)
         )
         for runs, shared, own in ((first, "AC", "B"), (second, "AB", "C")):
             for which in shared:
@@ -280,24 +310,18 @@ class TestBatchedVariant:
         expected = config.timesteps * config.components * len(config.chain)
         assert calls == [step.spec for step in config.chain] * (expected // len(config.chain))
 
-    def test_undersized_scratch_is_checked(self):
-        config = small_config(mode="vector")
-        state = build_state(config)
-        scratch = ScratchBuffer()
-        with pytest.raises(ValueError, match="scratch undersized"):
-            compute_local_integration_batched(config, state, scratch)
-
     def test_scratch_reused_across_timesteps(self):
+        # The state grows its own scratch on the first timestep and keeps it.
         config = small_config(mode="vector", timesteps=3)
         state = build_state(config)
-        scratch = ScratchBuffer()
         registry = small_registry()
         with use_jit(False):
-            for _ in range(config.timesteps):
-                scratch.ensure(config.cells, config.scratch_per_element)
-                backing = scratch.array
-                compute_local_integration_batched(config, state, scratch, registry=registry)
-                assert scratch.array is backing
+            compute_local_integration_batched(config, state, registry=registry)
+            backing = state.scratch.array
+            assert state.scratch.capacity >= config.cells * config.scratch_per_element
+            for _ in range(config.timesteps - 1):
+                compute_local_integration_batched(config, state, registry=registry)
+                assert state.scratch.array is backing
 
     def test_state_builds_its_tables_and_scratch_once(self, monkeypatch):
         # Three one-timestep runs of one state build 2 x components pointer
@@ -383,6 +407,34 @@ class TestBatchedVariant:
         assert registry.fallback_count == 0
         assert qout_snapshot(vector).tobytes() == qout_snapshot(scalar).tobytes()
 
+    @pytest.mark.parametrize(
+        "jit",
+        [
+            False,
+            pytest.param(
+                True, marks=pytest.mark.skipif(not jit_available(), reason="no C compiler (cc) on PATH")
+            ),
+        ],
+        ids=["lanes", "compiled"],
+    )
+    def test_row_major_chain_runs_on_kernels(self, jit, tmp_path):
+        # The chain alone fixes the layout: a RowMajor chain runs on its
+        # built kernels, on the path asked for, and dumps the scalar mode's bytes.
+        chain = row_major_chain()
+        registry = build_registry(*(step.spec for step in chain))
+        config = small_config(cells=5, chain=chain, mode="vector")
+        scalar, vector = tmp_path / "scalar.bin", tmp_path / "vector.bin"
+        with use_jit(jit):
+            dump_state(run_proxy(config, registry=registry), vector)
+        dump_state(run_proxy(replace(config, mode="scalar")), scalar)
+        assert registry.fallback_count == 0
+        path = "compiled" if jit else "lanes"
+        for step in chain:
+            kernel = registry.lookup(step.spec.name)
+            assert set(kernel.path_counts) == {path}
+        assert vector.read_bytes() == scalar.read_bytes()
+
+
 class TestState:
     def test_component_matrices_allocated_independently(self):
         state = build_state(small_config(cells=4))
@@ -442,6 +494,26 @@ class TestDumps:
             dump_state(run_proxy(small_config(mode="vector"), registry=registry), b)
         result = compare_dumps(a, b, tol=1e-6)
         assert result.passed
+
+    def test_scalar_and_vector_dumps_are_byte_identical(self, tmp_path):
+        registry = small_registry()
+        a, b = tmp_path / "scalar.bin", tmp_path / "vector.bin"
+        dump_state(run_proxy(small_config(cells=5, mode="scalar")), a)
+        with use_jit(False):
+            dump_state(run_proxy(small_config(cells=5, mode="vector"), registry=registry), b)
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_row_major_round_trip(self, tmp_path):
+        # load_dump gives each cell's RowMajor matrix, whatever the encoding.
+        state = run_proxy(small_config(cells=3, chain=row_major_chain()))
+        path = tmp_path / "dump.bin"
+        dump_state(state, path)
+        cells, components, rows, cols, data = load_dump(path)
+        assert (cells, components, rows, cols) == (3, 3, 3, 2)
+        for e in range(cells):
+            for s in range(components):
+                dense = state.qout[e].component(s).reshape(rows, cols)  # row-major at minimal ld
+                assert np.array_equal(data[e, s], dense)
 
     def test_truncated_dump_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"

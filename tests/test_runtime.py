@@ -587,8 +587,8 @@ class TestOperandContract:
     @pytest.mark.parametrize("step", [8, -8, 0, 4, -4, -2, 12, 24])
     @pytest.mark.parametrize("padding", [0, 1, 2, 5])
     def test_strided_c_layout_is_decided_as_by_sorting(self, E, step, padding):
-        # A Strided C's own overlap is decided in O(1); it must give the
-        # verdict, and the pair, that sorting its byte extents gives.  Steps
+        # A Strided C's own overlap is decided by sorting its byte extents,
+        # and refused with the first pair in address order.  Steps
         # of 0 and 4 bytes, and negative ones, come from as_strided views;
         # padding 0 is span == matrix span.
         s = spec(Layout.ColMajor, 2, 3, 4, "ccs")

@@ -53,26 +53,57 @@ def perfbench_pairs(old_tree: Path, new_tree: Path, pairs: int, run_args: list[s
             tree = old_tree if side == "old" else new_tree
             done = subprocess.run([sys.executable, "perfbench/run.py", *run_args], cwd=tree,
                                   capture_output=True, text=True)
-            summary = json.loads(done.stdout.strip().splitlines()[-1])
-            pair[side] = {"exit": done.returncode, "failed": summary["failed"],
-                          "metrics": {k: v["value"] for k, v in summary["metrics"].items()}}
+            pair[side] = run_record(done.returncode, done.stdout)
         out.append(pair)
         print(json.dumps(pair), flush=True)
     return out
 
 
+def run_record(exit_code: int, stdout: str) -> dict:
+    """One run's exit code, failed count and metrics, from its JSON last line.
+
+    A run that printed no JSON last line (a worker that failed exits 2) is
+    kept with no failed count and no metrics.
+    """
+    try:
+        summary = json.loads(stdout.strip().splitlines()[-1])
+    except (IndexError, ValueError):
+        return {"exit": exit_code, "failed": None, "metrics": {}}
+    return {"exit": exit_code, "failed": summary["failed"],
+            "metrics": {k: v["value"] for k, v in summary["metrics"].items()}}
+
+
+def _spread(values: list[float]) -> dict:
+    if not values:
+        return {"median": None, "q1": None, "q3": None}
+    quartiles = statistics.quantiles(values, n=4) if len(values) > 1 else [values[0]] * 3
+    return {"median": round(statistics.median(values), 4),
+            "q1": round(quartiles[0], 4), "q3": round(quartiles[2], 4)}
+
+
 def summarise(pairs: list[dict]) -> dict:
-    """Per metric: each side's median and quartiles, and in how many pairs the new tree read lower."""
-    out = {}
-    for metric in pairs[0]["old"]["metrics"]:
-        old = [p["old"]["metrics"][metric] for p in pairs]
-        new = [p["new"]["metrics"][metric] for p in pairs]
-        q_old, q_new = statistics.quantiles(old, n=4), statistics.quantiles(new, n=4)
+    """Per metric: each side's median and quartiles, and in how many pairs the new tree read lower.
+
+    A metric a run did not report (None, or missing) is left out of that
+    side's figures and out of the pair count.  ``failed_runs`` gives, for
+    each side, how many runs exited non-zero or had failed operations.
+    """
+    out = {"failed_runs": {side: sum(p[side]["exit"] != 0 or p[side]["failed"] != 0 for p in pairs)
+                           for side in ("old", "new")}}
+    metrics = dict.fromkeys(m for p in pairs for side in ("old", "new") for m in p[side]["metrics"])
+    for metric in metrics:
+        values = [(p["old"]["metrics"].get(metric), p["new"]["metrics"].get(metric)) for p in pairs]
+        old = [o for o, _ in values if o is not None]
+        new = [n for _, n in values if n is not None]
+        both = [(o, n) for o, n in values if o is not None and n is not None]
+        old_spread, new_spread = _spread(old), _spread(new)
+        ratio = (round(new_spread["median"] / old_spread["median"], 4)
+                 if old and new and old_spread["median"] else None)
         out[metric] = {
-            "old": {"median": round(statistics.median(old), 4), "q1": round(q_old[0], 4), "q3": round(q_old[2], 4)},
-            "new": {"median": round(statistics.median(new), 4), "q1": round(q_new[0], 4), "q3": round(q_new[2], 4)},
-            "new_over_old_median": round(statistics.median(new) / statistics.median(old), 4),
-            "new_lower_in_pairs": f"{sum(n < o for o, n in zip(old, new))} of {len(pairs)}",
+            "old": old_spread,
+            "new": new_spread,
+            "new_over_old_median": ratio,
+            "new_lower_in_pairs": f"{sum(n < o for o, n in both)} of {len(both)}",
         }
     return out
 
