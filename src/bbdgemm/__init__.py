@@ -42,7 +42,7 @@ from .runtime import (
     load_kernel_dir,
     run_batched,
 )
-from .vectorize import jit_available, jit_enabled, use_jit
+from .vectorize import jit_available, jit_enabled
 
 __version__ = "0.1.0"
 
@@ -79,7 +79,6 @@ __all__ = [
     "parse_kernel_name",
     "parse_manifest",
     "run_batched",
-    "use_jit",
     "write_kernel_package",
     "__version__",
 ]

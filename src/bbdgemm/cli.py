@@ -28,11 +28,11 @@ def genkernels_main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    text = Path(args.manifest).read_text(encoding="utf-8")
     try:
+        text = Path(args.manifest).read_text(encoding="utf-8")
         manifest = codegen.parse_manifest(text, source=args.manifest)
         written = codegen.write_kernel_package(manifest, args.out_dir)
-    except ValueError as error:
+    except (OSError, ValueError) as error:
         print(f"genkernels: {error}", file=sys.stderr)
         return 1
     print(f"generated {len(manifest.entries)} kernels into {args.out_dir}")
@@ -96,7 +96,7 @@ def proxy_main(argv: list[str] | None = None) -> int:
             seed=args.seed,
             **kwargs,
         )
-    except ValueError as error:
+    except (OSError, ValueError) as error:
         print(f"proxy: {error}", file=sys.stderr)
         return 1
     registry = default_registry()
@@ -124,18 +124,23 @@ def proxy_main(argv: list[str] | None = None) -> int:
             f"warning: {fallbacks} batched calls used the reference fallback, since these "
             f"kernels were not built: {', '.join(missing)}"
         )
-    if args.dump:
+    if not args.dump:
+        return 0
+    try:
         proxy_mod.dump_state(state, args.dump)
         print(f"dump written to {args.dump}")
-        if args.compare:
-            result = proxy_mod.compare_dumps(args.dump, args.compare, args.tol)
-            verdict = "PASS" if result.passed else "FAIL"
-            print(
-                f"compare vs {args.compare}: max|diff| = {result.max_abs_diff:.3e} "
-                f"(tol {args.tol:g}) {verdict}"
-            )
-            return 0 if result.passed else 2
-    return 0
+        if not args.compare:
+            return 0
+        result = proxy_mod.compare_dumps(args.dump, args.compare, args.tol)
+    except (OSError, ValueError) as error:
+        print(f"proxy: {error}", file=sys.stderr)
+        return 1
+    verdict = "PASS" if result.passed else "FAIL"
+    print(
+        f"compare vs {args.compare}: max|diff| = {result.max_abs_diff:.3e} "
+        f"(tol {args.tol:g}) {verdict}"
+    )
+    return 0 if result.passed else 2
 
 
 def _pin_to_one_cpu() -> None:
@@ -169,13 +174,13 @@ def bench_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=42)
     args = parser.parse_args(argv)
 
-    text = Path(args.manifest).read_text(encoding="utf-8")
     try:
+        text = Path(args.manifest).read_text(encoding="utf-8")
         manifest = codegen.parse_manifest(text, source=args.manifest)
-    except ValueError as error:
+        registry = load_kernel_dir(args.kernel_dir) if args.kernel_dir else default_registry()
+    except (OSError, ValueError) as error:
         print(f"bench: {error}", file=sys.stderr)
         return 1
-    registry = load_kernel_dir(args.kernel_dir) if args.kernel_dir else default_registry()
     _pin_to_one_cpu()
 
     records = []

@@ -176,6 +176,11 @@ class ChainShapes(NamedTuple):
     #: Scratch slots one cell needs: the widest scratch write in the chain.
     scratch_per_element: int
 
+    @property
+    def tensor_ld(self) -> int:
+        """Leading dimension of every tensor component: minimal for its layout."""
+        return self.rows if self.layout is Layout.ColMajor else self.cols
+
 
 def chain_shapes(chain: tuple[ChainStep, ...]) -> ChainShapes:
     """Check *chain*'s steps against each other and return the shapes they fix.
@@ -281,16 +286,6 @@ class ProxyConfig:
     def __reduce__(self):
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
-    layout = property(operator.attrgetter("shapes.layout"))
-    rows = property(operator.attrgetter("shapes.rows"))
-    cols = property(operator.attrgetter("shapes.cols"))
-    scratch_ld = property(operator.attrgetter("shapes.scratch_ld"))
-    scratch_per_element = property(operator.attrgetter("shapes.scratch_per_element"))
-
-    @property
-    def tensor_ld(self) -> int:
-        return self.rows if self.layout is Layout.ColMajor else self.cols
-
 
 @dataclass
 class ProxyState:
@@ -351,16 +346,18 @@ def build_state(config: ProxyConfig) -> ProxyState:
         constants[name] = rng.uniform(-1.0, 1.0, rows * cols)
         constant_lds[name] = ld
 
+    shapes = config.shapes
+
     def tensor_cells() -> list[TensorBatch]:
-        span = config.rows * config.cols
+        span = shapes.rows * shapes.cols
         return [
             TensorBatch(
                 matrices=[
                     rng.uniform(-1.0, 1.0, span) for _ in range(config.components)
                 ],
-                rows=config.rows,
-                cols=config.cols,
-                ld=config.tensor_ld,
+                rows=shapes.rows,
+                cols=shapes.cols,
+                ld=shapes.tensor_ld,
             )
             for _ in range(config.cells)
         ]
@@ -387,7 +384,7 @@ def _resolve_ref_operand(
         return state.qin[cell].component(component), state.qin[cell].ld
     if binding == "qout":
         return state.qout[cell].component(component), state.qout[cell].ld
-    return scratch, config.scratch_ld
+    return scratch, config.shapes.scratch_ld
 
 
 def compute_local_integration_ref(config: ProxyConfig, state: ProxyState) -> None:
@@ -408,7 +405,7 @@ def _bind_ref_runs(state: ProxyState, config: ProxyConfig) -> list:
     view of each constant and of the scratch; only those of a cell's own
     matrices are the cell's.
     """
-    scratch = np.zeros(max(config.scratch_per_element, 1), dtype=np.float64)
+    scratch = np.zeros(max(config.shapes.scratch_per_element, 1), dtype=np.float64)
     views: dict = {}
     runs = []
     for cell in range(config.cells):
@@ -438,7 +435,7 @@ def compute_local_integration_batched(
     does), then runs the calls *state* binds for *config* and the scratch's
     array; so from the second timestep on, each call repeats a checked one.
     """
-    state.scratch.ensure(config.cells, config.scratch_per_element)
+    state.scratch.ensure(config.cells, config.shapes.scratch_per_element)
     calls = state._calls(_bind_batched_calls, config, state.scratch.array)
     for spec, a, b, c, alpha, beta in calls:
         run_batched(spec, config.cells, alpha, a, b, beta, c, registry=registry)
@@ -456,7 +453,7 @@ def _bind_batched_calls(state: ProxyState, config: ProxyConfig, scratch: np.ndar
         name: BatchedOperand.constant(data, ld=state.constant_lds[name])
         for name, data in state.constants.items()
     }
-    per_element = config.scratch_per_element
+    scratch_ld, per_element = config.shapes.scratch_ld, config.shapes.scratch_per_element
     flat = scratch[: config.cells * per_element]
     calls = []
     for component in range(config.components):
@@ -467,7 +464,7 @@ def _bind_batched_calls(state: ProxyState, config: ProxyConfig, scratch: np.ndar
             operand = dict(
                 zip(TENSOR_BINDINGS, tables),
                 **constants,
-                scratch=BatchedOperand.strided(flat, ld=config.scratch_ld, span=per_element),
+                scratch=BatchedOperand.strided(flat, ld=scratch_ld, span=per_element),
             )
             calls.append((step.spec, *map(operand.get, step.bindings()), step.alpha, step.beta))
     return calls
@@ -511,20 +508,20 @@ def dump_state(state: ProxyState, path: str | Path) -> None:
     rows, u32 cols (all little-endian), then cells x components matrices as
     column-major float64.  The encoding is bit-exact.
     """
-    config = state.config
+    config, shapes = state.config, state.config.shapes
     header = _HEADER.pack(
-        _MAGIC, _DUMP_VERSION, config.cells, config.components, config.rows, config.cols
+        _MAGIC, _DUMP_VERSION, config.cells, config.components, shapes.rows, shapes.cols
     )
     with open(path, "wb") as handle:
         handle.write(header)
         for cell in state.qout:
             for component in range(config.components):
-                handle.write(_column_major_bytes(cell.component(component), config))
+                handle.write(_column_major_bytes(cell.component(component), shapes))
 
 
-def _column_major_bytes(flat: np.ndarray, config: ProxyConfig) -> bytes:
-    rows, cols, ld = config.rows, config.cols, config.tensor_ld
-    if config.layout is Layout.ColMajor:
+def _column_major_bytes(flat: np.ndarray, shapes: ChainShapes) -> bytes:
+    rows, cols, ld = shapes.rows, shapes.cols, shapes.tensor_ld
+    if shapes.layout is Layout.ColMajor:
         matrix = flat[: cols * ld].reshape(cols, ld)[:, :rows]
         ordered = matrix.reshape(-1)
     else:

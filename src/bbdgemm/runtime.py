@@ -45,9 +45,8 @@ returns False, with nothing run, when a flat buffer's dtype, shape or
 strides changed in place since the bind; it refuses a read-only C, naming
 it, before any write (a flag can be flipped between calls, so no cache can
 answer); otherwise it runs, is counted, and returns True.  A call that
-repeats the prepared one (the same spec, registry, E, A and B objects and
-compiled-path switch) skips the check and runs the runner; on False the
-call is prepared afresh.  On the compiled path with the
+repeats the prepared one (the same spec, registry, E, A and B objects)
+skips the check and runs the runner; on False the call is prepared afresh.  On the compiled path with the
 :func:`~bbdgemm.vectorize.table_reader`, a run is one C call, the reader's
 ``run_prepared``.  alpha and beta are never kept: each run takes them from
 its own call.  Anything else that changes prepares the call afresh, and a
@@ -337,8 +336,6 @@ class _Prepared(NamedTuple):
     a: BatchedOperand
     b: BatchedOperand
     E: int
-    #: ``vectorize.jit_enabled()`` when the call was prepared.
-    jit: bool
     #: The call as a function of ``(alpha, beta)``: it returns False, with
     #: nothing run, when a flat buffer changed its dtype, shape or strides
     #: since, refuses a read-only C, and otherwise runs and returns True.
@@ -348,8 +345,9 @@ class _Prepared(NamedTuple):
 def _repeats(prepared: _Prepared, spec, E, a, b, registry) -> bool:
     """True when this call repeats *prepared*, compared fact by fact up to the first mismatch.
 
-    The same spec, registry, A and B objects (C holds *prepared*); E; and
-    whether the compiled path is on.  Operands are frozen, so nothing else
+    The same spec, registry, A and B objects (C holds *prepared*), and E.
+    The compiled path is on or off for the whole process, so the path a
+    runner took stays right.  Operands are frozen, so nothing else
     of theirs can differ but what numpy changes in place, which the runner
     checks.  alpha and beta are not compared: each run takes them from its
     own call.  One expression, with no loop or helper call: it runs before
@@ -358,7 +356,6 @@ def _repeats(prepared: _Prepared, spec, E, a, b, registry) -> bool:
     return (
         prepared.spec is spec and prepared.registry is registry
         and prepared.a is a and prepared.b is b and prepared.E == E
-        and prepared.jit == vectorize.jit_enabled()
     )
 
 
@@ -371,7 +368,6 @@ def _prepare(spec, E, a, b, c, registry) -> _Prepared:
     kept to the same contract by :func:`~bbdgemm.vectorize.checked`.
     """
     operands = (a, b, c)
-    jit = vectorize.jit_enabled()
     spans = [operand.validate(which, spec, E) for which, operand in zip("ABC", operands)]
     _check_disjoint(E, operands, spans)
     kernel = registry.lookup(kernel_name(spec))
@@ -397,7 +393,7 @@ def _prepare(spec, E, a, b, c, registry) -> _Prepared:
                 kernel(E, alpha, A, lda, B, ldb, beta, C, ldc, *kernel_spans)
 
         runner = vectorize.checked(run, payloads, [operand.kind for operand in operands])
-    return _Prepared(spec, registry, a, b, E, jit, runner)
+    return _Prepared(spec, registry, a, b, E, runner)
 
 
 def run_batched(

@@ -5,8 +5,8 @@ unrolled body.  :func:`vectorize_batch_loop` is the source-level hint placed
 on that loop's function.  It runs the batch loop in one of three ways, and
 counts each call under the path that served it:
 
-* ``compiled``: when a C compiler (``cc``) is on PATH and the switches
-  below allow it, the kernel's C twin (:func:`bbdgemm.codegen.generate_c_source`)
+* ``compiled``: when a C compiler (``cc``) is on PATH and the switch
+  below allows it, the kernel's C twin (:func:`bbdgemm.codegen.generate_c_source`)
   is built on the kernel's first compiled call and called through
   ``ctypes``.  The twin is vectorised within a batch element, not across
   the batch loop: it is printed as GNU C vector statements along C's
@@ -62,15 +62,15 @@ every other path :func:`checked` keeps it around the run.
 :func:`bbdgemm.runtime.run_batched` keeps the function for the calls that
 repeat a checked one, and binds afresh on False.
 
-Switches: ``BBDGEMM_JIT=0`` (or ``off``/``false``/``no``) turns the compiled
-path off for the process; otherwise :func:`use_jit` turns it off and on
-for the duration of a block.  Shared objects are built with ``-O3
+The one switch is ``BBDGEMM_JIT=0`` (or ``off``/``false``/``no``), read once
+per process by :func:`jit_enabled`: it turns the compiled path off, and no
+compiler runs.  Shared objects are built with ``-O3
 -march=native -ffp-contract=off`` (no fast-math: contracting ``a*b + c``
 into a fused multiply-add would change the bits) and cached in
 ``$XDG_CACHE_HOME/bbdgemm`` (default ``~/.cache/bbdgemm``) under the sha256
 of the source, the flags, ``cc --version`` and the target ``-march=native``
 resolves to, so a cache shared between different CPUs never loads another
-CPU's object.  The same switches, flags and cache serve
+CPU's object.  The same switch, flags and cache serve
 :func:`table_reader`, whose key also holds the numpy version and the
 include directories of ``Python.h`` and numpy's headers, since it reads
 numpy's array struct; without those headers pointer tables are read by
@@ -97,7 +97,6 @@ import threading
 import time
 from collections import Counter
 from collections.abc import Mapping
-from contextlib import contextmanager
 from pathlib import Path
 from typing import NamedTuple
 
@@ -118,11 +117,8 @@ __all__ = [
     "compile_log",
     "jit_available",
     "jit_enabled",
-    "use_jit",
     "vectorize_batch_loop",
 ]
-
-_override: bool | None = None
 
 #: Flags of every kernel build.  No fast-math, and no FP contraction: GNU C
 #: fuses ``a*b + c`` by default, which rounds once where the oracle rounds twice.
@@ -157,45 +153,19 @@ def jit_available() -> bool:
     return _find_compiler() is not None
 
 
-#: ``BBDGEMM_JIT`` as a key of the store behind CPython's ``os.environ``,
-#: ``_data``.  ``os.environ.get`` of an unset variable raises and catches a
-#: ``KeyError`` (about 2.4 us between kernels); a lookup in that store takes
-#: 0.05 us.  The store is not public, so a mapping without it (another
-#: Python, or a stand-in put in place of ``os.environ``) is read by ``get``.
-_JIT_KEY = getattr(os.environ, "encodekey", str)("BBDGEMM_JIT")
 _OFF = ("0", "off", "false", "no")
 
 
+@functools.cache
 def jit_enabled() -> bool:
-    """True when decorated kernels will take the compiled path.
+    """True when decorated kernels take the compiled path, decided once per process.
 
-    ``BBDGEMM_JIT`` set to ``0``, ``off``, ``false`` or ``no`` is the master
-    switch: it turns the path off for the process.  Otherwise
-    :func:`use_jit` decides, and outside it the path is on.  Without a
-    compiler it is off whatever the switches say.  The variable is read on
-    every call, so a change through ``os.environ`` takes effect at once.
+    Off when ``BBDGEMM_JIT`` is ``0``, ``off``, ``false`` or ``no`` on the
+    first call, or when there is no compiler; on otherwise.  Later changes
+    to the variable have no effect.
     """
-    environ = os.environ
-    try:
-        switch = environ._data.get(_JIT_KEY)
-        switch = None if switch is None else environ.decodevalue(switch)
-    except AttributeError:
-        switch = environ.get("BBDGEMM_JIT")
-    if switch is not None and switch.strip().lower() in _OFF:
-        return False
-    return _override is not False and _find_compiler() is not None
-
-
-@contextmanager
-def use_jit(on: bool):
-    """Temporarily force the compiled path on or off."""
-    global _override
-    previous = _override
-    _override = on
-    try:
-        yield
-    finally:
-        _override = previous
+    switch = os.environ.get("BBDGEMM_JIT", "")
+    return switch.strip().lower() not in _OFF and _find_compiler() is not None
 
 
 def _run(cc: str, *args: str) -> str:
@@ -499,14 +469,13 @@ def checked(run, payloads, kinds):
         if kind is not AccessKind.Indexed
     ]
     C, indexed_c = payloads[2], kinds[2] is AccessKind.Indexed
-    reader = C._reader() if indexed_c else None
 
     def run_checked(alpha, beta):
         for buffer, bound in flat:
             if (buffer.dtype, buffer.shape, buffer.strides) != bound:
                 return False
         if indexed_c:
-            C.check_writable("C", reader)
+            C.check_writable("C")
         elif not C.flags.writeable:
             raise read_only_error("C")
         run(alpha, beta)

@@ -1,4 +1,6 @@
-from bbdgemm import generate_kernel_source, kernel_name
+import pytest
+
+from bbdgemm import generate_kernel_source, kernel_name, vectorize
 from bbdgemm.core import AccessKind, matrix_span, operand_dims
 from bbdgemm.runtime import BatchedOperand, KernelRegistry
 
@@ -36,3 +38,24 @@ def make_operands(spec, E, rng):
             table = [pool[o * span : (o + 1) * span] for o in order]
             operands.append(BatchedOperand.indexed(table, ld))
     return tuple(operands)
+
+
+def jit_switch(monkeypatch):
+    """``switch(False)`` puts decorated kernels on numpy lanes until *monkeypatch* undoes it.
+
+    The compiled path is on or off for the whole process; a test that needs
+    lanes on a host with ``cc`` substitutes :func:`bbdgemm.vectorize.jit_enabled`.
+    ``switch(True)`` gives the process's own decision back.
+    """
+    decided = vectorize.jit_enabled
+
+    def switch(on: bool) -> None:
+        monkeypatch.setattr(vectorize, "jit_enabled", decided if on else lambda: False)
+
+    return switch
+
+
+@pytest.fixture
+def set_jit(monkeypatch):
+    """:func:`jit_switch` for the rest of the test."""
+    return jit_switch(monkeypatch)

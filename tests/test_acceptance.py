@@ -40,7 +40,6 @@ from bbdgemm.core import (
 from bbdgemm.proxy import ProxyConfig, compare_dumps, dump_state, load_dump, run_proxy
 from bbdgemm.reference import GemmScalars, batched_ref
 from bbdgemm.runtime import KernelRegistry, default_registry, run_batched
-from bbdgemm.vectorize import use_jit
 
 from conftest import build_kernel, make_operands
 
@@ -61,30 +60,30 @@ BATCH_SIZES = (0, 1, 7, 256, 1000)
 SCALAR_PAIRS = ((1.0, 1.0), (1.0, 0.0), (0.5, 0.25), (1.0, 1.0), (0.0, 1.0))
 
 
-def test_criterion_1_oracle_equivalence_lattice():
+def test_criterion_1_oracle_equivalence_lattice(set_jit):
     started = time.perf_counter()
     rng = np.random.default_rng(42)
     combos = 0
-    with use_jit(False):  # interpreted kernels: summation order identical to the oracle
-        for layout in Layout:
-            for access in ACCESS_TRIPLES:
-                for n, m, k in LATTICE_SHAPES:
-                    s = spec(layout, n, m, k, access)
-                    registry = KernelRegistry({kernel_name(s): build_kernel(s)})
-                    combos += 1
-                    for E, (alpha, beta) in zip(BATCH_SIZES, SCALAR_PAIRS):
-                        a, b, c = make_operands(s, E, rng)
-                        c_ref = clone_operand(c)
-                        run_batched(s, E, alpha, a, b, beta, c, registry=registry)
-                        batched_ref(s, E, GemmScalars(alpha, beta), a, b, c_ref)
-                        got = output_elements(s, E, c)
-                        want = output_elements(s, E, c_ref)
-                        if E:
-                            diff = float(np.max(np.abs(got - want))) if got.size else 0.0
-                            assert diff <= 1e-12, f"{kernel_name(s)} E={E}: diff {diff}"
-                            # scalar builds preserve summation order exactly
-                            assert np.array_equal(got, want), f"{kernel_name(s)} E={E}"
-                    assert registry.fallback_count == 0
+    set_jit(False)  # interpreted kernels: summation order identical to the oracle
+    for layout in Layout:
+        for access in ACCESS_TRIPLES:
+            for n, m, k in LATTICE_SHAPES:
+                s = spec(layout, n, m, k, access)
+                registry = KernelRegistry({kernel_name(s): build_kernel(s)})
+                combos += 1
+                for E, (alpha, beta) in zip(BATCH_SIZES, SCALAR_PAIRS):
+                    a, b, c = make_operands(s, E, rng)
+                    c_ref = clone_operand(c)
+                    run_batched(s, E, alpha, a, b, beta, c, registry=registry)
+                    batched_ref(s, E, GemmScalars(alpha, beta), a, b, c_ref)
+                    got = output_elements(s, E, c)
+                    want = output_elements(s, E, c_ref)
+                    if E:
+                        diff = float(np.max(np.abs(got - want))) if got.size else 0.0
+                        assert diff <= 1e-12, f"{kernel_name(s)} E={E}: diff {diff}"
+                        # scalar builds preserve summation order exactly
+                        assert np.array_equal(got, want), f"{kernel_name(s)} E={E}"
+                assert registry.fallback_count == 0
     elapsed = time.perf_counter() - started
     assert elapsed < 300.0, f"lattice took {elapsed:.0f}s, budget is 5 minutes"
     report(

@@ -16,7 +16,7 @@ from bbdgemm.bench import (
 )
 from bbdgemm.core import AccessKind, KernelShape, KernelSpec, Layout, kernel_name
 from bbdgemm.runtime import KernelRegistry
-from bbdgemm.vectorize import jit_available, use_jit
+from bbdgemm.vectorize import jit_available
 
 from conftest import build_registry
 
@@ -74,23 +74,23 @@ class TestCorrectness:
         )
         assert diff == 0.0
 
-    def test_all_access_kind_triples_small(self):
+    def test_all_access_kind_triples_small(self, set_jit):
         # one sweep over every triple at a tiny shape; the full lattice is
         # exercised by the acceptance suite
-        with use_jit(False):
-            for a in "csi":
-                for b in "csi":
-                    for c in "csi":
-                        s = spec(Layout.ColMajor, 2, 1, 3, a + b + c)
-                        registry = build_registry(s)
-                        assert run_correctness(s, 17, seed=3, registry=registry) <= 1e-12
+        set_jit(False)
+        for a in "csi":
+            for b in "csi":
+                for c in "csi":
+                    s = spec(Layout.ColMajor, 2, 1, 3, a + b + c)
+                    registry = build_registry(s)
+                    assert run_correctness(s, 17, seed=3, registry=registry) <= 1e-12
 
 
 class TestBenchmark:
-    def test_record_fields_and_gate(self):
+    def test_record_fields_and_gate(self, set_jit):
         registry = build_registry(S222)
-        with use_jit(False):
-            rec, detail = run_benchmark(S222, 64, reps=3, registry=registry, seed=5)
+        set_jit(False)
+        rec, detail = run_benchmark(S222, 64, reps=3, registry=registry, seed=5)
         assert rec.name == kernel_name(S222)
         assert rec.E == 64 and rec.reps == 3
         assert rec.max_abs_diff <= 1e-12
@@ -111,10 +111,10 @@ class TestBenchmark:
             ),
         ],
     )
-    def test_report_names_the_serving_path(self, jit, path):
+    def test_report_names_the_serving_path(self, jit, path, set_jit):
         registry = build_registry(S222)
-        with use_jit(jit):
-            rec, detail = run_benchmark(S222, 64, reps=2, registry=registry, seed=5)
+        set_jit(jit)
+        rec, detail = run_benchmark(S222, 64, reps=2, registry=registry, seed=5)
         assert detail.path == path
         assert f"path {path}" in format_report([rec], [detail])
 
@@ -139,14 +139,14 @@ class TestBenchmark:
         with pytest.raises(ValueError, match=r"max\|diff\| [0-9.]+e-1[0-9]\); refusing to benchmark"):
             run_benchmark(S222, 16, reps=2, registry=registry)
 
-    def test_fallback_marked_when_allowed(self):
-        with use_jit(False):
-            rec, _ = run_benchmark(
-                S222, 16, reps=2, registry=KernelRegistry({}), allow_fallback=True
-            )
+    def test_fallback_marked_when_allowed(self, set_jit):
+        set_jit(False)
+        rec, _ = run_benchmark(
+            S222, 16, reps=2, registry=KernelRegistry({}), allow_fallback=True
+        )
         assert rec.fallback_used is True
 
-    def test_percall_baseline_is_the_oracle_loop(self, monkeypatch):
+    def test_percall_baseline_is_the_oracle_loop(self, monkeypatch, set_jit):
         # The per-call figure times batched_ref alone, on one copy of C:
         # after the correctness check's call come two warm-ups, the
         # calibration runs (1 + 2 + ... + inner) and reps * inner samples.
@@ -156,8 +156,8 @@ class TestBenchmark:
             outputs.append(c)
             return oracle(spec, E, scalars, a, b, c)
         monkeypatch.setattr(bench, "batched_ref", counting_ref)
-        with use_jit(False):
-            _, detail = run_benchmark(S222, 8, reps=3, registry=build_registry(S222))
+        set_jit(False)
+        _, detail = run_benchmark(S222, 8, reps=3, registry=build_registry(S222))
         inner = detail.percall_inner_iters
         assert len(outputs) == 1 + 2 + (2 * inner - 1) + 3 * inner
         assert len({id(c) for c in outputs[1:]}) == 1

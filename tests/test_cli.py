@@ -16,10 +16,10 @@ CHAIN = (
 
 
 @pytest.fixture(autouse=True)
-def _no_jit(monkeypatch):
+def _no_jit(set_jit):
     # CLI behaviour under test is independent of the JIT backend; keep the
     # small runs on the interpreted path.
-    monkeypatch.setenv("BBDGEMM_JIT", "0")
+    set_jit(False)
 
 
 class TestGenkernels:
@@ -44,6 +44,11 @@ class TestGenkernels:
         rc = genkernels_main(["--manifest", str(manifest), "--out-dir", str(tmp_path / "out")])
         assert rc == 1
         assert "K must be >= 1" in capsys.readouterr().err
+
+    def test_unreadable_manifest_is_reported(self, tmp_path, capsys):
+        rc = genkernels_main(["--manifest", "/nonexistent", "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert re.fullmatch(r"genkernels: \[Errno 2\] .*'/nonexistent'\n", capsys.readouterr().err)
 
     def test_max_dim_enforced(self, tmp_path, capsys):
         # The bound is fixed at 64, for the Python kernel and its C twin
@@ -80,10 +85,10 @@ class TestProxyCli:
         assert (cells, components, rows, cols) == (11, 4, 3, 2)
         assert np.all(np.isfinite(data))
 
-    def test_prints_paths_and_compile_log(self, monkeypatch, capsys):
+    def test_prints_paths_and_compile_log(self, set_jit, capsys):
         if not jit_available():
             pytest.skip("no C compiler (cc) on PATH")
-        monkeypatch.setenv("BBDGEMM_JIT", "1")
+        set_jit(True)
         assert proxy_main(["--cells", "2", "--timesteps", "1", "--seed", "1"]) == 0
         out = capsys.readouterr().out
         for name in ("bbdgemm_ColMajor_20_9_10_cis", "bbdgemm_ColMajor_10_9_9_sci"):
@@ -137,6 +142,27 @@ class TestProxyCli:
         assert re.search(r"max\|diff\| = 0\.000e\+00 \(tol 0\) PASS$", capsys.readouterr().out, re.M)
         assert load_dump(vec_dump)[:4] == (5, 4, 3, 2)
 
+    @pytest.mark.parametrize("option", ["--chain", "--compare", "--dump"])
+    def test_unreadable_file_is_reported(self, option, tmp_path, capsys):
+        # A chain or dump to compare that cannot be read, or a dump that
+        # cannot be written, is reported in one line, not a traceback.
+        args = ["--cells", "2", "--timesteps", "1", "--mode", "scalar", "--seed", "1"]
+        if option == "--compare":
+            args += ["--dump", str(tmp_path / "out.bin")]
+        path = "/nonexistent/out.bin" if option == "--dump" else "/nonexistent"
+        assert proxy_main(args + [option, path]) == 1
+        assert re.fullmatch(rf"proxy: \[Errno 2\] .*'{path}'\n", capsys.readouterr().err)
+
+    def test_compare_with_a_dump_of_another_shape_is_reported(self, tmp_path, capsys):
+        args = ["--timesteps", "1", "--mode", "scalar", "--seed", "1"]
+        assert proxy_main(args + ["--cells", "2", "--dump", str(tmp_path / "two.bin")]) == 0
+        rc = proxy_main(
+            args + ["--cells", "3", "--dump", str(tmp_path / "three.bin"),
+                    "--compare", str(tmp_path / "two.bin")]
+        )
+        assert rc == 1
+        assert re.fullmatch(r"proxy: dump shape mismatch: .*\n", capsys.readouterr().err)
+
     def test_custom_chain_dims_must_match_tensors(self, tmp_path, capsys):
         chain = tmp_path / "chain.txt"
         chain.write_text("ColMajor 4 2 3 cii op1 qin qout 1.0 0.0\n", encoding="utf-8")
@@ -179,6 +205,17 @@ class TestBenchCli:
         )
         assert rc == 1
         assert "dispatch table" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", ["--manifest", "--kernel-dir"])
+    def test_unreadable_input_is_reported(self, option, tmp_path, capsys):
+        manifest = tmp_path / "m.manifest"
+        manifest.write_text("ColMajor 2 2 2 cis\n", encoding="utf-8")
+        if option == "--manifest":
+            args = ["--manifest", "/nonexistent"]
+        else:
+            args = ["--manifest", str(manifest), "--kernel-dir", "/nonexistent"]
+        assert bench_main(args) == 1
+        assert re.fullmatch(r"bench: .*/nonexistent.*\n", capsys.readouterr().err)
 
     def test_baseline_flag_is_refused(self, tmp_path, capsys):
         # The oracle's per-call loop is the only baseline; there is no flag.

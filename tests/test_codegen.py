@@ -33,7 +33,6 @@ from bbdgemm.core import (
 )
 from bbdgemm.reference import GemmScalars, batched_ref
 from bbdgemm.runtime import load_kernel_dir
-from bbdgemm.vectorize import use_jit
 
 from conftest import build_kernel, make_operands
 
@@ -302,16 +301,16 @@ class TestGeneratedSource:
             (Layout.ColMajor, "iii"),
         ],
     )
-    def test_generated_matches_oracle(self, layout, access):
+    def test_generated_matches_oracle(self, layout, access, set_jit):
         s = spec(layout, 3, 2, 4, access)
         kernel = build_kernel(s)
         rng = np.random.default_rng(77)
         E = 33
         a, b, c = make_operands(s, E, rng)
         c_ref = clone_operand(c)
-        with use_jit(False):
-            kernel(E, 1.5, a.payload(), a.ld, b.payload(), b.ld, 0.5, c.payload(), c.ld,
-                   *(matrix_span(s, which, op.ld) for which, op in zip("ABC", (a, b, c))))
+        set_jit(False)
+        kernel(E, 1.5, a.payload(), a.ld, b.payload(), b.ld, 0.5, c.payload(), c.ld,
+               *(matrix_span(s, which, op.ld) for which, op in zip("ABC", (a, b, c))))
         batched_ref(s, E, GemmScalars(1.5, 0.5), a, b, c_ref)
         assert np.array_equal(
             output_elements(s, E, c), output_elements(s, E, c_ref)

@@ -23,7 +23,7 @@ from bbdgemm.proxy import (
     run_proxy_state,
 )
 from bbdgemm.reference import dgemm_ref
-from bbdgemm.vectorize import jit_available, use_jit
+from bbdgemm.vectorize import jit_available
 
 from conftest import build_registry
 
@@ -82,8 +82,8 @@ class TestConfigValidation:
     def test_default_config_is_valid(self):
         config = ProxyConfig()
         assert config.cells == 10000 and config.timesteps == 6
-        assert config.components == 4 and (config.rows, config.cols) == (10, 9)
-        assert config.scratch_per_element == 180
+        assert config.components == 4 and (config.shapes.rows, config.shapes.cols) == (10, 9)
+        assert config.shapes.scratch_per_element == 180
 
     def test_scratch_facts_are_derived_once_per_config(self, monkeypatch):
         # The chain's shapes are derived when the config is built and kept;
@@ -97,17 +97,17 @@ class TestConfigValidation:
         twin = small_config()
         calls.clear()
         facts = [
-            (config.scratch_per_element, config.scratch_ld, config.rows, config.cols, config.layout)
-            for _ in range(3)
+            (shapes.scratch_per_element, shapes.scratch_ld, shapes.rows, shapes.cols, shapes.layout)
+            for shapes in (config.shapes for _ in range(3))
         ]
         assert facts == [(8, 4, 3, 2, Layout.ColMajor)] * 3
         assert calls == []
         assert config == twin and hash(config) == hash(twin) and repr(config) == repr(twin)
         first, second = small_chain()
         wider = replace(config, chain=(replace(first, spec=spec(Layout.ColMajor, 5, 2, 3, "cis")), second))
-        assert (wider.scratch_per_element, wider.scratch_ld) == (10, 5)
+        assert (wider.shapes.scratch_per_element, wider.shapes.scratch_ld) == (10, 5)
         copied = pickle.loads(pickle.dumps(config))
-        assert copied == config and (copied.scratch_per_element, copied.scratch_ld) == (8, 4)
+        assert copied == config and copied.shapes == config.shapes
 
     def test_unknown_binding(self):
         bad = (ChainStep(spec(Layout.ColMajor, 3, 2, 3, "cii"), "op1", "qin", "bogus", 1.0, 0.0),)
@@ -143,10 +143,10 @@ class TestConfigValidation:
             small_config(chain=bad)
 
     def test_row_major_chain_fixes_the_tensor_shape(self):
-        config = small_config(chain=row_major_chain())
-        assert (config.layout, config.rows, config.cols, config.tensor_ld) == (Layout.RowMajor, 3, 2, 2)
-        assert (config.scratch_ld, config.scratch_per_element) == (2, 8)
-        assert config.shapes.constants == {"op1": (4, 3, 3), "op2": (2, 2, 2)}
+        shapes = small_config(chain=row_major_chain()).shapes
+        assert (shapes.layout, shapes.rows, shapes.cols, shapes.tensor_ld) == (Layout.RowMajor, 3, 2, 2)
+        assert (shapes.scratch_ld, shapes.scratch_per_element) == (2, 8)
+        assert shapes.constants == {"op1": (4, 3, 3), "op2": (2, 2, 2)}
 
     def test_scratch_read_before_write(self):
         bad = (ChainStep(spec(Layout.ColMajor, 3, 2, 2, "sci"), "scratch", "op2", "qout", 1.0, 0.0),)
@@ -214,7 +214,7 @@ class TestReferenceVariant:
         run_proxy_state(config1, carried)
         assert np.array_equal(qout_snapshot(double), qout_snapshot(carried))
 
-    def test_a_state_binds_each_gemm_once(self, monkeypatch):
+    def test_a_state_binds_each_gemm_once(self, monkeypatch, set_jit):
         # build_state binds nothing; the first of three one-timestep runs
         # binds each (cell, component, step) GEMM once, the others none, and
         # the bytes are one three-timestep run's and the vector mode's.
@@ -241,14 +241,14 @@ class TestReferenceVariant:
                 assert len({id(getattr(run, which)) for run in runs}) == 1
             assert len({id(getattr(run, own)) for run in runs}) == len(runs) == gemms // 2
         whole = run_proxy(config)
-        with use_jit(False):
-            vector = run_proxy(small_config(mode="vector", timesteps=3), registry=small_registry())
+        set_jit(False)
+        vector = run_proxy(small_config(mode="vector", timesteps=3), registry=small_registry())
         assert qout_snapshot(stepped).tobytes() == qout_snapshot(whole).tobytes()
         assert qout_snapshot(stepped).tobytes() == qout_snapshot(vector).tobytes()
 
     @pytest.mark.parametrize("mode", ["scalar", "vector"])
     @pytest.mark.parametrize("replaced", ["cell_matrix", "constant"])
-    def test_unbind_after_replacing_data_gives_the_new_bytes(self, mode, replaced):
+    def test_unbind_after_replacing_data_gives_the_new_bytes(self, mode, replaced, set_jit):
         # After a timestep, a cell's matrix or a constant is replaced by a
         # new array and the state unbound: the next timestep gives the bytes
         # of a never-bound state holding the new data, not those of the old.
@@ -256,72 +256,71 @@ class TestReferenceVariant:
         registry = small_registry()
         state = build_state(config)
         rng = np.random.default_rng(8)
-        with use_jit(False):
-            run_proxy_state(config, state, registry=registry)
-            old = unbound_copy(state)
-            if replaced == "cell_matrix":
-                state.qin[5].matrices[1] = rng.uniform(-1.0, 1.0, state.qin[5].matrices[1].size)
-            else:
-                state.constants["op1"] = rng.uniform(-1.0, 1.0, state.constants["op1"].size)
-            new = unbound_copy(state)
-            state.unbind()
-            for advanced in (state, new, old):
-                run_proxy_state(config, advanced, registry=registry)
+        set_jit(False)
+        run_proxy_state(config, state, registry=registry)
+        old = unbound_copy(state)
+        if replaced == "cell_matrix":
+            state.qin[5].matrices[1] = rng.uniform(-1.0, 1.0, state.qin[5].matrices[1].size)
+        else:
+            state.constants["op1"] = rng.uniform(-1.0, 1.0, state.constants["op1"].size)
+        new = unbound_copy(state)
+        state.unbind()
+        for advanced in (state, new, old):
+            run_proxy_state(config, advanced, registry=registry)
         assert registry.fallback_count == 0
         assert qout_snapshot(state).tobytes() == qout_snapshot(new).tobytes()
         assert qout_snapshot(state).tobytes() != qout_snapshot(old).tobytes()
 
 
 class TestBatchedVariant:
-    def test_matches_reference_bitwise_interpreted(self):
+    def test_matches_reference_bitwise_interpreted(self, set_jit):
         registry = small_registry()
         ref_state = run_proxy(small_config(mode="scalar"))
-        with use_jit(False):
-            vec_state = run_proxy(small_config(mode="vector"), registry=registry)
+        set_jit(False)
+        vec_state = run_proxy(small_config(mode="vector"), registry=registry)
         assert registry.fallback_count == 0
         assert np.array_equal(qout_snapshot(ref_state), qout_snapshot(vec_state))
 
     def test_matches_reference_under_jit(self):
         registry = small_registry()
         ref_state = run_proxy(small_config(mode="scalar"))
-        with use_jit(True):
-            vec_state = run_proxy(small_config(mode="vector"), registry=registry)
+        vec_state = run_proxy(small_config(mode="vector"), registry=registry)
         diff = np.max(np.abs(qout_snapshot(ref_state) - qout_snapshot(vec_state)))
         assert diff < 1e-6
         assert diff == 0.0  # same summation order on both paths
 
-    def test_single_cell_matches_reference(self):
+    def test_single_cell_matches_reference(self, set_jit):
         registry = small_registry()
         ref_state = run_proxy(small_config(cells=1, mode="scalar"))
-        with use_jit(False):
-            vec_state = run_proxy(small_config(cells=1, mode="vector"), registry=registry)
+        set_jit(False)
+        vec_state = run_proxy(small_config(cells=1, mode="vector"), registry=registry)
         diff = np.max(np.abs(qout_snapshot(ref_state) - qout_snapshot(vec_state)))
         assert diff <= 1e-12
 
-    def test_one_call_per_chain_step_per_component(self, monkeypatch):
+    def test_one_call_per_chain_step_per_component(self, monkeypatch, set_jit):
         calls = []
         run_batched = proxy_mod.run_batched
         monkeypatch.setattr(
             proxy_mod, "run_batched", lambda *args, **kw: calls.append(args[0]) or run_batched(*args, **kw)
         )
         config = small_config(mode="vector", timesteps=2)
-        with use_jit(False):
-            run_proxy(config, registry=small_registry())
+        set_jit(False)
+        run_proxy(config, registry=small_registry())
         expected = config.timesteps * config.components * len(config.chain)
         assert calls == [step.spec for step in config.chain] * (expected // len(config.chain))
 
-    def test_scratch_reused_across_timesteps(self):
+    def test_scratch_reused_across_timesteps(self, set_jit):
         # The state grows its own scratch on the first timestep and keeps it.
         config = small_config(mode="vector", timesteps=3)
         state = build_state(config)
         registry = small_registry()
-        with use_jit(False):
+        set_jit(False)
+        compute_local_integration_batched(config, state, registry=registry)
+        backing = state.scratch.array
+        assert state.scratch.capacity >= config.cells * config.shapes.scratch_per_element
+        for _ in range(config.timesteps - 1):
             compute_local_integration_batched(config, state, registry=registry)
-            backing = state.scratch.array
-            assert state.scratch.capacity >= config.cells * config.scratch_per_element
-            for _ in range(config.timesteps - 1):
-                compute_local_integration_batched(config, state, registry=registry)
-                assert state.scratch.array is backing
+            assert state.scratch.array is backing
 
     def test_state_builds_its_tables_and_scratch_once(self, monkeypatch):
         # Three one-timestep runs of one state build 2 x components pointer
@@ -355,13 +354,10 @@ class TestBatchedVariant:
         assert qout_snapshot(stepped).tobytes() == qout_snapshot(scalar).tobytes()
 
 
-    @pytest.mark.parametrize("between", ["flip_use_jit", "grow_scratch"])
-    def test_a_state_prepares_again_when_its_calls_change(self, between, monkeypatch):
-        # Flipping the compiled path, or growing the scratch so that its
-        # array moves, between timesteps of one state makes every call of
-        # the next timestep prepare afresh; the bytes stay the scalar mode's.
-        if between == "flip_use_jit" and not jit_available():
-            pytest.skip("no C compiler (cc) on PATH: the switch cannot flip")
+    def test_a_state_prepares_again_when_its_scratch_moves(self, monkeypatch):
+        # Growing the scratch so that its array moves between timesteps of
+        # one state makes every call of the next timestep prepare afresh;
+        # the bytes stay the scalar mode's.
         prepared = []
         prepare = runtime_mod._prepare
         monkeypatch.setattr(
@@ -371,19 +367,14 @@ class TestBatchedVariant:
         config = small_config(mode="vector", timesteps=3)
         state = build_state(config)
         calls = len(config.chain) * config.components
-        jit = True
         seen = []
         for timestep in range(3):
             if timestep == 1:
-                if between == "flip_use_jit":
-                    jit = False
-                else:
-                    moved = state.scratch.array
-                    state.scratch.ensure(config.cells, 4 * config.scratch_per_element)
-                    assert state.scratch.array is not moved
+                moved = state.scratch.array
+                state.scratch.ensure(config.cells, 4 * config.shapes.scratch_per_element)
+                assert state.scratch.array is not moved
             prepared.clear()
-            with use_jit(jit):
-                run_proxy_state(config, state, registry=registry, timesteps=1)
+            run_proxy_state(config, state, registry=registry, timesteps=1)
             seen.append(len(prepared))
         assert seen == [calls, calls, 0]
         scalar = run_proxy(small_config(mode="scalar", timesteps=3))
@@ -391,7 +382,7 @@ class TestBatchedVariant:
         assert qout_snapshot(state).tobytes() == qout_snapshot(scalar).tobytes()
 
     @pytest.mark.parametrize("jit", [False, True])
-    def test_narrow_scratch_window_runs_on_kernels(self, jit):
+    def test_narrow_scratch_window_runs_on_kernels(self, jit, set_jit):
         # Step 2 reads a 10x5 window of step 1's 20x9 scratch, so its A
         # span, 180, pads the window's 100-element matrix span; no call
         # falls back, and the bytes are the scalar mode's.
@@ -401,8 +392,8 @@ class TestBatchedVariant:
         )
         registry = build_registry(*(step.spec for step in chain))
         config = ProxyConfig(cells=7, timesteps=2, chain=chain, mode="vector", seed=5)
-        with use_jit(jit):
-            vector = run_proxy(config, registry=registry)
+        set_jit(jit)
+        vector = run_proxy(config, registry=registry)
         scalar = run_proxy(replace(config, mode="scalar"))
         assert registry.fallback_count == 0
         assert qout_snapshot(vector).tobytes() == qout_snapshot(scalar).tobytes()
@@ -417,15 +408,15 @@ class TestBatchedVariant:
         ],
         ids=["lanes", "compiled"],
     )
-    def test_row_major_chain_runs_on_kernels(self, jit, tmp_path):
+    def test_row_major_chain_runs_on_kernels(self, jit, tmp_path, set_jit):
         # The chain alone fixes the layout: a RowMajor chain runs on its
         # built kernels, on the path asked for, and dumps the scalar mode's bytes.
         chain = row_major_chain()
         registry = build_registry(*(step.spec for step in chain))
         config = small_config(cells=5, chain=chain, mode="vector")
         scalar, vector = tmp_path / "scalar.bin", tmp_path / "vector.bin"
-        with use_jit(jit):
-            dump_state(run_proxy(config, registry=registry), vector)
+        set_jit(jit)
+        dump_state(run_proxy(config, registry=registry), vector)
         dump_state(run_proxy(replace(config, mode="scalar")), scalar)
         assert registry.fallback_count == 0
         path = "compiled" if jit else "lanes"
@@ -468,7 +459,7 @@ class TestDumps:
         cells, components, rows, cols, data = load_dump(path)
         config = state.config
         assert (cells, components, rows, cols) == (
-            config.cells, config.components, config.rows, config.cols,
+            config.cells, config.components, config.shapes.rows, config.shapes.cols,
         )
         for e in range(cells):
             for s in range(components):
@@ -486,21 +477,21 @@ class TestDumps:
         with pytest.raises(ValueError, match="shape mismatch"):
             compare_dumps(a, b, tol=1e-6)
 
-    def test_scalar_vs_vector_dumps_within_tolerance(self, tmp_path):
+    def test_scalar_vs_vector_dumps_within_tolerance(self, tmp_path, set_jit):
         registry = small_registry()
         a, b = tmp_path / "scalar.bin", tmp_path / "vector.bin"
         dump_state(run_proxy(small_config(mode="scalar")), a)
-        with use_jit(False):
-            dump_state(run_proxy(small_config(mode="vector"), registry=registry), b)
+        set_jit(False)
+        dump_state(run_proxy(small_config(mode="vector"), registry=registry), b)
         result = compare_dumps(a, b, tol=1e-6)
         assert result.passed
 
-    def test_scalar_and_vector_dumps_are_byte_identical(self, tmp_path):
+    def test_scalar_and_vector_dumps_are_byte_identical(self, tmp_path, set_jit):
         registry = small_registry()
         a, b = tmp_path / "scalar.bin", tmp_path / "vector.bin"
         dump_state(run_proxy(small_config(cells=5, mode="scalar")), a)
-        with use_jit(False):
-            dump_state(run_proxy(small_config(cells=5, mode="vector"), registry=registry), b)
+        set_jit(False)
+        dump_state(run_proxy(small_config(cells=5, mode="vector"), registry=registry), b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_row_major_round_trip(self, tmp_path):

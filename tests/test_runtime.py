@@ -9,7 +9,6 @@ import subprocess
 import sys
 import threading
 import weakref
-from contextlib import contextmanager
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -42,9 +41,9 @@ from bbdgemm.runtime import (
     build_pointer_table,
     run_batched,
 )
-from bbdgemm.vectorize import jit_available, use_jit
+from bbdgemm.vectorize import jit_available
 
-from conftest import build_kernel, build_registry, make_operands
+from conftest import build_kernel, build_registry, jit_switch, make_operands
 
 needs_cc = pytest.mark.skipif(not jit_available(), reason="no C compiler (cc) on PATH")
 has_reader_headers = vectorize._reader_includes() is not None
@@ -76,9 +75,8 @@ class FakeCell:
         return self.matrices[index]
 
 
-@contextmanager
-def on_path(path):
-    """Registry factory for one execution path of ``run_batched``.
+def on_path(path, set_jit):
+    """Registry factory for one execution path of ``run_batched``, the switch set for it.
 
     ``lanes`` runs the generated kernels with the compiled path off;
     ``compiled`` runs their C twins (the test is skipped without a
@@ -87,8 +85,8 @@ def on_path(path):
     """
     if path == "compiled" and not jit_available():
         pytest.skip("no C compiler (cc) on PATH")
-    with use_jit(path == "compiled"):
-        yield (lambda s: KernelRegistry({})) if path == "fallback" else build_registry
+    set_jit(path == "compiled")
+    return (lambda s: KernelRegistry({})) if path == "fallback" else build_registry
 
 
 PATHS = ["lanes", "compiled", "fallback"]
@@ -157,7 +155,7 @@ class TestRunBatched:
         with pytest.raises(ValueError, match="pointer table"):
             run_batched(S_CIS, 3, 1.0, a, short, 0.0, c, registry=registry)
 
-    def test_inputs_never_mutated(self):
+    def test_inputs_never_mutated(self, set_jit):
         registry = build_registry(S_CIS)
         rng = np.random.default_rng(6)
         E = 7
@@ -165,8 +163,9 @@ class TestRunBatched:
         a_before = np.array(a.data)
         b_before = [np.array(entry) for entry in b.table]
         for jit in (False, True):
-            with use_jit(jit):
-                run_batched(S_CIS, E, 1.0, a, b, 1.0, c, registry=registry)
+            set_jit(jit)
+            # A new C operand over the same buffers, so this path prepares its own call.
+            run_batched(S_CIS, E, 1.0, a, b, 1.0, replace(c), registry=registry)
         assert np.array_equal(a.data, a_before)
         for entry, before in zip(b.table, b_before):
             assert np.array_equal(np.asarray(entry), before)
@@ -177,7 +176,7 @@ class TestRunBatched:
         [("sss", "A"), ("sss", "B"), ("sss", "C"), ("ssc", "B")],
         ids=["padded_a", "padded_b", "padded_c", "padded_b_constant_c"],
     )
-    def test_padded_spans_on_every_path(self, path, access, padded):
+    def test_padded_spans_on_every_path(self, path, access, padded, set_jit):
         # One operand's span is 3 longer than its matrix; every Strided
         # buffer ends at its last matrix.  Each path gives the oracle's bytes,
         # padding untouched, and no kernel path falls back.  A Constant C
@@ -200,9 +199,9 @@ class TestRunBatched:
             return operands
 
         got, want = build(), build()
-        with on_path(path) as registry_for:
-            registry = registry_for(s)
-            run_batched(s, E, 1.5, got[0], got[1], 0.5, got[2], registry=registry)
+        registry_for = on_path(path, set_jit)
+        registry = registry_for(s)
+        run_batched(s, E, 1.5, got[0], got[1], 0.5, got[2], registry=registry)
         batched_ref(s, E, GemmScalars(1.5, 0.5), *want)
         assert [m.tobytes() for m in buffers_of(*got)] == [m.tobytes() for m in buffers_of(*want)]
         if path == "fallback":
@@ -213,7 +212,7 @@ class TestRunBatched:
             assert registry.lookup(kernel_name(s)).path_counts == {served: 1}
 
     @pytest.mark.parametrize("path", PATHS)
-    def test_strided_buffer_needs_only_up_to_the_last_matrix(self, path):
+    def test_strided_buffer_needs_only_up_to_the_last_matrix(self, path, set_jit):
         # span 7 > the 2x2 matrix span 4: the last matrix ends at element
         # (E-1)*7 + 4 = 18, so an 18-element C is enough and 17 is not
         s = spec(Layout.ColMajor, 2, 2, 2, "ccs")
@@ -222,19 +221,19 @@ class TestRunBatched:
         b = BatchedOperand.constant(rng.uniform(-1.0, 1.0, 4), 2)
         c = BatchedOperand.strided(rng.uniform(-1.0, 1.0, 18), 2, 7)
         c_ref = clone_operand(c)
-        with on_path(path) as registry_for:
-            registry = registry_for(s)
-            run_batched(s, 3, 1.5, a, b, 0.5, c, registry=registry)
-            short = BatchedOperand.strided(c.data[:17].copy(), 2, 7)
-            with pytest.raises(ValueError, match=r"^operand C: buffer holds 17 elements, need \(E-1\)\*span \+ 4 = 18$"):
-                run_batched(s, 3, 1.5, a, b, 0.5, short, registry=registry)
+        registry_for = on_path(path, set_jit)
+        registry = registry_for(s)
+        run_batched(s, 3, 1.5, a, b, 0.5, c, registry=registry)
+        short = BatchedOperand.strided(c.data[:17].copy(), 2, 7)
+        with pytest.raises(ValueError, match=r"^operand C: buffer holds 17 elements, need \(E-1\)\*span \+ 4 = 18$"):
+            run_batched(s, 3, 1.5, a, b, 0.5, short, registry=registry)
         batched_ref(s, 3, GemmScalars(1.5, 0.5), a, b, c_ref)
         assert c.data.tobytes() == c_ref.data.tobytes()
         assert registry.fallback_count == (1 if path == "fallback" else 0)
 
     @pytest.mark.parametrize("path", ["lanes", "compiled"])
     @pytest.mark.parametrize("length", ["one_matrix", "one_short"])
-    def test_direct_call_refuses_a_short_strided_buffer(self, path, length):
+    def test_direct_call_refuses_a_short_strided_buffer(self, path, length, set_jit):
         # Called directly, past run_batched's check, a Strided A that ends
         # before its last matrix is refused before C is written, not read
         # as fewer matrices (one matrix would broadcast over every lane).
@@ -245,14 +244,14 @@ class TestRunBatched:
         needed = (E - 1) * size + size
         short = a.data[: size if length == "one_matrix" else needed - 1].copy()
         before = c.data.tobytes()
-        with on_path(path) as registry_for:
-            kernel = registry_for(s).lookup(kernel_name(s))
-            with pytest.raises(ValueError, match=rf"need span >= {size} and \(E-1\)\*span \+ {size} = {needed} elements$"):
-                kernel(E, 1.0, short, a.ld, b.data, b.ld, 1.0, c.data, c.ld, size, b.data.size, c.span)
+        registry_for = on_path(path, set_jit)
+        kernel = registry_for(s).lookup(kernel_name(s))
+        with pytest.raises(ValueError, match=rf"need span >= {size} and \(E-1\)\*span \+ {size} = {needed} elements$"):
+            kernel(E, 1.0, short, a.ld, b.data, b.ld, 1.0, c.data, c.ld, size, b.data.size, c.span)
         assert c.data.tobytes() == before
         assert kernel.path_counts == {}
 
-    def test_non_minimal_leading_dims(self):
+    def test_non_minimal_leading_dims(self, set_jit):
         # every operand padded: ld = min_ld + 2, spans derived from the lds
         from bbdgemm.core import matrix_span, operand_dims
 
@@ -267,8 +266,8 @@ class TestRunBatched:
             operands.append(BatchedOperand.strided(rng.uniform(-1, 1, E * span), ld, span))
         a, b, c = operands
         c_ref = clone_operand(c)
-        with use_jit(False):
-            run_batched(s, E, 1.0, a, b, 1.0, c, registry=registry)
+        set_jit(False)
+        run_batched(s, E, 1.0, a, b, 1.0, c, registry=registry)
         assert registry.fallback_count == 0
         batched_ref(s, E, GemmScalars(1.0, 1.0), a, b, c_ref)
         assert np.array_equal(c.data, c_ref.data)
@@ -310,7 +309,7 @@ class TestRunBatched:
         assert [np.array(m).tobytes() for m in c.table] == c_before
 
     @pytest.mark.parametrize("entries", ["longer_than_span", "strided_views"])
-    def test_lanes_stage_irregular_table_entries(self, entries, monkeypatch):
+    def test_lanes_stage_irregular_table_entries(self, entries, monkeypatch, set_jit):
         # Indexed A and C whose entries hold more than one matrix, or are
         # non-contiguous views of a pool, still run as lanes and give the
         # oracle's bytes; elements past a matrix stay as they were.
@@ -343,8 +342,8 @@ class TestRunBatched:
 
         (a, b, c), got = build()
         (a_ref, b_ref, c_ref), want = build()
-        with use_jit(False):
-            run_batched(s, E, 1.5, a, b, 0.5, c, registry=build_registry(s))
+        set_jit(False)
+        run_batched(s, E, 1.5, a, b, 0.5, c, registry=build_registry(s))
         assert len(gathered) == 2  # A and C were staged as lanes
         batched_ref(s, E, GemmScalars(1.5, 0.5), a_ref, b_ref, c_ref)
         assert [m.tobytes() for m in got] == [m.tobytes() for m in want]
@@ -361,16 +360,16 @@ class TestRunBatched:
         for name in manifest.names():
             assert name in registry
 
-    def test_jit_and_pure_paths_agree_bitwise(self):
+    def test_jit_and_pure_paths_agree_bitwise(self, set_jit):
         registry = build_registry(S_CIS)
         rng = np.random.default_rng(8)
         E = 41
         a, b, c = make_operands(S_CIS, E, rng)
         c_jit = clone_operand(c)
-        with use_jit(False):
-            run_batched(S_CIS, E, 1.25, a, b, 0.75, c, registry=registry)
-        with use_jit(True):
-            run_batched(S_CIS, E, 1.25, a, b, 0.75, c_jit, registry=registry)
+        set_jit(False)
+        run_batched(S_CIS, E, 1.25, a, b, 0.75, c, registry=registry)
+        set_jit(True)
+        run_batched(S_CIS, E, 1.25, a, b, 0.75, c_jit, registry=registry)
         assert np.array_equal(output_elements(S_CIS, E, c), output_elements(S_CIS, E, c_jit))
 
     def test_concurrent_calls_with_disjoint_outputs(self):
@@ -417,7 +416,7 @@ class TestRunBatched:
 
     @needs_cc
     @pytest.mark.parametrize("access", ["ccc", "cci", "cic", "cii", "icc", "ici", "iic", "iii"])
-    def test_jit_staging_type_combinations(self, access):
+    def test_jit_staging_type_combinations(self, access, set_jit):
         # flat buffers vs staged pointer tables are the two argument types
         # the compiled kernels ever see; cover every operand combination
         s = spec(Layout.ColMajor, 2, 1, 3, access)
@@ -426,10 +425,9 @@ class TestRunBatched:
         E = 9
         a, b, c = make_operands(s, E, rng)
         c_pure = clone_operand(c)
-        with use_jit(True):
-            run_batched(s, E, 1.5, a, b, 0.5, c, registry=registry)
-        with use_jit(False):
-            run_batched(s, E, 1.5, a, b, 0.5, c_pure, registry=registry)
+        run_batched(s, E, 1.5, a, b, 0.5, c, registry=registry)
+        set_jit(False)
+        run_batched(s, E, 1.5, a, b, 0.5, c_pure, registry=registry)
         assert registry.fallback_count == 0
         assert registry.lookup(kernel_name(s)).path_counts["compiled"] == 1
         assert np.array_equal(output_elements(s, E, c), output_elements(s, E, c_pure))
@@ -524,39 +522,39 @@ class TestOperandContract:
             "read_only_indexed_c_entry_3",
         ],
     )
-    def test_refused_before_any_write(self, path, build, message):
+    def test_refused_before_any_write(self, path, build, message, set_jit):
         s, E, a, b, c = build()
         before = [m.tobytes() for m in buffers_of(a, b, c)]
-        with on_path(path) as registry_for:
-            registry = registry_for(s)
-            with pytest.raises(ValueError, match=f"^{message}$"):
-                run_batched(s, E, 1.0, a, b, 1.0, c, registry=registry)
+        registry_for = on_path(path, set_jit)
+        registry = registry_for(s)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_batched(s, E, 1.0, a, b, 1.0, c, registry=registry)
         assert [m.tobytes() for m in buffers_of(a, b, c)] == before
         assert registry.fallback_count == 0
 
     @pytest.mark.parametrize("path", PATHS)
-    def test_entry_made_read_only_after_first_use_is_refused(self, path):
+    def test_entry_made_read_only_after_first_use_is_refused(self, path, set_jit):
         # Writability is scanned on every call, not cached with the table's
         # other facts: a flag flipped after the table was used and reused
         # (so the compiled path reads it in place) is still refused.
         s = spec(Layout.RowMajor, 2, 3, 4, "ici")
         E = 6
         a, b, c = make_operands(s, E, np.random.default_rng(49))
-        with on_path(path) as registry_for:
-            registry = registry_for(s)
-            for _ in range(2):
-                run_batched(s, E, 1.5, a, b, 0.5, c, registry=registry)
-            fallbacks = registry.fallback_count
-            c.table[4].flags.writeable = False
-            before = [m.tobytes() for m in buffers_of(a, b, c)]
-            with pytest.raises(ValueError, match="^operand C: table entry 4 is read-only$"):
-                run_batched(s, E, 1.5, a, b, 0.5, c, registry=registry)
+        registry_for = on_path(path, set_jit)
+        registry = registry_for(s)
+        for _ in range(2):
+            run_batched(s, E, 1.5, a, b, 0.5, c, registry=registry)
+        fallbacks = registry.fallback_count
+        c.table[4].flags.writeable = False
+        before = [m.tobytes() for m in buffers_of(a, b, c)]
+        with pytest.raises(ValueError, match="^operand C: table entry 4 is read-only$"):
+            run_batched(s, E, 1.5, a, b, 0.5, c, registry=registry)
         assert [m.tobytes() for m in buffers_of(a, b, c)] == before
         assert registry.fallback_count == fallbacks
 
     @pytest.mark.parametrize("path", ["lanes", "compiled"])
     @pytest.mark.parametrize("c_kind, uses", [("i", 1), ("i", 2), ("s", 1), ("c", 1)])
-    def test_direct_call_refuses_a_read_only_c_entry_before_any_write(self, path, c_kind, uses):
+    def test_direct_call_refuses_a_read_only_c_entry_before_any_write(self, path, c_kind, uses, set_jit):
         # Called directly, past run_batched's check, a read-only entry past
         # the first, or a read-only Strided or Constant buffer, is refused
         # with the contract's message before C is staged or written, on
@@ -574,12 +572,12 @@ class TestOperandContract:
             C.flags.writeable = False
             message = "buffer"
         before = [m.tobytes() for m in (C if c_kind == "i" else [C])]
-        with on_path(path) as registry_for:
-            kernel = registry_for(s).lookup(kernel_name(s))
-            for _ in range(uses - 1):
-                C.addresses
-            with pytest.raises(ValueError, match=f"^operand C: {message} is read-only$"):
-                kernel(E, 1.0, a.data, a.ld, b.table, b.ld, 1.0, C, c.ld, 8, 12, 6)
+        registry_for = on_path(path, set_jit)
+        kernel = registry_for(s).lookup(kernel_name(s))
+        for _ in range(uses - 1):
+            C.addresses
+        with pytest.raises(ValueError, match=f"^operand C: {message} is read-only$"):
+            kernel(E, 1.0, a.data, a.ld, b.table, b.ld, 1.0, C, c.ld, 8, 12, 6)
         assert [m.tobytes() for m in (C if c_kind == "i" else [C])] == before
         assert kernel.path_counts == {}
 
@@ -671,7 +669,9 @@ class TestOperandContract:
         paths = PATHS if jit_available() else ["lanes", "fallback"]
         for path in paths:
             operands, buffers = build()
-            with on_path(path) as registry_for:
+            # A fixture would outlive the example; this switch is undone after each path.
+            with pytest.MonkeyPatch.context() as patch:
+                registry_for = on_path(path, jit_switch(patch))
                 try:
                     run_batched(s, E, 1.5, *operands[:2], 0.5, operands[2], registry=registry_for(s))
                 except ValueError as error:
@@ -700,7 +700,7 @@ class TestOperandContract:
             assert got == [m.tobytes() for m in buffers]
 
     @pytest.mark.parametrize("access", [a + b + c for a in "csi" for b in "csi" for c in "csi"])
-    def test_generated_loop_runs_sequentially_only_for_constant_c(self, access, monkeypatch):
+    def test_generated_loop_runs_sequentially_only_for_constant_c(self, access, monkeypatch, set_jit):
         # A spy under the decorator records the E each generated function
         # receives: 1 when the batch runs as lanes, E in the plain loop.
         seen = []
@@ -715,8 +715,8 @@ class TestOperandContract:
         monkeypatch.setattr(vectorize, "vectorize_batch_loop", spying)
         s = spec(Layout.ColMajor, 2, 3, 4, access)
         a, b, c = make_operands(s, 7, np.random.default_rng(37))
-        with use_jit(False):
-            run_batched(s, 7, 1.0, a, b, 1.0, c, registry=build_registry(s))
+        set_jit(False)
+        run_batched(s, 7, 1.0, a, b, 1.0, c, registry=build_registry(s))
         assert seen == [7 if s.access_c is AccessKind.Constant else 1]
 
 
@@ -731,7 +731,7 @@ class TestSequentialWhenLanesWouldDiffer:
     PATH = "lanes"
     SERVED = "sequential"
 
-    def test_constant_c_accumulates_over_batch(self):
+    def test_constant_c_accumulates_over_batch(self, set_jit):
         s = spec(Layout.ColMajor, 3, 2, 2, "sic")
         E = 5
 
@@ -742,9 +742,9 @@ class TestSequentialWhenLanesWouldDiffer:
             return a, b, BatchedOperand.constant(rng.uniform(-1.0, 1.0, 6), 3)
 
         got, want = build(), build()
-        with on_path(self.PATH) as registry_for:
-            registry = registry_for(s)
-            run_batched(s, E, 1.0, got[0], got[1], 1.0, got[2], registry=registry)
+        registry_for = on_path(self.PATH, set_jit)
+        registry = registry_for(s)
+        run_batched(s, E, 1.0, got[0], got[1], 1.0, got[2], registry=registry)
         assert registry.fallback_count == 0
         assert registry.lookup(kernel_name(s)).path_counts == {self.SERVED: 1}
         assert registry.lookup(kernel_name(s)).path_elements == {self.SERVED: E}
@@ -785,6 +785,58 @@ print(json.dumps({"events": vectorize.compile_log, "commands": commands, "c": c.
 """
 
 
+#: Runs in a fresh interpreter: jit_enabled() at start, after BBDGEMM_JIT is
+#: set to 1 and after it is unset, each read followed by a run_batched call on
+#: a C of its own; prints the switch's answers, the kernel's paths, whether
+#: each C got batched_ref's bytes, and the compile events and compiler commands.
+SWITCH_PROBE = """
+import json, os, subprocess
+from bbdgemm import vectorize
+from bbdgemm.bench import clone_operand, random_operands
+from bbdgemm.core import parse_kernel_name
+from bbdgemm.reference import GemmScalars, batched_ref
+from bbdgemm.runtime import default_registry, run_batched
+
+commands = []
+run = subprocess.run
+subprocess.run = lambda args, *rest, **kw: commands.append(args) or run(args, *rest, **kw)
+name = "bbdgemm_ColMajor_2_2_2_cis"
+s, registry, seen, same = parse_kernel_name(name), default_registry(), [], []
+for change in ({}, {"BBDGEMM_JIT": "1"}, None):
+    if change is None:
+        del os.environ["BBDGEMM_JIT"]
+    else:
+        os.environ.update(change)
+    seen.append(vectorize.jit_enabled())
+    a, b, c = random_operands(s, 7, len(seen))
+    want = clone_operand(c)
+    run_batched(s, 7, 1.5, a, b, 0.5, c, registry=registry)
+    batched_ref(s, 7, GemmScalars(1.5, 0.5), a, b, want)
+    same.append(c.data.tobytes() == want.data.tobytes())
+print(json.dumps({
+    "seen": seen, "paths": dict(registry.lookup(name).path_counts), "same": same,
+    "events": vectorize.compile_log, "commands": commands,
+}))
+"""
+#: What SWITCH_PROBE prints when the compiled path is off for its process.
+SWITCH_PROBE_LANES = {
+    "seen": [False] * 3, "paths": {"lanes": 3}, "same": [True] * 3, "events": [], "commands": [],
+}
+
+
+def run_switch_probe(tmp_path, **env):
+    """SWITCH_PROBE's output, run with the package on its path and *env* over this process's."""
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path), **env)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH", "")]
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", SWITCH_PROBE], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
 @needs_cc
 class TestCompiledPath:
     """The C twins of generated kernels: parity, build cache and build lock."""
@@ -805,8 +857,7 @@ class TestCompiledPath:
                 for buffer in buffers_of(c) if beta == 0.0 else []:
                     buffer[...] = np.nan
                 c_ref = clone_operand(c)
-                with use_jit(True):
-                    run_batched(s, E, alpha, a, b, beta, c, registry=registry)
+                run_batched(s, E, alpha, a, b, beta, c, registry=registry)
                 batched_ref(s, E, GemmScalars(alpha, beta), a, b, c_ref)
                 got, want = buffers_of(c), buffers_of(c_ref)
                 assert [m.tobytes() for m in got] == [m.tobytes() for m in want], (
@@ -824,7 +875,7 @@ class TestCompiledPath:
         "entries",
         ["pooled_views", "longer_than_span", "read_only_a_b", "shared_a_b", "non_contiguous"],
     )
-    def test_reused_indexed_operands_are_read_in_place(self, entries, monkeypatch):
+    def test_reused_indexed_operands_are_read_in_place(self, entries, monkeypatch, set_jit):
         # From a table's first use, C reads every contiguous table through
         # its address array: no staging copy, no write-back, and the oracle's
         # bytes, elements past a matrix included.  A table whose entries are
@@ -860,16 +911,15 @@ class TestCompiledPath:
 
         got, lanes, want = build(), build(), build()
         registry = build_registry(s)
-        with use_jit(True):
-            for _ in range(2):
-                run_batched(s, E, 1.5, got[0], got[1], 0.5, got[2], registry=registry)
+        for _ in range(2):
+            run_batched(s, E, 1.5, got[0], got[1], 0.5, got[2], registry=registry)
         copied = 2 * (["_gather"] * 3 + ["_scatter"]) if entries == "non_contiguous" else []
         assert staged == copied
         path = "lanes" if entries == "non_contiguous" else "compiled"
         assert registry.lookup(kernel_name(s)).path_counts == {path: 2}
-        with use_jit(False):
-            for _ in range(2):
-                run_batched(s, E, 1.5, lanes[0], lanes[1], 0.5, lanes[2], registry=registry)
+        set_jit(False)
+        for _ in range(2):
+            run_batched(s, E, 1.5, lanes[0], lanes[1], 0.5, lanes[2], registry=registry)
         for _ in range(2):
             batched_ref(s, E, GemmScalars(1.5, 0.5), *want)
         expected = [m.tobytes() for m in buffers_of(*want)]
@@ -888,8 +938,7 @@ class TestCompiledPath:
         a, c = (BatchedOperand.indexed([m.copy() for m in op.table], op.ld) for op in (a, c))
         want = [clone_operand(op) for op in (a, b, c)]
         reads, python_reads, copies = [], [], []
-        with use_jit(True):
-            reader = vectorize.table_reader()
+        reader = vectorize.table_reader()
         counting = SimpleNamespace(
             first_read_only=reader.first_read_only,
             entries=lambda table, *out: reads.append(table) or reader.entries(table, *out),
@@ -902,11 +951,10 @@ class TestCompiledPath:
         monkeypatch.setattr(vectorize, "_gather", lambda *args: copies.append(args) or gather(*args))
         registry = build_registry(s)
         seen = []
-        with use_jit(True):
-            for _ in range(3):
-                run_batched(s, E, 1.5, a, b, 0.5, c, registry=registry)
-                seen.append((len(reads), len(python_reads), len(copies)))
-                batched_ref(s, E, GemmScalars(1.5, 0.5), *want)
+        for _ in range(3):
+            run_batched(s, E, 1.5, a, b, 0.5, c, registry=registry)
+            seen.append((len(reads), len(python_reads), len(copies)))
+            batched_ref(s, E, GemmScalars(1.5, 0.5), *want)
         assert seen == [(2, 0, 0)] * 3
         # The overlap rule reads C's table first, then A's.
         assert reads[0] is c.table and reads[1] is a.table
@@ -925,11 +973,10 @@ class TestCompiledPath:
         frozen = bytes(len(c.table[0]) * 8)
         table = PointerTable([np.frombuffer(frozen), *c.table[1:]])
         kernel = build_registry(s).lookup(kernel_name(s))
-        with use_jit(True):
-            for _ in range(uses - 1):
-                table.addresses
-            with pytest.raises(ValueError, match="read-only"):
-                kernel(E, 1.0, a.data, a.ld, b.table, b.ld, 1.0, table, c.ld, 8, 12, 6)
+        for _ in range(uses - 1):
+            table.addresses
+        with pytest.raises(ValueError, match="read-only"):
+            kernel(E, 1.0, a.data, a.ld, b.table, b.ld, 1.0, table, c.ld, 8, 12, 6)
         assert frozen == bytes(len(frozen))
         assert kernel.path_counts == {}
 
@@ -947,64 +994,27 @@ class TestCompiledPath:
         A, B, C = (list(op.table) for op in (a, b, c))
         spans = [matrix_span(s, which, op.ld) for which, op in zip("ABC", (a, b, c))]
         kernel = build_registry(s).lookup(kernel_name(s))
-        with use_jit(True):
-            if how == "direct":
-                kernel(E, 1.5, A, a.ld, B, b.ld, 0.5, C, c.ld, *spans)
-            else:
-                run = kernel.bind(E, A, a.ld, B, b.ld, C, c.ld, *spans)
-                gc.collect()
-                zeros = np.zeros(max(spans))
-                decoys = [np.full(E, zeros.ctypes.data, dtype=np.intp) for _ in range(64)]
-                run(1.5, 0.5)
-                del decoys
+        if how == "direct":
+            kernel(E, 1.5, A, a.ld, B, b.ld, 0.5, C, c.ld, *spans)
+        else:
+            run = kernel.bind(E, A, a.ld, B, b.ld, C, c.ld, *spans)
+            gc.collect()
+            zeros = np.zeros(max(spans))
+            decoys = [np.full(E, zeros.ctypes.data, dtype=np.intp) for _ in range(64)]
+            run(1.5, 0.5)
+            del decoys
         batched_ref(s, E, GemmScalars(1.5, 0.5), *want)
         assert [m.tobytes() for m in C] == [m.tobytes() for m in want[2].table]
         assert kernel.path_counts == {"compiled": 1}
 
-    def test_no_compiler_takes_lanes_with_the_same_bytes(self, monkeypatch):
-        s = spec(Layout.RowMajor, 2, 3, 4, "ici")
-        got = make_operands(s, 9, np.random.default_rng(45))
-        want = tuple(clone_operand(op) for op in got)
-        with use_jit(True):
-            run_batched(s, 9, 1.5, *got[:2], 0.5, got[2], registry=build_registry(s))
-        monkeypatch.setattr(vectorize, "_find_compiler", lambda: None)
-        assert not vectorize.jit_available() and not vectorize.jit_enabled()
-        registry = build_registry(s)
-        with use_jit(True):  # the switch cannot turn on a missing compiler
-            run_batched(s, 9, 1.5, *want[:2], 0.5, want[2], registry=registry)
-        assert registry.lookup(kernel_name(s)).path_counts == {"lanes": 1}
-        assert registry.lookup(kernel_name(s)).path_elements == {"lanes": 9}
-        assert [m.tobytes() for m in got[2].table] == [m.tobytes() for m in want[2].table]
+    def test_no_compiler_takes_lanes_with_the_same_bytes(self, tmp_path):
+        # With no cc on PATH the switch cannot turn the compiled path on.
+        assert run_switch_probe(tmp_path, PATH="") == SWITCH_PROBE_LANES
 
-    def test_environment_is_the_master_switch(self, monkeypatch):
-        monkeypatch.setenv("BBDGEMM_JIT", "off")
-        with use_jit(True):
-            assert not vectorize.jit_enabled()
-        monkeypatch.delenv("BBDGEMM_JIT")
-        assert vectorize.jit_enabled()
-        with use_jit(False):
-            assert not vectorize.jit_enabled()
-
-    def test_the_switch_is_read_on_every_call(self, monkeypatch):
-        # Setting and deleting BBDGEMM_JIT through os.environ takes effect
-        # on the next call, and so does a plain mapping put in its place.
-        monkeypatch.delenv("BBDGEMM_JIT", raising=False)
-        seen = [vectorize.jit_enabled()]
-        os.environ["BBDGEMM_JIT"] = " False "
-        try:
-            seen.append(vectorize.jit_enabled())
-            os.environ["BBDGEMM_JIT"] = "1"
-            seen.append(vectorize.jit_enabled())
-            os.environ["BBDGEMM_JIT"] = "no"
-            seen.append(vectorize.jit_enabled())
-        finally:
-            del os.environ["BBDGEMM_JIT"]
-        seen.append(vectorize.jit_enabled())
-        assert seen == [True, False, True, False, True]
-        monkeypatch.setattr(os, "environ", {"BBDGEMM_JIT": "off"})
-        assert not vectorize.jit_enabled()
-        del os.environ["BBDGEMM_JIT"]
-        assert vectorize.jit_enabled()
+    def test_environment_is_the_master_switch(self, tmp_path):
+        # BBDGEMM_JIT=off at start keeps the compiled path off for the
+        # process, and no compiler runs, whatever the variable says later.
+        assert run_switch_probe(tmp_path, BBDGEMM_JIT="off") == SWITCH_PROBE_LANES
 
     def test_second_process_loads_from_the_cache(self, tmp_path):
         env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path), BBDGEMM_JIT="1")
@@ -1054,12 +1064,11 @@ class TestCompiledPath:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with use_jit(True):
-                threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(4)]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=120)
+            threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
@@ -1104,8 +1113,7 @@ class TestExplicitVectors:
 
     def run_both(self, s, E, alpha, beta, a, b, c, registry):
         c_ref = clone_operand(c)
-        with use_jit(True):
-            run_batched(s, E, alpha, a, b, beta, c, registry=registry)
+        run_batched(s, E, alpha, a, b, beta, c, registry=registry)
         batched_ref(s, E, GemmScalars(alpha, beta), a, b, c_ref)
         assert [m.tobytes() for m in buffers_of(c)] == [m.tobytes() for m in buffers_of(c_ref)], (
             f"{kernel_name(s)} alpha={alpha} beta={beta}"
@@ -1191,10 +1199,7 @@ class TestTableReader:
 
     @needs_reader
     def test_reader_loads_where_cc_and_headers_are_present(self):
-        with use_jit(True):
-            assert vectorize.table_reader() is not None
-        with use_jit(False):
-            assert vectorize.table_reader() is None
+        assert vectorize.table_reader() is not None
         assert "table_reader" in [event.kernel for event in vectorize.compile_log]
 
     @needs_reader
@@ -1263,15 +1268,14 @@ class TestTableReader:
             table = PointerTable(entries)
             return table.addresses.tolist(), table.strides.tolist(), table.contiguous
 
-        with use_jit(True):
-            compiled = facts()
-            monkeypatch.setattr(vectorize, "table_reader", lambda: None)
-            scanned = facts()
+        compiled = facts()
+        monkeypatch.setattr(vectorize, "table_reader", lambda: None)
+        scanned = facts()
         assert compiled == scanned == ([e.ctypes.data for e in entries], strides, contiguous)
 
     @pytest.mark.parametrize("E", [1, 2, 900])
     @pytest.mark.parametrize("where", ["first", "middle", "last"])
-    def test_both_scans_refuse_the_same_entry(self, E, where, monkeypatch):
+    def test_both_scans_refuse_the_same_entry(self, E, where, monkeypatch, set_jit):
         # With and without the reader, a read-only C entry (and the first
         # of two) is refused with the same message before any byte is
         # written: by run_batched on each path and by a direct kernel call.
@@ -1294,7 +1298,8 @@ class TestTableReader:
             for path, jit in calls:
                 registry = KernelRegistry({}) if path == "fallback" else build_registry(s)
                 before = [m.tobytes() for m in buffers_of(a, b, c)]
-                with use_jit(jit), pytest.raises(ValueError) as refused:
+                set_jit(jit)
+                with pytest.raises(ValueError) as refused:
                     if path == "direct":
                         kernel = registry.lookup(kernel_name(s))
                         kernel(E, 1.5, a.table, a.ld, b.data, b.ld, 0.5, c.table, c.ld, 8, 12, 6)
@@ -1303,8 +1308,7 @@ class TestTableReader:
                 messages.append(str(refused.value))
                 assert [m.tobytes() for m in buffers_of(a, b, c)] == before
                 assert registry.fallback_count == 0
-            with use_jit(True):
-                assert PointerTable(entries).addresses.tolist() == [e.ctypes.data for e in entries]
+            assert PointerTable(entries).addresses.tolist() == [e.ctypes.data for e in entries]
             return messages
 
         with_reader = refusals()
@@ -1339,7 +1343,7 @@ class TestPreparedCall:
         return list(make_operands(spec(Layout.ColMajor, 2, 3, 4, access), E, np.random.default_rng(seed)))
 
     @pytest.mark.parametrize("path", PATHS)
-    def test_a_repeat_makes_no_contract_check_and_reads_the_switch_once(self, path, monkeypatch):
+    def test_a_repeat_makes_no_contract_check(self, path, monkeypatch, set_jit):
         s = spec(Layout.RowMajor, 2, 3, 4, "ici")
         E = 6
         a, b, c = make_operands(s, E, np.random.default_rng(60))
@@ -1347,19 +1351,18 @@ class TestPreparedCall:
         validated = self.count(monkeypatch, BatchedOperand, "validate")
         disjoint = self.count(monkeypatch, runtime_mod, "_check_disjoint")
         prepared = self.count(monkeypatch, runtime_mod, "_prepare")
-        switch = self.count(monkeypatch, vectorize, "jit_enabled")
-        with on_path(path) as registry_for:
-            registry = registry_for(s)
-            run_batched(s, E, 1.5, a, b, 0.5, c, registry=registry)
-            batched_ref(s, E, GemmScalars(1.5, 0.5), *want)
-            assert (len(validated), len(disjoint), len(prepared)) == (3, 1, 1)
-            seen = []
-            for alpha, beta in [(0.5, 1.0), (-1.0, 0.0), (2.0, 0.25)]:
-                validated.clear(), disjoint.clear(), prepared.clear(), switch.clear()
-                run_batched(s, E, alpha, a, b, beta, c, registry=registry)
-                batched_ref(s, E, GemmScalars(alpha, beta), *want)
-                seen.append((len(validated), len(disjoint), len(prepared), len(switch)))
-        assert seen == [(0, 0, 0, 1)] * 3
+        registry_for = on_path(path, set_jit)
+        registry = registry_for(s)
+        run_batched(s, E, 1.5, a, b, 0.5, c, registry=registry)
+        batched_ref(s, E, GemmScalars(1.5, 0.5), *want)
+        assert (len(validated), len(disjoint), len(prepared)) == (3, 1, 1)
+        seen = []
+        for alpha, beta in [(0.5, 1.0), (-1.0, 0.0), (2.0, 0.25)]:
+            validated.clear(), disjoint.clear(), prepared.clear()
+            run_batched(s, E, alpha, a, b, beta, c, registry=registry)
+            batched_ref(s, E, GemmScalars(alpha, beta), *want)
+            seen.append((len(validated), len(disjoint), len(prepared)))
+        assert seen == [(0, 0, 0)] * 3
         assert [m.tobytes() for m in c.table] == [m.tobytes() for m in want[2].table]
         if path == "fallback":
             assert registry.fallback_count == 4
@@ -1370,59 +1373,53 @@ class TestPreparedCall:
     @pytest.mark.parametrize(
         "change",
         [
-            "a_ld", "a_data", "c_table", "fewer_elements", "registry", "use_jit",
-            "a_shape_in_place", "a_dtype_in_place",
+            "a_ld", "a_data", "c_table", "fewer_elements", "registry", "a_shape_in_place",
+            "a_dtype_in_place",
         ],
     )
-    def test_a_change_prepares_afresh(self, path, change, monkeypatch):
+    def test_a_change_prepares_afresh(self, path, change, monkeypatch, set_jit):
         # After a first call, each change makes the next call check the
         # contract again: it gives batched_ref's bytes, or today's refusal
         # with nothing written.
-        if change == "use_jit" and not jit_available():
-            pytest.skip("no C compiler (cc) on PATH: the switch cannot flip")
         access = "scs" if change == "fewer_elements" else "sci"
         s = spec(Layout.ColMajor, 2, 3, 4, access)
         E = 5
         got, want = self.operands(access, E, 61), self.operands(access, E, 61)
         prepared = self.count(monkeypatch, runtime_mod, "_prepare")
-        jit = path == "compiled"
-        with on_path(path) as registry_for:
+        registry_for = on_path(path, set_jit)
+        registry = registry_for(s)
+        run_batched(s, E, 1.5, *got[:2], 0.5, got[2], registry=registry)
+        batched_ref(s, E, GemmScalars(1.5, 0.5), *want)
+        refusal = None
+        if change == "a_ld":
+            for operands in (got, want):
+                operands[0] = replace(operands[0], ld=3)
+        elif change == "a_data":
+            for operands in (got, want):
+                operands[0] = replace(operands[0], data=operands[0].data[::-1].copy())
+        elif change == "c_table":
+            for operands in (got, want):
+                operands[2] = replace(
+                    operands[2], table=PointerTable(m.copy() for m in operands[2].table)
+                )
+        elif change == "fewer_elements":
+            E -= 2
+        elif change == "registry":
             registry = registry_for(s)
-            run_batched(s, E, 1.5, *got[:2], 0.5, got[2], registry=registry)
-            batched_ref(s, E, GemmScalars(1.5, 0.5), *want)
-            refusal = None
-            if change == "a_ld":
-                for operands in (got, want):
-                    operands[0] = replace(operands[0], ld=3)
-            elif change == "a_data":
-                for operands in (got, want):
-                    operands[0] = replace(operands[0], data=operands[0].data[::-1].copy())
-            elif change == "c_table":
-                for operands in (got, want):
-                    operands[2] = replace(
-                        operands[2], table=PointerTable(m.copy() for m in operands[2].table)
-                    )
-            elif change == "fewer_elements":
-                E -= 2
-            elif change == "registry":
-                registry = registry_for(s)
-            elif change == "use_jit":
-                jit = not jit
+        else:
+            refusal = "operand A: buffer must be a flat float64 ndarray, got ndarray"
+            if change == "a_shape_in_place":
+                got[0].data.shape = (2, -1)
             else:
-                refusal = "operand A: buffer must be a flat float64 ndarray, got ndarray"
-                if change == "a_shape_in_place":
-                    got[0].data.shape = (2, -1)
-                else:
-                    got[0].data.dtype = np.int64
-            before = [m.tobytes() for m in buffers_of(*got)]
-            fallbacks = registry.fallback_count
-            with use_jit(jit):
-                if refusal:
-                    with pytest.raises(ValueError, match=f"^{refusal}$"):
-                        run_batched(s, E, 0.5, *got[:2], 1.0, got[2], registry=registry)
-                else:
-                    run_batched(s, E, 0.5, *got[:2], 1.0, got[2], registry=registry)
-                    batched_ref(s, E, GemmScalars(0.5, 1.0), *want)
+                got[0].data.dtype = np.int64
+        before = [m.tobytes() for m in buffers_of(*got)]
+        fallbacks = registry.fallback_count
+        if refusal:
+            with pytest.raises(ValueError, match=f"^{refusal}$"):
+                run_batched(s, E, 0.5, *got[:2], 1.0, got[2], registry=registry)
+        else:
+            run_batched(s, E, 0.5, *got[:2], 1.0, got[2], registry=registry)
+            batched_ref(s, E, GemmScalars(0.5, 1.0), *want)
         assert len(prepared) == 2
         if refusal:
             assert [m.tobytes() for m in buffers_of(*got)] == before
@@ -1441,43 +1438,42 @@ class TestPreparedCall:
         E = 5
         a, b, c = operands = self.operands(access, E, 67)
         registry = build_registry(s)
-        with use_jit(False):
-            run_batched(s, E, 1.5, a, b, 0.5, c, registry=registry)
-            prepared = c._prepared
+        run_batched(s, E, 1.5, a, b, 0.5, c, registry=registry)
+        prepared = c._prepared
 
-            def repeats(*call):
-                return runtime_mod._repeats(prepared, *(call or (s, E, a, b, registry)))
+        def repeats(*call):
+            return runtime_mod._repeats(prepared, *(call or (s, E, a, b, registry)))
 
-            missed = [
-                index for index, call in enumerate([
-                    (spec(Layout.RowMajor, 2, 3, 4, access), E, a, b, registry),
-                    (s, E - 1, a, b, registry),
-                    (s, E, copy.copy(a), b, registry),
-                    (s, E, a, copy.copy(b), registry),
-                    (s, E, a, b, build_registry(s)),
-                ]) if repeats(*call)
-            ]
-            for which, operand in zip("ABC", operands):
-                for field in ("kind", "ld", "span", "table", "data"):
-                    with pytest.raises(FrozenInstanceError):
-                        setattr(operand, field, getattr(operand, field))
-                if operand.kind is not AccessKind.Indexed:
-                    shape = operand.data.shape
-                    operand.data.shape = (1, -1)
-                    before = [m.tobytes() for m in buffers_of(*operands)]
-                    if prepared.runner(0.5, 1.0) is not False:
-                        missed.append((which, "shape"))
-                    if [m.tobytes() for m in buffers_of(*operands)] != before:
-                        missed.append((which, "written"))
-                    operand.data.shape = shape
-            assert missed == []
-            assert repeats()
+        missed = [
+            index for index, call in enumerate([
+                (spec(Layout.RowMajor, 2, 3, 4, access), E, a, b, registry),
+                (s, E - 1, a, b, registry),
+                (s, E, copy.copy(a), b, registry),
+                (s, E, a, copy.copy(b), registry),
+                (s, E, a, b, build_registry(s)),
+            ]) if repeats(*call)
+        ]
+        for which, operand in zip("ABC", operands):
+            for field in ("kind", "ld", "span", "table", "data"):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(operand, field, getattr(operand, field))
+            if operand.kind is not AccessKind.Indexed:
+                shape = operand.data.shape
+                operand.data.shape = (1, -1)
+                before = [m.tobytes() for m in buffers_of(*operands)]
+                if prepared.runner(0.5, 1.0) is not False:
+                    missed.append((which, "shape"))
+                if [m.tobytes() for m in buffers_of(*operands)] != before:
+                    missed.append((which, "written"))
+                operand.data.shape = shape
+        assert missed == []
+        assert repeats()
 
     @pytest.mark.parametrize(
         "served",
         ["lanes", "sequential", "compiled", "compiled_without_reader", "without_bind", "fallback"],
     )
-    def test_every_kept_runner_keeps_one_contract(self, served, monkeypatch):
+    def test_every_kept_runner_keeps_one_contract(self, served, monkeypatch, set_jit):
         # Whatever serves the call, the runner run_batched keeps returns
         # True with batched_ref's bytes; returns False, with nothing written
         # or counted, after a flat A is reshaped in place; and refuses a
@@ -1500,28 +1496,28 @@ class TestPreparedCall:
         def state():
             return [m.tobytes() for m in buffers_of(*got)], dict(kernel.path_counts), registry.fallback_count
 
-        with use_jit(served not in ("lanes", "sequential")):
-            run = runtime_mod._prepare(s, E, *got[:2], got[2], registry).runner
-            assert run(1.5, 0.5) is True
-            batched_ref(s, E, GemmScalars(1.5, 0.5), *want)
-            after_first = state()
-            assert after_first[0] == [m.tobytes() for m in buffers_of(*want)]
-            shape = got[0].data.shape
-            got[0].data.shape = (1, -1)
-            assert run(0.5, 1.0) is False
-            assert state() == after_first
-            got[0].data.shape = shape
-            if access == "sci":
-                flags, message = got[2].table[E - 1].flags, f"table entry {E - 1}"
-            else:
-                flags, message = got[2].data.flags, "buffer"
-            flags.writeable = False
-            with pytest.raises(ValueError, match=f"^operand C: {message} is read-only$"):
-                run(0.5, 1.0)
-            assert state() == after_first
-            flags.writeable = True
-            assert run(-1.0, 0.25) is True
-            batched_ref(s, E, GemmScalars(-1.0, 0.25), *want)
+        set_jit(served not in ("lanes", "sequential"))
+        run = runtime_mod._prepare(s, E, *got[:2], got[2], registry).runner
+        assert run(1.5, 0.5) is True
+        batched_ref(s, E, GemmScalars(1.5, 0.5), *want)
+        after_first = state()
+        assert after_first[0] == [m.tobytes() for m in buffers_of(*want)]
+        shape = got[0].data.shape
+        got[0].data.shape = (1, -1)
+        assert run(0.5, 1.0) is False
+        assert state() == after_first
+        got[0].data.shape = shape
+        if access == "sci":
+            flags, message = got[2].table[E - 1].flags, f"table entry {E - 1}"
+        else:
+            flags, message = got[2].data.flags, "buffer"
+        flags.writeable = False
+        with pytest.raises(ValueError, match=f"^operand C: {message} is read-only$"):
+            run(0.5, 1.0)
+        assert state() == after_first
+        flags.writeable = True
+        assert run(-1.0, 0.25) is True
+        batched_ref(s, E, GemmScalars(-1.0, 0.25), *want)
         path = {
             "compiled_without_reader": "compiled",
             "without_bind": "compiled" if jit_available() else "lanes",
@@ -1552,7 +1548,7 @@ class TestPreparedCall:
             gc.enable()
 
     @pytest.mark.parametrize("caller", ["run_batched", "direct"])
-    def test_a_run_refused_right_after_its_bind_raises(self, caller, monkeypatch):
+    def test_a_run_refused_right_after_its_bind_raises(self, caller, monkeypatch, set_jit):
         # A runner returns False when a flat operand changed since its bind,
         # which between a bind and its first run only another thread can
         # cause; both callers that bind and run at once then raise, with
@@ -1568,7 +1564,8 @@ class TestPreparedCall:
         # A registry entry whose bind gives that runner; the kernel's own
         # bind gives it when vectorize.checked, which keeps its runs, does.
         registry = KernelRegistry({kernel_name(s): SimpleNamespace(bind=lambda *args: refused)})
-        with use_jit(False), pytest.raises(ValueError, match="changed during the call"):
+        set_jit(False)
+        with pytest.raises(ValueError, match="changed during the call"):
             if caller == "run_batched":
                 run_batched(s, 5, 1.0, a, b, 0.5, c, registry=registry)
             else:
@@ -1582,17 +1579,17 @@ class TestPreparedCall:
     def test_a_compiled_repeat_is_one_c_call(self, access, monkeypatch):
         # With the table reader, a compiled repeat makes one ctypes call,
         # the reader's run_prepared, with this call's alpha and beta: no
-        # other call of the reader, no contract check and no Python-level
-        # scan of C.  That call runs and counts the kernel.  The call is
-        # never kept by vectorize.checked, whose runs check in Python.
+        # other call of the reader, no contract check, no Python-level scan
+        # of C and no read of the compiled-path switch.  That call runs and
+        # counts the kernel.  The call is never kept by vectorize.checked,
+        # whose runs check in Python.
         s = spec(Layout.ColMajor, 2, 3, 4, access)
         E = 5
         a, b, c = make_operands(s, E, np.random.default_rng(66))
         want = [clone_operand(op) for op in (a, b, c)]
         registry = build_registry(s)
         calls = []
-        with use_jit(True):
-            reader = vectorize.table_reader()
+        reader = vectorize.table_reader()
 
         def counted(name):
             function = getattr(reader, name)
@@ -1603,44 +1600,44 @@ class TestPreparedCall:
         )
         monkeypatch.setattr(vectorize, "table_reader", lambda: counting)
         kept = self.count(monkeypatch, vectorize, "checked")
-        with use_jit(True):
-            run_batched(s, E, 1.5, a, b, 0.5, c, registry=registry)
-            batched_ref(s, E, GemmScalars(1.5, 0.5), *want)
-            del calls[:]
-            prepared = self.count(monkeypatch, runtime_mod, "_prepare")
-            scans = self.count(monkeypatch, PointerTable, "check_writable")
-            for alpha, beta in [(0.5, 1.0), (-1.0, 0.0)]:
-                run_batched(s, E, alpha, a, b, beta, c, registry=registry)
-                batched_ref(s, E, GemmScalars(alpha, beta), *want)
+        run_batched(s, E, 1.5, a, b, 0.5, c, registry=registry)
+        batched_ref(s, E, GemmScalars(1.5, 0.5), *want)
+        del calls[:]
+        prepared = self.count(monkeypatch, runtime_mod, "_prepare")
+        scans = self.count(monkeypatch, PointerTable, "check_writable")
+        switch = self.count(monkeypatch, vectorize, "jit_enabled")
+        for alpha, beta in [(0.5, 1.0), (-1.0, 0.0)]:
+            run_batched(s, E, alpha, a, b, beta, c, registry=registry)
+            batched_ref(s, E, GemmScalars(alpha, beta), *want)
         assert calls == [("run_prepared", 0.5, 1.0), ("run_prepared", -1.0, 0.0)]
-        assert (len(prepared), len(scans), len(kept)) == (0, 0, 0)
+        assert (len(prepared), len(scans), len(kept), len(switch)) == (0, 0, 0, 0)
         assert [m.tobytes() for m in buffers_of(c)] == [m.tobytes() for m in buffers_of(want[2])]
         assert registry.lookup(kernel_name(s)).path_counts == {"compiled": 3}
         assert registry.lookup(kernel_name(s)).path_elements == {"compiled": 3 * E}
 
     @pytest.mark.parametrize("path", PATHS)
     @pytest.mark.parametrize("access", ["cis", "cii"])
-    def test_c_made_read_only_after_a_call_is_refused(self, path, access, monkeypatch):
+    def test_c_made_read_only_after_a_call_is_refused(self, path, access, monkeypatch, set_jit):
         # The one check a repeat makes: C's writable flags, read again
         # on every call, before any write and without counting a fallback.
         s = spec(Layout.ColMajor, 2, 3, 4, access)
         E = 5
         a, b, c = make_operands(s, E, np.random.default_rng(62))
         prepared = self.count(monkeypatch, runtime_mod, "_prepare")
-        with on_path(path) as registry_for:
-            registry = registry_for(s)
-            for _ in range(2):
-                run_batched(s, E, 1.5, a, b, 0.5, c, registry=registry)
-            if access == "cis":
-                c.data.flags.writeable = False
-                message = "operand C: buffer is read-only"
-            else:
-                c.table[E - 1].flags.writeable = False
-                message = f"operand C: table entry {E - 1} is read-only"
-            before = [m.tobytes() for m in buffers_of(a, b, c)]
-            fallbacks = registry.fallback_count
-            with pytest.raises(ValueError, match=f"^{message}$"):
-                run_batched(s, E, 1.5, a, b, 0.5, c, registry=registry)
+        registry_for = on_path(path, set_jit)
+        registry = registry_for(s)
+        for _ in range(2):
+            run_batched(s, E, 1.5, a, b, 0.5, c, registry=registry)
+        if access == "cis":
+            c.data.flags.writeable = False
+            message = "operand C: buffer is read-only"
+        else:
+            c.table[E - 1].flags.writeable = False
+            message = f"operand C: table entry {E - 1} is read-only"
+        before = [m.tobytes() for m in buffers_of(a, b, c)]
+        fallbacks = registry.fallback_count
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_batched(s, E, 1.5, a, b, 0.5, c, registry=registry)
         assert len(prepared) == 1
         assert [m.tobytes() for m in buffers_of(a, b, c)] == before
         assert registry.fallback_count == fallbacks
@@ -1651,7 +1648,7 @@ class TestPreparedCall:
         [[(0.0, 0.0), (0.0, -0.0)], [(0.0, -0.0), (-0.0, -0.0)]],
         ids=["beta", "alpha"],
     )
-    def test_a_negative_zero_after_zero_is_its_own(self, path, calls):
+    def test_a_negative_zero_after_zero_is_its_own(self, path, calls, set_jit):
         # 0.0 == -0.0, so a scalar kept with the call would pass for the
         # other: each run takes alpha and beta from its own call.  With
         # alpha 0 every element is a signed zero, and the second call's
@@ -1661,30 +1658,30 @@ class TestPreparedCall:
         got = make_operands(s, E, np.random.default_rng(63))
         want = [clone_operand(op) for op in got]
         seen = []
-        with on_path(path) as registry_for:
-            registry = registry_for(s)
-            for alpha, beta in calls:
-                run_batched(s, E, alpha, *got[:2], beta, got[2], registry=registry)
-                batched_ref(s, E, GemmScalars(alpha, beta), *want)
-                seen.append([m.tobytes() for m in want[2].table])
-                assert [m.tobytes() for m in got[2].table] == seen[-1]
+        registry_for = on_path(path, set_jit)
+        registry = registry_for(s)
+        for alpha, beta in calls:
+            run_batched(s, E, alpha, *got[:2], beta, got[2], registry=registry)
+            batched_ref(s, E, GemmScalars(alpha, beta), *want)
+            seen.append([m.tobytes() for m in want[2].table])
+            assert [m.tobytes() for m in got[2].table] == seen[-1]
         assert seen[0] != seen[1]
 
     @pytest.mark.parametrize("path", PATHS)
     @pytest.mark.parametrize("duplicate", ["pickle", "deepcopy"])
-    def test_a_copy_of_c_prepares_afresh(self, path, duplicate, monkeypatch):
+    def test_a_copy_of_c_prepares_afresh(self, path, duplicate, monkeypatch, set_jit):
         s = spec(Layout.ColMajor, 2, 3, 4, "sci")
         E = 5
         a, b, c = padded_sci_operands(E, 64)
         prepared = self.count(monkeypatch, runtime_mod, "_prepare")
-        with on_path(path) as registry_for:
-            registry = registry_for(s)
-            run_batched(s, E, 1.5, a, b, 0.5, c, registry=registry)
-            copied = pickle.loads(pickle.dumps(c)) if duplicate == "pickle" else copy.deepcopy(c)
-            want = clone_operand(copied)
-            assert copied._prepared is None and c._prepared is not None
-            run_batched(s, E, 0.5, a, b, 1.0, copied, registry=registry)
-            run_batched(s, E, 0.5, a, b, 1.0, c, registry=registry)
+        registry_for = on_path(path, set_jit)
+        registry = registry_for(s)
+        run_batched(s, E, 1.5, a, b, 0.5, c, registry=registry)
+        copied = pickle.loads(pickle.dumps(c)) if duplicate == "pickle" else copy.deepcopy(c)
+        want = clone_operand(copied)
+        assert copied._prepared is None and c._prepared is not None
+        run_batched(s, E, 0.5, a, b, 1.0, copied, registry=registry)
+        run_batched(s, E, 0.5, a, b, 1.0, c, registry=registry)
         batched_ref(s, E, GemmScalars(0.5, 1.0), a, b, want)
         assert len(prepared) == 2
         assert [m.tobytes() for m in copied.table] == [m.tobytes() for m in want.table]
@@ -1721,7 +1718,7 @@ class TestProxyChain:
     """The proxy's two kernels on its operands, bit for bit, on both kernel paths."""
 
     @pytest.mark.parametrize("path", ["compiled", "lanes"])
-    def test_chain_matches_oracle_bytewise(self, path):
+    def test_chain_matches_oracle_bytewise(self, path, set_jit):
         # 20_9_10_cis (beta 0) projects separately allocated Indexed entries
         # into a span-180 Strided scratch of NaN; 10_9_9_sci (beta 1) reads a
         # 10x9 window of it at lda 20 and accumulates into other Indexed
@@ -1742,15 +1739,15 @@ class TestProxyChain:
 
         qin, qout, op1, op2, scratch = build()
         ref_qin, ref_qout, ref_op1, ref_op2, ref_scratch = build()
-        with on_path(path) as registry_for:
-            registry = registry_for(project, accumulate)
-            for _ in range(2):
-                run_batched(project, E, 1.0, op1, qin, 0.0, scratch, registry=registry)
-                run_batched(accumulate, E, 1.0, scratch, op2, 1.0, qout, registry=registry)
-                batched_ref(project, E, GemmScalars(1.0, 0.0), ref_op1, ref_qin, ref_scratch)
-                batched_ref(accumulate, E, GemmScalars(1.0, 1.0), ref_scratch, ref_op2, ref_qout)
-                assert scratch.data.tobytes() == ref_scratch.data.tobytes()
-                assert [m.tobytes() for m in qout.table] == [m.tobytes() for m in ref_qout.table]
+        registry_for = on_path(path, set_jit)
+        registry = registry_for(project, accumulate)
+        for _ in range(2):
+            run_batched(project, E, 1.0, op1, qin, 0.0, scratch, registry=registry)
+            run_batched(accumulate, E, 1.0, scratch, op2, 1.0, qout, registry=registry)
+            batched_ref(project, E, GemmScalars(1.0, 0.0), ref_op1, ref_qin, ref_scratch)
+            batched_ref(accumulate, E, GemmScalars(1.0, 1.0), ref_scratch, ref_op2, ref_qout)
+            assert scratch.data.tobytes() == ref_scratch.data.tobytes()
+            assert [m.tobytes() for m in qout.table] == [m.tobytes() for m in ref_qout.table]
         served = {"compiled": 2} if path == "compiled" else {"lanes": 2}
         assert [registry.lookup(s.name).path_counts for s in (project, accumulate)] == [served] * 2
         assert registry.fallback_count == 0
@@ -1824,7 +1821,7 @@ class TestTableValue:
             run_batched(S_CIS, 8, 1.0, a, b, 1.0, c, registry=registry)
         assert [scanned is b.table for scanned in scans] == [True]
 
-    def test_c_writability_is_scanned_once_per_call(self, monkeypatch):
+    def test_c_writability_is_scanned_once_per_call(self, monkeypatch, set_jit):
         # run_batched scans an Indexed C's writable flags once on every
         # call, in the kept runner: in Python with the table reader's scan
         # where there is one, or, on the compiled path with that reader,
@@ -1858,16 +1855,15 @@ class TestTableValue:
             ("fallback", KernelRegistry({})),
             ("wrapped", wrapped),
         ]:
-            with use_jit(path != "lanes"):
-                seen[path] = [
-                    count(lambda: run_batched(s, E, 1.5, a, b, 0.5, c, registry=registry))
-                    for _ in range(3)
-                ]
-        with use_jit(True):
-            seen["direct"] = [
-                count(lambda: kernel(E, 1.5, a.table, a.ld, b.data, b.ld, 0.5, c.table, c.ld, 8, 12, 6))
-                for _ in range(2)
+            set_jit(path != "lanes")
+            seen[path] = [
+                count(lambda: run_batched(s, E, 1.5, a, b, 0.5, c, registry=registry))
+                for _ in range(3)
             ]
+        seen["direct"] = [
+            count(lambda: kernel(E, 1.5, a.table, a.ld, b.data, b.ld, 0.5, c.table, c.ld, 8, 12, 6))
+            for _ in range(2)
+        ]
         assert seen == {
             "compiled": [0, 0, 0] if has_reader else [1, 1, 1],
             "lanes": [1, 1, 1], "fallback": [1, 1, 1],
@@ -1891,41 +1887,40 @@ class TestTableValue:
         registry = build_registry(s)
         kernel = registry.lookup(kernel_name(s))
         prepared = TestPreparedCall.count(monkeypatch, runtime_mod, "_prepare")
-        with use_jit(True):
-            run_batched(s, E, 1.5, a, b, 0.5, c, registry=registry)
-            batched_ref(s, E, GemmScalars(1.5, 0.5), *want)
-            for entry in (0, E // 2, E - 1):
-                c.table[entry].flags.writeable = False
-                before = [m.tobytes() for m in c.table]
-                counts = (dict(kernel.path_counts), dict(kernel.path_elements))
-                with pytest.raises(ValueError, match=f"^operand C: table entry {entry} is read-only$"):
-                    run_batched(s, E, 0.5, a, b, 1.0, c, registry=registry)
-                assert [m.tobytes() for m in c.table] == before
-                assert (dict(kernel.path_counts), dict(kernel.path_elements)) == counts
-                c.table[entry].flags.writeable = True
+        run_batched(s, E, 1.5, a, b, 0.5, c, registry=registry)
+        batched_ref(s, E, GemmScalars(1.5, 0.5), *want)
+        for entry in (0, E // 2, E - 1):
+            c.table[entry].flags.writeable = False
+            before = [m.tobytes() for m in c.table]
+            counts = (dict(kernel.path_counts), dict(kernel.path_elements))
+            with pytest.raises(ValueError, match=f"^operand C: table entry {entry} is read-only$"):
                 run_batched(s, E, 0.5, a, b, 1.0, c, registry=registry)
-                batched_ref(s, E, GemmScalars(0.5, 1.0), *want)
-                assert [m.tobytes() for m in c.table] == [m.tobytes() for m in want[2].table]
+            assert [m.tobytes() for m in c.table] == before
+            assert (dict(kernel.path_counts), dict(kernel.path_elements)) == counts
+            c.table[entry].flags.writeable = True
+            run_batched(s, E, 0.5, a, b, 1.0, c, registry=registry)
+            batched_ref(s, E, GemmScalars(0.5, 1.0), *want)
+            assert [m.tobytes() for m in c.table] == [m.tobytes() for m in want[2].table]
         assert len(prepared) == 1
         assert kernel.path_counts == {"compiled": 4}
         assert kernel.path_elements == {"compiled": 4 * E}
 
     @pytest.mark.parametrize("path", ["lanes", "compiled"])
-    def test_direct_call_after_run_batched_scans_c_itself(self, path):
+    def test_direct_call_after_run_batched_scans_c_itself(self, path, set_jit):
         # A table run_batched has just checked and run is, called directly
         # with an entry flipped read-only in between, refused before any
         # write: the kernel scans C on every direct call.
         s = spec(Layout.RowMajor, 2, 3, 4, "ici")
         E = 5
         a, b, c = make_operands(s, E, np.random.default_rng(52))
-        with on_path(path) as registry_for:
-            registry = registry_for(s)
-            kernel = registry.lookup(kernel_name(s))
-            run_batched(s, E, 1.0, a, b, 0.0, c, registry=registry)
-            c.table[3].flags.writeable = False
-            before = [m.tobytes() for m in buffers_of(a, b, c)]
-            with pytest.raises(ValueError, match="^operand C: table entry 3 is read-only$"):
-                kernel(E, 1.0, a.table, a.ld, b.data, b.ld, 0.0, c.table, c.ld, 8, 12, 6)
+        registry_for = on_path(path, set_jit)
+        registry = registry_for(s)
+        kernel = registry.lookup(kernel_name(s))
+        run_batched(s, E, 1.0, a, b, 0.0, c, registry=registry)
+        c.table[3].flags.writeable = False
+        before = [m.tobytes() for m in buffers_of(a, b, c)]
+        with pytest.raises(ValueError, match="^operand C: table entry 3 is read-only$"):
+            kernel(E, 1.0, a.table, a.ld, b.data, b.ld, 0.0, c.table, c.ld, 8, 12, 6)
         assert [m.tobytes() for m in buffers_of(a, b, c)] == before
         assert kernel.path_counts == {path: 1}
 
