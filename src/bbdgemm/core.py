@@ -147,15 +147,15 @@ class PointerTable(tuple):
 
         return table_reader()
 
-    def check_writable(self, which: str) -> None:
+    def check_writable(self, which: str, reader) -> None:
         """Raise ``ValueError`` naming the first entry of operand *which* that is read-only.
 
-        One scan of the entries' flags per call, never cached: by this
-        table's :meth:`_reader`, or where that is None by ``map`` over the
-        entries, which builds a numpy ``flags`` object per entry (about 70 ns
-        each) and walks them again only to name the one at fault.
+        One scan of the entries' flags per call, never cached: by *reader*,
+        this table's :meth:`_reader` (a bound call resolves it once), or
+        where that is None by ``map`` over the entries, which builds a numpy
+        ``flags`` object per entry (about 70 ns each) and walks them again
+        only to name the one at fault.
         """
-        reader = self._reader()
         if reader is not None:
             entry = reader.first_read_only(self)
         elif all(map(_WRITEABLE, self)):

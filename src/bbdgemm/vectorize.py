@@ -469,13 +469,14 @@ def checked(run, payloads, kinds):
         if kind is not AccessKind.Indexed
     ]
     C, indexed_c = payloads[2], kinds[2] is AccessKind.Indexed
+    reader = C._reader() if indexed_c else None
 
     def run_checked(alpha, beta):
         for buffer, bound in flat:
             if (buffer.dtype, buffer.shape, buffer.strides) != bound:
                 return False
         if indexed_c:
-            C.check_writable("C")
+            C.check_writable("C", reader)
         elif not C.flags.writeable:
             raise read_only_error("C")
         run(alpha, beta)

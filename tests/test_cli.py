@@ -1,9 +1,14 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bbdgemm import proxy as proxy_mod
+from bbdgemm import vectorize
 from bbdgemm.cli import bench_main, genkernels_main, proxy_main
 from bbdgemm.proxy import load_dump
 from bbdgemm.vectorize import jit_available
@@ -94,6 +99,33 @@ class TestProxyCli:
         for name in ("bbdgemm_ColMajor_20_9_10_cis", "bbdgemm_ColMajor_10_9_9_sci"):
             assert re.search(rf"^{name}: \d+ calls compiled \(\d+ elements\)$", out, re.M)
             assert re.search(rf"^compile {name}: [0-9.]+ s \(cache (hit|miss)\)$", out, re.M)
+
+    def test_a_lanes_process_dump_matches_at_tol_0(self, set_jit, tmp_path, capsys):
+        # The proxy run in a process started with BBDGEMM_JIT=0 takes lanes
+        # and builds nothing; this process's own path (compiled where there
+        # is cc) gives the same bytes, at --tol 0.
+        args = ["--cells", "60", "--timesteps", "2", "--mode", "vector"]
+        lanes, cache = tmp_path / "lanes.bin", tmp_path / "cache"
+        env = dict(os.environ, BBDGEMM_JIT="0", XDG_CACHE_HOME=str(cache))
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH", "")]
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from bbdgemm.cli import proxy_main; "
+             "sys.exit(proxy_main(sys.argv[1:]))", *args, "--dump", str(lanes)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert re.search(r"^\S+: \d+ calls lanes ", done.stdout, re.M)
+        assert not re.search(r"^compile |calls compiled", done.stdout, re.M)
+        assert not cache.exists()
+        set_jit(True)
+        rc = proxy_main(args + ["--dump", str(tmp_path / "own.bin"), "--compare", str(lanes), "--tol", "0"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        path = "compiled" if vectorize.jit_enabled() else "lanes"
+        assert re.search(rf"^\S+: \d+ calls {path} ", out, re.M)
+        assert re.search(r"max\|diff\| = 0\.000e\+00 \(tol 0\) PASS$", out, re.M)
 
     def test_fallback_warning_names_the_kernels_not_built(self, tmp_path, capsys):
         # The shipped kernels lack the second step's: its 4 calls (one per

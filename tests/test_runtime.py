@@ -837,6 +837,22 @@ def run_switch_probe(tmp_path, **env):
     return json.loads(done.stdout.splitlines()[-1])
 
 
+@pytest.mark.parametrize(
+    "value, on",
+    [("0", False), (" False ", False), ("no", False), ("OFF", False), ("1", True), ("yes", True),
+     (None, True)],
+)
+def test_switch_values(value, on, monkeypatch):
+    # The process's one read of BBDGEMM_JIT, made afresh: 0, off, false and
+    # no, in any case and with spaces around, turn the compiled path off;
+    # any other value, or none, leaves it on wherever there is a compiler.
+    if value is None:
+        monkeypatch.delenv("BBDGEMM_JIT", raising=False)
+    else:
+        monkeypatch.setenv("BBDGEMM_JIT", value)
+    assert vectorize.jit_enabled.__wrapped__() is (on and jit_available())
+
+
 @needs_cc
 class TestCompiledPath:
     """The C twins of generated kernels: parity, build cache and build lock."""
@@ -1343,7 +1359,10 @@ class TestPreparedCall:
         return list(make_operands(spec(Layout.ColMajor, 2, 3, 4, access), E, np.random.default_rng(seed)))
 
     @pytest.mark.parametrize("path", PATHS)
-    def test_a_repeat_makes_no_contract_check(self, path, monkeypatch, set_jit):
+    def test_a_repeat_makes_no_contract_check_and_reads_no_switch(self, path, monkeypatch, set_jit):
+        # A repeat validates nothing, prepares nothing and, on every path,
+        # reads no compiled-path switch: the kept runner resolved its path
+        # and C's table reader when the call was bound.
         s = spec(Layout.RowMajor, 2, 3, 4, "ici")
         E = 6
         a, b, c = make_operands(s, E, np.random.default_rng(60))
@@ -1352,17 +1371,19 @@ class TestPreparedCall:
         disjoint = self.count(monkeypatch, runtime_mod, "_check_disjoint")
         prepared = self.count(monkeypatch, runtime_mod, "_prepare")
         registry_for = on_path(path, set_jit)
+        # Counted after on_path, whose set_jit(False) substitutes the switch.
+        switch = self.count(monkeypatch, vectorize, "jit_enabled")
         registry = registry_for(s)
         run_batched(s, E, 1.5, a, b, 0.5, c, registry=registry)
         batched_ref(s, E, GemmScalars(1.5, 0.5), *want)
         assert (len(validated), len(disjoint), len(prepared)) == (3, 1, 1)
         seen = []
         for alpha, beta in [(0.5, 1.0), (-1.0, 0.0), (2.0, 0.25)]:
-            validated.clear(), disjoint.clear(), prepared.clear()
+            validated.clear(), disjoint.clear(), prepared.clear(), switch.clear()
             run_batched(s, E, alpha, a, b, beta, c, registry=registry)
             batched_ref(s, E, GemmScalars(alpha, beta), *want)
-            seen.append((len(validated), len(disjoint), len(prepared)))
-        assert seen == [(0, 0, 0)] * 3
+            seen.append((len(validated), len(disjoint), len(prepared), len(switch)))
+        assert seen == [(0, 0, 0, 0)] * 3
         assert [m.tobytes() for m in c.table] == [m.tobytes() for m in want[2].table]
         if path == "fallback":
             assert registry.fallback_count == 4
