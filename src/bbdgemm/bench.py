@@ -1,11 +1,14 @@
-"""Correctness gate, benchmark harness, and CSV reporting.
+"""Correctness-gated benchmark harness and CSV reporting.
 
-Every spec is validated against the reference implementation before it may
-be timed; a spec whose outputs are not byte-identical to ``batched_ref``'s
-never produces a benchmark row.  Timing compares one batched call over E
-elements against a loop of E single-pair GEMM calls, using medians over a
-configurable number of repetitions after two warm-up calls.  Samples shorter
-than one millisecond are automatically inflated by repeating the measured unit.
+A spec is timed only if the dispatched kernel's outputs are byte-identical
+to ``batched_ref``'s on the same seeded operands; that byte gate, inside
+:func:`run_benchmark`, is the one rule for "correct", so there is no
+tolerance and no row for a kernel that fails it.  Timing compares one
+batched call over E elements against a loop of E single-pair GEMM calls,
+using medians over a configurable number of repetitions after two warm-up
+calls.  Samples shorter than one millisecond are automatically inflated by
+repeating the measured unit.  The CSV's columns are :class:`BenchRecord`'s
+fields, in order; each field's type sets how its cells are written and read.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Sequence, get_type_hints
 
 import numpy as np
 
@@ -39,7 +42,6 @@ __all__ = [
     "random_operands",
     "clone_operand",
     "output_elements",
-    "run_correctness",
     "run_benchmark",
     "emit_csv",
     "read_csv",
@@ -49,17 +51,6 @@ __all__ = [
 
 _MIN_SAMPLE_NS = 1_000_000  # inflate timed units until one sample takes >= 1 ms
 
-CSV_HEADER = (
-    "name",
-    "E",
-    "reps",
-    "median_ns_batched",
-    "median_ns_percall",
-    "speedup",
-    "max_abs_diff",
-    "fallback_used",
-)
-
 
 class FallbackDisallowed(RuntimeError):
     """A run needed the reference fallback but the caller forbade it."""
@@ -67,7 +58,7 @@ class FallbackDisallowed(RuntimeError):
 
 @dataclass(frozen=True)
 class BenchRecord:
-    """One CSV row of a correctness/benchmark run."""
+    """One benchmark row; its fields, in order, are the CSV's columns."""
 
     name: str
     E: int
@@ -151,46 +142,6 @@ def output_elements(spec: KernelSpec, E: int, c: BatchedOperand) -> np.ndarray:
     return np.concatenate(matrices) if matrices else np.empty(0)
 
 
-def run_correctness(
-    spec: KernelSpec,
-    E: int,
-    seed: int,
-    registry: KernelRegistry | None = None,
-    allow_fallback: bool = False,
-    alpha: float = 1.0,
-    beta: float = 1.0,
-) -> float:
-    """Max absolute difference between the dispatched kernel and the oracle.
-
-    Fills seeded random operands, runs the generated kernel and
-    ``batched_ref`` on identical copies, and compares every output element
-    over the whole batch; a NaN in the kernel's output makes the result NaN.
-    Raises :class:`FallbackDisallowed` when the kernel is missing and
-    *allow_fallback* is false.
-    """
-    return _max_abs_diff(*_outputs(spec, E, seed, registry, allow_fallback, alpha, beta))
-
-
-def _outputs(spec, E, seed, registry, allow_fallback, alpha=1.0, beta=1.0):
-    """``(kernel, oracle)``: every output element of the dispatched kernel and of the oracle."""
-    registry = registry if registry is not None else default_registry()
-    a, b, c_kernel = random_operands(spec, E, seed)
-    c_oracle = clone_operand(c_kernel)
-    before = registry.fallback_count
-    run_batched(spec, E, alpha, a, b, beta, c_kernel, registry=registry)
-    if registry.fallback_count != before and not allow_fallback:
-        raise FallbackDisallowed(
-            f"{kernel_name(spec)} is not in the dispatch table; "
-            f"build it or pass allow_fallback"
-        )
-    batched_ref(spec, E, GemmScalars(alpha, beta), a, b, c_oracle)
-    return output_elements(spec, E, c_kernel), output_elements(spec, E, c_oracle)
-
-
-def _max_abs_diff(got: np.ndarray, want: np.ndarray) -> float:
-    return float(np.max(np.abs(got - want))) if got.size else 0.0
-
-
 def _measure(unit: Callable[[], None], reps: int) -> tuple[list[float], int]:
     """Median-friendly timing: calibrate the unit to >= 1 ms, then take *reps* fresh samples.
 
@@ -236,15 +187,23 @@ def run_benchmark(
         raise ValueError(f"reps must be >= 1, got {reps}")
     registry = registry if registry is not None else default_registry()
     fallback_before = registry.fallback_count
-    got, want = _outputs(spec, E, seed, registry, allow_fallback)
-    max_abs_diff = _max_abs_diff(got, want)
+    scalars = GemmScalars(1.0, 1.0)
+    a, b, c = random_operands(spec, E, seed)
+    c_oracle = clone_operand(c)
+    run_batched(spec, E, scalars.alpha, a, b, scalars.beta, c, registry=registry)
+    if registry.fallback_count != fallback_before and not allow_fallback:
+        raise FallbackDisallowed(
+            f"{kernel_name(spec)} is not in the dispatch table; "
+            f"build it or pass allow_fallback"
+        )
+    batched_ref(spec, E, scalars, a, b, c_oracle)
+    got, want = output_elements(spec, E, c), output_elements(spec, E, c_oracle)
+    max_abs_diff = float(np.max(np.abs(got - want))) if got.size else 0.0
     if got.tobytes() != want.tobytes():
         raise ValueError(
             f"{kernel_name(spec)}: outputs differ from the oracle's bytes "
             f"(max|diff| {max_abs_diff:.3e}); refusing to benchmark"
         )
-    scalars = GemmScalars(1.0, 1.0)
-    a, b, c = random_operands(spec, E, seed)
     batched_unit = lambda: run_batched(
         spec, E, scalars.alpha, a, b, scalars.beta, c, registry=registry
     )
@@ -278,28 +237,41 @@ def run_benchmark(
     return record, detail
 
 
+def _read_bool(cell: str) -> bool:
+    if cell not in ("true", "false"):
+        raise ValueError(f"{cell!r} is neither true nor false")
+    return cell == "true"
+
+
+#: Per field type of :class:`BenchRecord`: how a cell is written, and read back.
+_CELL_FORMATS = {
+    str: (str, str),
+    int: (str, int),
+    float: (repr, float),
+    bool: (lambda value: "true" if value else "false", _read_bool),
+}
+#: ``(name, write, read)`` per CSV column: :class:`BenchRecord`'s fields, in order.
+_COLUMNS = tuple(
+    (name, *_CELL_FORMATS[kind]) for name, kind in get_type_hints(BenchRecord).items()
+)
+CSV_HEADER = tuple(name for name, _, _ in _COLUMNS)
+
+
 def emit_csv(records: Sequence[BenchRecord], path: str | Path) -> None:
     """Write records (in order) as UTF-8 CSV with LF line endings."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         for record in records:
-            writer.writerow(
-                [
-                    record.name,
-                    record.E,
-                    record.reps,
-                    record.median_ns_batched,
-                    record.median_ns_percall,
-                    repr(record.speedup),
-                    repr(record.max_abs_diff),
-                    "true" if record.fallback_used else "false",
-                ]
-            )
+            writer.writerow(write(getattr(record, name)) for name, write, _ in _COLUMNS)
 
 
 def read_csv(path: str | Path) -> list[BenchRecord]:
-    """Parse a CSV written by :func:`emit_csv` back into records."""
+    """Parse a CSV written by :func:`emit_csv` back into records.
+
+    A wrong header, or a row with a missing, extra or malformed cell, raises
+    ``ValueError`` naming it.
+    """
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         header = tuple(next(reader, ()))
@@ -307,20 +279,14 @@ def read_csv(path: str | Path) -> list[BenchRecord]:
             raise ValueError(f"unexpected CSV header {header!r}")
         records = []
         for row in reader:
-            if len(row) != len(CSV_HEADER):
-                raise ValueError(f"malformed CSV row {row!r}")
-            records.append(
-                BenchRecord(
-                    name=row[0],
-                    E=int(row[1]),
-                    reps=int(row[2]),
-                    median_ns_batched=int(row[3]),
-                    median_ns_percall=int(row[4]),
-                    speedup=float(row[5]),
-                    max_abs_diff=float(row[6]),
-                    fallback_used={"true": True, "false": False}[row[7]],
+            try:
+                if len(row) != len(_COLUMNS):
+                    raise ValueError(f"{len(row)} cells, not {len(_COLUMNS)}")
+                records.append(
+                    BenchRecord(*(read(cell) for (_, _, read), cell in zip(_COLUMNS, row)))
                 )
-            )
+            except ValueError as error:
+                raise ValueError(f"malformed CSV row {row!r}: {error}") from None
     return records
 
 

@@ -38,23 +38,16 @@ def genkernels_main(argv: list[str] | None = None) -> int:
     print(f"generated {len(manifest.entries)} kernels into {args.out_dir}")
     if args.emit_report:
         rows = codegen.pressure_report_rows(manifest, codegen.MachineModel())
-        with open(args.emit_report, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.DictWriter(
-                handle,
-                fieldnames=[
-                    "name",
-                    "n",
-                    "m",
-                    "k",
-                    "access",
-                    "scalar_live",
-                    "vector_live",
-                    "predicted_spills",
-                ],
-                lineterminator="\n",
-            )
-            writer.writeheader()
-            writer.writerows(rows)
+        try:
+            with open(args.emit_report, "w", encoding="utf-8", newline="") as handle:
+                writer = csv.DictWriter(
+                    handle, fieldnames=codegen.PRESSURE_REPORT_COLUMNS, lineterminator="\n"
+                )
+                writer.writeheader()
+                writer.writerows(rows)
+        except OSError as error:
+            print(f"genkernels: {error}", file=sys.stderr)
+            return 1
         print(f"pressure report written to {args.emit_report}")
     return 0
 
@@ -202,6 +195,10 @@ def bench_main(argv: list[str] | None = None) -> int:
         details.append(detail)
     print(bench_mod.format_report(records, details))
     if args.csv:
-        bench_mod.emit_csv(records, args.csv)
+        try:
+            bench_mod.emit_csv(records, args.csv)
+        except OSError as error:
+            print(f"bench: {error}", file=sys.stderr)
+            return 1
         print(f"csv written to {args.csv}")
     return 0

@@ -26,7 +26,7 @@ from __future__ import annotations
 import os
 import re
 import tempfile
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
@@ -54,6 +54,7 @@ __all__ = [
     "generate_dispatch_source",
     "write_kernel_package",
     "estimate_pressure",
+    "PRESSURE_REPORT_COLUMNS",
     "pressure_report_rows",
 ]
 
@@ -537,21 +538,19 @@ def estimate_pressure(spec: KernelSpec, model: MachineModel) -> PressureReport:
     )
 
 
+#: Columns of the ``--emit-report`` CSV, in order: the keys of each row
+#: :func:`pressure_report_rows` gives.
+PRESSURE_REPORT_COLUMNS = ("name", "n", "m", "k", "access") + tuple(
+    field.name for field in fields(PressureReport)
+)
+
+
 def pressure_report_rows(manifest: KernelManifest, model: MachineModel) -> list[dict]:
     """Per-kernel pressure rows for the ``--emit-report`` CSV."""
     rows = []
     for spec in manifest.entries:
-        report = estimate_pressure(spec, model)
-        rows.append(
-            {
-                "name": kernel_name(spec),
-                "n": spec.shape.n,
-                "m": spec.shape.m,
-                "k": spec.shape.k,
-                "access": spec.access_string,
-                "scalar_live": report.scalar_live,
-                "vector_live": report.vector_live,
-                "predicted_spills": report.predicted_spills,
-            }
-        )
+        shape = spec.shape
+        values = (kernel_name(spec), shape.n, shape.m, shape.k, spec.access_string)
+        values += astuple(estimate_pressure(spec, model))
+        rows.append(dict(zip(PRESSURE_REPORT_COLUMNS, values)))
     return rows

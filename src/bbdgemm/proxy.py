@@ -93,8 +93,6 @@ class TensorBatch:
     """Per-cell tensor: a fixed-size array of independently allocated matrices."""
 
     matrices: list[np.ndarray]
-    rows: int
-    cols: int
     ld: int
 
     @property
@@ -355,8 +353,6 @@ def build_state(config: ProxyConfig) -> ProxyState:
                 matrices=[
                     rng.uniform(-1.0, 1.0, span) for _ in range(config.components)
                 ],
-                rows=shapes.rows,
-                cols=shapes.cols,
                 ld=shapes.tensor_ld,
             )
             for _ in range(config.cells)

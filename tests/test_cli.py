@@ -55,6 +55,18 @@ class TestGenkernels:
         assert rc == 1
         assert re.fullmatch(r"genkernels: \[Errno 2\] .*'/nonexistent'\n", capsys.readouterr().err)
 
+    def test_unwritable_report_is_reported(self, tmp_path, capsys):
+        manifest = tmp_path / "m.manifest"
+        manifest.write_text("ColMajor 2 2 2 cis\n", encoding="utf-8")
+        rc = genkernels_main(
+            ["--manifest", str(manifest), "--out-dir", str(tmp_path / "out"),
+             "--emit-report", "/nonexistent/x.csv"]
+        )
+        assert rc == 1
+        assert re.fullmatch(
+            r"genkernels: \[Errno 2\] .*'/nonexistent/x.csv'\n", capsys.readouterr().err
+        )
+
     def test_max_dim_enforced(self, tmp_path, capsys):
         # The bound is fixed at 64, for the Python kernel and its C twin
         # alike: a larger shape is refused, and there is no option to raise it.
@@ -248,6 +260,16 @@ class TestBenchCli:
             args = ["--manifest", str(manifest), "--kernel-dir", "/nonexistent"]
         assert bench_main(args) == 1
         assert re.fullmatch(r"bench: .*/nonexistent.*\n", capsys.readouterr().err)
+
+    def test_unwritable_csv_is_reported(self, tmp_path, capsys):
+        manifest = tmp_path / "m.manifest"
+        manifest.write_text("ColMajor 2 2 2 cis\n", encoding="utf-8")
+        rc = bench_main(
+            ["--manifest", str(manifest), "--batch", "4", "--reps", "1",
+             "--csv", "/nonexistent/x.csv"]
+        )
+        assert rc == 1
+        assert re.fullmatch(r"bench: \[Errno 2\] .*'/nonexistent/x.csv'\n", capsys.readouterr().err)
 
     def test_baseline_flag_is_refused(self, tmp_path, capsys):
         # The oracle's per-call loop is the only baseline; there is no flag.
