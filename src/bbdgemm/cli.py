@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 from . import bench as bench_mod
@@ -74,6 +76,8 @@ def proxy_main(argv: list[str] | None = None) -> int:
         "--tol", type=float, default=1e-6, help="tolerance for --compare (default %(default)s)"
     )
     args = parser.parse_args(argv)
+    if not math.isfinite(args.tol) or args.tol < 0:
+        parser.error(f"argument --tol: must be a finite number >= 0, got {args.tol:g}")
     if args.compare and not args.dump:
         print("proxy: --compare requires --dump", file=sys.stderr)
         return 1
@@ -166,6 +170,9 @@ def bench_main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--seed", type=int, default=42)
     args = parser.parse_args(argv)
+    for option, value in (("--batch", args.batch), ("--reps", args.reps)):
+        if value < 1:
+            parser.error(f"argument {option}: must be at least 1, got {value}")
 
     try:
         text = Path(args.manifest).read_text(encoding="utf-8")
@@ -174,31 +181,50 @@ def bench_main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as error:
         print(f"bench: {error}", file=sys.stderr)
         return 1
-    _pin_to_one_cpu()
-
-    records = []
-    details = []
-    for spec in manifest.entries:
-        try:
-            record, detail = bench_mod.run_benchmark(
-                spec,
-                args.batch,
-                args.reps,
-                registry=registry,
-                seed=args.seed,
-                allow_fallback=args.allow_fallback,
-            )
-        except (bench_mod.FallbackDisallowed, ValueError) as error:
-            print(f"bench: {kernel_name(spec)}: {error}", file=sys.stderr)
-            return 1
-        records.append(record)
-        details.append(detail)
-    print(bench_mod.format_report(records, details))
+    csv_tmp = None
     if args.csv:
+        # The records go to a file beside --csv, made before any spec is
+        # timed, so an unwritable path fails first, and renamed over --csv
+        # once all are in, so a failed run leaves --csv as it was.
+        csv_path = Path(args.csv)
         try:
-            bench_mod.emit_csv(records, args.csv)
+            fd, csv_tmp = tempfile.mkstemp(dir=csv_path.parent, prefix=csv_path.name, suffix=".tmp")
         except OSError as error:
-            print(f"bench: {error}", file=sys.stderr)
+            print(f"bench: {OSError(error.errno, error.strerror, args.csv)}", file=sys.stderr)
             return 1
-        print(f"csv written to {args.csv}")
-    return 0
+        os.close(fd)
+    _pin_to_one_cpu()
+    try:
+        records = []
+        details = []
+        for spec in manifest.entries:
+            try:
+                record, detail = bench_mod.run_benchmark(
+                    spec,
+                    args.batch,
+                    args.reps,
+                    registry=registry,
+                    seed=args.seed,
+                    allow_fallback=args.allow_fallback,
+                )
+            except (bench_mod.FallbackDisallowed, ValueError) as error:
+                print(f"bench: {kernel_name(spec)}: {error}", file=sys.stderr)
+                return 1
+            records.append(record)
+            details.append(detail)
+        print(bench_mod.format_report(records, details))
+        if csv_tmp:
+            try:
+                bench_mod.emit_csv(records, csv_tmp)
+                umask = os.umask(0)
+                os.umask(umask)
+                os.chmod(csv_tmp, 0o666 & ~umask)  # mkstemp's 0600 is for the temporary only
+                os.replace(csv_tmp, csv_path)
+            except OSError as error:
+                print(f"bench: {error}", file=sys.stderr)
+                return 1
+            print(f"csv written to {args.csv}")
+        return 0
+    finally:
+        if csv_tmp and os.path.exists(csv_tmp):
+            os.unlink(csv_tmp)

@@ -2,11 +2,13 @@
 
 The proxy mirrors the structure of a cell-based scientific code: every cell
 owns a small tensor (a fixed-size set of independently allocated matrices),
-and each timestep runs a short chain of GEMMs per tensor component.  The
-chain is the one description of the data: :func:`chain_shapes` derives the
-layout, the tensor components' shape, each constant's shape and the
-scratch's from it once per config.  Two interchangeable variants are
-provided:
+and each timestep runs a short chain of GEMMs per tensor component.  A
+chain has one spelling, the chain-file text :func:`parse_chain` reads; the
+built-in chain is the text :data:`DEFAULT_CHAIN`.  The chain is the one
+description of the data: :func:`chain_shapes` derives the layout, the
+tensor components' shape, each constant's shape and the scratch's from it
+once per config.  :func:`run_proxy_state` advances a state by timesteps in
+one of two interchangeable modes:
 
 * ``scalar``  - the reference loop nest: cells outermost, components inner,
   one naive GEMM per chain step, one cell's worth of scratch.
@@ -40,7 +42,6 @@ import numpy as np
 from .codegen import SPEC_FIELDS, ManifestError, parse_spec_tokens, spec_lines
 from .core import (
     AccessKind,
-    KernelShape,
     KernelSpec,
     Layout,
     matrix_span,
@@ -64,11 +65,10 @@ __all__ = [
     "chain_shapes",
     "ProxyConfig",
     "ProxyState",
+    "DEFAULT_CHAIN",
     "default_chain",
     "parse_chain",
     "build_state",
-    "compute_local_integration_ref",
-    "compute_local_integration_batched",
     "run_proxy_state",
     "run_proxy",
     "dump_state",
@@ -122,42 +122,22 @@ class ChainStep:
         return (self.a_binding, self.b_binding, self.c_binding)
 
 
+#: The built-in chain, in the chain-file grammar of :func:`parse_chain`.
+DEFAULT_CHAIN = """\
+ColMajor 20 9 10 cis op1 qin scratch 1.0 0.0
+ColMajor 10 9 9 sci scratch op2 qout 1.0 1.0
+"""
+
+
 def default_chain() -> tuple[ChainStep, ...]:
     """Two-step stand-in chain exercising all three access kinds.
 
     Step 1 projects each cell's tensor component through a shared 20x10
     constant into strided scratch; step 2 accumulates a 10x9 window of that
-    scratch times a shared 9x9 constant back into the output tensor.
+    scratch times a shared 9x9 constant back into the output tensor.  It is
+    :data:`DEFAULT_CHAIN` parsed, so a chain file holding that text gives it.
     """
-    step1 = ChainStep(
-        spec=KernelSpec(
-            Layout.ColMajor,
-            KernelShape(20, 9, 10),
-            AccessKind.Constant,
-            AccessKind.Indexed,
-            AccessKind.Strided,
-        ),
-        a_binding="op1",
-        b_binding="qin",
-        c_binding="scratch",
-        alpha=1.0,
-        beta=0.0,
-    )
-    step2 = ChainStep(
-        spec=KernelSpec(
-            Layout.ColMajor,
-            KernelShape(10, 9, 9),
-            AccessKind.Strided,
-            AccessKind.Constant,
-            AccessKind.Indexed,
-        ),
-        a_binding="scratch",
-        b_binding="op2",
-        c_binding="qout",
-        alpha=1.0,
-        beta=1.0,
-    )
-    return (step1, step2)
+    return parse_chain(DEFAULT_CHAIN)
 
 
 class ChainShapes(NamedTuple):
@@ -365,76 +345,32 @@ def build_state(config: ProxyConfig) -> ProxyState:
     )
 
 
-def _resolve_ref_operand(
-    config: ProxyConfig,
-    state: ProxyState,
-    binding: str,
-    cell: int,
-    component: int,
-    scratch: np.ndarray,
-):
-    """``(buffer, ld)`` of *binding* for one cell and component."""
-    if binding in CONSTANT_BINDINGS:
-        return state.constants[binding], state.constant_lds[binding]
-    if binding == "qin":
-        return state.qin[cell].component(component), state.qin[cell].ld
-    if binding == "qout":
-        return state.qout[cell].component(component), state.qout[cell].ld
-    return scratch, config.shapes.scratch_ld
-
-
-def compute_local_integration_ref(config: ProxyConfig, state: ProxyState) -> None:
-    """Reference loop nest: per cell, per component, run the chain's GEMMs.
-
-    *state* binds every GEMM once for *config*
-    (:func:`~bbdgemm.reference.bind_dgemm`) over a scratch of its own; each
-    call runs the bound GEMMs in cell, component, step order.
-    """
-    for run, alpha, beta in state._calls(_bind_ref_runs, config):
-        run(alpha, beta)
-
-
 def _bind_ref_runs(state: ProxyState, config: ProxyConfig) -> list:
-    """``(run, alpha, beta)`` of every GEMM of the loop nest, in the order it runs them.
+    """``(run, alpha, beta)`` of every GEMM of the loop nest, in cell, component, step order.
 
-    All binds share one dict of views, so the GEMMs of every cell share one
-    view of each constant and of the scratch; only those of a cell's own
-    matrices are the cell's.
+    One map gives each binding's ``(buffer, ld)``, with ``qin`` and ``qout``
+    set per cell and component.  All binds share one dict of views, so the
+    GEMMs of every cell share one view of each constant and of the scratch;
+    only those of a cell's own matrices are the cell's.
     """
     scratch = np.zeros(max(config.shapes.scratch_per_element, 1), dtype=np.float64)
+    operand = {name: (data, state.constant_lds[name]) for name, data in state.constants.items()}
+    operand[SCRATCH_BINDING] = (scratch, config.shapes.scratch_ld)
     views: dict = {}
     runs = []
     for cell in range(config.cells):
         for component in range(config.components):
+            for name, tensor in zip(TENSOR_BINDINGS, (state.qin[cell], state.qout[cell])):
+                operand[name] = (tensor.component(component), tensor.ld)
             for step in config.chain:
                 shape = step.spec.shape
-                (a, lda), (b, ldb), (c, ldc) = (
-                    _resolve_ref_operand(config, state, binding, cell, component, scratch)
-                    for binding in step.bindings()
-                )
+                (a, lda), (b, ldb), (c, ldc) = map(operand.get, step.bindings())
                 run = bind_dgemm(
                     step.spec.layout, shape.n, shape.m, shape.k, a, lda, b, ldb, c, ldc,
                     views=views,
                 )
                 runs.append((run, step.alpha, step.beta))
     return runs
-
-
-def compute_local_integration_batched(
-    config: ProxyConfig,
-    state: ProxyState,
-    registry: KernelRegistry | None = None,
-) -> None:
-    """Loop-interchanged variant: one batched call per chain step per component.
-
-    Grows ``state.scratch`` to cover every cell (nothing happens once it
-    does), then runs the calls *state* binds for *config* and the scratch's
-    array; so from the second timestep on, each call repeats a checked one.
-    """
-    state.scratch.ensure(config.cells, config.shapes.scratch_per_element)
-    calls = state._calls(_bind_batched_calls, config, state.scratch.array)
-    for spec, a, b, c, alpha, beta in calls:
-        run_batched(spec, config.cells, alpha, a, b, beta, c, registry=registry)
 
 
 def _bind_batched_calls(state: ProxyState, config: ProxyConfig, scratch: np.ndarray) -> list:
@@ -472,16 +408,23 @@ def run_proxy_state(
     registry: KernelRegistry | None = None,
     timesteps: int | None = None,
 ) -> None:
-    """Advance *state* by the configured number of timesteps.
+    """Advance *state* by *timesteps* timesteps (by default the configured number).
 
-    Each timestep runs the local-integration phase in the configured mode.
+    Scalar mode runs the GEMMs *state* binds for *config*.  Vector mode
+    first grows ``state.scratch`` to cover every cell (nothing happens once
+    it does), then runs the batched calls *state* binds for *config* and
+    the scratch's array.
     """
     steps = config.timesteps if timesteps is None else timesteps
     for _ in range(steps):
         if config.mode == "vector":
-            compute_local_integration_batched(config, state, registry=registry)
+            state.scratch.ensure(config.cells, config.shapes.scratch_per_element)
+            calls = state._calls(_bind_batched_calls, config, state.scratch.array)
+            for spec, a, b, c, alpha, beta in calls:
+                run_batched(spec, config.cells, alpha, a, b, beta, c, registry=registry)
         else:
-            compute_local_integration_ref(config, state)
+            for run, alpha, beta in state._calls(_bind_ref_runs, config):
+                run(alpha, beta)
 
 
 def run_proxy(config: ProxyConfig, registry: KernelRegistry | None = None) -> ProxyState:

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bbdgemm import bench as bench_mod
 from bbdgemm import proxy as proxy_mod
 from bbdgemm import vectorize
 from bbdgemm.cli import bench_main, genkernels_main, proxy_main
@@ -207,6 +208,17 @@ class TestProxyCli:
         assert rc == 1
         assert re.fullmatch(r"proxy: dump shape mismatch: .*\n", capsys.readouterr().err)
 
+    @pytest.mark.parametrize("tol", ["-1", "-1e-300", "nan", "inf", "-inf"])
+    def test_negative_or_non_finite_tol_is_refused_before_reading(self, tol, tmp_path, capsys):
+        # argparse names --tol and exits 2 before the chain file is read.
+        with pytest.raises(SystemExit) as exited:
+            proxy_main(["--cells", "1", "--timesteps", "1", "--chain", "/nonexistent",
+                        "--dump", str(tmp_path / "a.bin"), "--compare", str(tmp_path / "b.bin"),
+                        f"--tol={tol}"])
+        assert exited.value.code == 2
+        assert re.search(rf"argument --tol: must be a finite number >= 0, got {tol}$",
+                         capsys.readouterr().err, re.M)
+
     def test_custom_chain_dims_must_match_tensors(self, tmp_path, capsys):
         chain = tmp_path / "chain.txt"
         chain.write_text("ColMajor 4 2 3 cii op1 qin qout 1.0 0.0\n", encoding="utf-8")
@@ -261,15 +273,54 @@ class TestBenchCli:
         assert bench_main(args) == 1
         assert re.fullmatch(r"bench: .*/nonexistent.*\n", capsys.readouterr().err)
 
-    def test_unwritable_csv_is_reported(self, tmp_path, capsys):
+    def test_unwritable_csv_is_reported(self, tmp_path, capsys, monkeypatch):
+        # The path is refused before the first spec is timed.
         manifest = tmp_path / "m.manifest"
         manifest.write_text("ColMajor 2 2 2 cis\n", encoding="utf-8")
+
+        def timed(*args, **kwargs):
+            raise AssertionError("a spec was timed before --csv was checked")
+
+        monkeypatch.setattr(bench_mod, "run_benchmark", timed)
         rc = bench_main(
             ["--manifest", str(manifest), "--batch", "4", "--reps", "1",
              "--csv", "/nonexistent/x.csv"]
         )
         assert rc == 1
         assert re.fullmatch(r"bench: \[Errno 2\] .*'/nonexistent/x.csv'\n", capsys.readouterr().err)
+
+    def test_failed_run_keeps_an_existing_csv(self, tmp_path, capsys):
+        # A run that fails after --csv is checked (a kernel missing, no
+        # --allow-fallback) leaves the old CSV byte for byte, and no
+        # temporary file beside it.
+        manifest = tmp_path / "m.manifest"
+        manifest.write_text("ColMajor 3 3 3 ccc\n", encoding="utf-8")
+        empty_dir = tmp_path / "none"
+        empty_dir.mkdir()
+        (empty_dir / "__init__.py").write_text("KERNELS = {}\n", encoding="utf-8")
+        out = tmp_path / "out"
+        out.mkdir()
+        csv_path = out / "bench.csv"
+        csv_path.write_bytes(b"name,batch\nkept,1\n")
+        rc = bench_main(
+            ["--manifest", str(manifest), "--batch", "8", "--reps", "2",
+             "--kernel-dir", str(empty_dir), "--csv", str(csv_path)]
+        )
+        assert rc == 1
+        assert "dispatch table" in capsys.readouterr().err
+        assert csv_path.read_bytes() == b"name,batch\nkept,1\n"
+        assert sorted(out.iterdir()) == [csv_path]
+
+    @pytest.mark.parametrize(
+        "option, value", [("--batch", "0"), ("--batch", "-1"), ("--reps", "0"), ("--reps", "-3")]
+    )
+    def test_out_of_range_count_is_refused_before_reading(self, option, value, capsys):
+        # argparse names the option and exits 2 before the manifest is read.
+        with pytest.raises(SystemExit) as exited:
+            bench_main(["--manifest", "/nonexistent", option, value])
+        assert exited.value.code == 2
+        assert re.search(rf"argument {option}: must be at least 1, got {value}$",
+                         capsys.readouterr().err, re.M)
 
     def test_baseline_flag_is_refused(self, tmp_path, capsys):
         # The oracle's per-call loop is the only baseline; there is no flag.

@@ -1,3 +1,4 @@
+import hashlib
 import pickle
 from dataclasses import replace
 
@@ -13,8 +14,6 @@ from bbdgemm.proxy import (
     ProxyState,
     build_state,
     compare_dumps,
-    compute_local_integration_batched,
-    compute_local_integration_ref,
     default_chain,
     dump_state,
     load_dump,
@@ -180,10 +179,40 @@ class TestConfigValidation:
             small_config(chain=bad)
 
     def test_default_chain_shapes(self):
-        chain = default_chain()
-        assert chain[0].spec.name == "bbdgemm_ColMajor_20_9_10_cis"
-        assert chain[1].spec.name == "bbdgemm_ColMajor_10_9_9_sci"
-        assert chain[0].beta == 0.0 and chain[1].beta == 1.0
+        # The built-in chain, parsed from its chain-file text, is this
+        # hand-built two-step chain.
+        expected = (
+            ChainStep(
+                KernelSpec(
+                    Layout.ColMajor,
+                    KernelShape(20, 9, 10),
+                    AccessKind.Constant,
+                    AccessKind.Indexed,
+                    AccessKind.Strided,
+                ),
+                a_binding="op1",
+                b_binding="qin",
+                c_binding="scratch",
+                alpha=1.0,
+                beta=0.0,
+            ),
+            ChainStep(
+                KernelSpec(
+                    Layout.ColMajor,
+                    KernelShape(10, 9, 9),
+                    AccessKind.Strided,
+                    AccessKind.Constant,
+                    AccessKind.Indexed,
+                ),
+                a_binding="scratch",
+                b_binding="op2",
+                c_binding="qout",
+                alpha=1.0,
+                beta=1.0,
+            ),
+        )
+        assert default_chain() == expected
+        assert ProxyConfig().chain == expected
 
 
 class TestReferenceVariant:
@@ -198,7 +227,7 @@ class TestReferenceVariant:
             state.qin[0].component(0), 2,
             0.0, expected, 2,
         )
-        compute_local_integration_ref(config, state)
+        run_proxy_state(config, state, timesteps=1)
         assert np.array_equal(state.qout[0].component(0), expected)
 
     def test_deterministic_across_runs(self):
@@ -315,11 +344,11 @@ class TestBatchedVariant:
         state = build_state(config)
         registry = small_registry()
         set_jit(False)
-        compute_local_integration_batched(config, state, registry=registry)
+        run_proxy_state(config, state, registry=registry, timesteps=1)
         backing = state.scratch.array
         assert state.scratch.capacity >= config.cells * config.shapes.scratch_per_element
         for _ in range(config.timesteps - 1):
-            compute_local_integration_batched(config, state, registry=registry)
+            run_proxy_state(config, state, registry=registry, timesteps=1)
             assert state.scratch.array is backing
 
     def test_state_builds_its_tables_and_scratch_once(self, monkeypatch):
@@ -493,6 +522,30 @@ class TestDumps:
         set_jit(False)
         dump_state(run_proxy(small_config(cells=5, mode="vector"), registry=registry), b)
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "mode, jit",
+        [
+            ("scalar", False),
+            pytest.param(
+                "vector", True,
+                marks=pytest.mark.skipif(not jit_available(), reason="no C compiler (cc) on PATH"),
+            ),
+            ("vector", False),
+        ],
+        ids=["scalar", "compiled", "lanes"],
+    )
+    def test_default_chain_dump_keeps_its_bytes(self, mode, jit, tmp_path, set_jit):
+        # The default chain over 60 cells and 2 timesteps dumps one set of
+        # bytes on every path, pinned here by its sha256.
+        set_jit(jit)
+        path = tmp_path / "dump.bin"
+        dump_state(run_proxy(ProxyConfig(cells=60, timesteps=2, mode=mode)), path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "59c1a582791f3eee1a0870e3c4d34b6591c6c2add6db7cf5dcefbf5af496f00a", (
+            f"dump sha256 {digest} changed; the state is seeded through numpy's "
+            "Generator.uniform, so a numpy change to that stream also changes it"
+        )
 
     def test_row_major_round_trip(self, tmp_path):
         # load_dump gives each cell's RowMajor matrix, whatever the encoding.

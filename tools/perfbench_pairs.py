@@ -10,7 +10,9 @@ with ``--run-args``) runs ``--pairs`` times in each tree, the trees
 alternating which goes first.  With ``--bench-args``, ``bench`` (the
 package's command-line benchmark) first runs once in each tree with those
 arguments, and its CSV rows are kept.  The run is stored in ``--out`` under
-its ``--label``, beside the labels already there.
+its ``--label``, beside the labels already there.  Its summary gives each
+end-to-end metric ``BENCHMARK.json`` lists a verdict against that metric's
+bound (see :func:`verdict`).
 
 The helpers are shared: other scripts in this directory import them
 (``tools/`` is on ``sys.path`` when such a script runs).
@@ -81,13 +83,37 @@ def _spread(values: list[float]) -> dict:
             "q1": round(quartiles[0], 4), "q3": round(quartiles[2], 4)}
 
 
+def verdict(old: list[float], new: list[float], better: str, bound: float) -> str:
+    """``worse``, ``unresolved`` or ``within bound``: the new runs of a metric against the old.
+
+    ``worse``: the new median is worse than the old median by more than
+    *bound* times the old median, in the direction *better* (``lower`` or
+    ``higher``) gives.  ``unresolved``: not worse, but the old runs' q3 - q1
+    exceeds *bound* times their median, and not every new run is better
+    than every old run.  ``within bound`` otherwise.
+    """
+    sign = 1 if better == "lower" else -1
+    old_median = statistics.median(old)
+    allowed = bound * abs(old_median)
+    if sign * (statistics.median(new) - old_median) > allowed:
+        return "worse"
+    q1, _, q3 = statistics.quantiles(old, n=4) if len(old) > 1 else [old[0]] * 3
+    if q3 - q1 > allowed and not all(sign * (n - o) < 0 for o in old for n in new):
+        return "unresolved"
+    return "within bound"
+
+
 def summarise(pairs: list[dict]) -> dict:
     """Per metric: each side's median and quartiles, and in how many pairs the new tree read lower.
 
     A metric a run did not report (None, or missing) is left out of that
     side's figures and out of the pair count.  ``failed_runs`` gives, for
-    each side, how many runs exited non-zero or had failed operations.
+    each side, how many runs exited non-zero or had failed operations.  A
+    ``<workload>.<metric>`` whose metric ``BENCHMARK.json`` lists as end to
+    end gets a :func:`verdict` with that entry's ``better`` and ``bound``;
+    ``unresolved`` when a side has no runs of it.
     """
+    end_to_end = {m["name"]: m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     out = {"failed_runs": {side: sum(p[side]["exit"] != 0 or p[side]["failed"] != 0 for p in pairs)
                            for side in ("old", "new")}}
     metrics = dict.fromkeys(m for p in pairs for side in ("old", "new") for m in p[side]["metrics"])
@@ -105,6 +131,10 @@ def summarise(pairs: list[dict]) -> dict:
             "new_over_old_median": ratio,
             "new_lower_in_pairs": f"{sum(n < o for o, n in both)} of {len(both)}",
         }
+        listed = end_to_end.get(metric.partition(".")[2])
+        if listed:
+            out[metric]["verdict"] = (verdict(old, new, listed["better"], listed["bound"])
+                                      if old and new else "unresolved")
     return out
 
 
