@@ -3,7 +3,9 @@
 The package generates one shape-specialized kernel per (layout, N, M, K,
 access-kinds) combination: a single loop over the batch with a fully
 unrolled body, as Python and as a C twin that a C compiler turns into
-long-vector code; without a compiler the Python runs as numpy lanes.  A naive reference implementation,
+long-vector code; without a compiler the Python runs as numpy lanes.  A
+kernel is built from its name alone, each twin on its first use, so no
+generated code is shipped.  A naive reference implementation,
 a register-pressure estimator, a cell-based proxy application, and a
 correctness-gated benchmark harness round out the library.
 """

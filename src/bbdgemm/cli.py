@@ -166,7 +166,7 @@ def bench_main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--kernel-dir",
         metavar="PATH",
-        help="use kernels generated into PATH instead of the installed set",
+        help="use kernels generated into PATH instead of the default kernels",
     )
     parser.add_argument("--seed", type=int, default=42)
     args = parser.parse_args(argv)
@@ -216,10 +216,7 @@ def bench_main(argv: list[str] | None = None) -> int:
         if csv_tmp:
             try:
                 bench_mod.emit_csv(records, csv_tmp)
-                umask = os.umask(0)
-                os.umask(umask)
-                os.chmod(csv_tmp, 0o666 & ~umask)  # mkstemp's 0600 is for the temporary only
-                os.replace(csv_tmp, csv_path)
+                codegen.move_into_place(csv_tmp, csv_path)
             except OSError as error:
                 print(f"bench: {error}", file=sys.stderr)
                 return 1

@@ -18,7 +18,9 @@ emit one statement list, and every element of C gets the same roundings in
 the same order in both.
 
 Generation is deterministic: the same spec always yields byte-identical
-source, and dispatch tables preserve manifest order.
+source, and dispatch tables preserve manifest order.  No generated module
+ships: :func:`bbdgemm.vectorize.batch_kernel` builds a kernel from its name,
+and ``genkernels`` writes kernel directories for ``load_kernel_dir``.
 """
 
 from __future__ import annotations
@@ -452,12 +454,20 @@ def generate_dispatch_source(manifest: KernelManifest) -> str:
     return "\n".join(out)
 
 
+def move_into_place(tmp: str | Path, path: str | Path) -> None:
+    """``os.replace(tmp, path)``, *tmp* first given the umask's mode for a new file, not mkstemp's 0600."""
+    umask = os.umask(0)
+    os.umask(umask)
+    os.chmod(tmp, 0o666 & ~umask)
+    os.replace(tmp, path)
+
+
 def _write_atomic(path: Path, text: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
-        os.replace(tmp, path)
+        move_into_place(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -472,15 +482,11 @@ def write_kernel_package(manifest: KernelManifest, out_dir: str | Path) -> list[
     """
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    for spec in manifest.entries:
-        module_path = out_path / f"{kernel_name(spec)}.py"
-        _write_atomic(module_path, generate_kernel_source(spec))
-        written.append(module_path)
-    init_path = out_path / "__init__.py"
-    _write_atomic(init_path, generate_dispatch_source(manifest))
-    written.append(init_path)
-    return written
+    files = {f"{kernel_name(spec)}.py": generate_kernel_source(spec) for spec in manifest.entries}
+    files["__init__.py"] = generate_dispatch_source(manifest)
+    for name, text in files.items():
+        _write_atomic(out_path / name, text)
+    return [out_path / name for name in files]
 
 
 @dataclass(frozen=True)

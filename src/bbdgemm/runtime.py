@@ -55,7 +55,6 @@ copy or unpickled C starts with none.
 
 from __future__ import annotations
 
-import importlib
 import importlib.util
 import re
 import sys
@@ -80,6 +79,7 @@ from . import vectorize
 from .reference import GemmScalars, batched_ref
 
 __all__ = [
+    "DEFAULT_KERNELS",
     "BatchedOperand",
     "KernelRegistry",
     "ScratchBuffer",
@@ -236,23 +236,24 @@ class KernelRegistry:
             self._fallback_count += 1
 
 
+#: The kernels of :func:`default_registry`: ``manifests/default.manifest``'s names, in order.
+DEFAULT_KERNELS = (
+    "bbdgemm_ColMajor_2_2_2_cis", "bbdgemm_ColMajor_10_9_9_csi", "bbdgemm_ColMajor_20_9_10_csi",
+    "bbdgemm_ColMajor_20_9_10_cis", "bbdgemm_ColMajor_10_9_9_sci",
+)
+
 _default_registry: KernelRegistry | None = None
 _default_lock = threading.Lock()
 
 
 def default_registry() -> KernelRegistry:
-    """Registry over the kernels generated into :mod:`bbdgemm.kernels`.
-
-    Empty (everything falls back) when the generated subpackage is absent.
-    """
+    """The process's registry of :data:`DEFAULT_KERNELS`, each built by its name; others fall back."""
     global _default_registry
     with _default_lock:
         if _default_registry is None:
-            try:
-                kernels = importlib.import_module("bbdgemm.kernels")
-                _default_registry = KernelRegistry(kernels.KERNELS)
-            except ImportError:
-                _default_registry = KernelRegistry({})
+            _default_registry = KernelRegistry(
+                {name: vectorize.batch_kernel(name) for name in DEFAULT_KERNELS}
+            )
         return _default_registry
 
 

@@ -2,8 +2,8 @@
 
 Generated kernels carry a single loop over the batch index with a fully
 unrolled body.  :func:`vectorize_batch_loop` is the source-level hint placed
-on that loop's function.  It runs the batch loop in one of three ways, and
-counts each call under the path that served it:
+on that loop's function; :func:`batch_kernel` builds the same wrapper from a name.
+It runs the batch loop in one of three ways, counting each call by path:
 
 * ``compiled``: when a C compiler (``cc``) is on PATH and the switch
   below allows it, the kernel's C twin (:func:`bbdgemm.codegen.generate_c_source`)
@@ -23,7 +23,7 @@ counts each call under the path that served it:
   C-contiguous, takes the next path.
 * ``lanes``: every Strided or Indexed operand is copied into a ``(matrix
   span, E)`` array whose row ``off`` holds element ``off`` of every matrix,
-  and the generated Python function runs once with E == 1 on those arrays.
+  and the kernel's Python twin runs once with E == 1 on those arrays.
   Each unrolled statement then computes all E batch elements as one numpy
   operation, and C is scattered back at the end.  A Strided operand is
   read, and a Strided C written back, through one ``(E, matrix span)``
@@ -102,7 +102,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .codegen import generate_c_source
+from .codegen import generate_c_source, generate_kernel_source
 from .core import (
     AccessKind,
     PointerTable,
@@ -114,6 +114,7 @@ from .core import (
 
 __all__ = [
     "CompileEvent",
+    "batch_kernel",
     "compile_log",
     "jit_available",
     "jit_enabled",
@@ -217,6 +218,13 @@ def _load_c_kernel(name: str):
     fn = getattr(_build_and_load(name, source, _CFLAGS, ctypes.CDLL), name)
     fn.argtypes, fn.restype = _C_ARGTYPES, None
     return fn
+
+
+def _python_twin(name: str):
+    """Kernel *name*'s generated Python function, undecorated."""
+    namespace = {}
+    exec(compile(generate_kernel_source(parse_kernel_name(name)), f"<{name}>", "exec"), namespace)
+    return namespace[name].__wrapped__
 
 
 #: Reads a PointerTable, a tuple of ndarrays, with the interpreter lock held
@@ -515,11 +523,18 @@ class _PathCounts(Mapping):
         return repr(self._now())
 
 
+def batch_kernel(name: str):
+    """The wrapper of kernel *name*, built from the name alone: ``vectorize_batch_loop(name)()``."""
+    return vectorize_batch_loop(name)()
+
+
 def vectorize_batch_loop(name: str):
     """Decorator marking a generated kernel's batch loop for acceleration.
 
     *name* must be the kernel's own canonical name; the operand roles needed
     to stage pointer-table arguments, and the C twin, are recovered from it.
+    The decorated function is the Python twin of the lanes and sequential
+    paths; with none (:func:`batch_kernel`), their first bind generates it.
     Precondition: the operands are ones :func:`bbdgemm.runtime.run_batched`
     accepts (its module documents the contract), which a caller of the
     kernel itself must ensure.  Under that contract the decorated function
@@ -535,8 +550,8 @@ def vectorize_batch_loop(name: str):
     spec = parse_kernel_name(name)
     kinds = (spec.access_a, spec.access_b, spec.access_c)
 
-    def decorate(py_fn):
-        compiled = []
+    def decorate(py_fn=None):
+        c_twin, py_twin = [], [] if py_fn is None else [py_fn]
         compile_lock = threading.Lock()
         # Runs counted in Python, under count_lock; run_prepared counts the
         # compiled runs it makes in compiled_counts, [calls, elements].
@@ -544,13 +559,12 @@ def vectorize_batch_loop(name: str):
         count_lock = threading.Lock()
         compiled_counts = (ctypes.c_longlong * 2)()
 
-        def c_kernel():
+        def once(made, make):
             with compile_lock:
-                if not compiled:
-                    compiled.append(_load_c_kernel(name))
-            return compiled[0]
+                if not made:
+                    made.append(make(name))
+            return made[0]
 
-        @functools.wraps(py_fn)
         def wrapper(E, alpha, A, lda, B, ldb, beta, C, ldc, spanA, spanB, spanC):
             if E > 0 and not bind(E, A, lda, B, ldb, C, ldc, spanA, spanB, spanC)(alpha, beta):
                 raise ValueError("a flat operand's dtype, shape or strides changed during the call")
@@ -580,11 +594,12 @@ def vectorize_batch_loop(name: str):
             run = _bind_compiled(E, payloads, lds, spans, sizes) if jit_enabled() else None
             if run is not None:
                 return run
+            twin = once(py_twin, _python_twin)
             if kinds[2] is not AccessKind.Constant:
                 path = "lanes"
 
                 def run(alpha, beta):
-                    _run_lanes(E, alpha, payloads, lds, beta, spans, sizes)
+                    _run_lanes(twin, E, alpha, payloads, lds, beta, spans, sizes)
             else:
                 path = "sequential"
 
@@ -596,7 +611,7 @@ def vectorize_batch_loop(name: str):
                         [memoryview(m) for m in p] if kind is AccessKind.Indexed else memoryview(p)
                         for p, kind in zip(payloads, kinds)
                     ]
-                    py_fn(E, alpha, args[0], lda, args[1], ldb, beta, args[2], ldc, *spans)
+                    twin(E, alpha, args[0], lda, args[1], ldb, beta, args[2], ldc, *spans)
 
             return _kept(path, E, run, payloads)
 
@@ -637,7 +652,7 @@ def vectorize_batch_loop(name: str):
                     return None
                 else:
                     pointers.append(_pointer(payload))
-            fn = c_kernel()
+            fn = once(c_twin, _load_c_kernel)
             reader = table_reader()
             if reader is not None:
                 indexed_c = kinds[2] is AccessKind.Indexed
@@ -676,7 +691,7 @@ def vectorize_batch_loop(name: str):
 
             return _kept("compiled", E, run, payloads)
 
-        def _run_lanes(E, alpha, payloads, lds, beta, spans, sizes) -> None:
+        def _run_lanes(twin, E, alpha, payloads, lds, beta, spans, sizes) -> None:
             lanes = [
                 None if kind is AccessKind.Constant else _stage_lanes(payload, kind, E, span, size)
                 for payload, kind, span, size in zip(payloads, kinds, spans, sizes)
@@ -689,12 +704,15 @@ def vectorize_batch_loop(name: str):
                 else rows
                 for payload, kind, rows in zip(payloads, kinds, lanes)
             ]
-            py_fn(1, alpha, args[0], lds[0], args[1], lds[1], beta, args[2], lds[2], *spans)
+            twin(1, alpha, args[0], lds[0], args[1], lds[1], beta, args[2], lds[2], *spans)
             if kinds[2] is AccessKind.Indexed:
                 _scatter(payloads[2], lanes[2].T, sizes[2])
             else:
                 _strided_rows(payloads[2], E, spans[2], sizes[2], writeable=True)[...] = lanes[2].T
 
+        wrapper.__name__ = wrapper.__qualname__ = name
+        if py_fn is not None:
+            wrapper.__wrapped__ = py_fn
         wrapper.bind = bind
         wrapper.path_counts = _PathCounts(counted_calls, compiled_counts, 0)
         wrapper.path_elements = _PathCounts(counted_elements, compiled_counts, 1)

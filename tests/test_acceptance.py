@@ -6,6 +6,7 @@ laptop-class machine; the first run pays one-time kernel compilation that
 the JIT backend caches on disk.
 """
 
+import hashlib
 import itertools
 import random
 import time
@@ -25,7 +26,7 @@ from bbdgemm.bench import (
 from bbdgemm.codegen import (
     MachineModel,
     estimate_pressure,
-    generate_dispatch_source,
+    generate_c_source,
     generate_kernel_source,
     parse_manifest,
 )
@@ -131,6 +132,31 @@ def test_criterion_3_register_pressure_model():
     )
 
 
+#: sha256 of each default kernel's generated Python source and C source.
+TWIN_SHA256 = {
+    "bbdgemm_ColMajor_2_2_2_cis": [
+        "eda2c1e58fbfdf44b126d52ee9089b95cdc2ca750e0128da2714996b235371bf",
+        "20648a8d12752916f9b810618cdbd33064586d9c712d8880a0f2d320f83f8f06",
+    ],
+    "bbdgemm_ColMajor_10_9_9_csi": [
+        "ae9e682ce0e530092642aa254ede3ddd6ccebb9590450a60bff58a2d6a71346f",
+        "925d44241b1f91c801068e78d520af904dc21b70ca5a2b19cd6ea277cd08cebf",
+    ],
+    "bbdgemm_ColMajor_20_9_10_csi": [
+        "8bc073c84ca64d870f935a2c2ea147eb71584ce301c3c29489077921f8e3b972",
+        "ebaf1a509b3a86af971561254faf087528b84314063dc334bd24ba4f31fdad60",
+    ],
+    "bbdgemm_ColMajor_20_9_10_cis": [
+        "6c0aa7fe0e5cb0c45012c56f0d8e59188d4f554782233a0808c0da950424bb4a",
+        "e6d492e8638ee89300f75271b2860d5d0a5d99d32fa45e516598761a4f2e6581",
+    ],
+    "bbdgemm_ColMajor_10_9_9_sci": [
+        "8aa474b641973d2bc0efd6473eeaed1f20b1aef2289707094a4ad0034ff550f7",
+        "d962208841454cdf8430c56822ab23a22eb7ff2078b103de835819efe9e5c2c1",
+    ],
+}
+
+
 def test_criterion_4_naming_and_formats(tmp_path):
     # naming round-trip over 100 random specs
     rng = random.Random(42)
@@ -166,21 +192,20 @@ def test_criterion_4_naming_and_formats(tmp_path):
     emit_csv(records, csv_path)
     assert read_csv(csv_path) == records
 
-    # generated source is byte-identical across runs; the shipped kernels
-    # and their dispatch module are exactly what regeneration produces today
+    # generated source is byte-identical across runs, and each default
+    # kernel's Python twin and C twin keep their pinned sha256
     from pathlib import Path
 
     manifest = parse_manifest(Path("manifests/default.manifest").read_text())
-    kernels_dir = Path(__file__).resolve().parents[1] / "src" / "bbdgemm" / "kernels"
     for s in manifest.entries:
         source = generate_kernel_source(s)
         assert source == generate_kernel_source(s)
-        assert (kernels_dir / f"{kernel_name(s)}.py").read_text(encoding="utf-8") == source
-    dispatch = generate_dispatch_source(manifest)
-    assert (kernels_dir / "__init__.py").read_text(encoding="utf-8") == dispatch
+        digests = [hashlib.sha256(text.encode()).hexdigest() for text in (source, generate_c_source(s))]
+        assert digests == TWIN_SHA256[kernel_name(s)], kernel_name(s)
+    assert list(TWIN_SHA256) == list(manifest.names())
     report(
         "ACCEPTANCE 4 naming-and-formats: PASS - 100-case name round-trip, "
-        "bit-exact dump round-trip, CSV round-trip, byte-identical regeneration"
+        "bit-exact dump round-trip, CSV round-trip, pinned twin sources"
     )
 
 

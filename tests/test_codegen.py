@@ -1,4 +1,5 @@
 import itertools
+import os
 import re
 import shutil
 import subprocess
@@ -413,9 +414,15 @@ class TestDispatch:
 
     def test_written_files_are_importable_and_named(self, tmp_path):
         manifest = parse_manifest("ColMajor 2 2 2 cis\n")
-        written = write_kernel_package(manifest, tmp_path / "k2")
+        umask = os.umask(0o022)
+        try:
+            written = write_kernel_package(manifest, tmp_path / "k2")
+        finally:
+            os.umask(umask)
         names = {p.name for p in written}
         assert names == {"bbdgemm_ColMajor_2_2_2_cis.py", "__init__.py"}
+        # the mode the umask gives a new file, not mkstemp's 0600
+        assert [p.stat().st_mode & 0o777 for p in written] == [0o644, 0o644]
         registry = load_kernel_dir(tmp_path / "k2")
         kernel = registry.lookup("bbdgemm_ColMajor_2_2_2_cis")
         assert kernel is not None and callable(kernel)

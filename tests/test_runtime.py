@@ -81,7 +81,7 @@ def on_path(path, set_jit):
     ``lanes`` runs the generated kernels with the compiled path off;
     ``compiled`` runs their C twins (the test is skipped without a
     compiler); ``fallback`` has an empty registry, so the reference fallback
-    serves the call.  Each factory call decorates its kernels afresh.
+    serves the call.  Each factory call builds its kernels afresh.
     """
     if path == "compiled" and not jit_available():
         pytest.skip("no C compiler (cc) on PATH")
@@ -356,9 +356,7 @@ class TestRunBatched:
 
         manifest_path = Path(__file__).resolve().parents[1] / "manifests" / "default.manifest"
         manifest = parse_manifest(manifest_path.read_text(encoding="utf-8"))
-        registry = default_registry()
-        for name in manifest.names():
-            assert name in registry
+        assert default_registry().names() == manifest.names()
 
     def test_jit_and_pure_paths_agree_bitwise(self, set_jit):
         registry = build_registry(S_CIS)
@@ -701,18 +699,16 @@ class TestOperandContract:
 
     @pytest.mark.parametrize("access", [a + b + c for a in "csi" for b in "csi" for c in "csi"])
     def test_generated_loop_runs_sequentially_only_for_constant_c(self, access, monkeypatch, set_jit):
-        # A spy under the decorator records the E each generated function
-        # receives: 1 when the batch runs as lanes, E in the plain loop.
+        # A spy around the Python twin the wrapper generates records the E
+        # it receives: 1 when the batch runs as lanes, E in the plain loop.
         seen = []
-        decorate_with = vectorize.vectorize_batch_loop
+        make_twin = vectorize._python_twin
 
         def spying(name):
-            def decorate(py_fn):
-                return decorate_with(name)(lambda E, *args: seen.append(E) or py_fn(E, *args))
+            twin = make_twin(name)
+            return lambda E, *args: seen.append(E) or twin(E, *args)
 
-            return decorate
-
-        monkeypatch.setattr(vectorize, "vectorize_batch_loop", spying)
+        monkeypatch.setattr(vectorize, "_python_twin", spying)
         s = spec(Layout.ColMajor, 2, 3, 4, access)
         a, b, c = make_operands(s, 7, np.random.default_rng(37))
         set_jit(False)
@@ -765,23 +761,46 @@ PARITY_SHAPES = [(1, 1, 1), (2, 3, 4), (4, 4, 4), (3, 1, 2)]
 #: (E, alpha, beta): accumulate, overwrite over NaN, scale, and alpha == 0.
 PARITY_CALLS = [(1, 1.0, 1.0), (7, 1.0, 0.0), (256, 0.5, 0.25), (1000, 0.0, 1.0)]
 
-#: Runs in a fresh interpreter: one call of a shipped kernel on the C path,
+#: Runs in a fresh interpreter: one call of a default kernel on the C path,
 #: then prints the compile events and every compiler command that ran.
 CACHE_PROBE = """
 import json, subprocess
 import numpy as np
 from bbdgemm import vectorize
-from bbdgemm.kernels import KERNELS
+from bbdgemm.runtime import default_registry
 
 commands = []
 run = subprocess.run
 subprocess.run = lambda args, *rest, **kw: commands.append(args) or run(args, *rest, **kw)
 E = 3
 c = np.zeros(4 * E)
-KERNELS["bbdgemm_ColMajor_2_2_2_cis"](
+default_registry().lookup("bbdgemm_ColMajor_2_2_2_cis")(
     E, 1.0, np.ones(4), 2, [np.ones(4) for _ in range(E)], 2, 0.0, c, 2, 4, 4, 4
 )
 print(json.dumps({"events": vectorize.compile_log, "commands": commands, "c": c.tolist()}))
+"""
+
+#: Runs in a fresh interpreter: the default registry and a 60-cell proxy run,
+#: then prints how many Python twins were generated, every imported module
+#: of a generated kernel, and the paths that served each default kernel.
+NO_TWIN_PROBE = """
+import json, sys
+from bbdgemm import codegen, vectorize
+from bbdgemm.proxy import ProxyConfig, run_proxy
+from bbdgemm.runtime import default_registry
+
+generated = []
+generate = codegen.generate_kernel_source
+codegen.generate_kernel_source = vectorize.generate_kernel_source = (
+    lambda s: generated.append(s) or generate(s)
+)
+registry = default_registry()
+run_proxy(ProxyConfig(cells=60, timesteps=2), registry=registry)
+print(json.dumps({
+    "generated": len(generated),
+    "modules": [m for m in sys.modules if any(p.startswith("bbdgemm_") for p in m.split("."))],
+    "paths": {name: sorted(registry.lookup(name).path_counts) for name in registry.names()},
+}))
 """
 
 
@@ -1056,8 +1075,34 @@ class TestCompiledPath:
         assert [p.suffix for p in (tmp_path / "bbdgemm").iterdir()] == [".so"] * len(names)
         assert (tmp_path / "bbdgemm").stat().st_mode & 0o777 == 0o700
 
-    def test_threads_compile_a_fresh_kernel_once(self, tmp_path, monkeypatch):
+    def test_compiled_proxy_generates_no_python_twin(self):
+        env = dict(os.environ, BBDGEMM_JIT="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH", "")]
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", NO_TWIN_PROBE], env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        out = json.loads(done.stdout.splitlines()[-1])
+        chain = {"bbdgemm_ColMajor_20_9_10_cis", "bbdgemm_ColMajor_10_9_9_sci"}
+        assert out["generated"] == 0 and out["modules"] == []
+        assert out["paths"] == {
+            name: ["compiled"] if name in chain else [] for name in runtime_mod.DEFAULT_KERNELS
+        }
+
+    @pytest.mark.parametrize("path", ["compiled", "lanes"])
+    def test_threads_compile_a_fresh_kernel_once(self, path, tmp_path, monkeypatch, set_jit):
+        # Four threads race on a fresh kernel's first call: its C twin is
+        # built once, or on lanes its Python twin is generated once.
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        set_jit(path == "compiled")
+        generated = []
+        generate = vectorize.generate_kernel_source
+        monkeypatch.setattr(
+            vectorize, "generate_kernel_source", lambda s: generated.append(s) or generate(s)
+        )
         s = spec(Layout.ColMajor, 3, 2, 4, "sis")
         kernel = build_kernel(s)
         registry = KernelRegistry({kernel_name(s): kernel})
@@ -1090,9 +1135,10 @@ class TestCompiledPath:
         assert not any(thread.is_alive() for thread in threads)
         assert not failures
         built = [e for e in vectorize.compile_log[events:] if e.kernel == kernel_name(s)]
-        assert [e.cache_hit for e in built] == [False]
-        assert kernel.path_counts == {"compiled": 4}
-        assert kernel.path_elements == {"compiled": 200}
+        assert [e.cache_hit for e in built] == ([False] if path == "compiled" else [])
+        assert generated == ([] if path == "compiled" else [s])
+        assert kernel.path_counts == {path: 4}
+        assert kernel.path_elements == {path: 200}
 
 
 #: Lengths of C's contiguous dimension the edge tests cover: every chunk of

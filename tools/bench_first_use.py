@@ -7,7 +7,7 @@ Run from the repository root::
 The old tree is ``git archive <rev>`` unpacked into a temporary directory and
 the new tree is this checkout.  In each tree, on the compiled path and on
 lanes (``BBDGEMM_JIT=0``), a subprocess times ``run_batched`` on the
-shipped kernels of ``CASES``.  Each Indexed operand's entries are matrices
+default kernels of ``CASES``.  Each Indexed operand's entries are matrices
 allocated one by one, as the proxy's per-cell tensors are.  Every sample
 builds new operands, each Indexed one over a new
 :class:`~bbdgemm.core.PointerTable`, so the timed call computes every table
