@@ -364,17 +364,30 @@ def _c_element(spec: KernelSpec, statement: _Statement, width: int) -> str:
     return f"*({const}v{width} *)&{x}"
 
 
-def _print_chunk(chunk: _Run, located: dict[str, _Statement], spec: KernelSpec) -> str:
+def _lanes(local: str, width: int, widest: int) -> str:
+    """The low *width* lanes of *local*, a vector of *widest* lanes: itself, a vector or a double."""
+    if width == widest:
+        return local
+    if width == 1:
+        return f"{local}[0]"
+    return f"*(const v{width} *)&{local}"
+
+
+def _print_chunk(
+    chunk: _Run, located: dict[str, _Statement], spec: KernelSpec, broadcast: tuple[str, int] | None
+) -> str:
     """One C statement doing *chunk*'s like statements on adjacent elements of C.
 
     A madd operand that changes along the chunk is read as one vector from
     its first element's address (*located* maps a local to its load); one
-    that does not is read as a double, which C broadcasts.
+    that does not is read as a double, which C broadcasts, or, when it is
+    *broadcast*'s ``(local, widest)``, as the low lanes of that vector local.
     """
     first, width = chunk[0], len(chunk)
     if first.form == "madd":
         args = [
-            _c_element(spec, located[arg], width if width > 1 and chunk[1].args[i] != arg else 1)
+            _lanes(arg, width, broadcast[1]) if broadcast and arg == broadcast[0]
+            else _c_element(spec, located[arg], width if width > 1 and chunk[1].args[i] != arg else 1)
             for i, arg in enumerate(first.args)
         ]
     else:
@@ -382,6 +395,25 @@ def _print_chunk(chunk: _Run, located: dict[str, _Statement], spec: KernelSpec) 
     x = _c_element(spec, first, width) if first.operand else ""
     t, z = (f"v{width}", f"(v{width}){{0.0}}") if width > 1 else ("double", "0.0")
     return _C_FORMS[first.form].format(first.var, *args, x=x, t=t, z=z)
+
+
+def _print_run(run: _Run, located: dict[str, _Statement], spec: KernelSpec) -> list[str]:
+    """*run* in C: one statement per chunk.
+
+    A madd run whose chunks have more than one width (20 = 8+8+4) first
+    holds its broadcast operand in a vector local of the widest chunk's
+    width, which every chunk reads, so the double is broadcast once, not
+    once per width.
+    """
+    chunks = list(_chunks(run))
+    widest = len(chunks[0])
+    if run[0].form != "madd" or len(chunks[-1]) == widest:
+        return [_print_chunk(chunk, located, spec, None) for chunk in chunks]
+    local = next(arg for arg, other in zip(run[0].args, run[1].args) if arg == other)
+    x = _c_element(spec, located[local], 1)
+    return [f"const v{widest} {local} = {{{', '.join([x] * widest)}}};"] + [
+        _print_chunk(chunk, located, spec, (local, widest)) for chunk in chunks
+    ]
 
 
 def generate_c_source(spec: KernelSpec) -> str:
@@ -406,11 +438,14 @@ def generate_c_source(spec: KernelSpec) -> str:
     GNU C vectors (``v8``, ``v4``, ``v2``) or on a double: the operand
     along the group (a column of A for ColMajor, a row of B for RowMajor)
     is loaded as a vector from memory, unaligned, and the other is one
-    double, broadcast.  Two groups are interleaved per t step, and each is
-    read, combined and stored right after its alpha.  Every element keeps
-    the Python kernel's statements, operand order and roundings, so with FP
-    contraction and fast-math off the bits are the same.  It needs a
-    compiler that accepts GNU vector extensions (gcc or clang).
+    double, broadcast.  Where a madd run's chunks have more than one width,
+    that double is first held in a brace-initialised vector local of the
+    widest width, and each chunk reads its low lanes.  Two groups are
+    interleaved per t step, and each is read, combined and stored right
+    after its alpha.  Every element keeps the Python kernel's statements,
+    operand order and roundings, so with FP contraction and fast-math off
+    the bits are the same.  It needs a compiler that accepts GNU vector
+    extensions (gcc or clang).
     """
     before, body_loads, groups = _kernel_statements(spec)
     located = {s.var: s for s in before + body_loads}
@@ -429,7 +464,7 @@ def generate_c_source(spec: KernelSpec) -> str:
         together = groups[first : first + _GROUPS_PER_STEP]
         runs = [run for step in zip(*(g.accumulate[:-1] for g in together)) for run in step]
         runs += [run for g in together for run in (g.accumulate[-1], *g.write)]
-        out += [f"        {_print_chunk(chunk, located, spec)}" for run in runs for chunk in _chunks(run)]
+        out += [f"        {line}" for run in runs for line in _print_run(run, located, spec)]
     out += ["    }", "}", ""]
     return "\n".join(out)
 

@@ -23,11 +23,18 @@ that function called once, and a caller that repeats a GEMM (the proxy's
 scalar loop nest) binds it once and runs it many times.  So that large
 validation runs finish in reasonable time, C-contiguous float64 ndarrays
 take ``_DgemmProducts`` on numpy views built at bind time: one broadcast
-multiply forms all k*n*m products, and k adds sum them into a zeroed
-(n, m) accumulator in ascending k, each as ``product + acc``.  Every output
-element sees the same multiplies and the same adds, with the same operands
-in the same order, as on ``_dgemm_flat``, so the two agree bit for bit.
-Other buffer types (memoryviews, strided views) run ``_dgemm_flat`` itself.
+multiply forms all k*n*m products as a C-ordered (k, n, m) array, and one
+``np.add.reduce`` over axis 0 from ``initial=0.0`` sums them.  With
+n*m >= 2, numpy reduces that axis element by element in ascending k, so
+every output element sees ``0.0 + p0 + p1 + ...``: the multiplies and adds
+of ``_dgemm_flat``, in the same order, and the two agree bit for bit (each
+add has its operands swapped, ``acc + product``, which only the NaN caveat
+above can tell).  With n*m == 1, numpy makes the k axis its inner loop and
+sums it pairwise, so a dot product never takes this path.  The one rule:
+``n*m == 1 or n*m*k <= 32`` runs ``_dgemm_flat`` on memoryviews of the
+ndarrays, whose items are Python floats; below that size the loop also
+costs less than the product pass's fixed numpy work.  Other buffer types
+(memoryviews, strided views) run ``_dgemm_flat`` on the buffers as given.
 """
 
 from __future__ import annotations
@@ -82,13 +89,17 @@ def _dgemm_flat(col_major, n, m, k, alpha, a, lda, b, ldb, beta, c, ldc):
 class _DgemmProducts:
     """_dgemm_flat's arithmetic on views that bind_dgemm built over checked, contiguous buffers.
 
-    A is viewed as (k, n, 1), B as (k, 1, m) and C as (n, m).  Each call
-    forms every product in one broadcast multiply, products[t, row, col] =
-    A[row, t] * B[t, col], and adds the slabs into a zeroed accumulator in
-    ascending t, each as ``product + acc`` like the triple loop's
-    ``av * bv + acc``; alpha scales the sums in place, and the beta combine
-    writes C, in the loop's operand order.  A class with slots, not a
-    closure: a caller may keep one per GEMM of a large loop nest.
+    A is viewed as (k, n, 1), B as (k, 1, m) and C as (n, m), with n*m >= 2.
+    Each call forms every product in one broadcast multiply into a C-ordered
+    array, products[t, row, col] = A[row, t] * B[t, col], and sums it over
+    t with one ``np.add.reduce`` from ``initial=0.0``.  Its inner loop runs
+    over the n*m elements, so each element's sum goes ``0.0 + p0 + p1 + ...``
+    in ascending t, like the triple loop's ``av * bv + acc``; with n*m == 1
+    numpy would sum t pairwise, and without order="C" the multiply may lay t
+    out innermost (a ColMajor A of one row, say), with the same effect.
+    Alpha scales the sums in place, and the beta combine writes C, in the
+    loop's operand order.  No buffer is kept between calls.  A class with
+    slots, not a closure: a caller may keep one per GEMM of a large loop nest.
     """
 
     __slots__ = ("A", "B", "C")
@@ -98,10 +109,7 @@ class _DgemmProducts:
 
     def __call__(self, alpha, beta):
         C = self.C
-        products = self.A * self.B
-        acc = np.zeros(C.shape)
-        for product in products:
-            np.add(product, acc, acc)
+        acc = np.add.reduce(np.multiply(self.A, self.B, order="C"), axis=0, initial=0.0)
         np.multiply(acc, float(alpha), acc)
         beta = float(beta)
         cv = C if beta != 0.0 else 0.0
@@ -169,24 +177,29 @@ def bind_dgemm(
                 f"buffer {which} holds {len(buf)} elements, a {rows}x{cols} "
                 f"{layout.value} matrix at ld={ld} addresses {last + 1}"
             )
-    if not (
-        flat_float64_buffers((a, b, c)) and all(buf.flags.c_contiguous for buf in (a, b, c))
-    ):
+    if flat_float64_buffers((a, b, c)) and all(buf.flags.c_contiguous for buf in (a, b, c)):
+        # The product pass's fixed numpy cost outweighs the loop's work up to
+        # 32 multiply-adds, and numpy pairwise-sums a lone dot product's
+        # reduction axis (n*m == 1), so those shapes run _dgemm_flat, on
+        # memoryviews, whose items are Python floats.
+        if n * m == 1 or n * m * k <= 32:
+            a, b, c = memoryview(a), memoryview(b), memoryview(c)
+        else:
+            # Byte strides of each matrix's row and column steps.
+            if col_major:
+                ar, ac, br, bc, cr, cc = 8, 8 * lda, 8, 8 * ldb, 8, 8 * ldc
+            else:
+                ar, ac, br, bc, cr, cc = 8 * lda, 8, 8 * ldb, 8, 8 * ldc, 8
+            return _DgemmProducts(
+                _view(views, a, (k, n, 1), (ac, ar, 0)),
+                _view(views, b, (k, 1, m), (br, 0, bc)),
+                _view(views, c, (n, m), (cr, cc)),
+            )
 
-        def run(alpha, beta):
-            _dgemm_flat(col_major, n, m, k, float(alpha), a, lda, b, ldb, float(beta), c, ldc)
+    def run(alpha, beta):
+        _dgemm_flat(col_major, n, m, k, float(alpha), a, lda, b, ldb, float(beta), c, ldc)
 
-        return run
-    # Byte strides of each matrix's row and column steps.
-    if col_major:
-        ar, ac, br, bc, cr, cc = 8, 8 * lda, 8, 8 * ldb, 8, 8 * ldc
-    else:
-        ar, ac, br, bc, cr, cc = 8 * lda, 8, 8 * ldb, 8, 8 * ldc, 8
-    return _DgemmProducts(
-        _view(views, a, (k, n, 1), (ac, ar, 0)),
-        _view(views, b, (k, 1, m), (br, 0, bc)),
-        _view(views, c, (n, m), (cr, cc)),
-    )
+    return run
 
 
 def dgemm_ref(

@@ -140,19 +140,19 @@ TWIN_SHA256 = {
     ],
     "bbdgemm_ColMajor_10_9_9_csi": [
         "ae9e682ce0e530092642aa254ede3ddd6ccebb9590450a60bff58a2d6a71346f",
-        "925d44241b1f91c801068e78d520af904dc21b70ca5a2b19cd6ea277cd08cebf",
+        "87767e5e934ed62a0db911b9f1b0a59e3178d633ad859645f4acc073f2035709",
     ],
     "bbdgemm_ColMajor_20_9_10_csi": [
         "8bc073c84ca64d870f935a2c2ea147eb71584ce301c3c29489077921f8e3b972",
-        "ebaf1a509b3a86af971561254faf087528b84314063dc334bd24ba4f31fdad60",
+        "5db4294c3bec17c85945fd9cbb2a53c850a2ee5c032317d5ea536e4527f0da38",
     ],
     "bbdgemm_ColMajor_20_9_10_cis": [
         "6c0aa7fe0e5cb0c45012c56f0d8e59188d4f554782233a0808c0da950424bb4a",
-        "e6d492e8638ee89300f75271b2860d5d0a5d99d32fa45e516598761a4f2e6581",
+        "2ad334f10b4f2fc5cdcb94b2b4f74426a5230ca5a130bd5a96c8b66b8bb42495",
     ],
     "bbdgemm_ColMajor_10_9_9_sci": [
         "8aa474b641973d2bc0efd6473eeaed1f20b1aef2289707094a4ad0034ff550f7",
-        "d962208841454cdf8430c56822ab23a22eb7ff2078b103de835819efe9e5c2c1",
+        "d842905821d07a433db1febe659a00da5c9bd79b0e02e31d1442d8e1854d9c8b",
     ],
 }
 

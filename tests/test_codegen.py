@@ -95,6 +95,7 @@ def accumulator_statements(source):
 C_TYPE = r"(?P<type>v[248]|double)"
 C_ZERO = r"(?:\(v[248]\)\{0\.0\}|0\.0)"
 C_STATEMENTS = [
+    ("broadcast", r"^const (?P<type>v[248]) (?P<local>v[AB]_\d+_\d+) = \{(?P<lanes>[^{}]+)\};$"),
     ("zero", rf"^{C_TYPE} (?P<acc>rC_\d+_\d+) = {C_ZERO};$"),
     ("read_c", rf"^const {C_TYPE} (?P<old>vC_\d+_\d+) = beta != 0\.0 \? (?P<x>.+) : {C_ZERO};$"),
     ("scale", r"^(?P<acc>rC_\d+_\d+) = (?P=acc) \* alpha;$"),
@@ -107,6 +108,10 @@ C_ELEMENT = re.compile(
     r"^(?:\*\((?:const )?v(?P<width>[248]) \*\)&)?(?P<operand>[ABC])"
     r"(?:\[e\*span(?P=operand)\+|\[e\]\[|\[)\((?P<outer>\d+)\*ld[abc]\+(?P<inner>\d+)\)\]$"
 )
+#: The low lanes of a broadcast local: all of them, a narrower vector, or lane 0.
+C_LOCAL = re.compile(
+    r"^(?:\*\(const v(?P<width>[24]) \*\)&)?(?P<local>v[AB]_\d+_\d+)(?P<lane0>\[0\])?$"
+)
 
 
 def c_twin_accumulator_statements(source, layout):
@@ -115,16 +120,23 @@ def c_twin_accumulator_statements(source, layout):
     Returns ``{(r, c): [entry, ...]}`` in source order.  ``("madd", (A, r, t),
     (B, t, c))`` names the elements a multiply-add reads, in its order;
     ``("read_c", (C, r, c))`` and ``("store", (C, r, c))`` the element of C.
-    Every loop-body line must be one of :data:`C_STATEMENTS`.
+    Every loop-body line must be one of :data:`C_STATEMENTS`.  A broadcast
+    local is expanded lane by lane: each lane must be one double, and a
+    madd may read only lanes the local was declared with.
     """
     body = source.split("for (long e = 0; e < E; e++) {\n", 1)[1].split("\n    }\n}", 1)[0]
-    widths, found = {}, {}
+    widths, found, locals_ = {}, {}, {}
 
     def cells(r, c, width):
         # Lane i sits i elements on along C's contiguous dimension.
         return [(r + i, c) if layout is Layout.ColMajor else (r, c + i) for i in range(width)]
 
     def elements(expr, width):
+        if local := C_LOCAL.match(expr):
+            lanes = locals_[local["local"]]
+            read = 1 if local["lane0"] else int(local["width"] or len(lanes))
+            assert not (local["lane0"] and local["width"]) and read == width <= len(lanes), expr
+            return lanes[:width]
         x = C_ELEMENT.match(expr)
         outer, inner = int(x["outer"]), int(x["inner"])
         first = (inner, outer) if layout is Layout.ColMajor else (outer, inner)
@@ -139,6 +151,11 @@ def c_twin_accumulator_statements(source, layout):
             if (match := re.match(pattern, line.strip()))
         )
         fields = match.groupdict()
+        if form == "broadcast":
+            lanes = [lane for expr in fields["lanes"].split(", ") for lane in elements(expr, 1)]
+            assert len(lanes) == int(fields["type"][1]) and len(set(lanes)) == 1, line
+            locals_[fields["local"]] = lanes
+            continue
         name = fields.get("acc") or fields["old"]
         if fields.get("type"):
             widths[name] = 1 if fields["type"] == "double" else int(fields["type"][1])

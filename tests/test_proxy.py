@@ -21,7 +21,7 @@ from bbdgemm.proxy import (
     run_proxy,
     run_proxy_state,
 )
-from bbdgemm.reference import dgemm_ref
+from bbdgemm.reference import _DgemmProducts, dgemm_ref
 from bbdgemm.vectorize import jit_available
 
 from conftest import build_registry
@@ -54,8 +54,17 @@ def small_config(**overrides):
     return ProxyConfig(**defaults)
 
 
-def small_registry():
-    return build_registry(*(step.spec for step in small_chain()))
+def small_registry(chain=None):
+    return build_registry(*(step.spec for step in chain or small_chain()))
+
+
+def product_pass_chain():
+    """The small chain's pattern at 6x3x4 and 4x3x3, above the oracle's tiny-shape
+    rule: each scalar GEMM takes the product pass, on views."""
+    return (
+        ChainStep(spec(Layout.ColMajor, 6, 3, 4, "cis"), "op1", "qin", "scratch", 1.0, 0.0),
+        ChainStep(spec(Layout.ColMajor, 4, 3, 3, "sci"), "scratch", "op2", "qout", 1.0, 1.0),
+    )
 
 
 def qout_snapshot(state):
@@ -252,7 +261,7 @@ class TestReferenceVariant:
         monkeypatch.setattr(
             proxy_mod, "bind_dgemm", lambda *args, **kw: bound.append(args) or bind(*args, **kw)
         )
-        config = small_config(timesteps=3)
+        config = small_config(timesteps=3, chain=product_pass_chain())
         stepped = build_state(config)
         seen = [len(bound)]
         for _ in range(3):
@@ -260,6 +269,7 @@ class TestReferenceVariant:
             seen.append(len(bound))
         gemms = config.cells * config.components * len(config.chain)
         assert seen == [0, gemms, gemms, gemms]
+        assert all(type(run) is _DgemmProducts for run, _, _ in stepped._bound[1])
         # One view of each constant and of the scratch serves every cell;
         # each cell's own matrices have views of their own.
         first, second = (
@@ -271,7 +281,7 @@ class TestReferenceVariant:
             assert len({id(getattr(run, own)) for run in runs}) == len(runs) == gemms // 2
         whole = run_proxy(config)
         set_jit(False)
-        vector = run_proxy(small_config(mode="vector", timesteps=3), registry=small_registry())
+        vector = run_proxy(replace(config, mode="vector"), registry=small_registry(config.chain))
         assert qout_snapshot(stepped).tobytes() == qout_snapshot(whole).tobytes()
         assert qout_snapshot(stepped).tobytes() == qout_snapshot(vector).tobytes()
 

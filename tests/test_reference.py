@@ -127,23 +127,54 @@ def edge_buffers(rng, col_major, n, m, k, pad, share):
     return buffers, lds
 
 
+def takes_products(n, m, k):
+    """The tiny-shape rule: bind_dgemm gives contiguous ndarrays the product pass only above it."""
+    return n * m > 1 and n * m * k > 32
+
+
 def run_both(col_major, n, m, k, alpha, buffers, lds, beta):
-    """C after bind_dgemm's product pass and after _dgemm_flat, as bytes."""
+    """C after bind_dgemm's run and after _dgemm_flat, as bytes.
+
+    The run is the product pass exactly where :func:`takes_products` holds,
+    so every shape the product pass serves is compared here.
+    """
     (a, b, c), (lda, ldb, ldc) = buffers, lds
     c_flat = c.copy()
     layout = Layout.ColMajor if col_major else Layout.RowMajor
     run = bind_dgemm(layout, n, m, k, a, lda, b, ldb, c, ldc)
-    assert type(run) is _DgemmProducts
+    assert (type(run) is _DgemmProducts) == takes_products(n, m, k)
     with np.errstate(over="ignore", invalid="ignore"):
         run(alpha, beta)
         _dgemm_flat(col_major, n, m, k, alpha, a, lda, b, ldb, beta, c_flat, ldc)
     return c.tobytes(), c_flat.tobytes()
 
 
-class TestDgemmProducts:
-    """The oracle's one-multiply product pass against the triple loop it stands in for."""
+def ordered_sum(terms):
+    acc = 0.0
+    for term in terms:
+        acc = term + acc
+    return acc
 
-    SHAPES = sorted(itertools.product(range(1, 5), repeat=3)) + [(10, 9, 9), (20, 9, 10)]
+
+def halved_sum(terms):
+    """*terms* summed as two halves, each summed so: a pairwise order."""
+    if len(terms) <= 2:
+        return ordered_sum(terms)
+    half = len(terms) // 2
+    return halved_sum(terms[:half]) + halved_sum(terms[half:])
+
+
+def order_terms(k):
+    """[1e16, 1, ..., 1, -1e16, 1]: ascending t loses every 1 before -1e16 and sums to 1.0."""
+    return [1e16] + [1.0] * (k - 3) + [-1e16, 1.0]
+
+
+class TestDgemmProducts:
+    """The oracle's one-reduction product pass against the triple loop it stands in for."""
+
+    SHAPES = sorted(itertools.product(range(1, 5), repeat=3)) + [
+        (1, 2, 17), (2, 1, 17), (10, 9, 9), (20, 9, 10)
+    ]
     SCALARS = ((1.3, 0.7), (1.0, 1.0), (0.0, 1.0), (0.0, 0.0), (-1.0, 0.0), (0.5, -0.0))
 
     @pytest.mark.parametrize("col_major", [True, False])
@@ -189,25 +220,69 @@ class TestDgemmProducts:
         assert products == flat
         assert np.array_equal(c, [want], equal_nan=True)
 
-    @pytest.mark.parametrize("as_view, path", [
-        (lambda buf: buf, "_DgemmProducts"),
-        (lambda buf: memoryview(buf), "_dgemm_flat"),
-        (lambda buf: np.repeat(buf, 2)[::2], "_dgemm_flat"),
+    @pytest.mark.parametrize("col_major", [True, False])
+    @pytest.mark.parametrize("n, m, k", [(1, 1, 8), (1, 1, 9), (1, 1, 16), (1, 1, 64),
+                                         (2, 1, 64), (1, 2, 64)])
+    def test_sums_in_ascending_t(self, col_major, n, m, k):
+        # Every element of C sums (r+1)*(c+1) times order_terms(k): exactly
+        # (r+1)*(c+1) in ascending t, another value in reverse or pairwise
+        # order.  A dot product (n*m == 1) runs _dgemm_flat, as numpy sums a
+        # lone reduction axis pairwise; ColMajor 1x2 is where a multiply in
+        # numpy's default order would put t innermost and do the same.
+        terms = order_terms(k)
+        assert ordered_sum(terms) == 1.0
+        assert ordered_sum(terms[::-1]) != 1.0 and halved_sum(terms) != 1.0
+        a2 = np.outer(np.arange(1.0, n + 1), terms)
+        b2 = np.outer(np.ones(k), np.arange(1.0, m + 1))
+        if col_major:
+            a, b, lds = a2.T.reshape(-1).copy(), b2.T.reshape(-1).copy(), (n, k, n)
+        else:
+            a, b, lds = a2.reshape(-1).copy(), b2.reshape(-1).copy(), (k, m, m)
+        c = np.full(n * m, np.nan)
+        products, flat = run_both(col_major, n, m, k, 1.0, (a, b, c), lds, 0.0)
+        assert products == flat
+        assert c.tobytes() == np.outer(np.arange(1.0, n + 1), np.arange(1.0, m + 1)).tobytes()
+
+    @pytest.mark.parametrize("layout", list(Layout))
+    @pytest.mark.parametrize("k", [1, 8, 9, 33, 64, 200])
+    def test_dot_product_never_takes_the_product_pass(self, layout, k):
+        a, b, c = np.ones(k), np.ones(k), np.zeros(1)
+        run = bind_dgemm(layout, 1, 1, k, a, k if layout is Layout.RowMajor else 1, b,
+                         k if layout is Layout.ColMajor else 1, c, 1)
+        assert type(run) is not _DgemmProducts
+
+    @pytest.mark.parametrize("n, m, k", [(2, 4, 4), (3, 4, 3), (1, 1, 40)],
+                             ids=["tiny", "above-the-rule", "dot-product"])
+    @pytest.mark.parametrize("as_view, contiguous", [
+        (lambda buf: buf, True),
+        (lambda buf: memoryview(buf), False),
+        (lambda buf: np.repeat(buf, 2)[::2], False),
     ], ids=["contiguous", "memoryview", "every-other"])
-    def test_dgemm_ref_picks_the_path_by_buffer(self, monkeypatch, as_view, path):
+    def test_dgemm_ref_picks_the_path_by_buffer(
+        self, monkeypatch, as_view, contiguous, n, m, k
+    ):
+        # Contiguous ndarrays take the product pass above the tiny-shape
+        # rule and _dgemm_flat on memoryviews of them at or below it; other
+        # buffers take _dgemm_flat as given.  Each gives the same bytes.
         calls = []
         for name in ("_DgemmProducts", "_dgemm_flat"):
             fn = getattr(reference, name)
             monkeypatch.setattr(
-                reference, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args)
+                reference, name,
+                lambda *args, fn=fn, name=name: calls.append((name, type(args[-2]))) or fn(*args),
             )
         rng = np.random.default_rng(44)
-        (a, b, c), lds = gemm_buffers(rng, True, 3, 4, 2, pad=0)
+        (a, b, c), lds = gemm_buffers(rng, True, n, m, k, pad=0)
         want = c.copy()
-        _dgemm_flat(True, 3, 4, 2, 1.5, a, lds[0], b, lds[1], 0.5, want, lds[2])
+        _dgemm_flat(True, n, m, k, 1.5, a, lds[0], b, lds[1], 0.5, want, lds[2])
         a, b, c_in = as_view(a), as_view(b), as_view(c)
-        dgemm_ref(Layout.ColMajor, 3, 4, 2, 1.5, a, lds[0], b, lds[1], 0.5, c_in, lds[2])
-        assert calls == [path]
+        dgemm_ref(Layout.ColMajor, n, m, k, 1.5, a, lds[0], b, lds[1], 0.5, c_in, lds[2])
+        if not contiguous:
+            assert calls == [("_dgemm_flat", type(c_in))]
+        elif takes_products(n, m, k):
+            assert [name for name, _ in calls] == ["_DgemmProducts"]
+        else:
+            assert calls == [("_dgemm_flat", memoryview)]
         assert np.asarray(c_in).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("layout", list(Layout))
@@ -306,11 +381,11 @@ class TestBindDgemm:
         # share, hold only the last buffer per view shape, and run as binds
         # without it.
         rng = np.random.default_rng(47)
-        a = rng.uniform(-1, 1, 6)
-        bs = [rng.uniform(-1, 1, 6) for _ in range(3)]
+        a = rng.uniform(-1, 1, 18)
+        bs = [rng.uniform(-1, 1, 18) for _ in range(3)]
         cs, alone = [np.zeros(4) for _ in bs], [np.zeros(4) for _ in bs]
         views = {}
-        runs = [bind_dgemm(Layout.ColMajor, 2, 2, 3, a, 2, b, 3, c, 2, views=views)
+        runs = [bind_dgemm(Layout.ColMajor, 2, 2, 9, a, 2, b, 9, c, 2, views=views)
                 for b, c in zip(bs, cs)]
         assert all(run.A is runs[0].A for run in runs)
         assert len({id(run.B) for run in runs}) == len(bs)
@@ -318,7 +393,7 @@ class TestBindDgemm:
                                         zip(views, (a, bs[-1], cs[-1])))
         for run, b, c in zip(runs, bs, alone):
             run(1.5, 0.0)
-            dgemm_ref(Layout.ColMajor, 2, 2, 3, 1.5, a, 2, b, 3, 0.0, c, 2)
+            dgemm_ref(Layout.ColMajor, 2, 2, 9, 1.5, a, 2, b, 9, 0.0, c, 2)
         assert [c.tobytes() for c in cs] == [c.tobytes() for c in alone]
 
 

@@ -65,6 +65,8 @@ PRINT_SOURCES = (
     "print(json.dumps({n: generate_c_source(parse_kernel_name(n)) for n in sys.argv[1:]}))\n"
 )
 STACK = re.compile(r"\(%r[sb]p\)")
+#: Instructions that broadcast one double to every lane; AT&T syntax puts the source first.
+BROADCASTS = ("vbroadcastsd", "vmovddup")
 
 
 def c_sources(tree: Path) -> dict[str, str]:
@@ -96,6 +98,9 @@ def instruction_mix(source: str, workdir: Path) -> dict[str, int]:
     ops = [(parts[0], parts[1] if len(parts) > 1 else "") for parts in lines]
     count = {name: sum(op == name for op, _ in ops) for name in ("vmulpd", "vaddpd", "vpermpd")}
     count["stack_moves"] = sum(op.startswith("vmov") and bool(STACK.search(args)) for op, args in ops)
+    broadcasts = [args for op, args in ops if op in BROADCASTS]
+    count["broadcasts_from_register"] = sum(args.startswith("%") for args in broadcasts)
+    count["broadcasts_from_memory"] = len(broadcasts) - count["broadcasts_from_register"]
     return count
 
 
